@@ -23,7 +23,6 @@ import numpy as np
 from .specfun import num_coeffs, sph_jn
 from .wavefuncs import (
     CoefficientSet,
-    plane_wave,
     regular_swf_matrix,
     translation_matrix,
 )
@@ -71,6 +70,20 @@ class PlaneWaveBasis:
         return np.exp(-1j * k * rel @ self.dirs.T)
 
 
+def _directivity_matrix(mics):
+    """Directivity coefficients of all mics, zero-padded to a common degree.
+
+    Returns ``(D, order)`` with ``D[m]`` the flat coefficients of mic m up to
+    the largest microphone degree ``order``.
+    """
+    order = max(mic.order for mic in mics)
+    D = np.zeros((len(mics), num_coeffs(order)), dtype=complex)
+    for m, mic in enumerate(mics):
+        d = mic.directivity_coeffs()
+        D[m, : d.size] = d
+    return D, order
+
+
 def build_observation_matrix(mics, basis, k):
     """Matrix B with B[m, n] = (observation functional m)(basis function n).
 
@@ -80,17 +93,16 @@ def build_observation_matrix(mics, basis, k):
     ``d_m^H T(r_m - r0)`` with degrees up to the microphone order.  For the
     plane-wave basis row m is ``gamma_m(x_n)^* e^{-ik x_n . (r_m - r0)}``.
     """
-    M = len(mics)
-    B = np.zeros((M, basis.size), dtype=complex)
     if isinstance(basis, PlaneWaveBasis):
+        B = np.zeros((len(mics), basis.size), dtype=complex)
         for m, mic in enumerate(mics):
             rel = mic.pos - basis.origin
             B[m] = mic.gamma_conj(basis.dirs) * np.exp(-1j * k * basis.dirs @ rel)
         return B
-    for m, mic in enumerate(mics):
-        T = translation_matrix(mic.pos - basis.origin, k, mic.order, basis.order)
-        B[m] = mic.directivity_coeffs().conj() @ T
-    return B
+    D, order = _directivity_matrix(mics)
+    pos = np.array([mic.pos for mic in mics])
+    T = translation_matrix(pos - basis.origin, k, order, basis.order)
+    return np.einsum("mi,min->mn", D.conj(), T)
 
 
 def solve_tikhonov(B, s, reg, noise_cov=None):
@@ -134,22 +146,13 @@ def kernel_matrix(mics, k):
     ``K[m1, m2] = sum d_{m1}^* d_{m2} T^{(m2 block)}_{(m1 block)}(r_{m1} - r_{m2})``;
     for omni pairs this equals ``j0(k |r_{m1} - r_{m2}|)``.
     """
-    M = len(mics)
-    K = np.zeros((M, M), dtype=complex)
-    all_omni = all(m.kind == "omni" for m in mics)
-    if all_omni:
-        pos = np.array([m.pos for m in mics])
+    pos = np.array([m.pos for m in mics])
+    if all(m.kind == "omni" for m in mics):
         dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
         return sph_jn(0, k * dist).astype(complex)
-    for m1 in range(M):
-        d1 = mics[m1].directivity_coeffs().conj()
-        for m2 in range(M):
-            d2 = mics[m2].directivity_coeffs()
-            T = translation_matrix(
-                mics[m1].pos - mics[m2].pos, k, mics[m1].order, mics[m2].order
-            )
-            K[m1, m2] = d1 @ T @ d2
-    return K
+    D, order = _directivity_matrix(mics)
+    T = translation_matrix(pos[:, None, :] - pos[None, :, :], k, order, order)
+    return np.einsum("ai,abij,bj->ab", D.conj(), T, D)
 
 
 def solve_kernel(K, s, reg, noise_cov=None):
@@ -185,12 +188,10 @@ def extract_expansion(alpha, mics, origin, order, k):
     origin through the translation operator; the estimate's coefficients are
     ``sum_m alpha_m T(origin - r_m) d_m`` truncated at the requested degree.
     """
-    coeffs = np.zeros(num_coeffs(order), dtype=complex)
-    for a, mic in zip(np.asarray(alpha, dtype=complex), mics):
-        T = translation_matrix(
-            np.asarray(origin, float) - mic.pos, k, order, mic.order
-        )
-        coeffs += a * (T @ mic.directivity_coeffs())
+    D, mic_order = _directivity_matrix(mics)
+    pos = np.array([mic.pos for mic in mics])
+    T = translation_matrix(np.asarray(origin, float) - pos, k, order, mic_order)
+    coeffs = np.einsum("m,mni,mi->n", np.asarray(alpha, dtype=complex), T, D)
     return CoefficientSet(order=order, origin=origin, coeffs=coeffs)
 
 

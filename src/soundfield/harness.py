@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,9 +29,7 @@ from .discrete import (
 )
 from .observation import (
     ArrayConfig,
-    Microphone,
     add_noise,
-    load_t_design,
     observe_plane_wave,
     observe_point_source,
     rigid_sphere_observation,
@@ -129,6 +127,10 @@ class ScenarioConfig:
         ]:
             if key in obj:
                 kwargs[name] = obj[key]
+        for key, least in (("order", 0), ("order_n0", 0), ("trials", 1)):
+            value = kwargs.get(key, least)
+            if isinstance(value, bool) or not isinstance(value, int) or value < least:
+                raise ConfigError(f"{key}: must be an integer >= {least}")
         if "origin" in obj:
             kwargs["origin"] = tuple(float(v) for v in obj["origin"])
         grid = obj.get("eval_grid", {})
@@ -136,13 +138,10 @@ class ScenarioConfig:
         kwargs["eval_spacing"] = float(grid.get("spacing", 0.1))
         if kwargs["eval_spacing"] <= 0:
             raise ConfigError("eval_grid.spacing: must be positive")
-        cfg = cls(
+        return cls(
             estimator=estimator, frequencies=[float(f) for f in freqs],
             array=array, field_spec=fs, **kwargs,
         )
-        if cfg.trials < 1:
-            raise ConfigError("trials: must be >= 1")
-        return cfg
 
 
 def _array_from_dict(obj, estimator, root):

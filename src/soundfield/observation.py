@@ -18,16 +18,12 @@ from __future__ import annotations
 import importlib.resources
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import flat_index, num_coeffs, sph_harm_matrix
-from .wavefuncs import (
-    CoefficientSet,
-    singular_swf_matrix,
-    translate_coeffs,
-)
+from .specfun import sph_harm_matrix
+from .wavefuncs import singular_swf_matrix, translate_coeffs
 
 MIC_KINDS = ("omni", "bidirectional", "first_order")
 

@@ -14,15 +14,15 @@ with phi as in :func:`regular_swf`.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+from scipy import sparse
 
 from .specfun import (
     degrees_orders,
     flat_index,
-    gaunt,
     legendre,
     num_coeffs,
     sph_harm_matrix,
@@ -201,6 +201,50 @@ def pw_to_sw(density_coeffs):
 # Translation and rotation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _coupling_tensor(order_out, order_in):
+    """Sparse Gaunt coupling of the translation operator.
+
+    ``C[row * n_in + col, p] = gaunt(nu, mu, nu', mu', nu'', mu'')`` for
+    ``row = (nu, mu)``, ``col = (nu', mu')`` and ``p = (nu'', mu'')``, stored
+    as CSR of shape ``(n_out * n_in, (order_out + order_in + 1)**2)``.
+
+    The phi-integral of the three harmonics is 2 pi when ``mu'' = mu' - mu``
+    and 0 otherwise; the remaining cos(theta) integrand is a polynomial of
+    degree ``nu + nu' + nu'' <= 2 L`` (L = order_out + order_in), so
+    Gauss-Legendre with L + 1 nodes integrates it exactly.
+    """
+    L = order_out + order_in
+    x, w = np.polynomial.legendre.leggauss(L + 1)
+    # Yhat at phi = 0 is real: the scaled associated Legendre functions.
+    dirs = np.stack([np.sqrt(1.0 - x * x), np.zeros_like(x), x], axis=-1)
+    P = sph_harm_matrix(L, dirs).real  # (L+1 nodes, (L+1)**2)
+
+    nu_out, mu_out = degrees_orders(order_out)
+    nu_in, mu_in = degrees_orders(order_in)
+    nu, mu = nu_out[:, None, None], mu_out[:, None, None]
+    nup, mup = nu_in[None, :, None], mu_in[None, :, None]
+    nupp = np.arange(L + 1)[None, None, :]
+    allowed = (
+        (np.abs(mup - mu) <= nupp)
+        & (nupp >= np.abs(nu - nup))
+        & (nupp <= nu + nup)
+        & ((nu + nup + nupp) % 2 == 0)
+    )
+    row, col, deg = np.nonzero(allowed)
+    p = flat_index(deg, mu_in[col] - mu_out[row])
+
+    vals = np.zeros(row.size)
+    for q in range(L + 1):
+        vals += w[q] * P[q, row] * P[q, col] * P[q, p]
+    vals *= 0.5  # 2 pi / 4 pi
+    n_in = num_coeffs(order_in)
+    return sparse.csr_matrix(
+        (vals, (row * n_in + col, p)),
+        shape=(num_coeffs(order_out) * n_in, num_coeffs(L)),
+    )
+
+
 def translation_matrix(displacement, k, order_out, order_in):
     """Regular-to-regular translation operator as a dense matrix.
 
@@ -212,29 +256,17 @@ def translation_matrix(displacement, k, order_out, order_in):
     ``T[(nu,mu),(nu',mu')] = (1/4pi) \\int Yhat_{nu,mu}(x)^* Yhat_{nu',mu'}(x)
     e^{-ik x.d} dS(x)``.  Rows cover degrees up to `order_out`, columns up to
     `order_in`.
+
+    `displacement` may have shape (..., 3); the result then has shape
+    ``(..., n_out, n_in)``.  All displacements share one contraction of the
+    cached Gaunt coupling with ``phi_{nu'',mu''}(d)``.
     """
+    d = np.asarray(displacement, dtype=float)
     n_out = num_coeffs(order_out)
     n_in = num_coeffs(order_in)
-    phi = regular_swf_matrix(order_out + order_in, np.asarray(displacement, float), k)
-    T = np.zeros((n_out, n_in), dtype=complex)
-    for nu in range(order_out + 1):
-        for mu in range(-nu, nu + 1):
-            row = flat_index(nu, mu)
-            for nup in range(order_in + 1):
-                for mup in range(-nup, nup + 1):
-                    mupp = mup - mu
-                    if abs(mupp) > nu + nup:
-                        continue
-                    acc = 0.0 + 0.0j
-                    lo = max(abs(nu - nup), abs(mupp))
-                    if (lo + nu + nup) % 2 == 1:
-                        lo += 1
-                    for nupp in range(lo, nu + nup + 1, 2):
-                        g = gaunt(nu, mu, nup, mup, nupp, mupp)
-                        if g != 0.0:
-                            acc += g * phi[flat_index(nupp, mupp)]
-                    T[row, flat_index(nup, mup)] = acc
-    return T
+    phi = regular_swf_matrix(order_out + order_in, d.reshape(-1, 3), k)
+    T = _coupling_tensor(order_out, order_in) @ phi.T  # (n_out*n_in, batch)
+    return T.T.reshape(d.shape[:-1] + (n_out, n_in))
 
 
 def translate_coeffs(cset, new_origin, k, order_out=None):

@@ -55,6 +55,17 @@ def test_observation_matrix_matches_direct_observation(rng):
     assert np.max(np.abs(B @ coeffs - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
+def test_observation_matrix_rows_are_single_translations(rng):
+    k = 3.0
+    basis = SphericalBasis(order=4, origin=np.array([0.1, 0.0, -0.05]))
+    mics = _random_mics(rng, 6)
+    B = build_observation_matrix(mics, basis, k)
+    for m, mic in enumerate(mics):
+        T = wf.translation_matrix(mic.pos - basis.origin, k, mic.order, basis.order)
+        row = mic.directivity_coeffs().conj() @ T
+        assert np.max(np.abs(B[m] - row)) <= 1e-13
+
+
 # ---------------------------------------------------------------------------
 # Tikhonov dual forms
 # ---------------------------------------------------------------------------
@@ -205,6 +216,22 @@ def test_extract_expansion_matches_kernel_eval(rng):
     a = cset.evaluate(pts, k)
     b = eval_kernel(alpha, mics, pts, k)
     assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(b)))
+
+
+def test_extract_expansion_sums_translated_representers(rng):
+    k = 2.5
+    mics = _random_mics(rng, 9)
+    alpha = rng.normal(size=9) + 1j * rng.normal(size=9)
+    origin = np.array([0.05, -0.1, 0.0])
+    order = 5
+    cset = extract_expansion(alpha, mics, origin, order, k)
+    expected = np.zeros(sf.num_coeffs(order), dtype=complex)
+    for a, mic in zip(alpha, mics):
+        rep = wf.CoefficientSet(
+            order=mic.order, origin=mic.pos, coeffs=mic.directivity_coeffs()
+        )
+        expected += a * wf.translate_coeffs(rep, origin, k, order_out=order).coeffs
+    assert np.max(np.abs(cset.coeffs - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 def test_extract_expansion_translation_consistency(rng):

@@ -222,6 +222,16 @@ def test_cli_invalid_config_exit_2(tmp_path):
     assert cli_main(["sweep", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("estimator", ["DM-finite", "BM-omni"])
+@pytest.mark.parametrize("key", ["order", "order_n0", "trials"])
+@pytest.mark.parametrize("value", [-1, "7", 2.5, True, None])
+def test_cli_integer_fields_exit_2(tmp_path, capsys, estimator, key, value):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_base_config(estimator=estimator, **{key: value})))
+    assert cli_main(["sweep", str(cfg)]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
 def test_cli_missing_file_exit_2(tmp_path):
     assert cli_main(["sweep", str(tmp_path / "none.json")]) == 2
 

@@ -154,6 +154,45 @@ def test_translation_identity_is_identity():
     assert np.max(np.abs(T - np.eye(sf.num_coeffs(4)))) <= 1e-12
 
 
+def test_translation_batched_matches_single_calls(rng):
+    k = 2.5
+    d = 0.3 * rng.normal(size=(3, 4, 3))
+    d[1, 2] = 0.0
+    T = wf.translation_matrix(d, k, 2, 3)
+    assert T.shape == (3, 4, sf.num_coeffs(2), sf.num_coeffs(3))
+    for i in range(3):
+        for j in range(4):
+            single = wf.translation_matrix(d[i, j], k, 2, 3)
+            assert np.max(np.abs(T[i, j] - single)) <= 1e-14
+
+
+@pytest.mark.parametrize("order_out, order_in", [(0, 7), (7, 1), (1, 1)])
+def test_translation_shapes(order_out, order_in):
+    n_out, n_in = sf.num_coeffs(order_out), sf.num_coeffs(order_in)
+    d = np.array([0.1, -0.2, 0.05])
+    assert wf.translation_matrix(d, 1.0, order_out, order_in).shape == (n_out, n_in)
+    batch = np.zeros((5, 3))
+    T = wf.translation_matrix(batch, 1.0, order_out, order_in)
+    assert T.shape == (5, n_out, n_in)
+
+
+@pytest.mark.parametrize("order_out, order_in", [(0, 0), (1, 3), (4, 2), (5, 5)])
+def test_coupling_tensor_matches_gaunt(order_out, order_in):
+    C = wf._coupling_tensor(order_out, order_in).tocoo()
+    nu, mu = (a.tolist() for a in sf.degrees_orders(order_out + order_in))
+    row, col = (a.tolist() for a in np.divmod(C.row, sf.num_coeffs(order_in)))
+    for r, c, p, v in zip(row, col, C.col.tolist(), C.data):
+        g = sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p], mu[p])
+        assert abs(v - g) <= 1e-13
+    # every nonzero Gaunt coefficient of the block is stored
+    stored = set(zip(row, col, C.col.tolist()))
+    for r in range(sf.num_coeffs(order_out)):
+        for c in range(sf.num_coeffs(order_in)):
+            for p in range(sf.num_coeffs(order_out + order_in)):
+                if (r, c, p) not in stored:
+                    assert sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p], mu[p]) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # Rotation
 # ---------------------------------------------------------------------------

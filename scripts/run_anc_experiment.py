@@ -16,14 +16,7 @@ import json
 import pathlib
 import sys
 
-from soundfield.harness import anc_experiment
-
-DEFAULT = {
-    "frequency": 700.0,
-    "primary_source": [3.0, 0.0, 0.0],
-    "iterations": 20000,
-    "reg": 1e-3,
-}
+from soundfield.harness import ConfigError, anc_experiment
 
 
 def main() -> None:
@@ -32,10 +25,11 @@ def main() -> None:
     ap.add_argument("-o", "--output", default="results/anc.csv", type=pathlib.Path)
     args = ap.parse_args()
 
-    obj = dict(DEFAULT)
-    if args.config:
-        obj.update(json.loads(args.config.read_text()))
-    out, csv_text = anc_experiment(obj)
+    try:
+        obj = json.loads(args.config.read_text()) if args.config else {}
+        out, csv_text = anc_experiment(obj)
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        ap.exit(2, f"config error: {exc}\n")
     for name in ("multipoint", "kernel"):
         res = out[name]
         print(

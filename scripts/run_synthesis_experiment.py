@@ -15,7 +15,7 @@ import json
 import pathlib
 import sys
 
-from soundfield.harness import wpm_experiment
+from soundfield.harness import ConfigError, wpm_experiment
 
 DEFAULT = {"frequencies": [100.0, 300.0, 500.0, 700.0, 900.0], "eta": 1e-3, "reg": 1e-3}
 
@@ -26,10 +26,13 @@ def main() -> None:
     ap.add_argument("-o", "--output", default="results/synthesis.csv", type=pathlib.Path)
     args = ap.parse_args()
 
-    obj = dict(DEFAULT)
-    if args.config:
-        obj.update(json.loads(args.config.read_text()))
-    rows, csv_text = wpm_experiment(obj)
+    try:
+        obj = json.loads(args.config.read_text()) if args.config else {}
+        if isinstance(obj, dict):  # anything else is reported by wpm_experiment
+            obj = {**DEFAULT, **obj}
+        rows, csv_text = wpm_experiment(obj)
+    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+        ap.exit(2, f"config error: {exc}\n")
     for f, pm_db, wpm_db in rows:
         marker = "WPM better" if wpm_db < pm_db else "PM better"
         print(f"{f:6.0f} Hz   PM {pm_db:7.2f} dB   WPM {wpm_db:7.2f} dB   ({marker})")

@@ -11,6 +11,7 @@ replaces plain per-point squared errors.
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .specfun import sph_jn
 from .wavefuncs import green
@@ -77,7 +78,7 @@ def transfer_matrix(src_pos, pts, k):
     """Free-field transfer functions G[n, l] = g_l(r_n) = G(r_n; r_l)."""
     src_pos = np.asarray(src_pos, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    return np.stack([green(pts, s, k) for s in src_pos], axis=-1)
+    return green(pts[:, None, :], src_pos, k)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +104,10 @@ def region_weighting(points, region_pts, cell_measure, k, reg):
     K = kernel_vector(points, points, k)
     P = np.linalg.inv(K + reg * np.eye(len(points)))
     kap = kernel_vector(points, np.asarray(region_pts, float), k)  # (Q, M)
-    inner = cell_measure * (kap.conj().T @ kap)
+    # einsum's own loop rather than BLAS: on a shared 2-core x86-64 VM,
+    # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
+    # call in some processes (cause not established); einsum takes ~2 ms
+    inner = cell_measure * np.einsum("qm,qn->mn", kap.conj(), kap)
     return P.conj().T @ inner @ P
 
 
@@ -164,16 +168,26 @@ def anc_lms_run(G, A, d, x, mu, iters, W0=None, record_cost=False):
     cost is evaluated after each update).
     """
     G = np.asarray(G, dtype=complex)
+    A = np.asarray(A, dtype=complex)
+    d = np.asarray(d, dtype=complex)
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    M, L = G.shape
+    GH = G.conj().T
+    xc = x.conj()
+    L = G.shape[1]
     W = np.zeros((L, x.size), dtype=complex) if W0 is None else np.array(W0, dtype=complex)
-    costs = []
-    for _ in range(iters):
-        W = W - mu * anc_gradient(W, G, A, d, x)
+    costs = np.empty(iters)
+    # The error after update t is the error the gradient of update t+1
+    # needs, so e and A e are formed once per iteration and serve both.
+    e = d + G @ (W @ x)
+    Ae = A @ e
+    for t in range(iters):
+        W -= mu * ((GH @ Ae)[:, None] * xc)
+        e = d + G @ (W @ x)
+        Ae = A @ e
         if record_cost:
-            costs.append(anc_cost(anc_error(W, G, d, x), A))
+            costs[t] = np.vdot(e, Ae).real
     if record_cost:
-        return W, np.asarray(costs)
+        return W, costs
     return W
 
 
@@ -210,44 +224,47 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len, W0=None):
     Implements ``W_{n+1}(i) = W_n(i) - mu sum_j H(j)^T e(n-K) x(n-i-j)^T``
     with ``H(i) = sum_{j=0}^{2K} A(j) G(i-j)`` (indices of A shifted to
     0..2K), and returns (W, e_history).
+
+    The update is in filtered-error form: ``U(j) = H(j)^T e(n-K)`` for all
+    taps j at once, contracted with the Hankel window ``x(n-i-j)``.
+    Signals before n = 0 are zero.
     """
     G_fir = np.asarray(G_fir, dtype=float)
     A_taps = np.asarray(A_taps, dtype=float)
     x = np.atleast_2d(np.asarray(x, dtype=float).T).T  # (T, R)
     d = np.asarray(d, dtype=float)
     J, M, L = G_fir.shape
-    two_k_plus_1 = A_taps.shape[0]
-    K = (two_k_plus_1 - 1) // 2
+    K = (A_taps.shape[0] - 1) // 2
     T, R = x.shape
     I = filt_len
+    P = J + 2 * K
 
-    # H(i) = sum_{j=0}^{2K} A(j) G(i - j), i = 0..J+2K-1
-    H = np.zeros((J + 2 * K, M, L))
-    for i in range(J + 2 * K):
-        for j in range(two_k_plus_1):
-            if 0 <= i - j < J:
-                H[i] += A_taps[j] @ G_fir[i - j]
+    # H(i) = sum_{j=0}^{2K} A(j) G(i - j), i = 0..P-1: window i of the
+    # zero-padded G holds G(i - 2K), ..., G(i), matched with A(2K), ..., A(0)
+    pad = np.zeros((2 * K, M, L))
+    G_win = sliding_window_view(np.concatenate([pad, G_fir, pad]), 2 * K + 1, axis=0)
+    H = np.einsum("tmn,inlt->iml", A_taps[::-1], G_win)
+    H_t = H.transpose(2, 0, 1).reshape(L * P, M)  # row (l, j) is H(j)[:, l]
+    G_t = G_fir.transpose(1, 0, 2).reshape(M, J * L)  # column (i, l) is G(i)[:, l]
+
+    # Time runs backwards in these buffers, so that sample n's lags
+    # x(n), x(n-1), ... (and y(n), y(n-1), ...) are one contiguous slice
+    # starting at row b = T-1-n; the trailing zero rows stand for n < 0.
+    x_rev = np.zeros((T + I + P - 2, R))
+    x_rev[:T] = x[::-1]
+    # row q = x_rev[q], ..., x_rev[q+I-1] flattened; rows b..b+P-1 are x(n-i-j)
+    x_lags = sliding_window_view(x_rev.reshape(-1), I * R)[::R]
+    y_rev = np.zeros((T + J - 1, L))
+    y_flat = y_rev.reshape(-1)
 
     W = np.zeros((I, L, R)) if W0 is None else np.array(W0, dtype=float)
-    y_hist = np.zeros((T, L))
+    W_t = W.transpose(1, 0, 2).reshape(L, I * R)  # column (i, r) is W(i)[:, r]
     e_hist = np.zeros((T, M))
     for n in range(T):
-        # secondary source outputs and error signals for this sample
-        for i in range(min(I, n + 1)):
-            y_hist[n] += W[i] @ x[n - i]
-        e = d[n].copy()
-        for i in range(min(J, n + 1)):
-            e += G_fir[i] @ y_hist[n - i]
-        e_hist[n] = e
-        if n - K < 0:
-            continue
-        e_delay = e_hist[n - K]
-        for i in range(I):
-            upd = np.zeros((L, R))
-            for j in range(J + 2 * K):
-                idx = n - i - j
-                if idx < 0:
-                    break
-                upd += np.outer(H[j].T @ e_delay, x[idx])
-            W[i] -= mu * upd
-    return W, e_hist
+        b = T - 1 - n
+        y_rev[b] = W_t @ x_lags[b]
+        e_hist[n] = d[n] + G_t @ y_flat[b * L:(b + J) * L]
+        if n >= K:
+            U = (H_t @ e_hist[n - K]).reshape(L, P)
+            W_t -= mu * (U @ x_lags[b:b + P])
+    return W_t.reshape(L, I, R).transpose(1, 0, 2).copy(), e_hist

@@ -56,6 +56,55 @@ class ConfigError(ValueError):
 # Configuration
 # ---------------------------------------------------------------------------
 
+# Config checks shared by the scenario, synth and anc configs.
+# A rule is (what the value must be, test it must pass).
+_POSITIVE = ("a positive number", lambda v: v > 0)
+_NON_NEGATIVE = ("a number >= 0", lambda v: v >= 0)
+_SPACING = ("a number in (0, 1] (metres, on the 1 m square region)", lambda v: 0 < v <= 1)
+_MULTIPLE_OF_4 = ("a positive multiple of 4", lambda v: v > 0 and v % 4 == 0)
+
+
+def _checked(path, value, rule, integer=False):
+    """`value` as a float (an int if `integer`) when it is a finite number
+    passing `rule`.
+
+    Otherwise raises ConfigError "<path>: must be <rule[0]>".  JSON true and
+    false are not numbers here.
+    """
+    expect, ok = rule
+    kinds = int if integer else (int, float)
+    try:
+        good = (not isinstance(value, bool) and isinstance(value, kinds)
+                and math.isfinite(value) and ok(value))
+    except OverflowError:  # an integer beyond the float range
+        good = False
+    if not good:
+        raise ConfigError(f"{path}: must be {expect}")
+    return value if integer else float(value)
+
+
+def _require_object(obj):
+    if not isinstance(obj, dict):
+        raise ConfigError("top level: must be a JSON object")
+
+
+def _field(obj, key, default, rule, integer=False):
+    """obj[key], or `default` when absent, checked by :func:`_checked`."""
+    return _checked(key, obj.get(key, default), rule, integer)
+
+
+def _vector_field(obj, key, default, nonzero=False):
+    """obj[key], or `default` when absent, as a (3,) float array."""
+    value = obj.get(key, default)
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"{key}: must be a list of 3 numbers")
+    for i, v in enumerate(value):
+        _checked(f"{key}[{i}]", v, ("a number", lambda v: True))
+    if nonzero and not any(value):
+        raise ConfigError(f"{key}: must be a nonzero 3-vector")
+    return np.asarray(value, dtype=float)
+
+
 @dataclass
 class ScenarioConfig:
     estimator: str
@@ -128,9 +177,8 @@ class ScenarioConfig:
             if key in obj:
                 kwargs[name] = obj[key]
         for key, least in (("order", 0), ("order_n0", 0), ("trials", 1)):
-            value = kwargs.get(key, least)
-            if isinstance(value, bool) or not isinstance(value, int) or value < least:
-                raise ConfigError(f"{key}: must be an integer >= {least}")
+            rule = (f"an integer >= {least}", lambda v: v >= least)
+            _checked(key, kwargs.get(key, least), rule, integer=True)
         if "origin" in obj:
             kwargs["origin"] = tuple(float(v) for v in obj["origin"])
         grid = obj.get("eval_grid", {})
@@ -430,31 +478,34 @@ def wpm_experiment(obj):
     square borders at z = +-0.2 m, a 1 m square target region at z = 0
     sampled at 0.05 m (441 points), 36 control points on a 0.2 m subgrid.
     """
-    c = float(obj.get("c", 340.65))
+    _require_object(obj)
+    c = _field(obj, "c", 340.65, _POSITIVE)
     freqs = obj.get("frequencies")
-    if not freqs:
-        raise ConfigError("frequencies: must be a non-empty list")
-    eta = float(obj.get("eta", 1e-3))
-    lam = float(obj.get("reg", 1e-3))
-    direction = np.asarray(
-        obj.get("direction", [math.cos(-math.pi / 4), math.sin(-math.pi / 4), 0.0]),
-        dtype=float,
+    if not isinstance(freqs, list) or not freqs:
+        raise ConfigError("frequencies: must be a non-empty list of Hz values")
+    freqs = [_checked(f"frequencies[{i}]", f, _POSITIVE) for i, f in enumerate(freqs)]
+    eta = _field(obj, "eta", 1e-3, _NON_NEGATIVE)
+    lam = _field(obj, "reg", 1e-3, _NON_NEGATIVE)
+    direction = _vector_field(
+        obj, "direction", [math.cos(-math.pi / 4), math.sin(-math.pi / 4), 0.0],
+        nonzero=True,
     )
     direction = direction / np.linalg.norm(direction)
+    eval_spacing = _field(obj, "eval_spacing", 0.05, _SPACING)
+    quad_spacing = _field(obj, "quad_spacing", 0.02, _SPACING)
+    control_spacing = _field(obj, "control_spacing", 0.2, _SPACING)
     src = np.vstack(
         [
             apps.square_boundary_points(2.0, 16, z=0.2),
             apps.square_boundary_points(2.0, 16, z=-0.2),
         ]
     )
-    region, _ = apps.square_grid(1.0, float(obj.get("eval_spacing", 0.05)))
-    quad, cell = apps.square_grid(
-        1.0, float(obj.get("quad_spacing", 0.02)), midpoint=True
-    )
-    ctrl, _ = apps.square_grid(1.0, float(obj.get("control_spacing", 0.2)))
+    region, _ = apps.square_grid(1.0, eval_spacing)
+    quad, cell = apps.square_grid(1.0, quad_spacing, midpoint=True)
+    ctrl, _ = apps.square_grid(1.0, control_spacing)
     rows = []
     for f in freqs:
-        k = 2.0 * math.pi * float(f) / c
+        k = 2.0 * math.pi * f / c
         G = apps.transfer_matrix(src, ctrl, k)
         Ge = apps.transfer_matrix(src, region, k)
         u_ctrl = plane_wave(ctrl, direction, k)
@@ -466,7 +517,7 @@ def wpm_experiment(obj):
         denom = float(np.mean(np.abs(u_eval) ** 2))
         err_pm = float(np.mean(np.abs(Ge @ d_pm - u_eval) ** 2)) / denom
         err_wpm = float(np.mean(np.abs(Ge @ d_wpm - u_eval) ** 2)) / denom
-        rows.append((float(f), 10 * math.log10(err_pm), 10 * math.log10(err_wpm)))
+        rows.append((f, 10 * math.log10(err_pm), 10 * math.log10(err_wpm)))
     lines = ["frequency_hz,pm_region_mse_db,wpm_region_mse_db"]
     for f, a, b in rows:
         lines.append(",".join([_fmt(f), _fmt(a), _fmt(b)]))
@@ -485,20 +536,22 @@ def anc_experiment(obj):
     primary point source outside, 700 Hz tone, free-field transfer
     functions evaluated in the z = 0 plane.
     """
-    c = float(obj.get("c", 340.65))
-    f = float(obj.get("frequency", 700.0))
-    lam = float(obj.get("reg", 1e-3))
-    iters = int(obj.get("iterations", 20000))
-    prim = np.asarray(obj.get("primary_source", [3.0, 0.0, 0.0]), dtype=float)
+    _require_object(obj)
+    c = _field(obj, "c", 340.65, _POSITIVE)
+    f = _field(obj, "frequency", 700.0, _POSITIVE)
+    lam = _field(obj, "reg", 1e-3, _NON_NEGATIVE)
+    iters = _field(obj, "iterations", 20000, ("an integer >= 1", lambda v: v >= 1), integer=True)
+    prim = _vector_field(obj, "primary_source", [3.0, 0.0, 0.0])
+    num_mics = _field(obj, "num_error_mics", 24, _MULTIPLE_OF_4, integer=True)
+    shift = _field(obj, "outward_shift", 0.03, _NON_NEGATIVE)
+    num_src = _field(obj, "num_sources", 12, _MULTIPLE_OF_4, integer=True)
+    spacing = _field(obj, "eval_spacing", 0.05, _SPACING)
+    # LMS converges for 0 < mu < 2 / max eig(G^H A G) with the unit reference
+    mu_scale = _field(obj, "mu_scale", 1.0, ("a number in (0, 2)", lambda v: 0 < v < 2))
     k = 2.0 * math.pi * f / c
-    mics = apps.square_boundary_points(
-        1.0, int(obj.get("num_error_mics", 24)),
-        outward_shift=float(obj.get("outward_shift", 0.03)),
-    )
-    src = apps.square_boundary_points(2.0, int(obj.get("num_sources", 12)))
-    region, cell = apps.square_grid(
-        1.0, float(obj.get("eval_spacing", 0.05)), midpoint=True
-    )
+    mics = apps.square_boundary_points(1.0, num_mics, outward_shift=shift)
+    src = apps.square_boundary_points(2.0, num_src)
+    region, cell = apps.square_grid(1.0, spacing, midpoint=True)
     G = apps.transfer_matrix(src, mics, k)
     Gr = apps.transfer_matrix(src, region, k)
     d = green(mics, prim, k)
@@ -511,7 +564,7 @@ def anc_experiment(obj):
         ("kernel", apps.region_weighting(mics, region, cell, k, lam)),
     ]:
         eig = float(np.linalg.eigvalsh(G.conj().T @ A @ G).max())
-        mu = float(obj.get("mu_scale", 1.0)) / eig
+        mu = mu_scale / eig
         W, costs = apps.anc_lms_run(G, A, d, x, mu, iters, record_cost=True)
         u = up + Gr @ (W @ x)
         out[name] = {

@@ -274,3 +274,101 @@ def test_fxlms_matches_frequency_domain_steady_state():
     W_cplx = W[0, :, 0] + W[1, :, 0] * zm1
     p_td = float(np.sum(np.abs(up + Gr @ W_cplx) ** 2) * cell)
     assert 10 * abs(math.log10(p_td / p_opt)) <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Fast paths against the per-tap / per-iteration reference loops
+# ---------------------------------------------------------------------------
+
+def _fxlms_reference(G_fir, A_taps, x, d, mu, filt_len, W0=None):
+    """Kernel-weighted FxLMS written tap by tap (the original loops)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float).T).T
+    J, M, L = G_fir.shape
+    two_k_plus_1 = A_taps.shape[0]
+    K = (two_k_plus_1 - 1) // 2
+    T, R = x.shape
+    I = filt_len
+    H = np.zeros((J + 2 * K, M, L))
+    for i in range(J + 2 * K):
+        for j in range(two_k_plus_1):
+            if 0 <= i - j < J:
+                H[i] += A_taps[j] @ G_fir[i - j]
+    W = np.zeros((I, L, R)) if W0 is None else np.array(W0, dtype=float)
+    y_hist = np.zeros((T, L))
+    e_hist = np.zeros((T, M))
+    for n in range(T):
+        for i in range(min(I, n + 1)):
+            y_hist[n] += W[i] @ x[n - i]
+        e = d[n].copy()
+        for i in range(min(J, n + 1)):
+            e += G_fir[i] @ y_hist[n - i]
+        e_hist[n] = e
+        if n - K < 0:
+            continue
+        e_delay = e_hist[n - K]
+        for i in range(I):
+            upd = np.zeros((L, R))
+            for j in range(J + 2 * K):
+                idx = n - i - j
+                if idx < 0:
+                    break
+                upd += np.outer(H[j].T @ e_delay, x[idx])
+            W[i] -= mu * upd
+    return W, e_hist
+
+
+@pytest.mark.parametrize(
+    "J, K, I, R, T, with_W0",
+    [(3, 2, 3, 2, 400, True), (2, 0, 1, 1, 60, False), (1, 3, 4, 3, 120, True)],
+)
+def test_fxlms_matches_per_tap_reference(J, K, I, R, T, with_W0):
+    rng = np.random.default_rng(100 + J + 10 * K)
+    M, L = 4, 3
+    G_fir = 0.3 * rng.normal(size=(J, M, L))
+    A_taps = 0.3 * rng.normal(size=(2 * K + 1, M, M))
+    x = rng.normal(size=(T, R))
+    d = rng.normal(size=(T, M))
+    W0 = 0.1 * rng.normal(size=(I, L, R)) if with_W0 else None
+    W, e = apps.fxlms_weighted_run(G_fir, A_taps, x, d, 1e-2, I, W0)
+    W_ref, e_ref = _fxlms_reference(G_fir, A_taps, x, d, 1e-2, I, W0)
+    start = np.zeros_like(W_ref) if W0 is None else W0
+    assert np.max(np.abs(W_ref - start)) > 1e-3  # the filter did adapt
+    assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
+    assert np.max(np.abs(e - e_ref)) <= 1e-12 * np.max(np.abs(e_ref))
+
+
+def _lms_reference_trajectory(G, A, d, x, mu, iters, W0):
+    """Filters after each update of W <- W - mu * anc_gradient(W)."""
+    W = np.array(W0, dtype=complex)
+    traj = []
+    for _ in range(iters):
+        W = W - mu * apps.anc_gradient(W, G, A, d, x)
+        traj.append(W)
+    return traj
+
+
+@pytest.mark.parametrize("record_cost", [True, False])
+def test_anc_lms_matches_reference_trajectory(record_cost):
+    rng = np.random.default_rng(7)
+    M, L = 6, 3
+    G = rng.normal(size=(M, L)) + 1j * rng.normal(size=(M, L))
+    B = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    A = B @ B.conj().T
+    d = rng.normal(size=M) + 1j * rng.normal(size=M)
+    x = rng.normal(size=2) + 1j * rng.normal(size=2)
+    W0 = 0.1 * (rng.normal(size=(L, 2)) + 1j * rng.normal(size=(L, 2)))
+    eig = float(np.linalg.eigvalsh(G.conj().T @ A @ G).max())
+    mu = 0.5 / (eig * float(np.vdot(x, x).real))
+    iters = 300
+    traj = _lms_reference_trajectory(G, A, d, x, mu, iters, W0)
+    out = apps.anc_lms_run(G, A, d, x, mu, iters, W0=W0, record_cost=record_cost)
+    if record_cost:
+        W, costs = out
+        expected = [apps.anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
+        assert costs.shape == (iters,)
+        assert np.allclose(costs, expected, rtol=1e-12, atol=0)
+        assert expected[-1] < expected[0]  # the run did adapt
+    else:
+        W = out
+    # same update arithmetic as the reference, so the filters agree exactly
+    np.testing.assert_array_equal(W, traj[-1])

@@ -232,6 +232,36 @@ def test_cli_integer_fields_exit_2(tmp_path, capsys, estimator, key, value):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
+ANC_BASE = {"frequency": 700, "primary_source": [3.0, 0.0, 0.0], "iterations": 5}
+SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
+
+
+@pytest.mark.parametrize(
+    "command, config, field",
+    [
+        ("anc", dict(ANC_BASE, iterations=0), "iterations"),
+        ("anc", dict(ANC_BASE, iterations="x"), "iterations"),
+        ("anc", dict(ANC_BASE, iterations=2.5), "iterations"),
+        ("anc", dict(ANC_BASE, num_error_mics=10), "num_error_mics"),
+        ("anc", dict(ANC_BASE, primary_source=[1, 2]), "primary_source"),
+        ("anc", [ANC_BASE], "top level"),
+        ("anc", dict(ANC_BASE, frequency=-5), "frequency"),
+        ("anc", dict(ANC_BASE, reg=-1), "reg"),
+        ("synth", dict(SYNTH_BASE, frequencies=["a"]), "frequencies[0]"),
+        ("synth", dict(SYNTH_BASE, frequencies=[-100]), "frequencies[0]"),
+        ("synth", dict(SYNTH_BASE, quad_spacing=0), "quad_spacing"),
+        ("synth", dict(SYNTH_BASE, direction=[0, 0, 0]), "direction"),
+        ("synth", [SYNTH_BASE], "top level"),
+    ],
+)
+def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(config))
+    assert cli_main([command, str(cfg), "-o", str(tmp_path / "out.csv")]) == 2
+    assert f"config error: {field}" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_cli_missing_file_exit_2(tmp_path):
     assert cli_main(["sweep", str(tmp_path / "none.json")]) == 2
 

@@ -18,7 +18,6 @@ from scipy.optimize import brentq
 from .specfun import (
     degrees_orders,
     legendre,
-    num_coeffs,
     sph_harm_matrix,
     sph_hn,
     sph_jn,
@@ -55,14 +54,23 @@ def estimate_coeffs(signals, dirs, kind, k, radius, order, a=None, weights=None,
     of the microphones as seen from the sphere center.
     """
     signals = np.asarray(signals, dtype=complex)
+    A = radial_response(kind, order, k * radius, a=a)
+    nu, _ = degrees_orders(order)
+    raw = analysis_matrix(order, dirs, weights) @ signals
+    return CoefficientSet(order=order, origin=center, coeffs=raw / A[nu])
+
+
+def analysis_matrix(order, dirs, weights=None):
+    """Discrete spherical-harmonic analysis ``(Yhat(x_m)^* w_m)^T``, shape (n, M).
+
+    The part of :func:`estimate_coeffs` that does not depend on k: the raw
+    coefficients are this matrix times the signals, before division by
+    ``A_nu``.  Weights default to ``1/M``.
+    """
     dirs = np.asarray(dirs, dtype=float)
     if weights is None:
         weights = np.full(len(dirs), 1.0 / len(dirs))
-    A = radial_response(kind, order, k * radius, a=a)
-    nu, _ = degrees_orders(order)
-    Y = sph_harm_matrix(order, dirs)
-    raw = (Y.conj() * weights[:, None]).T @ signals
-    return CoefficientSet(order=order, origin=center, coeffs=raw / A[nu])
+    return (sph_harm_matrix(order, dirs).conj() * weights[:, None]).T
 
 
 def forbidden_frequencies(radius, c, numax, fmax):

@@ -20,10 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .observation import directivity_matrix
 from .specfun import num_coeffs, sph_jn
 from .wavefuncs import (
     CoefficientSet,
     regular_swf_matrix,
+    swf_angular,
     translation_matrix,
 )
 
@@ -70,20 +72,6 @@ class PlaneWaveBasis:
         return np.exp(-1j * k * rel @ self.dirs.T)
 
 
-def _directivity_matrix(mics):
-    """Directivity coefficients of all mics, zero-padded to a common degree.
-
-    Returns ``(D, order)`` with ``D[m]`` the flat coefficients of mic m up to
-    the largest microphone degree ``order``.
-    """
-    order = max(mic.order for mic in mics)
-    D = np.zeros((len(mics), num_coeffs(order)), dtype=complex)
-    for m, mic in enumerate(mics):
-        d = mic.directivity_coeffs()
-        D[m, : d.size] = d
-    return D, order
-
-
 def build_observation_matrix(mics, basis, k):
     """Matrix B with B[m, n] = (observation functional m)(basis function n).
 
@@ -99,7 +87,7 @@ def build_observation_matrix(mics, basis, k):
             rel = mic.pos - basis.origin
             B[m] = mic.gamma_conj(basis.dirs) * np.exp(-1j * k * basis.dirs @ rel)
         return B
-    D, order = _directivity_matrix(mics)
+    D, order = directivity_matrix(mics)
     pos = np.array([mic.pos for mic in mics])
     T = translation_matrix(pos - basis.origin, k, order, basis.order)
     return np.einsum("mi,min->mn", D.conj(), T)
@@ -115,9 +103,11 @@ def solve_tikhonov(B, s, reg, noise_cov=None):
           = B^H (B B^H + reg Sigma)^{-1} s
 
     involves the smaller linear solve.  `noise_cov` defaults to identity.
+    `s` is one signal vector (M,) or a block of them (M, T), solved with one
+    factorisation; `c` has the matching shape.
     """
     B = np.asarray(B, dtype=complex)
-    s = np.asarray(s, dtype=complex).reshape(-1)
+    s = np.asarray(s, dtype=complex)
     M, N = B.shape
     if noise_cov is None:
         noise_cov = np.eye(M)
@@ -150,30 +140,64 @@ def kernel_matrix(mics, k):
     if all(m.kind == "omni" for m in mics):
         dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
         return sph_jn(0, k * dist).astype(complex)
-    D, order = _directivity_matrix(mics)
+    D, order = directivity_matrix(mics)
     T = translation_matrix(pos[:, None, :] - pos[None, :, :], k, order, order)
     return np.einsum("ai,abij,bj->ab", D.conj(), T, D)
 
 
 def solve_kernel(K, s, reg, noise_cov=None):
-    """Representer weights ``alpha = (K + reg Sigma)^{-1} s``."""
+    """Representer weights ``alpha = (K + reg Sigma)^{-1} s``.
+
+    `s` is one signal vector (M,) or a block of them (M, T), solved with one
+    factorisation; `alpha` has the matching shape.
+    """
     K = np.asarray(K, dtype=complex)
-    s = np.asarray(s, dtype=complex).reshape(-1)
+    s = np.asarray(s, dtype=complex)
     M = K.shape[0]
     if noise_cov is None:
         noise_cov = np.eye(M)
     return np.linalg.solve(K + reg * np.asarray(noise_cov, dtype=complex), s)
 
 
+_MIC_BLOCK = 8
+
+
+class Representers:
+    """The microphone representers at fixed points, split by degree.
+
+    ``v_m(r) = sum_nu j_nu(k |r - r_m|) F_nu[r, m]`` with the angular factors
+    ``F_nu[r, m] = i^{-nu} sum_mu d_{m,nu,mu} Yhat_{nu,mu}((r - r_m)/|r - r_m|)``.
+    The radii and angular factors do not depend on k and are computed once;
+    :meth:`matrix` adds one radial term per degree.
+    """
+
+    def __init__(self, mics, r):
+        D, order = directivity_matrix(mics)
+        pos = np.array([mic.pos for mic in mics])
+        r = np.asarray(r, dtype=float)[..., None, :]
+        self.rad = np.empty(r.shape[:-2] + (len(mics),))
+        self.angular = np.empty((order + 1,) + self.rad.shape, dtype=complex)
+        # Blocks of mics bound the harmonics held at once, (..., block, (order+1)**2).
+        for b in range(0, len(mics), _MIC_BLOCK):
+            blk = slice(b, b + _MIC_BLOCK)
+            self.rad[..., blk], Y = swf_angular(order, r - pos[blk])
+            for nu in range(order + 1):
+                deg = slice(nu * nu, (nu + 1) ** 2)
+                self.angular[nu, ..., blk] = (1j ** -nu) * np.einsum(
+                    "...mi,mi->...m", Y[..., deg], D[blk, deg])
+
+    def matrix(self, k):
+        """V with ``V[..., m] = v_m(r)`` at wavenumber k."""
+        kr = k * self.rad
+        V = sph_jn(0, kr) * self.angular[0]
+        for nu in range(1, len(self.angular)):
+            V += sph_jn(nu, kr) * self.angular[nu]
+        return V
+
+
 def representer_matrix(mics, r, k):
     """Matrix V with V[i, m] = v_m(r_i) for evaluation points r_i."""
-    r = np.asarray(r, dtype=float)
-    pts = r.reshape(-1, 3)
-    V = np.zeros((len(pts), len(mics)), dtype=complex)
-    for m, mic in enumerate(mics):
-        Phi = regular_swf_matrix(mic.order, pts - mic.pos, k)
-        V[:, m] = Phi @ mic.directivity_coeffs()
-    return V.reshape(r.shape[:-1] + (len(mics),))
+    return Representers(mics, r).matrix(k)
 
 
 def eval_kernel(alpha, mics, r, k):
@@ -188,7 +212,7 @@ def extract_expansion(alpha, mics, origin, order, k):
     origin through the translation operator; the estimate's coefficients are
     ``sum_m alpha_m T(origin - r_m) d_m`` truncated at the requested degree.
     """
-    D, mic_order = _directivity_matrix(mics)
+    D, mic_order = directivity_matrix(mics)
     pos = np.array([mic.pos for mic in mics])
     T = translation_matrix(np.asarray(origin, float) - pos, k, order, mic_order)
     coeffs = np.einsum("m,mni,mi->n", np.asarray(alpha, dtype=complex), T, D)

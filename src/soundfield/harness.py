@@ -11,18 +11,16 @@ from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import applications as apps
-from .boundary import estimate_coeffs, radial_response
+from .boundary import analysis_matrix, radial_response
 from .discrete import (
+    Representers,
     SphericalBasis,
     build_observation_matrix,
-    eval_finite,
-    eval_kernel,
     kernel_matrix,
     solve_kernel,
     solve_tikhonov,
@@ -30,17 +28,22 @@ from .discrete import (
 from .observation import (
     ArrayConfig,
     add_noise,
-    observe_plane_wave,
-    observe_point_source,
+    noise_std,
+    plane_wave_observations,
+    point_source_observations,
     rigid_sphere_observation,
     spherical_array,
+    unit_noise,
 )
+from .specfun import degrees_orders, sph_harm_matrix
 from .wavefuncs import (
     CoefficientSet,
     green,
     plane_wave,
     plane_wave_coeffs,
     singular_swf_matrix,
+    swf_angular,
+    swf_radial,
 )
 
 NMSE_FLOOR_DB = -300.0
@@ -62,6 +65,20 @@ _POSITIVE = ("a positive number", lambda v: v > 0)
 _NON_NEGATIVE = ("a number >= 0", lambda v: v >= 0)
 _SPACING = ("a number in (0, 1] (metres, on the 1 m square region)", lambda v: 0 < v <= 1)
 _MULTIPLE_OF_4 = ("a positive multiple of 4", lambda v: v > 0 and v % 4 == 0)
+_NUMBER = ("a number", lambda v: True)
+_COUNT = ("an integer >= 0", lambda v: v >= 0)
+_AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
+# Optional scalar fields of a scenario: (key, rule, integer).
+_SCENARIO_FIELDS = (
+    ("c", _POSITIVE, False),
+    ("snr_db", _NUMBER, False),
+    ("seed", _COUNT, True),
+    ("trials", _AT_LEAST_1, True),
+    ("order", _COUNT, True),
+    ("order_n0", _COUNT, True),
+    ("reg", _NON_NEGATIVE, False),
+    ("directivity_a", ("a number in [0, 1]", lambda v: 0 <= v <= 1), False),
+)
 
 
 def _checked(path, value, rule, integer=False):
@@ -99,7 +116,7 @@ def _vector_field(obj, key, default, nonzero=False):
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{key}: must be a list of 3 numbers")
     for i, v in enumerate(value):
-        _checked(f"{key}[{i}]", v, ("a number", lambda v: True))
+        _checked(f"{key}[{i}]", v, _NUMBER)
     if nonzero and not any(value):
         raise ConfigError(f"{key}: must be a nonzero 3-vector")
     return np.asarray(value, dtype=float)
@@ -133,6 +150,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, obj):
+        _require_object(obj)
+
         def need(key):
             if key not in obj:
                 raise ConfigError(f"missing required field '{key}'")
@@ -146,14 +165,27 @@ class ScenarioConfig:
         freqs = need("frequencies")
         if not isinstance(freqs, list) or not freqs:
             raise ConfigError("frequencies: must be a non-empty list of Hz values")
-        for i, f in enumerate(freqs):
-            if not isinstance(f, (int, float)) or f <= 0:
-                raise ConfigError(f"frequencies[{i}]: must be a positive number")
+        freqs = [_checked(f"frequencies[{i}]", f, _POSITIVE) for i, f in enumerate(freqs)]
+
+        kwargs = {
+            key: _checked(key, obj[key], rule, integer)
+            for key, rule, integer in _SCENARIO_FIELDS if key in obj
+        }
+        kwargs["origin"] = tuple(_vector_field(obj, "origin", [0.0, 0.0, 0.0]))
+        grid = obj.get("eval_grid", {})
+        if not isinstance(grid, dict):
+            raise ConfigError("eval_grid: must be an object")
+        kwargs["eval_radius"] = _checked("eval_grid.radius", grid.get("radius", 1.0), _POSITIVE)
+        kwargs["eval_spacing"] = _checked(
+            "eval_grid.spacing", grid.get("spacing", 0.1), _POSITIVE)
 
         arr_obj = need("array")
         try:
-            array = _array_from_dict(arr_obj, estimator, obj)
-        except ValueError as exc:
+            array = _array_from_dict(
+                arr_obj, estimator, kwargs.get("directivity_a", cls.directivity_a))
+        except KeyError as exc:
+            raise ConfigError(f"array: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"array: {exc}") from exc
 
         fs = obj.get("field", {"type": "plane_wave", "direction": [1.0, 0.0, 0.0]})
@@ -167,32 +199,12 @@ class ScenarioConfig:
             p = np.asarray(fs.get("position", []), dtype=float)
             if p.shape != (3,):
                 raise ConfigError("field.position: must be a 3-vector")
-
-        kwargs = {}
-        for key, name in [
-            ("c", "c"), ("snr_db", "snr_db"), ("seed", "seed"),
-            ("trials", "trials"), ("order", "order"), ("order_n0", "order_n0"),
-            ("reg", "reg"), ("directivity_a", "directivity_a"),
-        ]:
-            if key in obj:
-                kwargs[name] = obj[key]
-        for key, least in (("order", 0), ("order_n0", 0), ("trials", 1)):
-            rule = (f"an integer >= {least}", lambda v: v >= least)
-            _checked(key, kwargs.get(key, least), rule, integer=True)
-        if "origin" in obj:
-            kwargs["origin"] = tuple(float(v) for v in obj["origin"])
-        grid = obj.get("eval_grid", {})
-        kwargs["eval_radius"] = float(grid.get("radius", 1.0))
-        kwargs["eval_spacing"] = float(grid.get("spacing", 0.1))
-        if kwargs["eval_spacing"] <= 0:
-            raise ConfigError("eval_grid.spacing: must be positive")
         return cls(
-            estimator=estimator, frequencies=[float(f) for f in freqs],
-            array=array, field_spec=fs, **kwargs,
+            estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs,
         )
 
 
-def _array_from_dict(obj, estimator, root):
+def _array_from_dict(obj, estimator, directivity_a):
     """Build an ArrayConfig from its JSON form or a spherical-design spec."""
     if "mics" in obj:
         return ArrayConfig.from_json(json.dumps(obj))
@@ -204,7 +216,7 @@ def _array_from_dict(obj, estimator, root):
         if "kind" in obj:
             kind = obj["kind"]
         mount = "rigid" if estimator == "BM-rigid" else obj.get("mount", "open")
-        a = root.get("directivity_a", 0.5) if kind == "first_order" else None
+        a = directivity_a if kind == "first_order" else None
         return spherical_array(t, radius, mount=mount, kind=kind, a=a)
     raise ValueError("must contain 'mics' or be {'type': 'spherical', ...}")
 
@@ -213,113 +225,127 @@ def _array_from_dict(obj, estimator, root):
 # Field truth and observation
 # ---------------------------------------------------------------------------
 
+def _direction(field_spec):
+    d = np.asarray(field_spec.get("direction", [1, 0, 0]), dtype=float)
+    return d / np.linalg.norm(d)
+
+
 def _truth_eval(field_spec, pts, k):
     if field_spec["type"] == "plane_wave":
-        d = np.asarray(field_spec.get("direction", [1, 0, 0]), dtype=float)
-        d = d / np.linalg.norm(d)
-        return plane_wave(pts, d, k)
+        return plane_wave(pts, _direction(field_spec), k)
     return green(pts, np.asarray(field_spec["position"], float), k)
 
 
 def _truth_coeffs(field_spec, order, k):
     if field_spec["type"] == "plane_wave":
-        d = np.asarray(field_spec.get("direction", [1, 0, 0]), dtype=float)
-        d = d / np.linalg.norm(d)
-        return plane_wave_coeffs(order, d, k)
+        return plane_wave_coeffs(order, _direction(field_spec), k)
     pos = np.asarray(field_spec["position"], float)
     return CoefficientSet(
         order=order, origin=np.zeros(3), coeffs=singular_swf_matrix(order, pos, k)
     )
 
 
-def observe_field(array, field_spec, k, c=None):
-    """Noiseless microphone signals of the configured array for the truth field."""
+def _rigid_truth_order(array, k):
+    """Truncation order of the incident field on a rigid sphere: ceil(kR) + 20."""
+    return int(math.ceil(k * array.radius)) + 20
+
+
+def observe_field(array, field_spec, k, mic_harmonics=None):
+    """Noiseless microphone signals of the configured array for the truth field.
+
+    For a rigid array, `mic_harmonics` may hold the mic harmonics up to any
+    order at least :func:`_rigid_truth_order` at k (see
+    :func:`rigid_sphere_observation`).
+    """
     if array.mount == "rigid":
-        kR = k * array.radius
-        order = int(math.ceil(kR)) + 20
+        order = _rigid_truth_order(array, k)
         truth = _truth_coeffs(field_spec, order, k)
         dirs = array.positions / array.radius
-        return rigid_sphere_observation(truth.coeffs, order, dirs, k, array.radius)
-    out = np.zeros(len(array.mics), dtype=complex)
+        return rigid_sphere_observation(
+            truth.coeffs, order, dirs, k, array.radius, harmonics=mic_harmonics)
     if field_spec["type"] == "plane_wave":
-        d = np.asarray(field_spec.get("direction", [1, 0, 0]), dtype=float)
-        d = d / np.linalg.norm(d)
-        for m, mic in enumerate(array.mics):
-            out[m] = observe_plane_wave(mic, d, k)
-    else:
-        pos = np.asarray(field_spec["position"], float)
-        for m, mic in enumerate(array.mics):
-            out[m] = observe_point_source(mic, pos, k)
-    return out
+        return plane_wave_observations(array.mics, _direction(field_spec), k)
+    return point_source_observations(array.mics, np.asarray(field_spec["position"], float), k)
 
 
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _bm_kind(estimator):
-    return {"BM-omni": "omni", "BM-first": "first_order", "BM-rigid": "rigid"}[estimator]
+def _bm_response(cfg, radius, k):
+    """Radial response A_nu of the configured boundary array."""
+    kind = {"BM-omni": "omni", "BM-first": "first_order", "BM-rigid": "rigid"}[cfg.estimator]
+    a = cfg.directivity_a if kind == "first_order" else None
+    return radial_response(kind, cfg.order, k * radius, a=a)
 
 
-def prepare_estimator(cfg, k, pts):
-    """Precompute per-frequency matrices; returns signals -> values at pts.
+@dataclass
+class SweepGeometry:
+    """The part of the configured estimator at fixed points that does not
+    depend on frequency or trial; built once by :func:`sweep_geometry`.
 
-    The returned closure performs only the per-trial solve and a matrix
-    product, so trial loops stay cheap on large evaluation grids.
+    BM and DM-finite keep the radii and harmonics of the points about the
+    expansion origin (`basis`, see :func:`swf_angular`) up to `order`; BM
+    also keeps the array radius and its `analysis` matrix (see
+    :func:`analysis_matrix`).  DM-infinite keeps the `representers` of the
+    mics at the points.
     """
-    from .wavefuncs import regular_swf_matrix
-    from .discrete import representer_matrix
 
-    array = cfg.array
+    cfg: ScenarioConfig
+    order: int | None = None
+    basis: tuple | None = None
+    radius: float | None = None
+    analysis: np.ndarray | None = None
+    representers: Representers | None = None
+
+
+def sweep_geometry(cfg, pts):
+    """The :class:`SweepGeometry` of `cfg` at evaluation points `pts`."""
     pts = np.asarray(pts, dtype=float)
     if cfg.estimator.startswith("BM-"):
-        kind = _bm_kind(cfg.estimator)
-        pos = array.positions
-        radius = float(np.mean(np.linalg.norm(pos, axis=1)))
-        dirs = pos / np.linalg.norm(pos, axis=1, keepdims=True)
-        a = cfg.directivity_a if kind == "first_order" else None
-        E = regular_swf_matrix(cfg.order, pts, k)
-
-        def run(signals):
-            cset = estimate_coeffs(signals, dirs, kind, k, radius, cfg.order, a=a)
-            return E @ cset.coeffs
-
-        return run
-    if cfg.estimator == "DM-finite":
-        basis = SphericalBasis(order=cfg.order_n0, origin=np.asarray(cfg.origin))
-        B = build_observation_matrix(array.mics, basis, k)
-        E = basis.eval_matrix(pts, k)
-        return lambda signals: E @ solve_tikhonov(B, signals, cfg.reg)
-    if cfg.estimator == "DM-infinite":
-        K = kernel_matrix(array.mics, k)
-        R = representer_matrix(array.mics, pts, k)
-        return lambda signals: R @ solve_kernel(K, signals, cfg.reg)
-    raise ConfigError(f"estimator: unknown value {cfg.estimator!r}")
-
-
-def estimate_field(cfg, signals, k):
-    """Run the configured estimator; returns a callable pts -> estimate."""
-    array = cfg.array
-    if cfg.estimator.startswith("BM-"):
-        kind = _bm_kind(cfg.estimator)
-        pos = array.positions
-        radius = float(np.mean(np.linalg.norm(pos, axis=1)))
-        dirs = pos / np.linalg.norm(pos, axis=1, keepdims=True)
-        cset = estimate_coeffs(
-            signals, dirs, kind, k, radius, cfg.order,
-            a=cfg.directivity_a if kind == "first_order" else None,
+        pos = cfg.array.positions
+        norms = np.linalg.norm(pos, axis=1)
+        return SweepGeometry(
+            cfg, order=cfg.order, basis=swf_angular(cfg.order, pts),
+            radius=float(np.mean(norms)), analysis=analysis_matrix(cfg.order, pos / norms[:, None]),
         )
-        return lambda pts: cset.evaluate(pts, k), cset
+    if cfg.estimator == "DM-finite":
+        return SweepGeometry(
+            cfg, order=cfg.order_n0,
+            basis=swf_angular(cfg.order_n0, pts - np.asarray(cfg.origin)),
+        )
+    return SweepGeometry(cfg, representers=Representers(cfg.array.mics, pts))
+
+
+def prepare_estimator(geom, k):
+    """The configured estimator at wavenumber k on the geometry's points.
+
+    Returns a callable mapping a block of signals (M, T), one column per
+    trial, to the estimates at the points (Q, T).  The k-dependent matrices
+    are built here once per frequency; the callable makes one solve and
+    one matrix product for all trials.
+    """
+    cfg = geom.cfg
+    if geom.basis is not None:
+        rad, Y = geom.basis
+        E = swf_radial(geom.order, rad, k) * Y
+    if cfg.estimator.startswith("BM-"):
+        nu, _ = degrees_orders(cfg.order)
+        A = _bm_response(cfg, geom.radius, k)[nu][:, None]
+        return lambda signals: E @ ((geom.analysis @ signals) / A)
     if cfg.estimator == "DM-finite":
         basis = SphericalBasis(order=cfg.order_n0, origin=np.asarray(cfg.origin))
-        B = build_observation_matrix(array.mics, basis, k)
-        coeffs = solve_tikhonov(B, signals, cfg.reg)
-        return lambda pts: eval_finite(coeffs, basis, pts, k), coeffs
-    if cfg.estimator == "DM-infinite":
-        K = kernel_matrix(array.mics, k)
-        alpha = solve_kernel(K, signals, cfg.reg)
-        return lambda pts: eval_kernel(alpha, array.mics, pts, k), alpha
-    raise ConfigError(f"estimator: unknown value {cfg.estimator!r}")
+        B = build_observation_matrix(cfg.array.mics, basis, k)
+        return lambda signals: E @ solve_tikhonov(B, signals, cfg.reg)
+    K = kernel_matrix(cfg.array.mics, k)
+    R = geom.representers.matrix(k)
+    return lambda signals: R @ solve_kernel(K, signals, cfg.reg)
+
+
+def estimate_field(cfg, signals, k, pts):
+    """The configured estimator's values at `pts` from one signal vector."""
+    estimator = prepare_estimator(sweep_geometry(cfg, pts), k)
+    return estimator(np.asarray(signals)[:, None])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -356,45 +382,45 @@ class ResultRecord:
     nmse_db: float
     nmse_mean_db: float
     min_radial_response: float
-    wall_time_s: float
 
 
 def run_sweep(cfg):
-    """Simulate, estimate and evaluate NMSE for every (frequency, trial)."""
+    """Simulate, estimate and evaluate NMSE for every (frequency, trial).
+
+    What does not depend on frequency is computed once: the estimator's
+    geometry on the grid, the unit noise of each trial (drawn from
+    ``default_rng(seed + trial)``) and, for a rigid array, the mic
+    harmonics.  Each frequency then fits all trials as one block.
+    """
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
+    geom = sweep_geometry(cfg, grid)
+    ks = [2.0 * math.pi * f / cfg.c for f in cfg.frequencies]
+    mic_harmonics = None
+    if cfg.array.mount == "rigid":
+        mic_harmonics = sph_harm_matrix(
+            _rigid_truth_order(cfg.array, max(ks)), cfg.array.positions / cfg.array.radius)
+    trials = range(cfg.trials)
+    noise = np.stack([
+        unit_noise(len(cfg.array.mics), np.random.default_rng(cfg.seed + t)) for t in trials
+    ], axis=1)
     records = []
-    for f in cfg.frequencies:
-        k = 2.0 * math.pi * f / cfg.c
+    for f, k in zip(cfg.frequencies, ks):
         truth_vals = _truth_eval(cfg.field_spec, grid, k)
-        clean = observe_field(cfg.array, cfg.field_spec, k)
+        clean = observe_field(cfg.array, cfg.field_spec, k, mic_harmonics)
+        signals = clean[:, None] + noise_std(clean, cfg.snr_db) * noise
+        estimates = prepare_estimator(geom, k)(signals)
         diag = float("nan")
         if cfg.estimator.startswith("BM-"):
-            radius = float(np.mean(np.linalg.norm(cfg.array.positions, axis=1)))
-            kind = _bm_kind(cfg.estimator)
-            A = radial_response(
-                kind, cfg.order, k * radius,
-                a=cfg.directivity_a if kind == "first_order" else None,
+            diag = float(np.min(np.abs(_bm_response(cfg, geom.radius, k))))
+        vals = [nmse(estimates[:, t], truth_vals) for t in trials]
+        mean_db = float(np.mean(vals))
+        records.extend(
+            ResultRecord(
+                frequency=f, estimator=cfg.estimator, trial=t, seed=cfg.seed + t,
+                nmse_db=v, nmse_mean_db=mean_db, min_radial_response=diag,
             )
-            diag = float(np.min(np.abs(A)))
-        estimator = prepare_estimator(cfg, k, grid)
-        freq_records = []
-        for trial in range(cfg.trials):
-            t0 = time.perf_counter()
-            rng = np.random.default_rng(cfg.seed + trial)
-            signals = add_noise(clean, cfg.snr_db, rng)
-            val = nmse(estimator(signals), truth_vals)
-            freq_records.append(
-                ResultRecord(
-                    frequency=f, estimator=cfg.estimator, trial=trial,
-                    seed=cfg.seed + trial, nmse_db=val, nmse_mean_db=0.0,
-                    min_radial_response=diag,
-                    wall_time_s=time.perf_counter() - t0,
-                )
-            )
-        mean_db = float(np.mean([r.nmse_db for r in freq_records]))
-        for r in freq_records:
-            r.nmse_mean_db = mean_db
-        records.extend(freq_records)
+            for t, v in zip(trials, vals)
+        )
     records.sort(key=lambda r: (r.frequency, r.trial))
     return records
 
@@ -450,10 +476,8 @@ def dump_field(cfg, frequency, plane="xy", extent=2.0, spacing=0.1, offset=0.0,
     est_vals = None
     if include_estimate:
         clean = observe_field(cfg.array, cfg.field_spec, k)
-        rng = np.random.default_rng(cfg.seed + trial)
-        signals = add_noise(clean, cfg.snr_db, rng)
-        evaluator, _ = estimate_field(cfg, signals, k)
-        est_vals = evaluator(pts)
+        signals = add_noise(clean, cfg.snr_db, np.random.default_rng(cfg.seed + trial))
+        est_vals = estimate_field(cfg, signals, k, pts)
     lines = ["x,y,z,re_true,im_true,re_est,im_est,norm_err"]
     for i, p in enumerate(pts):
         row = [_fmt(p[0]), _fmt(p[1]), _fmt(p[2]),
@@ -546,6 +570,12 @@ def anc_experiment(obj):
     shift = _field(obj, "outward_shift", 0.03, _NON_NEGATIVE)
     num_src = _field(obj, "num_sources", 12, _MULTIPLE_OF_4, integer=True)
     spacing = _field(obj, "eval_spacing", 0.05, _SPACING)
+    # The field model assumes a source-free target region.
+    gap = math.hypot(max(abs(prim[0]) - 0.5, 0.0), max(abs(prim[1]) - 0.5, 0.0), prim[2])
+    if gap < spacing:
+        raise ConfigError(
+            f"primary_source: must be at least eval_spacing ({spacing:g} m) away from "
+            "the 1 m target square at z = 0")
     # LMS converges for 0 < mu < 2 / max eig(G^H A G) with the unit reference
     mu_scale = _field(obj, "mu_scale", 1.0, ("a number in (0, 2)", lambda v: 0 < v < 2))
     k = 2.0 * math.pi * f / c

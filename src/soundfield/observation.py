@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import sph_harm_matrix
+from .specfun import num_coeffs, sph_harm_matrix
 from .wavefuncs import singular_swf_matrix, translate_coeffs
 
 MIC_KINDS = ("omni", "bidirectional", "first_order")
@@ -58,16 +58,8 @@ class Microphone:
 
     def directivity_coeffs(self):
         """Directivity coefficients d_{nu,mu}, flat layout up to self.order."""
-        if self.kind == "omni":
-            return np.array([1.0 + 0.0j])
-        d = np.zeros(4, dtype=complex)
-        y1 = sph_harm_matrix(1, self.axis).conj()[1:4]
-        if self.kind == "bidirectional":
-            d[1:4] = y1 / 3.0
-        else:
-            d[0] = self.a
-            d[1:4] = (1.0 - self.a) * y1 / 3.0
-        return d
+        D, _ = directivity_matrix([self])
+        return D[0]
 
     def gamma_conj(self, x):
         """Response gamma(x)^* to a unit plane wave arriving from direction x.
@@ -89,30 +81,67 @@ def observe_coeffs(mic, cset, k):
     return complex(d.conj() @ local.coeffs)
 
 
+def directivity_matrix(mics):
+    """Directivity coefficients of all mics, zero-padded to a common degree.
+
+    Returns ``(D, order)`` with ``D[m]`` the flat coefficients of mic m up to
+    the largest microphone degree ``order``.  An omni mic has
+    ``d_{0,0} = 1``; a directional mic with axis y and omni weight a (0 when
+    bidirectional) has ``d_{0,0} = a`` and
+    ``d_{1,mu} = (1 - a) Yhat_{1,mu}(y)^* / 3``.
+    """
+    order = max(mic.order for mic in mics)
+    D = np.zeros((len(mics), num_coeffs(order)), dtype=complex)
+    a = np.array([{"omni": 1.0, "bidirectional": 0.0}.get(mic.kind, mic.a) for mic in mics])
+    D[:, 0] = a
+    directional = np.flatnonzero([mic.kind != "omni" for mic in mics])
+    if directional.size:
+        y1 = sph_harm_matrix(1, np.array([mics[m].axis for m in directional])).conj()[:, 1:4]
+        D[directional, 1:4] = (1.0 - a[directional, None]) * y1 / 3.0
+    return D, order
+
+
+def plane_wave_observations(mics, x_inc, k):
+    """Exact observations of a unit plane wave arriving from direction x_inc.
+
+    Mic m observes ``gamma_m(x_inc)^* e^{-ik x_inc . r_m}`` with
+    ``gamma_m(x)^* = sum d_{m,nu,mu}^* Yhat_{nu,mu}(x)^*``; shape (M,).
+    """
+    x_inc = np.asarray(x_inc, dtype=float)
+    D, order = directivity_matrix(mics)
+    pos = np.array([mic.pos for mic in mics])
+    gamma = D.conj() @ sph_harm_matrix(order, x_inc).conj()
+    return gamma * np.exp(-1j * k * (pos @ x_inc))
+
+
+def point_source_observations(mics, r_src, k):
+    """Exact observations of a free-field point source at r_src; shape (M,).
+
+    Uses the partial-wave expansion of the Green's function about each
+    microphone position: the local regular coefficients are the singular
+    wave functions evaluated at ``r_src - r_m``.
+    """
+    D, order = directivity_matrix(mics)
+    pos = np.array([mic.pos for mic in mics])
+    psi = singular_swf_matrix(order, np.asarray(r_src, float) - pos, k)
+    return np.einsum("mi,mi->m", D.conj(), psi)
+
+
 def observe_plane_wave(mic, x_inc, k):
     """Exact observation of a unit plane wave arriving from direction x_inc."""
-    x_inc = np.asarray(x_inc, dtype=float)
-    phase = np.exp(-1j * k * float(x_inc @ mic.pos))
-    return complex(mic.gamma_conj(x_inc) * phase)
+    return complex(plane_wave_observations([mic], x_inc, k)[0])
 
 
 def observe_point_source(mic, r_src, k):
-    """Exact observation of a free-field point source at r_src.
-
-    Uses the partial-wave expansion of the Green's function about the
-    microphone position: the local regular coefficients are the singular
-    wave functions evaluated at ``r_src - r0``.
-    """
-    psi = singular_swf_matrix(mic.order, np.asarray(r_src, float) - mic.pos, k)
-    d = mic.directivity_coeffs()
-    return complex(d.conj() @ psi)
+    """Exact observation of a free-field point source at r_src."""
+    return complex(point_source_observations([mic], r_src, k)[0])
 
 
 # ---------------------------------------------------------------------------
 # Rigid-sphere array observation
 # ---------------------------------------------------------------------------
 
-def rigid_sphere_observation(coeffs, order, dirs, k, radius):
+def rigid_sphere_observation(coeffs, order, dirs, k, radius, harmonics=None):
     """Pressure on a rigid sphere for an incident field with given coefficients.
 
     The incident field ``sum alpha phi_{nu,mu}(r)`` (expansion about the
@@ -122,6 +151,9 @@ def rigid_sphere_observation(coeffs, order, dirs, k, radius):
         sum_{nu,mu} alpha_{nu,mu} i^{-nu} (i / ((kR)^2 h_nu'(kR))) Yhat_{nu,mu}(x)
 
     which follows from the Neumann condition and the Wronskian of j and h.
+    `harmonics`, if given, is ``sph_harm_matrix(N, dirs)`` for some
+    ``N >= order``; its leading columns are the order-`order` set, so a sweep
+    over frequencies computes it once.
     """
     from .specfun import degrees_orders, sph_hn
 
@@ -130,8 +162,9 @@ def rigid_sphere_observation(coeffs, order, dirs, k, radius):
     kR = k * radius
     hp = sph_hn(np.arange(order + 1), kR, derivative=True)
     radial = (1j ** (-nu.astype(float))) * (1j / (kR**2 * hp[nu]))
-    Y = sph_harm_matrix(order, np.asarray(dirs, dtype=float))
-    return Y @ (radial * coeffs)
+    if harmonics is None:
+        harmonics = sph_harm_matrix(order, np.asarray(dirs, dtype=float))
+    return harmonics[..., : num_coeffs(order)] @ (radial * coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +187,8 @@ class ArrayConfig:
     def __post_init__(self):
         if self.mount not in ("open", "rigid"):
             raise ValueError(f"unknown mount {self.mount!r}")
+        if not self.mics:
+            raise ValueError("needs at least one microphone")
         if self.mount == "rigid":
             if self.radius is None:
                 raise ValueError("rigid mount requires a radius")
@@ -236,16 +271,23 @@ def spherical_array(t, radius, mount="open", kind="omni", a=None, outward_axes=T
 # Measurement noise
 # ---------------------------------------------------------------------------
 
-def add_noise(signals, snr_db, rng):
-    """Add circular complex Gaussian noise at the given array-average SNR.
+def noise_std(signals, snr_db):
+    """Standard deviation per real component of the noise at the given SNR.
 
     The common noise variance is ``10**(-snr_db/10)`` times the mean squared
     magnitude of the clean signals.
     """
-    signals = np.asarray(signals, dtype=complex)
     power = float(np.mean(np.abs(signals) ** 2))
     var = 10.0 ** (-snr_db / 10.0) * power
-    noise = math.sqrt(var / 2.0) * (
-        rng.standard_normal(signals.shape) + 1j * rng.standard_normal(signals.shape)
-    )
-    return signals + noise
+    return math.sqrt(var / 2.0)
+
+
+def unit_noise(shape, rng):
+    """Standard complex Gaussian draws: all real parts, then all imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def add_noise(signals, snr_db, rng):
+    """Add circular complex Gaussian noise at the given array-average SNR."""
+    signals = np.asarray(signals, dtype=complex)
+    return signals + noise_std(signals, snr_db) * unit_noise(signals.shape, rng)

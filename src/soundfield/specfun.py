@@ -54,11 +54,6 @@ def sph_jn(n, x, derivative=False):
     return spherical_jn(n, x, derivative=derivative)
 
 
-def sph_yn(n, x, derivative=False):
-    """Spherical Bessel function of the second kind y_n(x) (or y_n'(x))."""
-    return spherical_yn(n, x, derivative=derivative)
-
-
 def sph_hn(n, x, derivative=False):
     """Spherical Hankel function of the first kind h_n(x) = j_n + i y_n."""
     return spherical_jn(n, x, derivative=derivative) + 1j * spherical_yn(

@@ -82,31 +82,34 @@ def regular_swf(nu, mu, r, k):
     return vals
 
 
-def singular_swf(nu, mu, r, k):
-    """Singular spherical wave function psi_{nu,mu}(r).
+def swf_angular(order, r):
+    """The part of :func:`regular_swf_matrix` that does not depend on k.
 
-    ``psi_{nu,mu}(r) = (ik/4pi) i^{nu} h_nu(k|r|) Yhat_{nu,mu}(r/|r|)^*``
-    with h_nu the spherical Hankel function of the first kind.
+    Returns ``(rad, Y)``: the radii ``|r|`` and the harmonics ``Yhat`` up to
+    `order` at ``r/|r|``.  At ``r = 0`` the row of Y is the degree-0 unit
+    row, so that ``swf_radial(order, rad, k) * Y`` is ``phi(0)`` exactly.
     """
     rad, dirs = _radial_dirs(r)
-    ynorm = sph_harm_matrix(nu, dirs)[..., flat_index(nu, mu)].conj()
-    return (1j * k / (4.0 * np.pi)) * (1j**nu) * sph_hn(nu, k * rad) * ynorm
-
-
-def regular_swf_matrix(order, r, k):
-    """All phi_{nu,mu}(r) for nu <= order; shape ``shape(r)[:-1] + ((order+1)**2,)``."""
-    rad, dirs = _radial_dirs(r)
     Y = sph_harm_matrix(order, dirs)
-    jn = sph_jn_all(order, k * rad)  # (order+1, ...)
-    nu, _ = degrees_orders(order)
-    radial = np.moveaxis(jn, 0, -1)[..., nu] * (1j ** (-nu.astype(float)))
-    vals = radial * Y
     at_origin = rad == 0
     if np.any(at_origin):
         origin_row = np.zeros(num_coeffs(order), dtype=complex)
         origin_row[0] = 1.0
-        vals = np.where(at_origin[..., None], origin_row, vals)
-    return vals
+        Y = np.where(at_origin[..., None], origin_row, Y)
+    return rad, Y
+
+
+def swf_radial(order, rad, k):
+    """``i^{-nu} j_nu(k rad)`` in flat (nu, mu) layout; shape ``shape(rad) + ((order+1)**2,)``."""
+    jn = sph_jn_all(order, k * rad)  # (order+1, ...)
+    nu, _ = degrees_orders(order)
+    return np.moveaxis(jn, 0, -1)[..., nu] * (1j ** (-nu.astype(float)))
+
+
+def regular_swf_matrix(order, r, k):
+    """All phi_{nu,mu}(r) for nu <= order; shape ``shape(r)[:-1] + ((order+1)**2,)``."""
+    rad, Y = swf_angular(order, r)
+    return swf_radial(order, rad, k) * Y
 
 
 def singular_swf_matrix(order, r, k):
@@ -190,11 +193,6 @@ def sw_to_pw(coeffs):
     harmonic coefficients of ``utilde``, i.e. ``u_{nu,mu} / 4pi``.
     """
     return np.asarray(coeffs, dtype=complex) / (4.0 * np.pi)
-
-
-def pw_to_sw(density_coeffs):
-    """Inverse of :func:`sw_to_pw` (``u_{nu,mu} = 4pi * utilde_{nu,mu}``)."""
-    return 4.0 * np.pi * np.asarray(density_coeffs, dtype=complex)
 
 
 # ---------------------------------------------------------------------------

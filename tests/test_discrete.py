@@ -7,6 +7,7 @@ from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 from soundfield.discrete import (
     PlaneWaveBasis,
+    Representers,
     SphericalBasis,
     build_observation_matrix,
     eval_finite,
@@ -105,6 +106,21 @@ def test_tikhonov_noise_covariance(rng):
     assert np.linalg.norm(x - expected) <= 1e-10 * np.linalg.norm(expected)
 
 
+@pytest.mark.parametrize("shape", [(6, 9), (9, 6)])  # both closed forms
+@pytest.mark.parametrize("weighted", [False, True])
+def test_tikhonov_block_equals_column_solves(rng, shape, weighted):
+    M, N = shape
+    B = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    S = rng.normal(size=(M, 4)) + 1j * rng.normal(size=(M, 4))
+    L = rng.normal(size=(M, M))
+    cov = L @ L.T + M * np.eye(M) if weighted else None
+    C = solve_tikhonov(B, S, 1e-2, noise_cov=cov)
+    assert C.shape == (N, 4)
+    for t in range(4):
+        col = solve_tikhonov(B, S[:, t], 1e-2, noise_cov=cov)
+        assert np.max(np.abs(C[:, t] - col)) <= 1e-12 * np.max(np.abs(col))
+
+
 # ---------------------------------------------------------------------------
 # Kernel (infinite-dimensional) estimator
 # ---------------------------------------------------------------------------
@@ -140,6 +156,47 @@ def test_omni_equals_generic_kernel_ridge():
     a2 = np.linalg.solve(K_ref + 1e-3 * np.eye(8), s)
     assert np.max(np.abs(K_fast - K_ref)) <= 1e-12
     assert np.max(np.abs(a1 - a2)) <= 1e-12 * max(1.0, np.max(np.abs(a2)))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_kernel_block_equals_column_solves(rng, weighted):
+    k = 4.0
+    mics = _random_mics(rng, 7)
+    K = kernel_matrix(mics, k)
+    S = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    cov = np.diag(rng.uniform(0.5, 2.0, size=7)) if weighted else None
+    A = solve_kernel(K, S, 1e-3, noise_cov=cov)
+    assert A.shape == (7, 5)
+    for t in range(5):
+        col = solve_kernel(K, S[:, t], 1e-3, noise_cov=cov)
+        assert np.max(np.abs(A[:, t] - col)) <= 1e-12 * np.max(np.abs(col))
+
+
+def _representers_per_mic(mics, pts, k):
+    """Reference: column m is mic m's regular wave functions times its d."""
+    return np.stack([
+        wf.regular_swf_matrix(mic.order, pts - mic.pos, k) @ mic.directivity_coeffs()
+        for mic in mics
+    ], axis=-1)
+
+
+def test_factored_representers_match_per_mic_reference(rng):
+    # Mixed omni/first-order mics, more mics than one block, and evaluation
+    # points that include a mic position (the r = 0 row).
+    mics = _random_mics(rng, 19, kinds=("omni", "first_order"))
+    pts = np.vstack([0.5 * rng.normal(size=(40, 3)), mics[0].pos, mics[1].pos])
+    rep = Representers(mics, pts)
+    for k in (0.5, 3.0, 9.0):
+        ref = _representers_per_mic(mics, pts, k)
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(rep.matrix(k) - ref)) <= 1e-13 * scale
+        assert np.max(np.abs(representer_matrix(mics, pts, k) - ref)) <= 1e-13 * scale
+    # At its own position a representer is phi_{0,0}(0) d_{0,0} = d_{0,0}.
+    V = rep.matrix(3.0)
+    assert V[-2, 0] == mics[0].directivity_coeffs()[0]
+    assert V[-1, 1] == mics[1].directivity_coeffs()[0]
+    grid = pts[:12].reshape(3, 4, 3)
+    assert representer_matrix(mics, grid, 2.0).shape == (3, 4, len(mics))
 
 
 def test_kernel_matrix_hermitian_psd(rng):

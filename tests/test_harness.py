@@ -6,8 +6,19 @@ import sys
 import numpy as np
 import pytest
 
+from soundfield import specfun
+from soundfield.boundary import estimate_coeffs
 from soundfield.cli import main as cli_main
+from soundfield.discrete import (
+    SphericalBasis,
+    build_observation_matrix,
+    kernel_matrix,
+    representer_matrix,
+    solve_kernel,
+    solve_tikhonov,
+)
 from soundfield.harness import (
+    ESTIMATORS,
     ConfigError,
     ScenarioConfig,
     ball_grid,
@@ -16,6 +27,19 @@ from soundfield.harness import (
     plane_grid,
     run_sweep,
     sweep_csv,
+)
+from soundfield.observation import (
+    add_noise,
+    observe_plane_wave,
+    observe_point_source,
+    rigid_sphere_observation,
+)
+from soundfield.wavefuncs import (
+    green,
+    plane_wave,
+    plane_wave_coeffs,
+    regular_swf_matrix,
+    singular_swf_matrix,
 )
 
 
@@ -172,6 +196,121 @@ def test_sweep_high_snr_beats_low_snr():
     assert hi.nmse_db < lo.nmse_db - 20.0
 
 
+FIELDS = {
+    "plane_wave": {"type": "plane_wave", "direction": [0.3, -0.5, 0.8]},
+    "point_source": {"type": "point_source", "position": [1.1, 0.9, -0.7]},
+}
+# Every estimator with each mic kind it allows.
+ESTIMATOR_KINDS = [
+    ("BM-omni", "omni"), ("BM-first", "first_order"), ("BM-rigid", "omni"),
+    ("DM-finite", "omni"), ("DM-finite", "first_order"),
+    ("DM-infinite", "omni"), ("DM-infinite", "first_order"),
+]
+
+
+def _oracle_config(estimator, kind, field):
+    return ScenarioConfig.from_dict(_base_config(
+        estimator=estimator, frequencies=[150.0, 420.0], trials=3, seed=5,
+        array={"type": "spherical", "t": 5, "radius": 0.5, "kind": kind},
+        field=field, order=2, order_n0=3, snr_db=25.0, directivity_a=0.4,
+        origin=[0.05, -0.02, 0.03] if estimator == "DM-finite" else [0.0, 0.0, 0.0],
+    ))
+
+
+def _reference_nmse(cfg):
+    """NMSE per (frequency, trial), one trial at a time from the public primitives."""
+    grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
+    mics = cfg.array.mics
+    pos = cfg.array.positions
+    norms = np.linalg.norm(pos, axis=1)
+    fs = cfg.field_spec
+    out = []
+    for f in cfg.frequencies:
+        k = 2.0 * math.pi * f / cfg.c
+        rigid_order = math.ceil(k * 0.5) + 20
+        if fs["type"] == "plane_wave":
+            d = np.asarray(fs["direction"]) / np.linalg.norm(fs["direction"])
+            truth = plane_wave(grid, d, k)
+            clean = np.array([observe_plane_wave(m, d, k) for m in mics])
+            incident = plane_wave_coeffs(rigid_order, d, k).coeffs
+        else:
+            src = np.asarray(fs["position"], float)
+            truth = green(grid, src, k)
+            clean = np.array([observe_point_source(m, src, k) for m in mics])
+            incident = singular_swf_matrix(rigid_order, src, k)
+        if cfg.array.mount == "rigid":
+            clean = rigid_sphere_observation(incident, rigid_order, pos / 0.5, k, 0.5)
+        for t in range(cfg.trials):
+            s = add_noise(clean, cfg.snr_db, np.random.default_rng(cfg.seed + t))
+            if cfg.estimator.startswith("BM-"):
+                kind = {"BM-omni": "omni", "BM-first": "first_order",
+                        "BM-rigid": "rigid"}[cfg.estimator]
+                cset = estimate_coeffs(s, pos / norms[:, None], kind, k, norms.mean(),
+                                       cfg.order, a=cfg.directivity_a)
+                est = regular_swf_matrix(cfg.order, grid, k) @ cset.coeffs
+            elif cfg.estimator == "DM-finite":
+                basis = SphericalBasis(order=cfg.order_n0, origin=cfg.origin)
+                c = solve_tikhonov(build_observation_matrix(mics, basis, k), s, cfg.reg)
+                est = regular_swf_matrix(cfg.order_n0, grid - basis.origin, k) @ c
+            else:
+                alpha = solve_kernel(kernel_matrix(mics, k), s, cfg.reg)
+                est = representer_matrix(mics, grid, k) @ alpha
+            out.append(nmse(est, truth))
+    return out
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+@pytest.mark.parametrize("estimator, kind", ESTIMATOR_KINDS)
+def test_sweep_matches_per_trial_reference(estimator, kind, field):
+    cfg = _oracle_config(estimator, kind, FIELDS[field])
+    records = run_sweep(cfg)
+    ref = _reference_nmse(cfg)
+    assert len(records) == len(ref) == 6
+    for r, want in zip(records, ref):
+        assert abs(r.nmse_db - want) <= 1e-9
+    for f in cfg.frequencies:
+        group = [r.nmse_db for r in records if r.frequency == f]
+        assert all(r.nmse_mean_db == np.mean(group) for r in records if r.frequency == f)
+
+
+def _grid_harmonics_count(monkeypatch, cfg):
+    """Calls of sph_harm_matrix on at least as many directions as the grid has points."""
+    grid_size = len(ball_grid(cfg.eval_radius, cfg.eval_spacing))
+    orig = specfun.sph_harm_matrix
+    calls = []
+
+    def counting(order, dirs):
+        if np.size(dirs) // 3 >= grid_size:
+            calls.append(order)
+        return orig(order, dirs)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("soundfield")]:
+        if getattr(mod, "sph_harm_matrix", None) is orig:
+            monkeypatch.setattr(mod, "sph_harm_matrix", counting)
+    run_sweep(cfg)
+    monkeypatch.undo()
+    return len(calls)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_grid_harmonics_once_per_sweep(monkeypatch, estimator):
+    # The grid (about 500 points) outnumbers the mic pairs (12 x 12), so only
+    # harmonics of grid points are counted.
+    array = {"type": "spherical", "t": 5, "radius": 0.5}
+    if estimator.startswith("DM-"):
+        array["kind"] = "first_order"
+
+    def cfg(freqs):
+        return ScenarioConfig.from_dict(_base_config(
+            estimator=estimator, frequencies=freqs, trials=2, array=array,
+            eval_grid={"radius": 0.5, "spacing": 0.1},
+        ))
+
+    once = _grid_harmonics_count(monkeypatch, cfg([200.0]))
+    assert once > 0
+    assert _grid_harmonics_count(monkeypatch, cfg([100.0, 200.0, 300.0, 400.0])) == once
+
+
 # ---------------------------------------------------------------------------
 # Field dumps
 # ---------------------------------------------------------------------------
@@ -252,6 +391,22 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
         ("synth", dict(SYNTH_BASE, quad_spacing=0), "quad_spacing"),
         ("synth", dict(SYNTH_BASE, direction=[0, 0, 0]), "direction"),
         ("synth", [SYNTH_BASE], "top level"),
+        ("anc", dict(ANC_BASE, primary_source=[0.025, 0.025, 0.0]), "primary_source"),
+        ("anc", dict(ANC_BASE, primary_source=[0.5, 0.52, 0.04]), "primary_source"),
+        ("sweep", _base_config(snr_db="x"), "snr_db"),
+        ("sweep", _base_config(c=0), "c"),
+        ("sweep", _base_config(seed=1.5), "seed"),
+        ("sweep", _base_config(seed=-1), "seed"),
+        ("sweep", _base_config(eval_grid={"radius": -1}), "eval_grid.radius"),
+        ("sweep", _base_config(eval_grid={"spacing": 0}), "eval_grid.spacing"),
+        ("sweep", _base_config(eval_grid=[0.5]), "eval_grid"),
+        ("sweep", _base_config(frequencies=[True]), "frequencies[0]"),
+        ("sweep", _base_config(reg=-1), "reg"),
+        ("sweep", _base_config(directivity_a=1.5), "directivity_a"),
+        ("sweep", _base_config(origin=["a", 0, 0]), "origin[0]"),
+        ("sweep", [_base_config()], "top level"),
+        ("sweep", _base_config(array={"mics": [{"pos": [0.1, 0, 0]}]}), "array"),
+        ("sweep", _base_config(array={"mount": "open", "mics": []}), "array"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -260,6 +415,12 @@ def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field)
     assert cli_main([command, str(cfg), "-o", str(tmp_path / "out.csv")]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_anc_source_just_outside_region(tmp_path):
+    cfg = tmp_path / "anc.json"
+    cfg.write_text(json.dumps(dict(ANC_BASE, primary_source=[0.5, 0.6, 0.06])))
+    assert cli_main(["anc", str(cfg), "-o", str(tmp_path / "out.csv")]) == 0
 
 
 def test_cli_missing_file_exit_2(tmp_path):

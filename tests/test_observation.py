@@ -11,10 +11,13 @@ from soundfield.observation import (
     ArrayConfig,
     Microphone,
     add_noise,
+    directivity_matrix,
     load_t_design,
     observe_coeffs,
     observe_plane_wave,
     observe_point_source,
+    plane_wave_observations,
+    point_source_observations,
     rigid_sphere_observation,
     spherical_array,
 )
@@ -103,6 +106,31 @@ def test_observe_coeffs_matches_plane_wave():
 # Rigid-sphere observation
 # ---------------------------------------------------------------------------
 
+def test_array_observations_match_per_mic():
+    # A mixed array pads omni mics with zero degree-1 coefficients.
+    rng = np.random.default_rng(3)
+    mics = [
+        Microphone(pos=0.4 * rng.normal(size=3), kind=kind,
+                   axis=None if kind == "omni" else rng.normal(size=3),
+                   a=0.3 if kind == "first_order" else None)
+        for kind in ("omni", "bidirectional", "first_order") * 3
+    ]
+    k = 5.0
+    x = _unit([0.2, -0.4, 0.9])
+    src = np.array([1.3, -0.8, 0.6])
+    pw = plane_wave_observations(mics, x, k)
+    ps = point_source_observations(mics, src, k)
+    for m, mic in enumerate(mics):
+        assert pw[m] == pytest.approx(observe_plane_wave(mic, x, k), rel=1e-14, abs=1e-15)
+        assert ps[m] == pytest.approx(observe_point_source(mic, src, k), rel=1e-14)
+    # directivity_matrix rows are each mic's own coefficients, zero-padded
+    D, order = directivity_matrix(mics)
+    assert order == 1
+    for m, mic in enumerate(mics):
+        d = mic.directivity_coeffs()
+        assert np.array_equal(D[m, : d.size], d) and not D[m, d.size:].any()
+
+
 def test_rigid_sphere_radial_velocity_vanishes():
     # Total field on a rigid sphere has zero radial derivative: check via
     # the radial response against the analytic dual form built from the
@@ -152,6 +180,10 @@ def test_rigid_sphere_observation_consistency():
     )
     expected = Y @ (radial * cset.coeffs)
     assert np.max(np.abs(s - expected)) <= 1e-10 * np.max(np.abs(expected))
+    # Harmonics of a higher order, as a sweep passes them, give the same result.
+    wide = sf.sph_harm_matrix(order + 5, dirs)
+    s_wide = rigid_sphere_observation(cset.coeffs, order, dirs, k, radius, harmonics=wide)
+    assert np.max(np.abs(s_wide - s)) <= 1e-14 * np.max(np.abs(s))
 
 
 # ---------------------------------------------------------------------------

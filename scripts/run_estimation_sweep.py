@@ -23,7 +23,7 @@ def base_config(estimator: str, trials: int, seed: int) -> ScenarioConfig:
             "estimator": estimator,
             "frequencies": FREQUENCIES,
             "array": {"type": "spherical", "t": 7, "radius": 1.0},
-            "field_spec": {"type": "plane_wave", "direction": [0.4, -0.3, 0.6]},
+            "field": {"type": "plane_wave", "direction": [0.4, -0.3, 0.6]},
             "snr_db": 30.0,
             "trials": trials,
             "seed": seed,

@@ -13,16 +13,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .specfun import (
     degrees_orders,
-    legendre,
+    legendre_all,
     sph_harm_matrix,
-    sph_hn,
+    sph_hn_all,
     sph_jn,
+    sph_jn_all,
 )
 from .wavefuncs import CoefficientSet, green
+
+# Width to which forbidden_frequencies bisects each root bracket (in kR).
+_XTOL = 1e-13
 
 
 def radial_response(kind, order, kR, a=None):
@@ -32,16 +35,16 @@ def radial_response(kind, order, kR, a=None):
     * first_order (open): ``i^{-nu} (a j_nu(kR) + i (1-a) j_nu'(kR))``
     * rigid (omni on rigid sphere): ``i^{-nu} * i / ((kR)^2 h_nu'(kR))``
     """
-    nu = np.arange(order + 1)
-    ip = 1j ** (-nu.astype(float))
+    ip = 1j ** (-np.arange(order + 1.0))
     if kind == "omni":
-        return ip * sph_jn(nu, kR)
+        return ip * sph_jn_all(order, kR)
     if kind == "first_order":
         if a is None:
             raise ValueError("first_order response requires mixing weight a")
-        return ip * (a * sph_jn(nu, kR) + 1j * (1.0 - a) * sph_jn(nu, kR, derivative=True))
+        return ip * (a * sph_jn_all(order, kR)
+                     + 1j * (1.0 - a) * sph_jn_all(order, kR, derivative=True))
     if kind == "rigid":
-        return ip * (1j / (kR**2 * sph_hn(nu, kR, derivative=True)))
+        return ip * (1j / (kR**2 * sph_hn_all(order, kR, derivative=True)))
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
@@ -81,22 +84,24 @@ def forbidden_frequencies(radius, c, numax, fmax):
     a sorted list of (frequency_hz, nu) pairs with f in (0, fmax].
     """
     kmax = 2.0 * math.pi * fmax * radius / c
-    out = []
-    for nu in range(numax + 1):
-        # j_nu oscillates with roughly unit spacing in x beyond its first
-        # zero; scan a fine grid for sign changes and refine with brentq.
-        xs = np.linspace(1e-6, kmax, max(40, int(20 * kmax)) + 1)
-        vals = sph_jn(nu, xs)
-        for lo, hi, vlo, vhi in zip(xs[:-1], xs[1:], vals[:-1], vals[1:]):
-            if vlo == 0.0:
-                continue
-            if vlo * vhi < 0.0:
-                root = brentq(lambda x: sph_jn(nu, x), lo, hi, xtol=1e-13)
-                f = root * c / (2.0 * math.pi * radius)
-                if f <= fmax:
-                    out.append((f, nu))
-    out.sort()
-    return out
+    # j_nu oscillates with roughly unit spacing in x beyond its first zero;
+    # scan a fine grid for sign changes, then bisect every bracket at once
+    # down to a width of _XTOL.
+    xs = np.linspace(1e-6, kmax, max(40, int(20 * kmax)) + 1)
+    vals = sph_jn_all(numax, xs)
+    nu, i = np.nonzero((vals[:, :-1] != 0.0) & (vals[:, :-1] * vals[:, 1:] < 0.0))
+    if nu.size == 0:
+        return []
+    lo, hi, flo = xs[i], xs[i + 1], vals[nu, i]
+    for _ in range(math.ceil(math.log2((xs[1] - xs[0]) / _XTOL))):
+        mid = 0.5 * (lo + hi)
+        fmid = sph_jn(nu, mid)
+        above = (fmid > 0.0) == (flo > 0.0)  # the root lies above mid
+        lo, flo = np.where(above, mid, lo), np.where(above, fmid, flo)
+        hi = np.where(above, hi, mid)
+    f = 0.5 * (lo + hi) * c / (2.0 * math.pi * radius)
+    keep = f <= fmax
+    return sorted(zip(f[keep].tolist(), nu[keep].tolist()))
 
 
 def dirichlet_green_sphere(r, r_src, k, radius, order=60):
@@ -112,7 +117,7 @@ def dirichlet_green_sphere(r, r_src, k, radius, order=60):
     r = np.asarray(r, dtype=float)
     r_src = np.asarray(r_src, dtype=float)
     kR = k * radius
-    jR = sph_jn(np.arange(order + 1), kR)
+    jR = sph_jn_all(order, kR)
     # Zeros of j_nu only occur in its oscillatory region nu <~ kR; beyond
     # that j_nu decays monotonically and small values are benign.
     oscillatory = np.arange(order + 1) <= int(math.ceil(kR)) + 2
@@ -125,17 +130,14 @@ def dirichlet_green_sphere(r, r_src, k, radius, order=60):
             rad > 0, (r @ r_src) / (np.where(rad > 0, rad, 1.0) * rs), 1.0
         )
     cosang = np.clip(cosang, -1.0, 1.0)
-    v = np.zeros(rad.shape, dtype=complex)
-    for nu in range(order + 1):
-        if jR[nu] == 0.0:
-            break  # remaining terms are negligible (deep evanescent decay)
-        # Group the ratio j_nu(k rs)/j_nu(kR) (~ (rs/R)^nu) with the bounded
-        # product h_nu(kR) j_nu(k r) to avoid intermediate overflow.
-        v += (
-            (2 * nu + 1)
-            * (sph_jn(nu, k * rs) / jR[nu])
-            * (sph_hn(nu, kR) * sph_jn(nu, k * rad))
-            * legendre(nu, cosang)
-        )
+    # Degrees past the first underflowed j_nu(kR) are negligible (deep
+    # evanescent decay) and are dropped.
+    n = int(np.argmax(jR == 0.0)) if np.any(jR == 0.0) else order + 1
+    nu = np.arange(n).reshape((n,) + (1,) * rad.ndim)
+    # Group the ratio j_nu(k rs)/j_nu(kR) (~ (rs/R)^nu) with the bounded
+    # product h_nu(kR) j_nu(k r) to avoid intermediate overflow.
+    ratio = (sph_jn_all(n - 1, k * rs) / jR[:n]).reshape(nu.shape)
+    bounded = sph_hn_all(n - 1, kR).reshape(nu.shape) * sph_jn_all(n - 1, k * rad)
+    v = np.sum((2 * nu + 1) * ratio * bounded * legendre_all(n - 1, cosang), axis=0)
     v *= -(1j * k / (4.0 * np.pi))
     return green(r, r_src, k) + v

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observation import directivity_matrix
-from .specfun import num_coeffs, sph_jn
+from .specfun import num_coeffs, sph_jn, sph_jn_all
 from .wavefuncs import (
     CoefficientSet,
     regular_swf_matrix,
@@ -168,7 +168,7 @@ class Representers:
     ``v_m(r) = sum_nu j_nu(k |r - r_m|) F_nu[r, m]`` with the angular factors
     ``F_nu[r, m] = i^{-nu} sum_mu d_{m,nu,mu} Yhat_{nu,mu}((r - r_m)/|r - r_m|)``.
     The radii and angular factors do not depend on k and are computed once;
-    :meth:`matrix` adds one radial term per degree.
+    :meth:`matrix` evaluates all j_nu at once and sums over the degrees.
     """
 
     def __init__(self, mics, r):
@@ -188,11 +188,8 @@ class Representers:
 
     def matrix(self, k):
         """V with ``V[..., m] = v_m(r)`` at wavenumber k."""
-        kr = k * self.rad
-        V = sph_jn(0, kr) * self.angular[0]
-        for nu in range(1, len(self.angular)):
-            V += sph_jn(nu, kr) * self.angular[nu]
-        return V
+        jn = sph_jn_all(len(self.angular) - 1, k * self.rad)
+        return np.sum(jn * self.angular, axis=0)
 
 
 def representer_matrix(mics, r, k):

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import num_coeffs, sph_harm_matrix
+from .specfun import degrees_orders, num_coeffs, sph_harm_matrix, sph_hn_all
 from .wavefuncs import singular_swf_matrix, translate_coeffs
 
 MIC_KINDS = ("omni", "bidirectional", "first_order")
@@ -155,12 +155,10 @@ def rigid_sphere_observation(coeffs, order, dirs, k, radius, harmonics=None):
     ``N >= order``; its leading columns are the order-`order` set, so a sweep
     over frequencies computes it once.
     """
-    from .specfun import degrees_orders, sph_hn
-
     coeffs = np.asarray(coeffs, dtype=complex)
     nu, _ = degrees_orders(order)
     kR = k * radius
-    hp = sph_hn(np.arange(order + 1), kR, derivative=True)
+    hp = sph_hn_all(order, kR, derivative=True)
     radial = (1j ** (-nu.astype(float))) * (1j / (kR**2 * hp[nu]))
     if harmonics is None:
         harmonics = sph_harm_matrix(order, np.asarray(dirs, dtype=float))

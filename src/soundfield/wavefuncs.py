@@ -18,15 +18,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import sparse
 
 from .specfun import (
     degrees_orders,
     flat_index,
-    legendre,
+    legendre_all,
     num_coeffs,
     sph_harm_matrix,
-    sph_hn,
     sph_hn_all,
     sph_jn,
     sph_jn_all,
@@ -100,10 +98,16 @@ def swf_angular(order, r):
 
 
 def swf_radial(order, rad, k):
-    """``i^{-nu} j_nu(k rad)`` in flat (nu, mu) layout; shape ``shape(rad) + ((order+1)**2,)``."""
-    jn = sph_jn_all(order, k * rad)  # (order+1, ...)
+    """``i^{-nu} j_nu(k rad)`` in flat (nu, mu) layout; shape ``shape(rad) + ((order+1)**2,)``.
+
+    The Bessel functions are evaluated once per distinct radius (a ball grid
+    has far fewer radii than points) and gathered to the rest.
+    """
+    rad = np.asarray(rad, dtype=float)
+    radii, inverse = np.unique(rad.ravel(), return_inverse=True)
     nu, _ = degrees_orders(order)
-    return np.moveaxis(jn, 0, -1)[..., nu] * (1j ** (-nu.astype(float)))
+    table = sph_jn_all(order, k * radii).T[:, nu] * (1j ** (-nu.astype(float)))
+    return table[inverse].reshape(rad.shape + (-1,))
 
 
 def regular_swf_matrix(order, r, k):
@@ -204,8 +208,9 @@ def _coupling_tensor(order_out, order_in):
     """Sparse Gaunt coupling of the translation operator.
 
     ``C[row * n_in + col, p] = gaunt(nu, mu, nu', mu', nu'', mu'')`` for
-    ``row = (nu, mu)``, ``col = (nu', mu')`` and ``p = (nu'', mu'')``, stored
-    as CSR of shape ``(n_out * n_in, (order_out + order_in + 1)**2)``.
+    ``row = (nu, mu)``, ``col = (nu', mu')`` and ``p = (nu'', mu'')``, a
+    matrix of shape ``(n_out * n_in, (order_out + order_in + 1)**2)`` returned
+    as read-only CSR arrays ``(indptr, p, values)``.
 
     The phi-integral of the three harmonics is 2 pi when ``mu'' = mu' - mu``
     and 0 otherwise; the remaining cos(theta) integrand is a polynomial of
@@ -236,11 +241,15 @@ def _coupling_tensor(order_out, order_in):
     for q in range(L + 1):
         vals += w[q] * P[q, row] * P[q, col] * P[q, p]
     vals *= 0.5  # 2 pi / 4 pi
-    n_in = num_coeffs(order_in)
-    return sparse.csr_matrix(
-        (vals, (row * n_in + col, p)),
-        shape=(num_coeffs(order_out) * n_in, num_coeffs(L)),
-    )
+    # np.nonzero runs in C order, so the flat rows come out sorted and p is
+    # ascending within each row: the triple is already in CSR form.  No row
+    # is empty, because nu'' = nu + nu' is always allowed.
+    n_rows = num_coeffs(order_out) * num_coeffs(order_in)
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row * num_coeffs(order_in) + col, minlength=n_rows), out=indptr[1:])
+    for a in (indptr, p, vals):
+        a.flags.writeable = False
+    return indptr, p, vals
 
 
 def translation_matrix(displacement, k, order_out, order_in):
@@ -263,8 +272,9 @@ def translation_matrix(displacement, k, order_out, order_in):
     n_out = num_coeffs(order_out)
     n_in = num_coeffs(order_in)
     phi = regular_swf_matrix(order_out + order_in, d.reshape(-1, 3), k)
-    T = _coupling_tensor(order_out, order_in) @ phi.T  # (n_out*n_in, batch)
-    return T.T.reshape(d.shape[:-1] + (n_out, n_in))
+    indptr, p, vals = _coupling_tensor(order_out, order_in)
+    T = np.add.reduceat(phi[:, p] * vals, indptr[:-1], axis=1)  # (batch, n_out*n_in)
+    return T.reshape(d.shape[:-1] + (n_out, n_in))
 
 
 def translate_coeffs(cset, new_origin, k, order_out=None):
@@ -312,12 +322,8 @@ def green_partial_wave(r, r_src, k, order):
     rs = float(np.linalg.norm(r_src))
     ds = r_src / rs
     cosang = np.clip(dirs @ ds, -1.0, 1.0)
-    out = np.zeros(rad.shape, dtype=complex)
-    for nu in range(order + 1):
-        out += (
-            (2 * nu + 1)
-            * sph_jn(nu, k * rad)
-            * sph_hn(nu, k * rs)
-            * legendre(nu, cosang)
-        )
+    nu = np.arange(order + 1).reshape((order + 1,) + (1,) * rad.ndim)
+    hs = sph_hn_all(order, k * rs).reshape(nu.shape)
+    out = np.sum((2 * nu + 1) * sph_jn_all(order, k * rad) * hs
+                 * legendre_all(order, cosang), axis=0)
     return (1j * k / (4.0 * np.pi)) * out

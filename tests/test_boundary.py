@@ -184,6 +184,29 @@ def test_dirichlet_green_helmholtz_residual():
     assert abs(lap + k**2 * g0) <= 1e-4 * abs(g0) / h ** 0 + 1e-3
 
 
+@pytest.mark.parametrize("k, R, order", [(2.3, 1.0, 60), (0.7, 0.5, 25), (9.0, 1.2, 40)])
+def test_dirichlet_green_matches_per_degree_loop(k, R, order, rng):
+    # the all-degrees form against the sum it replaced, one degree at a time
+    r = 0.3 * R * rng.normal(size=(8, 3))
+    r[0] = 0.0
+    src = np.array([0.2, -0.35, 0.3]) * R
+    kR = k * R
+    rad = np.linalg.norm(r, axis=1)
+    rs = np.linalg.norm(src)
+    cosang = np.clip(np.where(rad > 0, (r @ src) / (np.where(rad > 0, rad, 1.0) * rs), 1.0),
+                     -1.0, 1.0)
+    v = np.zeros(len(r), dtype=complex)
+    for nu in range(order + 1):
+        jR = sf.sph_jn(nu, kR)
+        if jR == 0.0:
+            break
+        v += ((2 * nu + 1) * (sf.sph_jn(nu, k * rs) / jR)
+              * (sf.sph_hn(nu, kR) * sf.sph_jn(nu, k * rad)) * sf.legendre(nu, cosang))
+    ref = wf.green(r, src, k) - (1j * k / (4.0 * np.pi)) * v
+    out = dirichlet_green_sphere(r, src, k, R, order=order)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 def test_dirichlet_green_free_field_singularity():
     # Near the source the Dirichlet Green function approaches the free one
     k, R = 2.0, 1.0

@@ -249,6 +249,44 @@ def test_wigner_D_gimbal_lock():
             assert np.max(np.abs(D - expected)) <= 1e-12
 
 
+def _wigner_d_sum(nu, beta):
+    """Wigner's explicit sum for d^nu(beta); accurate at low degree only."""
+    c, s = math.cos(beta / 2), math.sin(beta / 2)
+    f = math.factorial
+    d = np.zeros((2 * nu + 1, 2 * nu + 1))
+    for mp in range(-nu, nu + 1):
+        for m in range(-nu, nu + 1):
+            tot = sum(
+                (-1.0) ** (mp - m + k)
+                * c ** (2 * nu + m - mp - 2 * k) * s ** (mp - m + 2 * k)
+                / (f(nu + m - k) * f(k) * f(mp - m + k) * f(nu - mp - k))
+                for k in range(max(0, m - mp), min(nu + m, nu - mp) + 1)
+            )
+            d[mp + nu, m + nu] = math.sqrt(f(nu + mp) * f(nu - mp) * f(nu + m) * f(nu - m)) * tot
+    return d
+
+
+def test_wigner_d_small_matches_explicit_sum():
+    for nu in range(9):
+        for beta in (0.0, 0.4, 1.9, math.pi, -2.5):
+            assert np.max(np.abs(sf.wigner_d_small(nu, beta) - _wigner_d_sum(nu, beta))) <= 1e-13
+
+
+@given(st.floats(-2 * math.pi, 2 * math.pi))
+@settings(max_examples=10, deadline=None)
+def test_wigner_d_small_orthogonal_to_high_degree(beta):
+    for nu in range(81):
+        d = sf.wigner_d_small(nu, beta)
+        assert np.max(np.abs(d @ d.T - np.eye(2 * nu + 1))) <= 1e-12
+
+
+def test_wigner_d_small_composes():
+    # d(a) d(b) = d(a + b): rotations about one axis add their angles
+    for nu in (1, 7, 30, 60):
+        prod = sf.wigner_d_small(nu, 0.7) @ sf.wigner_d_small(nu, 1.1)
+        assert np.max(np.abs(prod - sf.wigner_d_small(nu, 1.8))) <= 1e-12
+
+
 def test_rotation_matrix_properties(rng):
     axis = rng.normal(size=3)
     R = sf.rotation_matrix(axis, 1.234)

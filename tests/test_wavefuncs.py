@@ -83,6 +83,37 @@ def test_green_partial_wave_matches_green():
 # Plane-wave transforms
 # ---------------------------------------------------------------------------
 
+def test_green_partial_wave_matches_per_degree_loop(rng):
+    # the all-degrees form against the sum it replaced, one degree at a time
+    r = 0.4 * rng.normal(size=(9, 3))
+    r[0] = 0.0
+    src, k, order = np.array([1.1, -0.6, 0.8]), 4.3, 30
+    rad = np.linalg.norm(r, axis=1)
+    dirs = np.where(rad[:, None] > 0, r / np.where(rad > 0, rad, 1.0)[:, None], [0, 0, 1.0])
+    rs = np.linalg.norm(src)
+    cosang = np.clip(dirs @ (src / rs), -1.0, 1.0)
+    ref = sum((2 * nu + 1) * sf.sph_jn(nu, k * rad) * sf.sph_hn(nu, k * rs)
+              * sf.legendre(nu, cosang) for nu in range(order + 1))
+    ref = (1j * k / (4.0 * np.pi)) * ref
+    out = wf.green_partial_wave(r, src, k, order)
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_swf_radial_gather_is_exact(rng):
+    # evaluating on the distinct radii and gathering changes no value
+    pts = 0.5 * rng.normal(size=(40, 3))
+    pts[::4] = pts[1::4]  # repeated radii
+    pts[7] = 0.0
+    rad = np.linalg.norm(pts, axis=1)
+    k, order = 6.2, 9
+    direct = np.moveaxis(sf.sph_jn_all(order, k * rad), 0, -1)
+    nu, _ = sf.degrees_orders(order)
+    expected = direct[:, nu] * (1j ** (-nu.astype(float)))
+    assert np.array_equal(wf.swf_radial(order, rad, k), expected)
+    assert np.array_equal(wf.swf_radial(order, rad.reshape(5, 8), k),
+                          expected.reshape(5, 8, -1))
+
+
 def test_sw_to_pw_quadrature(squad):
     # phi_{nu,mu}(r) = (1/4pi) \int Yhat_{nu,mu}(x) e^{-i k x . r} dS(x)
     dirs, w = squad
@@ -178,14 +209,15 @@ def test_translation_shapes(order_out, order_in):
 
 @pytest.mark.parametrize("order_out, order_in", [(0, 0), (1, 3), (4, 2), (5, 5)])
 def test_coupling_tensor_matches_gaunt(order_out, order_in):
-    C = wf._coupling_tensor(order_out, order_in).tocoo()
+    indptr, cols, vals = wf._coupling_tensor(order_out, order_in)
+    flat_rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
     nu, mu = (a.tolist() for a in sf.degrees_orders(order_out + order_in))
-    row, col = (a.tolist() for a in np.divmod(C.row, sf.num_coeffs(order_in)))
-    for r, c, p, v in zip(row, col, C.col.tolist(), C.data):
+    row, col = (a.tolist() for a in np.divmod(flat_rows, sf.num_coeffs(order_in)))
+    for r, c, p, v in zip(row, col, cols.tolist(), vals):
         g = sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p], mu[p])
         assert abs(v - g) <= 1e-13
     # every nonzero Gaunt coefficient of the block is stored
-    stored = set(zip(row, col, C.col.tolist()))
+    stored = set(zip(row, col, cols.tolist()))
     for r in range(sf.num_coeffs(order_out)):
         for c in range(sf.num_coeffs(order_in)):
             for p in range(sf.num_coeffs(order_out + order_in)):

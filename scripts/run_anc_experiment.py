@@ -5,7 +5,10 @@ Runs the frequency-domain LMS controller against a single-tone primary
 source with 24 error microphones on a square contour and 12 secondary
 sources, once with the plain multipoint cost (identity weighting) and once
 with the kernel-interpolation regional weighting; reports the acoustic power
-remaining over the interior region for each.
+remaining over the interior region and the final cost for each.  The LMS
+updates (20000 by default) are evaluated in closed form, not one at a
+time.  The optional config has the `anc` schema of the README; an unknown
+key or a bad value exits 2.
 
 Usage:
     python scripts/run_anc_experiment.py [-o OUT.csv] [--config FILE]

@@ -28,7 +28,7 @@ def main() -> None:
             "estimator": "DM-infinite",
             "frequencies": [args.freq],
             "array": {"type": "spherical", "t": 7, "radius": 1.0},
-            "field_spec": {"type": "plane_wave", "direction": [0.4, -0.3, 0.6]},
+            "field": {"type": "plane_wave", "direction": [0.4, -0.3, 0.6]},
             "snr_db": 30.0,
             "trials": args.trials,
             "seed": args.seed,

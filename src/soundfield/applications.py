@@ -161,34 +161,83 @@ def anc_gradient(W, G, A, d, x):
     return np.outer(G.conj().T @ (np.asarray(A, complex) @ e), x.conj())
 
 
+# Updates per block of the cost trajectory: the sums S_t are built for one
+# block of t at a time, so no (iters, L) array is formed.  A small block
+# keeps the peak memory near that of a per-update loop; with the 12 sources
+# of `anc`, one block is 48 KB.
+_COST_CHUNK = 512
+
+
+def _geometric_sums(a, t):
+    """S[j, i] = sum_{r < t_j} (1 - a_i)^r for update counts `t` and rates `a`.
+
+    Where 0 != a < 1 the sum is -expm1(t log1p(-a)) / a, which keeps the
+    digits that 1 - q^t loses on slow modes (q = 1 - a close to 1); where
+    a >= 1 (q <= 0) it is (1 - q^t) / a, and where a = 0 it is t.
+    """
+    t = np.asarray(t, dtype=float)[:, None]
+    slow = a < 1
+    zero = a == 0
+    # in place where possible: a cost block is (_COST_CHUNK, L)
+    S = np.expm1(t * np.log1p(-np.where(slow, a, 0.0)))
+    np.negative(S, out=S)
+    S[:, ~slow] = 1.0 - np.power(1.0 - a[~slow], t)
+    S /= np.where(zero, 1.0, a)
+    S[:, zero] = t
+    return S
+
+
 def anc_lms_run(G, A, d, x, mu, iters, W0=None, record_cost=False):
-    """Frequency-domain LMS adaptation W <- W - mu G^H A e x^H.
+    """Frequency-domain LMS adaptation W <- W - mu G^H A e x^H, e = d + G W x.
+
+    The update is an affine recurrence with fixed coefficients, so every
+    iterate is evaluated in closed form (the eigenmode analysis of steepest
+    descent; Widrow & Stearns, *Adaptive Signal Processing*, 1985).  With
+    s = x^H x, H = G^H A G = V diag(lam) V^H and g = V^H G^H A e_0, mode i
+    decays by q_i = 1 - mu s lam_i per update; after t updates
+
+        W_t = W_0 - mu V (S_t * g) x^H,  S_{t,i} = sum_{r<t} q_i^r,
+        c_t = c_0 - 2 mu s sum_i S_{t,i} |g_i|^2
+                  + (mu s)^2 sum_i S_{t,i}^2 lam_i |g_i|^2.
+
+    A must be Hermitian, for G^H A e to be the gradient of the cost
+    e^H A e; otherwise a ValueError is raised.  The costs are accurate to a
+    few ulps of c_0, not of c_t: relative to c_t the error grows where the
+    cost falls many decades below its start.
 
     Returns the final filter and, optionally, the per-iteration cost (the
-    cost is evaluated after each update).
+    cost is evaluated after each update), built in O(iters) memory.
     """
     G = np.asarray(G, dtype=complex)
     A = np.asarray(A, dtype=complex)
     d = np.asarray(d, dtype=complex)
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    GH = G.conj().T
-    xc = x.conj()
     L = G.shape[1]
-    W = np.zeros((L, x.size), dtype=complex) if W0 is None else np.array(W0, dtype=complex)
+    W0 = np.zeros((L, x.size), dtype=complex) if W0 is None else np.array(W0, dtype=complex)
+    if np.max(np.abs(A - A.conj().T), initial=0.0) > 1e-10 * np.max(np.abs(A), initial=0.0):
+        raise ValueError("A must be Hermitian")
+    GH = G.conj().T
+    e0 = d + G @ (W0 @ x)
+    Ae0 = A @ e0
+    H = GH @ A @ G
+    # region_weighting's output is Hermitian only up to rounding
+    lam, V = np.linalg.eigh(0.5 * (H + H.conj().T))
+    g = V.conj().T @ (GH @ Ae0)
+    mu_s = mu * float(np.vdot(x, x).real)
+    a = mu_s * lam
+    W = W0 - mu * np.outer(V @ (_geometric_sums(a, [iters])[0] * g), x.conj())
+    if not record_cost:
+        return W
+    g2 = np.abs(g) ** 2
+    c0 = np.vdot(e0, Ae0).real
+    w1 = 2.0 * mu_s * g2
+    w2 = mu_s ** 2 * lam * g2
     costs = np.empty(iters)
-    # The error after update t is the error the gradient of update t+1
-    # needs, so e and A e are formed once per iteration and serve both.
-    e = d + G @ (W @ x)
-    Ae = A @ e
-    for t in range(iters):
-        W -= mu * ((GH @ Ae)[:, None] * xc)
-        e = d + G @ (W @ x)
-        Ae = A @ e
-        if record_cost:
-            costs[t] = np.vdot(e, Ae).real
-    if record_cost:
-        return W, costs
-    return W
+    for start in range(0, iters, _COST_CHUNK):
+        t = np.arange(start + 1, min(start + _COST_CHUNK, iters) + 1)
+        S = _geometric_sums(a, t)
+        costs[start:start + len(t)] = c0 - S @ w1 + (S * S) @ w2
+    return W, costs
 
 
 # ---------------------------------------------------------------------------

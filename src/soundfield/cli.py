@@ -55,7 +55,9 @@ def cmd_sweep(args):
 
 def cmd_field(args):
     obj = _read_json(args.config)
-    truth_only = bool(obj.pop("truth_only", False)) or args.truth_only
+    # anything but an object is reported by ScenarioConfig.from_dict
+    truth_only = isinstance(obj, dict) and bool(obj.pop("truth_only", False))
+    truth_only = truth_only or args.truth_only
     cfg = ScenarioConfig.from_dict(obj)
     text = dump_field(
         cfg, args.freq, plane=args.plane, extent=args.extent,

@@ -100,25 +100,56 @@ def _checked(path, value, rule, integer=False):
     return value if integer else float(value)
 
 
-def _require_object(obj):
-    if not isinstance(obj, dict):
-        raise ConfigError("top level: must be a JSON object")
+class _ConfigObject:
+    """One JSON object of a config, read key by key.
+
+    Every key the parser asks for is recorded, so :meth:`close` rejects
+    exactly the keys it never read.  `path` prefixes key names in messages
+    (empty at the top level).
+    """
+
+    def __init__(self, obj, path=""):
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{path or 'top level'}: must be a JSON object")
+        self.obj = obj
+        self.path = path
+        self._read = set()
+
+    def key_path(self, key):
+        return f"{self.path}.{key}" if self.path else key
+
+    def __contains__(self, key):
+        self._read.add(key)
+        return key in self.obj
+
+    def get(self, key, default=None):
+        self._read.add(key)
+        return self.obj.get(key, default)
+
+    def close(self):
+        """Raise ConfigError naming the first key that was never read."""
+        unknown = sorted(set(self.obj) - self._read)
+        if unknown:
+            raise ConfigError(
+                f"{self.key_path(unknown[0])}: unknown key; expected one of "
+                f"{', '.join(sorted(self._read))}")
 
 
 def _field(obj, key, default, rule, integer=False):
     """obj[key], or `default` when absent, checked by :func:`_checked`."""
-    return _checked(key, obj.get(key, default), rule, integer)
+    return _checked(obj.key_path(key), obj.get(key, default), rule, integer)
 
 
 def _vector_field(obj, key, default, nonzero=False):
     """obj[key], or `default` when absent, as a (3,) float array."""
+    path = obj.key_path(key)
     value = obj.get(key, default)
     if not isinstance(value, list) or len(value) != 3:
-        raise ConfigError(f"{key}: must be a list of 3 numbers")
+        raise ConfigError(f"{path}: must be a list of 3 numbers")
     for i, v in enumerate(value):
-        _checked(f"{key}[{i}]", v, _NUMBER)
+        _checked(f"{path}[{i}]", v, _NUMBER)
     if nonzero and not any(value):
-        raise ConfigError(f"{key}: must be a nonzero 3-vector")
+        raise ConfigError(f"{path}: must be a nonzero 3-vector")
     return np.asarray(value, dtype=float)
 
 
@@ -150,12 +181,12 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, obj):
-        _require_object(obj)
+        top = _ConfigObject(obj)
 
         def need(key):
-            if key not in obj:
+            if key not in top:
                 raise ConfigError(f"missing required field '{key}'")
-            return obj[key]
+            return top.get(key)
 
         estimator = need("estimator")
         if estimator not in ESTIMATORS:
@@ -168,57 +199,72 @@ class ScenarioConfig:
         freqs = [_checked(f"frequencies[{i}]", f, _POSITIVE) for i, f in enumerate(freqs)]
 
         kwargs = {
-            key: _checked(key, obj[key], rule, integer)
-            for key, rule, integer in _SCENARIO_FIELDS if key in obj
+            key: _checked(key, top.get(key), rule, integer)
+            for key, rule, integer in _SCENARIO_FIELDS if key in top
         }
-        kwargs["origin"] = tuple(_vector_field(obj, "origin", [0.0, 0.0, 0.0]))
-        grid = obj.get("eval_grid", {})
-        if not isinstance(grid, dict):
-            raise ConfigError("eval_grid: must be an object")
-        kwargs["eval_radius"] = _checked("eval_grid.radius", grid.get("radius", 1.0), _POSITIVE)
-        kwargs["eval_spacing"] = _checked(
-            "eval_grid.spacing", grid.get("spacing", 0.1), _POSITIVE)
+        kwargs["origin"] = tuple(_vector_field(top, "origin", [0.0, 0.0, 0.0]))
+        grid = _ConfigObject(top.get("eval_grid", {}), "eval_grid")
+        kwargs["eval_radius"] = _field(grid, "radius", 1.0, _POSITIVE)
+        kwargs["eval_spacing"] = _field(grid, "spacing", 0.1, _POSITIVE)
+        grid.close()
 
-        arr_obj = need("array")
+        arr = _ConfigObject(need("array"), "array")
         try:
             array = _array_from_dict(
-                arr_obj, estimator, kwargs.get("directivity_a", cls.directivity_a))
+                arr, estimator, kwargs.get("directivity_a", cls.directivity_a))
+        except ConfigError:
+            raise
         except KeyError as exc:
             raise ConfigError(f"array: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"array: {exc}") from exc
 
-        fs = obj.get("field", {"type": "plane_wave", "direction": [1.0, 0.0, 0.0]})
-        if fs.get("type") not in ("plane_wave", "point_source"):
-            raise ConfigError("field.type: must be 'plane_wave' or 'point_source'")
-        if fs["type"] == "plane_wave":
-            d = np.asarray(fs.get("direction", [1.0, 0.0, 0.0]), dtype=float)
-            if d.shape != (3,) or not np.linalg.norm(d) > 0:
-                raise ConfigError("field.direction: must be a nonzero 3-vector")
-        else:
-            p = np.asarray(fs.get("position", []), dtype=float)
-            if p.shape != (3,):
-                raise ConfigError("field.position: must be a 3-vector")
+        fs = _field_spec(
+            top.get("field", {"type": "plane_wave", "direction": [1.0, 0.0, 0.0]}),
+            kwargs["eval_radius"])
+        top.close()
         return cls(
             estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs,
         )
 
 
-def _array_from_dict(obj, estimator, directivity_a):
+def _field_spec(obj, eval_radius):
+    """The checked `field` spec.
+
+    A point source must lie outside the evaluation ball: the interior model
+    assumes a source-free region.
+    """
+    spec = _ConfigObject(obj, "field")
+    kind = spec.get("type")
+    if kind == "plane_wave":
+        _vector_field(spec, "direction", [1.0, 0.0, 0.0], nonzero=True)
+    elif kind == "point_source":
+        pos = _vector_field(spec, "position", None)
+        if np.linalg.norm(pos) <= eval_radius:
+            raise ConfigError(
+                f"field.position: must lie outside eval_grid.radius ({eval_radius:g} m); "
+                "the region must be source-free")
+    else:
+        raise ConfigError("field.type: must be 'plane_wave' or 'point_source'")
+    spec.close()
+    return obj
+
+
+def _array_from_dict(spec, estimator, directivity_a):
     """Build an ArrayConfig from its JSON form or a spherical-design spec."""
-    if "mics" in obj:
-        return ArrayConfig.from_json(json.dumps(obj))
-    if obj.get("type") == "spherical":
-        t = int(obj.get("t", 7))
-        radius = float(obj.get("radius", 1.0))
-        kind = {"BM-omni": "omni", "BM-first": "first_order",
-                "BM-rigid": "omni"}.get(estimator, obj.get("kind", "omni"))
-        if "kind" in obj:
-            kind = obj["kind"]
-        mount = "rigid" if estimator == "BM-rigid" else obj.get("mount", "open")
-        a = directivity_a if kind == "first_order" else None
-        return spherical_array(t, radius, mount=mount, kind=kind, a=a)
-    raise ValueError("must contain 'mics' or be {'type': 'spherical', ...}")
+    if "mics" in spec:
+        return ArrayConfig.from_json(json.dumps(spec.obj))
+    if spec.get("type") != "spherical":
+        raise ValueError("must contain 'mics' or be {'type': 'spherical', ...}")
+    t = int(spec.get("t", 7))
+    radius = float(spec.get("radius", 1.0))
+    kind = spec.get("kind", "first_order" if estimator == "BM-first" else "omni")
+    mount = spec.get("mount", "open")
+    spec.close()
+    if estimator == "BM-rigid":
+        mount = "rigid"
+    a = directivity_a if kind == "first_order" else None
+    return spherical_array(t, radius, mount=mount, kind=kind, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +548,7 @@ def wpm_experiment(obj):
     square borders at z = +-0.2 m, a 1 m square target region at z = 0
     sampled at 0.05 m (441 points), 36 control points on a 0.2 m subgrid.
     """
-    _require_object(obj)
+    obj = _ConfigObject(obj)
     c = _field(obj, "c", 340.65, _POSITIVE)
     freqs = obj.get("frequencies")
     if not isinstance(freqs, list) or not freqs:
@@ -518,6 +564,7 @@ def wpm_experiment(obj):
     eval_spacing = _field(obj, "eval_spacing", 0.05, _SPACING)
     quad_spacing = _field(obj, "quad_spacing", 0.02, _SPACING)
     control_spacing = _field(obj, "control_spacing", 0.2, _SPACING)
+    obj.close()
     src = np.vstack(
         [
             apps.square_boundary_points(2.0, 16, z=0.2),
@@ -560,7 +607,7 @@ def anc_experiment(obj):
     primary point source outside, 700 Hz tone, free-field transfer
     functions evaluated in the z = 0 plane.
     """
-    _require_object(obj)
+    obj = _ConfigObject(obj)
     c = _field(obj, "c", 340.65, _POSITIVE)
     f = _field(obj, "frequency", 700.0, _POSITIVE)
     lam = _field(obj, "reg", 1e-3, _NON_NEGATIVE)
@@ -578,6 +625,7 @@ def anc_experiment(obj):
             "the 1 m target square at z = 0")
     # LMS converges for 0 < mu < 2 / max eig(G^H A G) with the unit reference
     mu_scale = _field(obj, "mu_scale", 1.0, ("a number in (0, 2)", lambda v: 0 < v < 2))
+    obj.close()
     k = 2.0 * math.pi * f / c
     mics = apps.square_boundary_points(1.0, num_mics, outward_shift=shift)
     src = apps.square_boundary_points(2.0, num_src)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -370,5 +371,77 @@ def test_anc_lms_matches_reference_trajectory(record_cost):
         assert expected[-1] < expected[0]  # the run did adapt
     else:
         W = out
-    # same update arithmetic as the reference, so the filters agree exactly
-    np.testing.assert_array_equal(W, traj[-1])
+    assert np.max(np.abs(W - traj[-1])) <= 1e-12 * np.max(np.abs(traj[-1]))
+
+
+def _lms_problem(seed, M, L, R, step, with_W0):
+    """A random LMS problem: M mics, L sources, R references, Hermitian PSD
+    weighting and step size `step` / (x^H x max eig(G^H A G))."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(M, L)) + 1j * rng.normal(size=(M, L))
+    B = rng.normal(size=(M, M)) + 1j * rng.normal(size=(M, M))
+    A = B @ B.conj().T
+    d = rng.normal(size=M) + 1j * rng.normal(size=M)
+    x = rng.normal(size=R) + 1j * rng.normal(size=R)
+    W0 = 0.1 * (rng.normal(size=(L, R)) + 1j * rng.normal(size=(L, R))) if with_W0 else None
+    eig = float(np.linalg.eigvalsh(G.conj().T @ A @ G).max())
+    mu = step / (eig * float(np.vdot(x, x).real))
+    return G, A, d, x, mu, W0
+
+
+@pytest.mark.parametrize(
+    "M, L, R, step, iters, with_W0",
+    [
+        (6, 3, 1, 0.5, 300, True),   # W0 != 0
+        (6, 3, 2, 0.5, 300, False),  # two reference signals
+        (6, 3, 1, 0.5, 1, True),     # a single update
+        (4, 7, 1, 0.5, 30, True),    # rank-deficient G^H A G (L > M)
+        (6, 3, 1, 1.9, 300, True),   # mu s lam_max = 1.9, oscillating fast mode
+        (6, 3, 1, 1e-6, 300, False),  # slow modes only: 1 - q^t would lose digits
+    ],
+)
+def test_anc_lms_closed_form_matches_loop(M, L, R, step, iters, with_W0):
+    G, A, d, x, mu, W0 = _lms_problem(11, M, L, R, step, with_W0)
+    start = np.zeros((L, R)) if W0 is None else W0
+    traj = _lms_reference_trajectory(G, A, d, x, mu, iters, start)
+    expected = [apps.anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
+    W, costs = apps.anc_lms_run(G, A, d, x, mu, iters, W0=W0, record_cost=True)
+    assert costs.shape == (iters,)
+    np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=0)
+    assert np.max(np.abs(W - traj[-1])) <= 1e-12 * np.max(np.abs(traj[-1]))
+    np.testing.assert_array_equal(apps.anc_lms_run(G, A, d, x, mu, iters, W0=W0), W)
+
+
+def test_anc_lms_cost_error_is_absolute_near_a_zero_optimum():
+    # With L > M the error can be cancelled, so the cost falls towards 0.
+    # The closed form subtracts the reduction from the initial cost c_0, so
+    # its error is a few ulps of c_0, not of c_t.
+    G, A, d, x, mu, W0 = _lms_problem(11, 4, 7, 1, 1.0, True)
+    iters = 3000
+    traj = _lms_reference_trajectory(G, A, d, x, mu, iters, W0)
+    expected = np.array([apps.anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj])
+    c0 = apps.anc_cost(apps.anc_error(W0, G, d, x), A)
+    _, costs = apps.anc_lms_run(G, A, d, x, mu, iters, W0=W0, record_cost=True)
+    assert expected[-1] < 1e-8 * c0
+    assert np.max(np.abs(costs - expected)) <= 1e-13 * c0
+
+
+def test_anc_lms_cost_memory_is_o_iters():
+    G, A, d, x, mu, _ = _lms_problem(3, 6, 4, 1, 0.5, False)
+    iters = 10**6
+    tracemalloc.start()
+    try:
+        _, costs = apps.anc_lms_run(G, A, d, x, mu, iters, record_cost=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert costs.nbytes == 8 * iters
+    # an (iters, L) array of geometric sums alone would add 32 MB
+    assert peak < costs.nbytes + 2**20
+
+
+def test_anc_lms_rejects_non_hermitian_weighting():
+    G, A, d, x, mu, _ = _lms_problem(5, 6, 3, 1, 0.5, False)
+    A = A + 1e-8 * np.max(np.abs(A)) * np.triu(np.ones_like(A), 1)
+    with pytest.raises(ValueError, match="Hermitian"):
+        apps.anc_lms_run(G, A, d, x, mu, 10)

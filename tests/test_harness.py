@@ -407,6 +407,29 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
         ("sweep", [_base_config()], "top level"),
         ("sweep", _base_config(array={"mics": [{"pos": [0.1, 0, 0]}]}), "array"),
         ("sweep", _base_config(array={"mount": "open", "mics": []}), "array"),
+        ("sweep", _base_config(array="x"), "array"),
+        # unknown keys, at every level the parser reads
+        ("sweep", _base_config(trails=3), "trails: unknown key"),
+        ("sweep", _base_config(field_spec=FIELDS["plane_wave"]), "field_spec: unknown key"),
+        ("sweep", _base_config(eval_grid={"radius": 0.5, "spacng": 0.1}),
+         "eval_grid.spacng: unknown key"),
+        ("sweep", _base_config(field=dict(FIELDS["plane_wave"], position=[2, 0, 0])),
+         "field.position: unknown key"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "knd": "omni"}),
+         "array.knd: unknown key"),
+        ("synth", dict(SYNTH_BASE, etta=0.1), "etta: unknown key"),
+        ("anc", dict(ANC_BASE, iteration=5), "iteration: unknown key"),
+        # the field spec
+        ("sweep", _base_config(field="x"), "field: must be a JSON object"),
+        ("sweep", _base_config(field=None), "field: must be a JSON object"),
+        ("sweep", _base_config(field={"type": "plane_wave", "direction": ["a", 0, 0]}),
+         "field.direction[0]"),
+        ("sweep", _base_config(field={"type": "plane_wave", "direction": [0, 0]}),
+         "field.direction"),
+        ("sweep", _base_config(field={"type": "point_source", "position": [0.1, 0, 0]}),
+         "field.position"),
+        ("sweep", _base_config(field={"type": "point_source", "position": [0, 0.5, 0]}),
+         "field.position"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -421,6 +444,13 @@ def test_cli_anc_source_just_outside_region(tmp_path):
     cfg = tmp_path / "anc.json"
     cfg.write_text(json.dumps(dict(ANC_BASE, primary_source=[0.5, 0.6, 0.06])))
     assert cli_main(["anc", str(cfg), "-o", str(tmp_path / "out.csv")]) == 0
+
+
+def test_cli_field_non_object_config_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps([_base_config()]))
+    assert cli_main(["field", str(cfg), "--freq", "200"]) == 2
+    assert "config error: top level" in capsys.readouterr().err
 
 
 def test_cli_missing_file_exit_2(tmp_path):

@@ -272,20 +272,41 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len, W0=None):
 
     Implements ``W_{n+1}(i) = W_n(i) - mu sum_j H(j)^T e(n-K) x(n-i-j)^T``
     with ``H(i) = sum_{j=0}^{2K} A(j) G(i-j)`` (indices of A shifted to
-    0..2K), and returns (W, e_history).
+    0..2K), and returns (W, e_history).  Signals before n = 0 are zero, so
+    the updates at n < K, whose error e(n-K) is zero, leave W unchanged.
 
-    The update is in filtered-error form: ``U(j) = H(j)^T e(n-K)`` for all
-    taps j at once, contracted with the Hankel window ``x(n-i-j)``.
-    Signals before n = 0 are zero.
+    The recurrence runs exactly, K+1 samples per step.  The update at n
+    reads the error K samples back, so the K+1 updates n0-1 .. n0+K-1 use
+    only errors from before n0: from W_{n0-1} they give the increments
+    ``H(j)^T e(n-K)`` contracted with the Hankel windows ``x(n-i-j)`` as one
+    batched product, the filters W_{n0} .. W_{n0+K} as one cumulative sum
+    (which adds the increments in the loop's order, with the loop's
+    rounding), then the block's outputs and errors.  This is not block LMS,
+    which holds W fixed over a block: every sample still sees its own W_n.
     """
     G_fir = np.asarray(G_fir, dtype=float)
     A_taps = np.asarray(A_taps, dtype=float)
-    x = np.atleast_2d(np.asarray(x, dtype=float).T).T  # (T, R)
+    x = np.asarray(x, dtype=float)
     d = np.asarray(d, dtype=float)
+    if G_fir.ndim != 3:
+        raise ValueError(f"G_fir must be 3-D (J, M, L), got shape {G_fir.shape}")
     J, M, L = G_fir.shape
-    K = (A_taps.shape[0] - 1) // 2
+    if A_taps.ndim != 3 or A_taps.shape[0] % 2 != 1 or A_taps.shape[1:] != (M, M):
+        raise ValueError(f"A_taps must have shape (2K+1, {M}, {M}), got {A_taps.shape}")
+    if x.ndim not in (1, 2):
+        raise ValueError(f"x must have shape (T,) or (T, R), got {x.shape}")
+    x = np.atleast_2d(x.T).T  # (T, R)
     T, R = x.shape
+    if d.shape != (T, M):
+        raise ValueError(f"d must have shape (T, M) = {(T, M)}, got {d.shape}")
+    if filt_len < 1:
+        raise ValueError(f"filt_len must be >= 1, got {filt_len}")
     I = filt_len
+    W = np.zeros((I, L, R)) if W0 is None else np.array(W0, dtype=float)
+    if W.shape != (I, L, R):
+        raise ValueError(f"W0 must have shape (I, L, R) = {(I, L, R)}, got {W.shape}")
+    K = (A_taps.shape[0] - 1) // 2
+    B = K + 1
     P = J + 2 * K
 
     # H(i) = sum_{j=0}^{2K} A(j) G(i - j), i = 0..P-1: window i of the
@@ -293,27 +314,44 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len, W0=None):
     pad = np.zeros((2 * K, M, L))
     G_win = sliding_window_view(np.concatenate([pad, G_fir, pad]), 2 * K + 1, axis=0)
     H = np.einsum("tmn,inlt->iml", A_taps[::-1], G_win)
-    H_t = H.transpose(2, 0, 1).reshape(L * P, M)  # row (l, j) is H(j)[:, l]
-    G_t = G_fir.transpose(1, 0, 2).reshape(M, J * L)  # column (i, l) is G(i)[:, l]
+    H_t = H.transpose(1, 2, 0).reshape(M, L * P)  # column (l, j) is H(j)[:, l]
+    G_t = G_fir.transpose(0, 2, 1).reshape(J * L, M)  # row (i, l) is G(i)[:, l]
 
     # Time runs backwards in these buffers, so that sample n's lags
     # x(n), x(n-1), ... (and y(n), y(n-1), ...) are one contiguous slice
     # starting at row b = T-1-n; the trailing zero rows stand for n < 0.
-    x_rev = np.zeros((T + I + P - 2, R))
+    x_rev = np.zeros((T + I + P - 1, R))
     x_rev[:T] = x[::-1]
     # row q = x_rev[q], ..., x_rev[q+I-1] flattened; rows b..b+P-1 are x(n-i-j)
     x_lags = sliding_window_view(x_rev.reshape(-1), I * R)[::R]
-    y_rev = np.zeros((T + J - 1, L))
-    y_flat = y_rev.reshape(-1)
+    # the Hankel window x_lags[b:b+P] for b = 0..T (b = T is the update at
+    # n = -1), as (P, I*R) matrices
+    x_win = sliding_window_view(x_lags, P, axis=0).transpose(0, 2, 1)
+    y_rev = np.zeros((T + J, L))  # one spare row, so that T = 0 has a window
+    y_lags = sliding_window_view(y_rev.reshape(-1), J * L)[::L]
+    # e(n) is row T-1-n; the K+1 trailing zero rows are e(-1) .. e(-K-1)
+    e_rev = np.zeros((T + K + 1, M))
+    d_rev = d[::-1]
 
-    W = np.zeros((I, L, R)) if W0 is None else np.array(W0, dtype=float)
+    # In b order: steps[k] for k < c is the increment of the update at
+    # b = ub+k, then the filter after it; steps[c] is the filter before
+    # the block's first update (the one at the highest b).
+    steps = np.empty((B + 1, L, I * R))
     W_t = W.transpose(1, 0, 2).reshape(L, I * R)  # column (i, r) is W(i)[:, r]
-    e_hist = np.zeros((T, M))
-    for n in range(T):
-        b = T - 1 - n
-        y_rev[b] = W_t @ x_lags[b]
-        e_hist[n] = d[n] + G_t @ y_flat[b * L:(b + J) * L]
-        if n >= K:
-            U = (H_t @ e_hist[n - K]).reshape(L, P)
-            W_t -= mu * (U @ x_lags[b:b + P])
-    return W_t.reshape(L, I, R).transpose(1, 0, 2).copy(), e_hist
+    # W_T follows the last sample's update, hence the block at n0 = T when
+    # B divides T
+    for n0 in range(0, T + 1, B):
+        c = min(B, T + 1 - n0)  # updates n = n0-1 .. n0+c-2
+        ub = T + 1 - n0 - c  # ... at b = ub+c-1 down to ub
+        steps[c] = W_t
+        U = (e_rev[ub + K:ub + K + c] @ H_t).reshape(c, L, P)  # e(n-K) is row b+K
+        np.matmul(U, x_win[ub:ub + c], out=steps[:c])
+        steps[:c] *= -mu
+        np.add.accumulate(steps[c::-1], axis=0, out=steps[c::-1])
+        W_t = steps[0]
+        s = min(c, T - n0)  # samples n0 .. n0+s-1 at b = lo .. hi-1
+        lo, hi = T - n0 - s, T - n0
+        # sample b uses the filter after the update at b+1
+        np.matmul(steps[c - s:c], x_lags[lo:hi, :, None], out=y_rev[lo:hi, :, None])
+        np.add(d_rev[lo:hi], y_lags[lo:hi] @ G_t, out=e_rev[lo:hi])
+    return W_t.reshape(L, I, R).transpose(1, 0, 2).copy(), e_rev[:T][::-1]

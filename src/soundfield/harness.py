@@ -26,7 +26,10 @@ from .discrete import (
     solve_tikhonov,
 )
 from .observation import (
+    MIC_KINDS,
+    T_DESIGNS,
     ArrayConfig,
+    Microphone,
     add_noise,
     noise_std,
     plane_wave_observations,
@@ -68,6 +71,10 @@ _MULTIPLE_OF_4 = ("a positive multiple of 4", lambda v: v > 0 and v % 4 == 0)
 _NUMBER = ("a number", lambda v: True)
 _COUNT = ("an integer >= 0", lambda v: v >= 0)
 _AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
+_UNIT_INTERVAL = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
+_T_DESIGN = (f"one of {', '.join(map(str, T_DESIGNS))} (the embedded t-designs)",
+             lambda v: v in T_DESIGNS)
+_MOUNTS = ("open", "rigid")
 # Optional scalar fields of a scenario: (key, rule, integer).
 _SCENARIO_FIELDS = (
     ("c", _POSITIVE, False),
@@ -77,7 +84,7 @@ _SCENARIO_FIELDS = (
     ("order", _COUNT, True),
     ("order_n0", _COUNT, True),
     ("reg", _NON_NEGATIVE, False),
-    ("directivity_a", ("a number in [0, 1]", lambda v: 0 <= v <= 1), False),
+    ("directivity_a", _UNIT_INTERVAL, False),
 )
 
 
@@ -153,6 +160,15 @@ def _vector_field(obj, key, default, nonzero=False):
     return np.asarray(value, dtype=float)
 
 
+def _choice(obj, key, default, choices):
+    """obj[key], or `default` when absent, when it is one of `choices`."""
+    value = obj.get(key, default)
+    if not isinstance(value, str) or value not in choices:
+        raise ConfigError(
+            f"{obj.key_path(key)}: must be one of {', '.join(map(repr, choices))}")
+    return value
+
+
 @dataclass
 class ScenarioConfig:
     estimator: str
@@ -214,9 +230,7 @@ class ScenarioConfig:
                 arr, estimator, kwargs.get("directivity_a", cls.directivity_a))
         except ConfigError:
             raise
-        except KeyError as exc:
-            raise ConfigError(f"array: missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"array: {exc}") from exc
 
         fs = _field_spec(
@@ -251,20 +265,44 @@ def _field_spec(obj, eval_radius):
 
 
 def _array_from_dict(spec, estimator, directivity_a):
-    """Build an ArrayConfig from its JSON form or a spherical-design spec."""
+    """Build an ArrayConfig from its explicit mic list or a spherical-design spec."""
     if "mics" in spec:
-        return ArrayConfig.from_json(json.dumps(spec.obj))
+        return _explicit_array(spec)
     if spec.get("type") != "spherical":
         raise ValueError("must contain 'mics' or be {'type': 'spherical', ...}")
-    t = int(spec.get("t", 7))
-    radius = float(spec.get("radius", 1.0))
-    kind = spec.get("kind", "first_order" if estimator == "BM-first" else "omni")
-    mount = spec.get("mount", "open")
+    t = _field(spec, "t", 7, _T_DESIGN, integer=True)
+    radius = _field(spec, "radius", 1.0, _POSITIVE)
+    kind = _choice(spec, "kind", "first_order" if estimator == "BM-first" else "omni",
+                   MIC_KINDS)
+    mount = _choice(spec, "mount", "open", _MOUNTS)
     spec.close()
     if estimator == "BM-rigid":
         mount = "rigid"
     a = directivity_a if kind == "first_order" else None
     return spherical_array(t, radius, mount=mount, kind=kind, a=a)
+
+
+def _explicit_array(spec):
+    """The `{"mount", "mics", "radius"}` form of an array, checked key by key."""
+    mount = _choice(spec, "mount", None, _MOUNTS)
+    radius = _field(spec, "radius", None, _POSITIVE) if "radius" in spec else None
+    entries = spec.get("mics")
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError(f"{spec.key_path('mics')}: must be a non-empty list of mic objects")
+    mics = []
+    for i, entry in enumerate(entries):
+        mic = _ConfigObject(entry, f"{spec.key_path('mics')}[{i}]")
+        pos = _vector_field(mic, "pos", None)
+        kind = _choice(mic, "kind", "omni", MIC_KINDS)
+        axis = _vector_field(mic, "y", None, nonzero=True) if "y" in mic else None
+        a = _field(mic, "a", None, _UNIT_INTERVAL) if "a" in mic else None
+        mic.close()
+        try:
+            mics.append(Microphone(pos=pos, kind=kind, axis=axis, a=a))
+        except ValueError as exc:
+            raise ConfigError(f"{mic.path}: {exc}") from exc
+    spec.close()
+    return ArrayConfig(mount=mount, mics=mics, radius=radius)
 
 
 # ---------------------------------------------------------------------------

@@ -234,13 +234,16 @@ class ArrayConfig:
         return cls(mount=obj["mount"], mics=mics, radius=obj.get("radius"))
 
 
+# The embedded spherical t-designs: t -> data file.
+T_DESIGNS = {2: "tdesign_t2_m4.txt", 3: "tdesign_t3_m6.txt",
+             5: "tdesign_t5_m12.txt", 7: "tdesign_t7_m64.txt"}
+
+
 def load_t_design(t):
     """Load an embedded spherical t-design; returns unit vectors (M, 3)."""
-    names = {2: "tdesign_t2_m4.txt", 3: "tdesign_t3_m6.txt",
-             5: "tdesign_t5_m12.txt", 7: "tdesign_t7_m64.txt"}
-    if t not in names:
-        raise ValueError(f"no embedded design for t={t}; have {sorted(names)}")
-    ref = importlib.resources.files("soundfield.data").joinpath(names[t])
+    if t not in T_DESIGNS:
+        raise ValueError(f"no embedded design for t={t}; have {sorted(T_DESIGNS)}")
+    ref = importlib.resources.files("soundfield.data").joinpath(T_DESIGNS[t])
     rows = [
         [float(v) for v in line.split()]
         for line in ref.read_text().splitlines()

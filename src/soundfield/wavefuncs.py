@@ -186,20 +186,6 @@ def plane_wave_coeffs(order, x_inc, k, origin=(0.0, 0.0, 0.0)):
 
 
 # ---------------------------------------------------------------------------
-# Far-field (directional) representation
-# ---------------------------------------------------------------------------
-
-def sw_to_pw(coeffs):
-    """Herglotz density of an interior field from its expansion coefficients.
-
-    If ``u(r) = (1/4pi) \\int utilde(x) e^{-ik x.r} dS(x)`` then
-    ``utilde(x) = (1/4pi) sum u_{nu,mu} Yhat_{nu,mu}(x)``; this returns the
-    harmonic coefficients of ``utilde``, i.e. ``u_{nu,mu} / 4pi``.
-    """
-    return np.asarray(coeffs, dtype=complex) / (4.0 * np.pi)
-
-
-# ---------------------------------------------------------------------------
 # Translation and rotation
 # ---------------------------------------------------------------------------
 

@@ -320,7 +320,19 @@ def _fxlms_reference(G_fir, A_taps, x, d, mu, filt_len, W0=None):
 
 @pytest.mark.parametrize(
     "J, K, I, R, T, with_W0",
-    [(3, 2, 3, 2, 400, True), (2, 0, 1, 1, 60, False), (1, 3, 4, 3, 120, True)],
+    [
+        (3, 2, 3, 2, 400, True),
+        (2, 0, 1, 1, 60, False),
+        (1, 3, 4, 3, 120, True),  # T a multiple of K+1
+        (2, 0, 2, 2, 50, True),  # K = 0: one sample per step
+        (2, 0, 2, 1, 1, True),  # T = 1, a single update
+        (2, 2, 2, 1, 1, True),  # T = 1, no update
+        (2, 3, 2, 2, 3, True),  # T <= K: no update
+        (2, 3, 2, 2, 4, False),  # T = K+1: one update, on the last sample
+        (2, 3, 2, 1, 4 * 12 + 1, True),  # T = 1 (mod K+1)
+        (2, 3, 2, 1, 4 * 12 + 3, False),  # T = K (mod K+1)
+        (3, 4, 3, 2, 203, True),  # K >= 4, R = 2, W0 != 0
+    ],
 )
 def test_fxlms_matches_per_tap_reference(J, K, I, R, T, with_W0):
     rng = np.random.default_rng(100 + J + 10 * K)
@@ -333,9 +345,66 @@ def test_fxlms_matches_per_tap_reference(J, K, I, R, T, with_W0):
     W, e = apps.fxlms_weighted_run(G_fir, A_taps, x, d, 1e-2, I, W0)
     W_ref, e_ref = _fxlms_reference(G_fir, A_taps, x, d, 1e-2, I, W0)
     start = np.zeros_like(W_ref) if W0 is None else W0
-    assert np.max(np.abs(W_ref - start)) > 1e-3  # the filter did adapt
+    moved = np.max(np.abs(W_ref - start))
+    assert (moved > 0) == (T > K)  # the first update is at n = K
+    if T >= 50:
+        assert moved > 1e-3  # the filter did adapt
+    assert W.shape == W_ref.shape and e.shape == (T, M)
     assert np.max(np.abs(W - W_ref)) <= 1e-12 * np.max(np.abs(W_ref))
     assert np.max(np.abs(e - e_ref)) <= 1e-12 * np.max(np.abs(e_ref))
+
+
+def test_fxlms_memory_holds_no_filter_per_sample():
+    # 20k samples with L * I * R = 256 filter coefficients: a (T, L, I*R)
+    # stack of every sample's filter alone would take 41 MB, against
+    # 8 * T * (2M + L + 2R) = 2.6 MB for the error, output and reference
+    # buffers the run needs, plus a few filters per block
+    rng = np.random.default_rng(9)
+    J, K, M, L, I, R, T = 2, 4, 2, 4, 16, 4, 20000
+    G_fir = 0.1 * rng.normal(size=(J, M, L))
+    A_taps = 0.1 * rng.normal(size=(2 * K + 1, M, M))
+    x = rng.normal(size=(T, R))
+    d = rng.normal(size=(T, M))
+    tracemalloc.start()
+    try:
+        W, e = apps.fxlms_weighted_run(G_fir, A_taps, x, d, 1e-4, I)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(W)) and e.shape == (T, M)
+    assert peak < 2 * 8 * (T * (2 * M + L + 2 * R) + 4 * (K + 1) * L * I * R)
+
+
+def _fxlms_case():
+    """Valid arguments: J = 2, K = 1, M = 3, L = 2, I = 2, R = 1, T = 10."""
+    rng = np.random.default_rng(4)
+    return dict(
+        G_fir=rng.normal(size=(2, 3, 2)), A_taps=rng.normal(size=(3, 3, 3)),
+        x=rng.normal(size=(10, 1)), d=rng.normal(size=(10, 3)), mu=1e-2, filt_len=2,
+        W0=np.zeros((2, 2, 1)))
+
+
+@pytest.mark.parametrize(
+    "change, name",
+    [
+        (dict(G_fir=np.zeros((2, 3))), "G_fir"),
+        (dict(A_taps=np.zeros((2, 3, 3))), "A_taps"),  # even length
+        (dict(A_taps=np.zeros((3, 2, 2))), "A_taps"),  # not M x M
+        (dict(A_taps=np.zeros((3, 3))), "A_taps"),
+        (dict(x=np.zeros((10, 1, 1))), "x"),
+        (dict(d=np.zeros((11, 3))), "d"),  # longer than x
+        (dict(d=np.zeros((9, 3))), "d"),  # shorter than x
+        (dict(d=np.zeros((10, 2))), "d"),  # not M columns
+        (dict(d=np.zeros(10)), "d"),
+        (dict(filt_len=0), "filt_len"),
+        (dict(W0=np.zeros((3, 2, 1))), "W0"),
+        (dict(W0=np.zeros((2, 2))), "W0"),
+    ],
+)
+def test_fxlms_rejects_malformed_inputs(change, name):
+    args = dict(_fxlms_case(), **change)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        apps.fxlms_weighted_run(**args)
 
 
 def _lms_reference_trajectory(G, A, d, x, mu, iters, W0):

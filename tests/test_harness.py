@@ -30,6 +30,7 @@ from soundfield.harness import (
 )
 from soundfield.observation import (
     add_noise,
+    spherical_array,
     observe_plane_wave,
     observe_point_source,
     rigid_sphere_observation,
@@ -152,6 +153,17 @@ def test_config_defaults():
     assert cfg.trials == 2
     assert cfg.reg == 1e-3
     assert cfg.order == 7 and cfg.order_n0 == 7
+
+
+def test_config_explicit_mic_list_reads_every_key():
+    # the explicit form of a first-order spherical array builds the same mics
+    ref = spherical_array(5, 0.5, kind="first_order", a=0.3)
+    cfg = ScenarioConfig.from_dict(
+        _base_config(estimator="DM-infinite", array=json.loads(ref.to_json())))
+    assert cfg.array.mount == "open"
+    for mic, want in zip(cfg.array.mics, ref.mics, strict=True):
+        assert mic.kind == "first_order" and mic.a == 0.3
+        assert np.array_equal(mic.pos, want.pos) and np.allclose(mic.axis, want.axis)
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +442,40 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
          "field.position"),
         ("sweep", _base_config(field={"type": "point_source", "position": [0, 0.5, 0]}),
          "field.position"),
+        # spherical array values
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "radius": -0.5}),
+         "array.radius: must be a positive number"),
+        ("sweep", _base_config(array={"type": "spherical", "t": "5"}), "array.t: must be one of"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 4}), "array.t: must be one of"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "kind": "cardioid"}),
+         "array.kind: must be one of"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "mount": "floating"}),
+         "array.mount: must be one of"),
+        # explicit mic lists, key by key
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kidn": "x"}, {"pos": [0, 0.5, 0]}]}),
+         "array.mics[0].kidn: unknown key"),
+        ("sweep", _base_config(array={"mount": "open", "radus": 1, "mics": [
+            {"pos": [0.5, 0, 0]}]}), "array.radus: unknown key"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0]}, {"pos": [0, 0.5]}]}), "array.mics[1].pos: must be a list"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "cardioid"}]}), "array.mics[0].kind: must be one of"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "first_order", "y": [1, 0, 0]}]}),
+         "array.mics[0]: first_order microphone requires mixing weight a"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "first_order", "y": [1, 0, 0], "a": 2}]}),
+         "array.mics[0].a: must be a number in [0, 1]"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "bidirectional", "y": [0, 0, 0]}]}),
+         "array.mics[0].y: must be a nonzero 3-vector"),
+        ("sweep", _base_config(array={"mount": "open", "mics": ["x"]}),
+         "array.mics[0]: must be a JSON object"),
+        ("sweep", _base_config(array={"mount": "open", "mics": {"pos": [0.5, 0, 0]}}),
+         "array.mics: must be a non-empty list"),
+        ("sweep", _base_config(array={"mount": "open", "radius": 0, "mics": [
+            {"pos": [0.5, 0, 0]}]}), "array.radius: must be a positive number"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):

@@ -121,11 +121,6 @@ def solve_tikhonov(B, s, reg, noise_cov=None):
     return np.linalg.solve(A, rhs)
 
 
-def eval_finite(coeffs, basis, r, k):
-    """Evaluate the finite-dimensional estimate at points `r`."""
-    return basis.eval_matrix(r, k) @ np.asarray(coeffs, dtype=complex)
-
-
 # ---------------------------------------------------------------------------
 # Infinite-dimensional (kernel) route
 # ---------------------------------------------------------------------------
@@ -195,11 +190,6 @@ class Representers:
 def representer_matrix(mics, r, k):
     """Matrix V with V[i, m] = v_m(r_i) for evaluation points r_i."""
     return Representers(mics, r).matrix(k)
-
-
-def eval_kernel(alpha, mics, r, k):
-    """Evaluate the kernel estimate ``sum_m alpha_m v_m(r)``."""
-    return representer_matrix(mics, r, k) @ np.asarray(alpha, dtype=complex)
 
 
 def extract_expansion(alpha, mics, origin, order, k):

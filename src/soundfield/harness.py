@@ -264,10 +264,36 @@ def _field_spec(obj, eval_radius):
     return obj
 
 
+# The mic kind and mount whose radial response each boundary estimator
+# divides by; on any other array its estimate is meaningless.
+_BM_MODELS = {"BM-omni": ("omni", "open"), "BM-first": ("first_order", "open"),
+              "BM-rigid": ("omni", "rigid")}
+
+
+def _require_bm_model(estimator, mount_path, mount, kinds):
+    """Reject an array that boundary estimator `estimator` does not model.
+
+    `kinds` lists ``(field path, mic kind)`` for the array's mics.
+    """
+    model_kind, model_mount = _BM_MODELS[estimator]
+    for path, kind in kinds:
+        if kind != model_kind:
+            raise ConfigError(f"{path}: {estimator} models {model_kind} mics only, not {kind!r}")
+    if mount != model_mount:
+        raise ConfigError(f"{mount_path}: {estimator} models the {model_mount} mount only, "
+                          f"not {mount!r}")
+
+
 def _array_from_dict(spec, estimator, directivity_a):
     """Build an ArrayConfig from its explicit mic list or a spherical-design spec."""
     if "mics" in spec:
-        return _explicit_array(spec)
+        array = _explicit_array(spec)
+        if estimator in _BM_MODELS:
+            mics_path = spec.key_path("mics")
+            _require_bm_model(estimator, spec.key_path("mount"), array.mount,
+                              [(f"{mics_path}[{i}].kind", mic.kind)
+                               for i, mic in enumerate(array.mics)])
+        return array
     if spec.get("type") != "spherical":
         raise ValueError("must contain 'mics' or be {'type': 'spherical', ...}")
     t = _field(spec, "t", 7, _T_DESIGN, integer=True)
@@ -278,6 +304,9 @@ def _array_from_dict(spec, estimator, directivity_a):
     spec.close()
     if estimator == "BM-rigid":
         mount = "rigid"
+    if estimator in _BM_MODELS:
+        _require_bm_model(estimator, spec.key_path("mount"), mount,
+                          [(spec.key_path("kind"), kind)])
     a = directivity_a if kind == "first_order" else None
     return spherical_array(t, radius, mount=mount, kind=kind, a=a)
 

@@ -189,6 +189,13 @@ def plane_wave_coeffs(order, x_inc, k, origin=(0.0, 0.0, 0.0)):
 # Translation and rotation
 # ---------------------------------------------------------------------------
 
+# Entries per gather in the coupling-tensor build, which holds two (chunk,
+# nodes) gathered arrays at a time.  At 12 <-> 12 (13 nodes), chunks of
+# 2k-8k entries measured 2.5-3x faster than 16k on a 2-core x86-64 VM
+# with 4 MB of L2.
+_GAUNT_CHUNK = 4096
+
+
 @lru_cache(maxsize=None)
 def _coupling_tensor(order_out, order_in):
     """Sparse Gaunt coupling of the translation operator.
@@ -201,38 +208,45 @@ def _coupling_tensor(order_out, order_in):
     The phi-integral of the three harmonics is 2 pi when ``mu'' = mu' - mu``
     and 0 otherwise; the remaining cos(theta) integrand is a polynomial of
     degree ``nu + nu' + nu'' <= 2 L`` (L = order_out + order_in), so
-    Gauss-Legendre with L + 1 nodes integrates it exactly.
+    Gauss-Legendre with L + 1 nodes integrates it exactly.  The integrand is
+    even in cos(theta), since the selection rules make ``nu + nu' + nu''``
+    even, so only the nodes with cos(theta) >= 0 are used, off-centre ones
+    at twice their weight.
     """
     L = order_out + order_in
     x, w = np.polynomial.legendre.leggauss(L + 1)
+    x, w = x[(L + 1) // 2:], 2.0 * w[(L + 1) // 2:]  # the nodes >= 0, ascending
+    if L % 2 == 0:
+        w[0] *= 0.5  # the node at cos(theta) = 0 is its own mirror image
     # Yhat at phi = 0 is real: the scaled associated Legendre functions.
     dirs = np.stack([np.sqrt(1.0 - x * x), np.zeros_like(x), x], axis=-1)
-    P = sph_harm_matrix(L, dirs).real  # (L+1 nodes, (L+1)**2)
+    P = sph_harm_matrix(L, dirs).real  # (half-range nodes, (L+1)**2)
 
+    # Selection rules per (row, col) pair: nu'' runs in steps of 2 from the
+    # larger of |nu - nu'| and |mu''|, raised to the parity of nu + nu', up to
+    # nu + nu'.  The range is never empty, since |mu''| <= nu + nu'.
     nu_out, mu_out = degrees_orders(order_out)
     nu_in, mu_in = degrees_orders(order_in)
-    nu, mu = nu_out[:, None, None], mu_out[:, None, None]
-    nup, mup = nu_in[None, :, None], mu_in[None, :, None]
-    nupp = np.arange(L + 1)[None, None, :]
-    allowed = (
-        (np.abs(mup - mu) <= nupp)
-        & (nupp >= np.abs(nu - nup))
-        & (nupp <= nu + nup)
-        & ((nu + nup + nupp) % 2 == 0)
-    )
-    row, col, deg = np.nonzero(allowed)
-    p = flat_index(deg, mu_in[col] - mu_out[row])
+    nu_sum = (nu_out[:, None] + nu_in[None, :]).ravel()
+    mupp = (mu_in[None, :] - mu_out[:, None]).ravel()
+    lo = np.maximum(np.abs(nu_out[:, None] - nu_in[None, :]).ravel(), np.abs(mupp))
+    lo += (lo + nu_sum) % 2
+    counts = (nu_sum - lo) // 2 + 1
+    indptr = np.zeros(counts.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=indptr[1:])
+    pair = np.repeat(np.arange(counts.size), counts)
+    deg = (lo - 2 * indptr[:-1])[pair] + 2 * np.arange(pair.size)
+    p = flat_index(deg, mupp[pair])  # ascending within each row: CSR order
 
-    vals = np.zeros(row.size)
-    for q in range(L + 1):
-        vals += w[q] * P[q, row] * P[q, col] * P[q, p]
-    vals *= 0.5  # 2 pi / 4 pi
-    # np.nonzero runs in C order, so the flat rows come out sorted and p is
-    # ascending within each row: the triple is already in CSR form.  No row
-    # is empty, because nu'' = nu + nu' is always allowed.
-    n_rows = num_coeffs(order_out) * num_coeffs(order_in)
-    indptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row * num_coeffs(order_in) + col, minlength=n_rows), out=indptr[1:])
+    # Each value is one dot product over the nodes of the pair's factor
+    # (w/2) P[row] P[col] with P[p]; chunks bound the gathered arrays.
+    P_out = 0.5 * w * P[:, flat_index(nu_out, mu_out)].T  # (n_out, nodes)
+    A = (P_out[:, None, :] * P[:, flat_index(nu_in, mu_in)].T).reshape(-1, x.size)
+    Pt = np.ascontiguousarray(P.T)
+    vals = np.empty(pair.size)
+    for s in range(0, pair.size, _GAUNT_CHUNK):
+        e = slice(s, s + _GAUNT_CHUNK)
+        np.einsum("eq,eq->e", A[pair[e]], Pt[p[e]], out=vals[e])
     for a in (indptr, p, vals):
         a.flags.writeable = False
     return indptr, p, vals
@@ -269,10 +283,14 @@ def translate_coeffs(cset, new_origin, k, order_out=None):
         order_out = cset.order
     d = np.asarray(new_origin, dtype=float) - cset.origin
     T = translation_matrix(d, k, order_out, cset.order)
-    return CoefficientSet(order=order_out, origin=new_origin, coeffs=T @ cset.coeffs)
+    # An elementwise product and row sum, not ``T @ c``: on a 2-core x86-64
+    # VM the threaded BLAS matrix-vector call took about 8 ms at 169 x 169,
+    # against 0.12 ms for this.
+    return CoefficientSet(order=order_out, origin=new_origin,
+                          coeffs=(T * cset.coeffs).sum(-1))
 
 
-def rotate_coeffs(cset, rot, k=None):
+def rotate_coeffs(cset, rot):
     """Coefficients of ``u(R r)`` given those of ``u(r)`` about the origin.
 
     Uses ``phi_{nu,mu'}(R r) = sum_mu D^{(nu)}_{mu',mu}(R)^* phi_{nu,mu}(r)``

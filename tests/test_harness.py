@@ -30,6 +30,7 @@ from soundfield.harness import (
 )
 from soundfield.observation import (
     add_noise,
+    load_t_design,
     spherical_array,
     observe_plane_wave,
     observe_point_source,
@@ -484,6 +485,56 @@ def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field)
     assert cli_main([command, str(cfg), "-o", str(tmp_path / "out.csv")]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def _mic_list(mount, kinds):
+    """The 12-mic t = 5 array of radius 0.5 as an explicit list; omni except
+    for the mics in `kinds` ({index: kind}), which point outward."""
+    dirs = load_t_design(5)
+    mics = [{"pos": [0.5 * float(v) for v in x]} for x in dirs]
+    for i, kind in kinds.items():
+        mics[i].update(kind=kind, y=[float(v) for v in dirs[i]],
+                       **({"a": 0.5} if kind == "first_order" else {}))
+    return {"mount": mount, "radius": 0.5, "mics": mics}
+
+
+@pytest.mark.parametrize(
+    "estimator, array, field",
+    [
+        ("BM-first", {"type": "spherical", "t": 5, "radius": 0.5, "kind": "omni"}, "array.kind"),
+        ("BM-first", _mic_list("open", {}), "array.mics[0].kind"),
+        ("BM-first", _mic_list("open", {i: "first_order" for i in range(11)}),
+         "array.mics[11].kind"),
+        ("BM-omni", {"type": "spherical", "t": 5, "kind": "first_order"}, "array.kind"),
+        ("BM-omni", {"type": "spherical", "t": 5, "mount": "rigid"}, "array.mount"),
+        ("BM-omni", _mic_list("open", {3: "bidirectional"}), "array.mics[3].kind"),
+        ("BM-omni", _mic_list("rigid", {}), "array.mount"),
+        ("BM-rigid", {"type": "spherical", "t": 5, "kind": "first_order"}, "array.kind"),
+        ("BM-rigid", _mic_list("open", {}), "array.mount"),
+        ("BM-rigid", _mic_list("open", {0: "first_order"}), "array.mics[0].kind"),
+    ],
+)
+def test_cli_bm_estimator_on_unmodelled_array_exit_2(tmp_path, capsys, estimator, array,
+                                                     field):
+    # a boundary estimator divides by the radial response of one mic kind and
+    # mount; on any other array it would report a meaningless NMSE
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(_base_config(estimator=estimator, array=array)))
+    assert cli_main(["sweep", str(cfg), "-o", str(tmp_path / "out.csv")]) == 2
+    assert f"config error: {field}: {estimator} models" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("estimator, array", [
+    ("BM-omni", _mic_list("open", {})),
+    ("BM-first", _mic_list("open", {i: "first_order" for i in range(12)})),
+    ("BM-rigid", _mic_list("rigid", {})),
+    ("BM-rigid", {"type": "spherical", "t": 5, "radius": 0.5, "mount": "open"}),
+])
+def test_cli_bm_estimator_on_modelled_array(tmp_path, estimator, array):
+    cfg = tmp_path / "ok.json"
+    cfg.write_text(json.dumps(_base_config(estimator=estimator, array=array)))
+    assert cli_main(["sweep", str(cfg), "-o", str(tmp_path / "out.csv")]) == 0
 
 
 def test_cli_anc_source_just_outside_region(tmp_path):

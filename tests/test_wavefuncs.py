@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,6 +224,71 @@ def test_coupling_tensor_matches_gaunt(order_out, order_in):
             for p in range(sf.num_coeffs(order_out + order_in)):
                 if (r, c, p) not in stored:
                     assert sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p], mu[p]) == 0.0
+
+
+def _coupling_tensor_reference(order_out, order_in):
+    """The coupling tensor from a dense selection mask and a full-range
+    Gauss-Legendre loop with three gathers per node over every entry."""
+    L = order_out + order_in
+    x, w = np.polynomial.legendre.leggauss(L + 1)
+    dirs = np.stack([np.sqrt(1.0 - x * x), np.zeros_like(x), x], axis=-1)
+    P = sf.sph_harm_matrix(L, dirs).real
+    nu_out, mu_out = sf.degrees_orders(order_out)
+    nu_in, mu_in = sf.degrees_orders(order_in)
+    nu, mu = nu_out[:, None, None], mu_out[:, None, None]
+    nup, mup = nu_in[None, :, None], mu_in[None, :, None]
+    nupp = np.arange(L + 1)[None, None, :]
+    allowed = (
+        (np.abs(mup - mu) <= nupp)
+        & (nupp >= np.abs(nu - nup))
+        & (nupp <= nu + nup)
+        & ((nu + nup + nupp) % 2 == 0)
+    )
+    row, col, deg = np.nonzero(allowed)
+    p = sf.flat_index(deg, mu_in[col] - mu_out[row])
+    vals = np.zeros(row.size)
+    for q in range(L + 1):
+        vals += w[q] * P[q, row] * P[q, col] * P[q, p]
+    vals *= 0.5
+    n_rows = sf.num_coeffs(order_out) * sf.num_coeffs(order_in)
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row * sf.num_coeffs(order_in) + col, minlength=n_rows),
+              out=indptr[1:])
+    return indptr, p, vals
+
+
+@pytest.mark.parametrize("order_out, order_in",
+                         [(0, 0), (0, 7), (7, 0), (1, 7), (3, 5), (12, 12)])
+def test_coupling_tensor_matches_reference_build(order_out, order_in):
+    indptr, p, vals = wf._coupling_tensor(order_out, order_in)
+    ref_indptr, ref_p, ref_vals = _coupling_tensor_reference(order_out, order_in)
+    assert np.array_equal(indptr, ref_indptr)
+    assert np.array_equal(p, ref_p)
+    assert np.max(np.abs(vals - ref_vals)) <= 2e-15
+    assert all(not a.flags.writeable for a in (indptr, p, vals))
+    assert np.all(np.diff(indptr) > 0)
+
+
+def test_coupling_tensor_high_order_matches_gaunt():
+    # seeded entries of the 12 <-> 12 tensor, whose degrees reach 24
+    indptr, p, vals = wf._coupling_tensor(12, 12)
+    nu, mu = (a.tolist() for a in sf.degrees_orders(24))
+    picks = np.random.default_rng(2018).choice(vals.size, size=300, replace=False)
+    flat_rows = np.searchsorted(indptr, picks, side="right") - 1
+    for e, (r, c) in zip(picks.tolist(), zip(*np.divmod(flat_rows, sf.num_coeffs(12)))):
+        g = sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p[e]], mu[p[e]])
+        assert abs(vals[e] - g) <= 1e-13
+
+
+def test_coupling_tensor_cold_build_memory():
+    # the chunked gathers must not hold an (entries x nodes) array
+    tracemalloc.start()
+    try:
+        wf._coupling_tensor.__wrapped__(12, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
 
 
 # ---------------------------------------------------------------------------

@@ -54,15 +54,11 @@ def cmd_sweep(args):
 
 
 def cmd_field(args):
-    obj = _read_json(args.config)
-    # anything but an object is reported by ScenarioConfig.from_dict
-    truth_only = isinstance(obj, dict) and bool(obj.pop("truth_only", False))
-    truth_only = truth_only or args.truth_only
-    cfg = ScenarioConfig.from_dict(obj)
+    cfg = ScenarioConfig.from_dict(_read_json(args.config))
     text = dump_field(
         cfg, args.freq, plane=args.plane, extent=args.extent,
         spacing=args.spacing, offset=args.offset,
-        include_estimate=not truth_only, trial=args.trial,
+        include_estimate=not args.truth_only, trial=args.trial,
     )
     _write(text, args.output)
     return 0

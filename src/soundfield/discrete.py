@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .observation import directivity_matrix
-from .specfun import num_coeffs, sph_jn, sph_jn_all
+from .specfun import sph_harm_matrix, sph_jn, sph_jn_all
 from .wavefuncs import (
     CoefficientSet,
     regular_swf_matrix,
@@ -44,10 +44,6 @@ class SphericalBasis:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
 
-    @property
-    def size(self):
-        return num_coeffs(self.order)
-
     def eval_matrix(self, r, k):
         return regular_swf_matrix(self.order, np.asarray(r) - self.origin, k)
 
@@ -63,10 +59,6 @@ class PlaneWaveBasis:
         self.dirs = np.asarray(self.dirs, dtype=float).reshape(-1, 3)
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
 
-    @property
-    def size(self):
-        return len(self.dirs)
-
     def eval_matrix(self, r, k):
         rel = np.asarray(r, dtype=float) - self.origin
         return np.exp(-1j * k * rel @ self.dirs.T)
@@ -81,14 +73,11 @@ def build_observation_matrix(mics, basis, k):
     ``d_m^H T(r_m - r0)`` with degrees up to the microphone order.  For the
     plane-wave basis row m is ``gamma_m(x_n)^* e^{-ik x_n . (r_m - r0)}``.
     """
-    if isinstance(basis, PlaneWaveBasis):
-        B = np.zeros((len(mics), basis.size), dtype=complex)
-        for m, mic in enumerate(mics):
-            rel = mic.pos - basis.origin
-            B[m] = mic.gamma_conj(basis.dirs) * np.exp(-1j * k * basis.dirs @ rel)
-        return B
     D, order = directivity_matrix(mics)
     pos = np.array([mic.pos for mic in mics])
+    if isinstance(basis, PlaneWaveBasis):
+        gamma = D.conj() @ sph_harm_matrix(order, basis.dirs).conj().T
+        return gamma * np.exp(-1j * k * (pos - basis.origin) @ basis.dirs.T)
     T = translation_matrix(pos - basis.origin, k, order, basis.order)
     return np.einsum("mi,min->mn", D.conj(), T)
 

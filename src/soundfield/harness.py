@@ -9,7 +9,6 @@ identical config and seed.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -160,6 +159,13 @@ def _vector_field(obj, key, default, nonzero=False):
     return np.asarray(value, dtype=float)
 
 
+def _frequencies(value):
+    """The `frequencies` list: non-empty, of positive Hz values."""
+    if not isinstance(value, list) or not value:
+        raise ConfigError("frequencies: must be a non-empty list of Hz values")
+    return [_checked(f"frequencies[{i}]", f, _POSITIVE) for i, f in enumerate(value)]
+
+
 def _choice(obj, key, default, choices):
     """obj[key], or `default` when absent, when it is one of `choices`."""
     value = obj.get(key, default)
@@ -188,14 +194,6 @@ class ScenarioConfig:
     eval_spacing: float = 0.1
 
     @classmethod
-    def from_json(cls, text):
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc}") from exc
-        return cls.from_dict(obj)
-
-    @classmethod
     def from_dict(cls, obj):
         top = _ConfigObject(obj)
 
@@ -209,10 +207,7 @@ class ScenarioConfig:
             raise ConfigError(
                 f"estimator: unknown value {estimator!r}; expected one of {ESTIMATORS}"
             )
-        freqs = need("frequencies")
-        if not isinstance(freqs, list) or not freqs:
-            raise ConfigError("frequencies: must be a non-empty list of Hz values")
-        freqs = [_checked(f"frequencies[{i}]", f, _POSITIVE) for i, f in enumerate(freqs)]
+        freqs = _frequencies(need("frequencies"))
 
         kwargs = {
             key: _checked(key, top.get(key), rule, integer)
@@ -264,10 +259,12 @@ def _field_spec(obj, eval_radius):
     return obj
 
 
-# The mic kind and mount whose radial response each boundary estimator
-# divides by; on any other array its estimate is meaningless.
-_BM_MODELS = {"BM-omni": ("omni", "open"), "BM-first": ("first_order", "open"),
-              "BM-rigid": ("omni", "rigid")}
+# Each boundary estimator's mic kind and mount, and the kind of radial
+# response (see radial_response) it divides by; on any other array its
+# estimate is meaningless.
+_BM_MODELS = {"BM-omni": ("omni", "open", "omni"),
+              "BM-first": ("first_order", "open", "first_order"),
+              "BM-rigid": ("omni", "rigid", "rigid")}
 
 
 def _require_bm_model(estimator, mount_path, mount, kinds):
@@ -275,7 +272,7 @@ def _require_bm_model(estimator, mount_path, mount, kinds):
 
     `kinds` lists ``(field path, mic kind)`` for the array's mics.
     """
-    model_kind, model_mount = _BM_MODELS[estimator]
+    model_kind, model_mount, _ = _BM_MODELS[estimator]
     for path, kind in kinds:
         if kind != model_kind:
             raise ConfigError(f"{path}: {estimator} models {model_kind} mics only, not {kind!r}")
@@ -288,11 +285,19 @@ def _array_from_dict(spec, estimator, directivity_a):
     """Build an ArrayConfig from its explicit mic list or a spherical-design spec."""
     if "mics" in spec:
         array = _explicit_array(spec)
+        mics_path = spec.key_path("mics")
         if estimator in _BM_MODELS:
-            mics_path = spec.key_path("mics")
             _require_bm_model(estimator, spec.key_path("mount"), array.mount,
                               [(f"{mics_path}[{i}].kind", mic.kind)
                                for i, mic in enumerate(array.mics)])
+        if estimator == "BM-first":
+            # it divides by one radial response: one omni weight, outward axes
+            for i, mic in enumerate(array.mics):
+                if mic.a != array.mics[0].a:
+                    raise ConfigError(f"{mics_path}[{i}].a: BM-first models one a on all mics")
+                outward = mic.pos / np.linalg.norm(mic.pos)
+                if not np.allclose(mic.axis, outward, rtol=0.0, atol=1e-9):
+                    raise ConfigError(f"{mics_path}[{i}].y: BM-first models outward axes only")
         return array
     if spec.get("type") != "spherical":
         raise ValueError("must contain 'mics' or be {'type': 'spherical', ...}")
@@ -385,80 +390,81 @@ def observe_field(array, field_spec, k, mic_harmonics=None):
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _bm_response(cfg, radius, k):
-    """Radial response A_nu of the configured boundary array."""
-    kind = {"BM-omni": "omni", "BM-first": "first_order", "BM-rigid": "rigid"}[cfg.estimator]
-    a = cfg.directivity_a if kind == "first_order" else None
-    return radial_response(kind, cfg.order, k * radius, a=a)
+class Estimator:
+    """The configured estimator at fixed points `pts`.
 
-
-@dataclass
-class SweepGeometry:
-    """The part of the configured estimator at fixed points that does not
-    depend on frequency or trial; built once by :func:`sweep_geometry`.
-
-    BM and DM-finite keep the radii and harmonics of the points about the
-    expansion origin (`basis`, see :func:`swf_angular`) up to `order`; BM
-    also keeps the array radius and its `analysis` matrix (see
-    :func:`analysis_matrix`).  DM-infinite keeps the `representers` of the
-    mics at the points.
+    It keeps only what its kind needs that does not depend on frequency or
+    trial: for BM the radii and harmonics of the points (`basis`, see
+    :func:`swf_angular`), the array radius and its `analysis` matrix; for
+    DM-finite the `basis` about `origin`; for DM-infinite the mics'
+    `representers` at the points.
     """
 
-    cfg: ScenarioConfig
-    order: int | None = None
-    basis: tuple | None = None
-    radius: float | None = None
-    analysis: np.ndarray | None = None
-    representers: Representers | None = None
+    def __init__(self, cfg, pts):
+        self.cfg = cfg
+        self.model = _BM_MODELS.get(cfg.estimator)
+        # `_at` is the kind's method, unbound (prepare_estimator passes the
+        # estimator): a bound one would be a reference cycle that keeps the
+        # grid harmonics until a gc pass.
+        if self.model:
+            pos = cfg.array.positions
+            norms = np.linalg.norm(pos, axis=1)
+            self.order = cfg.order
+            self.radius = float(np.mean(norms))
+            self.basis = swf_angular(cfg.order, pts)
+            self.analysis = analysis_matrix(cfg.order, pos / norms[:, None])
+            self._at = Estimator._boundary_at
+        elif cfg.estimator == "DM-finite":
+            self.order = cfg.order_n0
+            self.basis = swf_angular(cfg.order_n0, pts - np.asarray(cfg.origin))
+            self._at = Estimator._finite_at
+        else:
+            self.representers = Representers(cfg.array.mics, pts)
+            self._at = Estimator._kernel_at
+
+    def response(self, k):
+        """A BM estimator's radial response A_nu, nu = 0..order, at k, with
+        the mics' own omni weight; None for the DM estimators."""
+        if self.model:
+            return radial_response(self.model[2], self.order, k * self.radius,
+                                   a=self.cfg.array.mics[0].a)
+        return None
+
+    def _expansion(self, k):
+        rad, Y = self.basis
+        return swf_radial(self.order, rad, k) * Y
+
+    def _boundary_at(self, k):
+        A = self.response(k)[degrees_orders(self.order)[0]][:, None]
+        E = self._expansion(k)
+        return lambda signals: E @ ((self.analysis @ signals) / A)
+
+    def _finite_at(self, k):
+        basis = SphericalBasis(order=self.order, origin=self.cfg.origin)
+        B = build_observation_matrix(self.cfg.array.mics, basis, k)
+        E = self._expansion(k)
+        return lambda signals: E @ solve_tikhonov(B, signals, self.cfg.reg)
+
+    def _kernel_at(self, k):
+        K = kernel_matrix(self.cfg.array.mics, k)
+        R = self.representers.matrix(k)
+        return lambda signals: R @ solve_kernel(K, signals, self.cfg.reg)
 
 
-def sweep_geometry(cfg, pts):
-    """The :class:`SweepGeometry` of `cfg` at evaluation points `pts`."""
-    pts = np.asarray(pts, dtype=float)
-    if cfg.estimator.startswith("BM-"):
-        pos = cfg.array.positions
-        norms = np.linalg.norm(pos, axis=1)
-        return SweepGeometry(
-            cfg, order=cfg.order, basis=swf_angular(cfg.order, pts),
-            radius=float(np.mean(norms)), analysis=analysis_matrix(cfg.order, pos / norms[:, None]),
-        )
-    if cfg.estimator == "DM-finite":
-        return SweepGeometry(
-            cfg, order=cfg.order_n0,
-            basis=swf_angular(cfg.order_n0, pts - np.asarray(cfg.origin)),
-        )
-    return SweepGeometry(cfg, representers=Representers(cfg.array.mics, pts))
-
-
-def prepare_estimator(geom, k):
-    """The configured estimator at wavenumber k on the geometry's points.
+def prepare_estimator(est, k):
+    """The :class:`Estimator` `est` at wavenumber k.
 
     Returns a callable mapping a block of signals (M, T), one column per
     trial, to the estimates at the points (Q, T).  The k-dependent matrices
     are built here once per frequency; the callable makes one solve and
     one matrix product for all trials.
     """
-    cfg = geom.cfg
-    if geom.basis is not None:
-        rad, Y = geom.basis
-        E = swf_radial(geom.order, rad, k) * Y
-    if cfg.estimator.startswith("BM-"):
-        nu, _ = degrees_orders(cfg.order)
-        A = _bm_response(cfg, geom.radius, k)[nu][:, None]
-        return lambda signals: E @ ((geom.analysis @ signals) / A)
-    if cfg.estimator == "DM-finite":
-        basis = SphericalBasis(order=cfg.order_n0, origin=np.asarray(cfg.origin))
-        B = build_observation_matrix(cfg.array.mics, basis, k)
-        return lambda signals: E @ solve_tikhonov(B, signals, cfg.reg)
-    K = kernel_matrix(cfg.array.mics, k)
-    R = geom.representers.matrix(k)
-    return lambda signals: R @ solve_kernel(K, signals, cfg.reg)
+    return est._at(est, k)
 
 
 def estimate_field(cfg, signals, k, pts):
     """The configured estimator's values at `pts` from one signal vector."""
-    estimator = prepare_estimator(sweep_geometry(cfg, pts), k)
-    return estimator(np.asarray(signals)[:, None])[:, 0]
+    return prepare_estimator(Estimator(cfg, pts), k)(np.asarray(signals)[:, None])[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,13 +506,13 @@ class ResultRecord:
 def run_sweep(cfg):
     """Simulate, estimate and evaluate NMSE for every (frequency, trial).
 
-    What does not depend on frequency is computed once: the estimator's
-    geometry on the grid, the unit noise of each trial (drawn from
+    What does not depend on frequency is computed once: the
+    :class:`Estimator` on the grid, the unit noise of each trial (drawn from
     ``default_rng(seed + trial)``) and, for a rigid array, the mic
     harmonics.  Each frequency then fits all trials as one block.
     """
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
-    geom = sweep_geometry(cfg, grid)
+    est = Estimator(cfg, grid)
     ks = [2.0 * math.pi * f / cfg.c for f in cfg.frequencies]
     mic_harmonics = None
     if cfg.array.mount == "rigid":
@@ -521,10 +527,9 @@ def run_sweep(cfg):
         truth_vals = _truth_eval(cfg.field_spec, grid, k)
         clean = observe_field(cfg.array, cfg.field_spec, k, mic_harmonics)
         signals = clean[:, None] + noise_std(clean, cfg.snr_db) * noise
-        estimates = prepare_estimator(geom, k)(signals)
-        diag = float("nan")
-        if cfg.estimator.startswith("BM-"):
-            diag = float(np.min(np.abs(_bm_response(cfg, geom.radius, k))))
+        estimates = prepare_estimator(est, k)(signals)
+        A = est.response(k)
+        diag = float("nan") if A is None else float(np.min(np.abs(A)))
         vals = [nmse(estimates[:, t], truth_vals) for t in trials]
         mean_db = float(np.mean(vals))
         records.extend(
@@ -617,10 +622,7 @@ def wpm_experiment(obj):
     """
     obj = _ConfigObject(obj)
     c = _field(obj, "c", 340.65, _POSITIVE)
-    freqs = obj.get("frequencies")
-    if not isinstance(freqs, list) or not freqs:
-        raise ConfigError("frequencies: must be a non-empty list of Hz values")
-    freqs = [_checked(f"frequencies[{i}]", f, _POSITIVE) for i, f in enumerate(freqs)]
+    freqs = _frequencies(obj.get("frequencies"))
     eta = _field(obj, "eta", 1e-3, _NON_NEGATIVE)
     lam = _field(obj, "reg", 1e-3, _NON_NEGATIVE)
     direction = _vector_field(

@@ -16,7 +16,6 @@ regular-expansion coefficients of the field about the microphone position.
 from __future__ import annotations
 
 import importlib.resources
-import json
 import math
 from dataclasses import dataclass
 
@@ -60,18 +59,6 @@ class Microphone:
         """Directivity coefficients d_{nu,mu}, flat layout up to self.order."""
         D, _ = directivity_matrix([self])
         return D[0]
-
-    def gamma_conj(self, x):
-        """Response gamma(x)^* to a unit plane wave arriving from direction x.
-
-        ``F e^{-ik x.r} = gamma(x)^* e^{-ik x.r0}``; for the supported kinds
-        gamma is real: 1 (omni), ``y.x`` (bidirectional) and
-        ``a + (1-a) y.x`` (first_order).
-        """
-        x = np.asarray(x, dtype=float)
-        d = self.directivity_coeffs()
-        Y = sph_harm_matrix(self.order, x)
-        return Y.conj() @ d.conj()
 
 
 def observe_coeffs(mic, cset, k):
@@ -205,34 +192,6 @@ class ArrayConfig:
     def positions(self):
         return np.array([m.pos for m in self.mics])
 
-    def to_json(self):
-        mics = []
-        for m in self.mics:
-            entry = {"pos": [float(v) for v in m.pos], "kind": m.kind}
-            if m.axis is not None:
-                entry["y"] = [float(v) for v in m.axis]
-            if m.a is not None:
-                entry["a"] = float(m.a)
-            mics.append(entry)
-        obj = {"mount": self.mount, "mics": mics}
-        if self.radius is not None:
-            obj["radius"] = self.radius
-        return json.dumps(obj, indent=2)
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        mics = [
-            Microphone(
-                pos=entry["pos"],
-                kind=entry.get("kind", "omni"),
-                axis=entry.get("y"),
-                a=entry.get("a"),
-            )
-            for entry in obj["mics"]
-        ]
-        return cls(mount=obj["mount"], mics=mics, radius=obj.get("radius"))
-
 
 # The embedded spherical t-designs: t -> data file.
 T_DESIGNS = {2: "tdesign_t2_m4.txt", 3: "tdesign_t3_m6.txt",
@@ -252,16 +211,15 @@ def load_t_design(t):
     return np.asarray(rows)
 
 
-def spherical_array(t, radius, mount="open", kind="omni", a=None, outward_axes=True):
+def spherical_array(t, radius, mount="open", kind="omni", a=None):
     """Array on a spherical t-design of the given radius.
 
-    Directional microphones are oriented along the outward radial direction
-    when `outward_axes` is true.
+    Directional microphones are oriented along the outward radial direction.
     """
     dirs = load_t_design(t)
     mics = []
     for x in dirs:
-        axis = x if (kind != "omni" and outward_axes) else None
+        axis = x if kind != "omni" else None
         mics.append(Microphone(pos=radius * x, kind=kind, axis=axis, a=a))
     return ArrayConfig(
         mount=mount, mics=mics, radius=radius if mount == "rigid" else None

@@ -243,19 +243,6 @@ def legendre(n, x):
 # Spherical harmonics
 # ---------------------------------------------------------------------------
 
-def sph_harm_scaled(nu, mu, dirs):
-    """Scaled spherical harmonic Yhat_{nu,mu} evaluated at unit vectors.
-
-    Parameters
-    ----------
-    nu, mu : int
-        Degree and order, with ``|mu| <= nu``.
-    dirs : array of shape (..., 3)
-        Unit direction vectors.
-    """
-    return sph_harm_matrix(nu, dirs)[..., flat_index(nu, mu)]
-
-
 @lru_cache(maxsize=None)
 def _legendre_step(n):
     """Coefficients (a, b), shape (n, 1), of the degree-n recurrence for m < n."""

@@ -8,12 +8,13 @@ A field ``u`` regular around an origin ``r0`` is represented by coefficients
 
     u(r) = sum_{nu,mu} c_{nu,mu} phi_{nu,mu}(r - r0)
 
-with phi as in :func:`regular_swf`.
+with ``phi_{nu,mu}(r) = i^{-nu} j_nu(k|r|) Yhat_{nu,mu}(r/|r|)``, so that
+``phi_{0,0}(0) = 1`` and ``phi_{nu,mu}(0) = 0`` for nu > 0 (see
+:func:`regular_swf_matrix`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +27,6 @@ from .specfun import (
     num_coeffs,
     sph_harm_matrix,
     sph_hn_all,
-    sph_jn,
     sph_jn_all,
     wigner_D,
 )
@@ -62,22 +62,6 @@ def _radial_dirs(r):
     # but it must be a valid unit vector for the harmonic evaluation.
     dirs = np.where(rad[..., None] > 0, dirs, np.array([0.0, 0.0, 1.0]))
     return rad, dirs
-
-
-def regular_swf(nu, mu, r, k):
-    """Regular spherical wave function phi_{nu,mu}(r).
-
-    ``phi_{nu,mu}(r) = i^{-nu} j_nu(k|r|) Yhat_{nu,mu}(r/|r|)`` with
-    ``phi_{0,0}(0) = 1`` and ``phi_{nu,mu}(0) = 0`` for nu > 0.
-    """
-    rad, dirs = _radial_dirs(r)
-    ynorm = sph_harm_matrix(nu, dirs)[..., flat_index(nu, mu)]
-    vals = (1j ** (-nu)) * sph_jn(nu, k * rad) * ynorm
-    if nu == 0:
-        vals = np.where(rad > 0, vals, 1.0 + 0.0j)
-    else:
-        vals = np.where(rad > 0, vals, 0.0 + 0.0j)
-    return vals
 
 
 def swf_angular(order, r):
@@ -151,24 +135,6 @@ class CoefficientSet:
         """Evaluate the expansion at points `r` (shape (..., 3))."""
         Phi = regular_swf_matrix(self.order, np.asarray(r) - self.origin, k)
         return Phi @ self.coeffs
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "order": self.order,
-                "origin": [float(v) for v in self.origin],
-                "re": [float(v) for v in self.coeffs.real],
-                "im": [float(v) for v in self.coeffs.imag],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        coeffs = np.asarray(obj["re"], dtype=float) + 1j * np.asarray(
-            obj["im"], dtype=float
-        )
-        return cls(order=int(obj["order"]), origin=obj["origin"], coeffs=coeffs)
 
 
 def plane_wave_coeffs(order, x_inc, k, origin=(0.0, 0.0, 0.0)):

@@ -18,7 +18,7 @@ from soundfield.discrete import (
     solve_kernel,
     solve_tikhonov,
 )
-from soundfield.observation import Microphone, observe_coeffs
+from soundfield.observation import Microphone, observe_coeffs, plane_wave_observations
 
 
 def _random_mics(rng, m, kinds=("omni", "bidirectional", "first_order")):
@@ -323,6 +323,21 @@ def test_plane_wave_basis_evaluation(rng):
     w = rng.normal(size=10) + 1j * rng.normal(size=10)
     superposed = sum(wj * wf.plane_wave(pts, d, k) for wj, d in zip(w, dirs))
     assert np.allclose(E @ w, superposed)
+
+
+def test_plane_wave_basis_observation_matrix(rng):
+    # column n is every mic's response to the plane wave from x_n, whose
+    # phase reference moves from the global origin to r0
+    k = 4.0
+    mics = _random_mics(rng, 9)
+    dirs = rng.normal(size=(7, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    r0 = np.array([0.1, -0.2, 0.05])
+    B = build_observation_matrix(mics, PlaneWaveBasis(dirs=dirs, origin=r0), k)
+    assert B.shape == (9, 7)
+    for n, x in enumerate(dirs):
+        want = plane_wave_observations(mics, x, k) * np.exp(1j * k * x @ r0)
+        assert np.max(np.abs(B[:, n] - want)) <= 1e-12
 
 
 @given(st.integers(0, 2**31 - 1))

@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -20,11 +22,13 @@ from soundfield.discrete import (
 from soundfield.harness import (
     ESTIMATORS,
     ConfigError,
+    Estimator,
     ScenarioConfig,
     ball_grid,
     dump_field,
     nmse,
     plane_grid,
+    prepare_estimator,
     run_sweep,
     sweep_csv,
 )
@@ -142,11 +146,6 @@ def test_config_point_source_needs_position():
         ScenarioConfig.from_dict(_base_config(field={"type": "point_source"}))
 
 
-def test_config_invalid_json_text():
-    with pytest.raises(ConfigError, match="JSON"):
-        ScenarioConfig.from_json("{not json")
-
-
 def test_config_defaults():
     cfg = ScenarioConfig.from_dict(_base_config())
     assert cfg.c == 340.65
@@ -159,8 +158,10 @@ def test_config_defaults():
 def test_config_explicit_mic_list_reads_every_key():
     # the explicit form of a first-order spherical array builds the same mics
     ref = spherical_array(5, 0.5, kind="first_order", a=0.3)
+    mics = [{"pos": m.pos.tolist(), "kind": m.kind, "y": m.axis.tolist(), "a": m.a}
+            for m in ref.mics]
     cfg = ScenarioConfig.from_dict(
-        _base_config(estimator="DM-infinite", array=json.loads(ref.to_json())))
+        _base_config(estimator="DM-infinite", array={"mount": "open", "mics": mics}))
     assert cfg.array.mount == "open"
     for mic, want in zip(cfg.array.mics, ref.mics, strict=True):
         assert mic.kind == "first_order" and mic.a == 0.3
@@ -322,6 +323,23 @@ def test_grid_harmonics_once_per_sweep(monkeypatch, estimator):
     once = _grid_harmonics_count(monkeypatch, cfg([200.0]))
     assert once > 0
     assert _grid_harmonics_count(monkeypatch, cfg([100.0, 200.0, 300.0, 400.0])) == once
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_estimator_freed_without_gc(estimator):
+    # its grid harmonics are the sweep's largest arrays; a reference cycle
+    # would hold them until a gc pass and raise the peak memory of a run
+    array = {"type": "spherical", "t": 5, "radius": 0.5}
+    cfg = ScenarioConfig.from_dict(_base_config(estimator=estimator, array=array))
+    gc.disable()
+    try:
+        est = Estimator(cfg, ball_grid(0.5, 0.25))
+        prepare_estimator(est, 2.0)(np.ones((12, 1)))
+        ref = weakref.ref(est)
+        del est
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
@@ -487,15 +505,25 @@ def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field)
     assert not (tmp_path / "out.csv").exists()
 
 
-def _mic_list(mount, kinds):
+def _mic_list(mount, kinds, a=0.5):
     """The 12-mic t = 5 array of radius 0.5 as an explicit list; omni except
-    for the mics in `kinds` ({index: kind}), which point outward."""
+    for the mics in `kinds` ({index: kind}), which point outward and take
+    omni weight `a` when first-order."""
     dirs = load_t_design(5)
     mics = [{"pos": [0.5 * float(v) for v in x]} for x in dirs]
     for i, kind in kinds.items():
         mics[i].update(kind=kind, y=[float(v) for v in dirs[i]],
-                       **({"a": 0.5} if kind == "first_order" else {}))
+                       **({"a": a} if kind == "first_order" else {}))
     return {"mount": mount, "radius": 0.5, "mics": mics}
+
+
+def _first_order_list(a=0.9, changes=()):
+    """The outward first-order t = 5 list with omni weight `a`, then mic i's
+    entries updated by ``dict(changes)[i]``."""
+    array = _mic_list("open", {i: "first_order" for i in range(12)}, a=a)
+    for i, entries in dict(changes).items():
+        array["mics"][i].update(entries)
+    return array
 
 
 @pytest.mark.parametrize(
@@ -512,6 +540,12 @@ def _mic_list(mount, kinds):
         ("BM-rigid", {"type": "spherical", "t": 5, "kind": "first_order"}, "array.kind"),
         ("BM-rigid", _mic_list("open", {}), "array.mount"),
         ("BM-rigid", _mic_list("open", {0: "first_order"}), "array.mics[0].kind"),
+        # one radial response: one omni weight and outward axes
+        ("BM-first", _first_order_list(changes={5: {"a": 0.5}}), "array.mics[5].a"),
+        ("BM-first", _first_order_list(changes={0: {"a": 0.5}}), "array.mics[1].a"),
+        ("BM-first", _first_order_list(changes={3: {"y": (-load_t_design(5)[3]).tolist()}}),
+         "array.mics[3].y"),
+        ("BM-first", _first_order_list(changes={7: {"y": [0.0, 0.0, 1.0]}}), "array.mics[7].y"),
     ],
 )
 def test_cli_bm_estimator_on_unmodelled_array_exit_2(tmp_path, capsys, estimator, array,
@@ -537,6 +571,27 @@ def test_cli_bm_estimator_on_modelled_array(tmp_path, estimator, array):
     assert cli_main(["sweep", str(cfg), "-o", str(tmp_path / "out.csv")]) == 0
 
 
+def test_cli_bm_first_explicit_list_matches_spherical_spec(tmp_path):
+    # BM-first divides by the radial response of the mics' own omni weight,
+    # so the explicit list with a = 0.9 is the spherical spec at
+    # directivity_a 0.9 (the config's default 0.5 plays no part)
+    out = {}
+    for name, extra in [
+        ("list", {"array": _first_order_list(a=0.9)}),
+        ("spec", {"array": {"type": "spherical", "t": 5, "radius": 0.5},
+                  "directivity_a": 0.9}),
+    ]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(_base_config(
+            estimator="BM-first", order=2, eval_grid={"radius": 0.5, "spacing": 0.1},
+            **extra)))
+        out[name] = tmp_path / f"{name}.csv"
+        assert cli_main(["sweep", str(cfg), "-o", str(out[name])]) == 0
+    assert out["list"].read_bytes() == out["spec"].read_bytes()
+    row = out["list"].read_text().splitlines()[1].split(",")
+    assert float(row[5]) < -20.0
+
+
 def test_cli_anc_source_just_outside_region(tmp_path):
     cfg = tmp_path / "anc.json"
     cfg.write_text(json.dumps(dict(ANC_BASE, primary_source=[0.5, 0.6, 0.06])))
@@ -552,6 +607,28 @@ def test_cli_field_non_object_config_exit_2(tmp_path, capsys):
 
 def test_cli_missing_file_exit_2(tmp_path):
     assert cli_main(["sweep", str(tmp_path / "none.json")]) == 2
+
+
+def test_cli_invalid_json_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{not json")
+    assert cli_main(["sweep", str(cfg), "-o", str(tmp_path / "out.csv")]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_cli_field_truth_only_key_exit_2(tmp_path, capsys):
+    # truth-only dumps are asked for with --truth-only; the config has no such key
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_base_config(truth_only="false")))
+    assert cli_main(["field", str(cfg), "--freq", "200", "-o", str(tmp_path / "f.csv")]) == 2
+    assert "config error: truth_only: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
+    cfg.write_text(json.dumps(_base_config()))
+    assert cli_main(["field", str(cfg), "--freq", "200", "--extent", "1.0", "--spacing", "0.5",
+                     "--truth-only", "-o", str(tmp_path / "f.csv")]) == 0
+    rows = [ln.split(",") for ln in (tmp_path / "f.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 9 and all(r[5:] == ["", "", ""] for r in rows)
 
 
 def test_cli_field_subcommand(tmp_path):

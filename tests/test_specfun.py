@@ -92,8 +92,8 @@ def test_conjugation_symmetry(rng):
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for nu in range(5):
         for mu in range(-nu, nu + 1):
-            a = sf.sph_harm_scaled(nu, mu, dirs)
-            b = sf.sph_harm_scaled(nu, -mu, dirs)
+            a = sf.sph_harm_matrix(nu, dirs)[..., sf.flat_index(nu, mu)]
+            b = sf.sph_harm_matrix(nu, dirs)[..., sf.flat_index(nu, -mu)]
             assert np.allclose(a.conj(), (-1) ** mu * b, atol=1e-12)
 
 
@@ -105,8 +105,8 @@ def test_addition_theorem_legendre(rng):
     y /= np.linalg.norm(y)
     for nu in range(8):
         acc = sum(
-            sf.sph_harm_scaled(nu, mu, x[None]) [0]
-            * sf.sph_harm_scaled(nu, mu, y[None])[0].conj()
+            sf.sph_harm_matrix(nu, x[None])[0, sf.flat_index(nu, mu)]
+            * sf.sph_harm_matrix(nu, y[None])[0, sf.flat_index(nu, mu)].conj()
             for mu in range(-nu, nu + 1)
         )
         assert acc == pytest.approx((2 * nu + 1) * sf.legendre(nu, float(x @ y)), abs=1e-11)
@@ -173,9 +173,9 @@ def test_gaunt_vs_quadrature(squad, rng):
     for nu, mu, nup, mup, nupp, mupp in cases:
         integ = np.sum(
             w
-            * sf.sph_harm_scaled(nu, mu, dirs).conj()
-            * sf.sph_harm_scaled(nup, mup, dirs)
-            * sf.sph_harm_scaled(nupp, mupp, dirs).conj()
+            * sf.sph_harm_matrix(nu, dirs)[..., sf.flat_index(nu, mu)].conj()
+            * sf.sph_harm_matrix(nup, dirs)[..., sf.flat_index(nup, mup)]
+            * sf.sph_harm_matrix(nupp, dirs)[..., sf.flat_index(nupp, mupp)].conj()
         ) / (4.0 * np.pi)
         assert sf.gaunt(nu, mu, nup, mup, nupp, mupp) == pytest.approx(
             integ.real, abs=1e-11
@@ -233,9 +233,10 @@ def test_wigner_D_defining_integral(squad, rng):
     for nu in (1, 3):
         D = sf.wigner_D(nu, R)
         for mu in range(-nu, nu + 1):
-            ya = sf.sph_harm_scaled(nu, mu, rdirs).conj()
+            ya = sf.sph_harm_matrix(nu, rdirs)[..., sf.flat_index(nu, mu)].conj()
             for mup in range(-nu, nu + 1):
-                integ = np.sum(w * ya * sf.sph_harm_scaled(nu, mup, dirs)) / (4 * np.pi)
+                y = sf.sph_harm_matrix(nu, dirs)[..., sf.flat_index(nu, mup)]
+                integ = np.sum(w * ya * y) / (4 * np.pi)
                 assert D[mu + nu, mup + nu] == pytest.approx(integ, abs=1e-10)
 
 

@@ -8,10 +8,11 @@ Two regularized least-squares estimators are provided:
   of plane waves) and solve a Tikhonov-regularized system for the
   coefficients.
 * Infinite-dimensional: kernel ridge regression in the native space of
-  interior fields; the representer of microphone m is
-  ``v_m(r) = sum d_{m,nu,mu} phi_{nu,mu}(r - r_m)`` and the Gram matrix has
-  the closed form built from the translation operator.  For omnidirectional
-  microphones this collapses to the kernel ``j0(k |r - r'|)``.
+  interior fields with the kernel ``j0(k |r - r'|)``.  Every mic is
+  ``F u = a u(r_m) + (i/k) b . grad u(r_m)`` (see
+  :func:`~soundfield.observation.mic_functionals`), so its representer and
+  the Gram matrix are closed forms in j0, j1 and j2 of ``k |r - r_m|``
+  (the kernel of Ueno, Koyama & Saruwatari, IEEE SPL 2018, at degree <= 1).
 """
 
 from __future__ import annotations
@@ -20,14 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observation import directivity_matrix
-from .specfun import sph_harm_matrix, sph_jn, sph_jn_all
-from .wavefuncs import (
-    CoefficientSet,
-    regular_swf_matrix,
-    swf_angular,
-    translation_matrix,
-)
+from .observation import directivity_matrix, mic_functionals
+from .specfun import sph_jn_all
+from .wavefuncs import CoefficientSet, regular_swf_matrix, translation_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -71,13 +67,15 @@ def build_observation_matrix(mics, basis, k):
     operator: the local expansion of ``phi_{nu,mu}(r - r0)`` about the
     microphone position is one column of ``T(r_m - r0)``, so row m is
     ``d_m^H T(r_m - r0)`` with degrees up to the microphone order.  For the
-    plane-wave basis row m is ``gamma_m(x_n)^* e^{-ik x_n . (r_m - r0)}``.
+    plane-wave basis row m is ``(a_m + b_m . x_n) e^{-ik x_n . (r_m - r0)}``,
+    as in :func:`~soundfield.observation.plane_wave_observations`.
     """
+    if isinstance(basis, PlaneWaveBasis):
+        pos, a, b = mic_functionals(mics)
+        pickup = a[:, None] + b @ basis.dirs.T
+        return pickup * np.exp(-1j * k * (pos - basis.origin) @ basis.dirs.T)
     D, order = directivity_matrix(mics)
     pos = np.array([mic.pos for mic in mics])
-    if isinstance(basis, PlaneWaveBasis):
-        gamma = D.conj() @ sph_harm_matrix(order, basis.dirs).conj().T
-        return gamma * np.exp(-1j * k * (pos - basis.origin) @ basis.dirs.T)
     T = translation_matrix(pos - basis.origin, k, order, basis.order)
     return np.einsum("mi,min->mn", D.conj(), T)
 
@@ -115,18 +113,28 @@ def solve_tikhonov(B, s, reg, noise_cov=None):
 # ---------------------------------------------------------------------------
 
 def kernel_matrix(mics, k):
-    """Gram matrix K of the microphone representers.
+    """Gram matrix ``K[m1, m2] = F_{m1} v_{m2}`` of the microphone representers.
 
-    ``K[m1, m2] = sum d_{m1}^* d_{m2} T^{(m2 block)}_{(m1 block)}(r_{m1} - r_{m2})``;
-    for omni pairs this equals ``j0(k |r_{m1} - r_{m2}|)``.
+    With ``rho = r_{m1} - r_{m2}``, ``u = rho/|rho|`` (0 at rho = 0) and
+    ``j_n = j_n(k |rho|)``, the gradient and Hessian of ``j0(k |rho|)`` give
+
+        K = a1 a2 j0 - i j1 (a2 b1.u + a1 b2.u) + (j0 + j2)/3 b1.b2 - j2 (b1.u)(b2.u)
+
+    by ``j0' = -j1`` and ``j1(x)/x = (j0 + j2)/3`` (DLMF 10.51), which holds
+    at x = 0 too.  The Bessel functions go up to twice the largest mic
+    degree: for omni mics K is ``j0(k |rho|)`` alone.
     """
-    pos = np.array([m.pos for m in mics])
-    if all(m.kind == "omni" for m in mics):
-        dist = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
-        return sph_jn(0, k * dist).astype(complex)
-    D, order = directivity_matrix(mics)
-    T = translation_matrix(pos[:, None, :] - pos[None, :, :], k, order, order)
-    return np.einsum("ai,abij,bj->ab", D.conj(), T, D)
+    pos, a, b = mic_functionals(mics)
+    rho = pos[:, None, :] - pos[None, :, :]
+    dist = np.linalg.norm(rho, axis=-1)
+    j = sph_jn_all(2 if b.any() else 0, k * dist)
+    K = np.outer(a, a) * j[0]
+    if b.any():
+        u = rho / np.where(dist > 0, dist, 1.0)[..., None]
+        bu1, bu2 = np.einsum("pqi,pi->pq", u, b), np.einsum("pqi,qi->pq", u, b)
+        K = (K - 1j * j[1] * (a * bu1 + a[:, None] * bu2)
+             + (j[0] + j[2]) / 3.0 * (b @ b.T) - j[2] * bu1 * bu2)
+    return K.astype(complex)
 
 
 def solve_kernel(K, s, reg, noise_cov=None):
@@ -143,37 +151,34 @@ def solve_kernel(K, s, reg, noise_cov=None):
     return np.linalg.solve(K + reg * np.asarray(noise_cov, dtype=complex), s)
 
 
-_MIC_BLOCK = 8
-
-
 class Representers:
-    """The microphone representers at fixed points, split by degree.
+    """The microphone representers at fixed points r.
 
-    ``v_m(r) = sum_nu j_nu(k |r - r_m|) F_nu[r, m]`` with the angular factors
-    ``F_nu[r, m] = i^{-nu} sum_mu d_{m,nu,mu} Yhat_{nu,mu}((r - r_m)/|r - r_m|)``.
-    The radii and angular factors do not depend on k and are computed once;
-    :meth:`matrix` evaluates all j_nu at once and sums over the degrees.
+    ``v_m(r) = a_m j0(k rho) - i j1(k rho) b_m . u`` with ``rho = |r - r_m|``
+    and ``u = (r - r_m) / rho``.  The radii and the projections ``b_m . u``
+    (0 where rho = 0; None when no mic has a gradient part) do not depend on
+    k and are kept as (..., M) arrays; :meth:`matrix` evaluates the Bessel
+    functions.
     """
 
     def __init__(self, mics, r):
-        D, order = directivity_matrix(mics)
-        pos = np.array([mic.pos for mic in mics])
-        r = np.asarray(r, dtype=float)[..., None, :]
-        self.rad = np.empty(r.shape[:-2] + (len(mics),))
-        self.angular = np.empty((order + 1,) + self.rad.shape, dtype=complex)
-        # Blocks of mics bound the harmonics held at once, (..., block, (order+1)**2).
-        for b in range(0, len(mics), _MIC_BLOCK):
-            blk = slice(b, b + _MIC_BLOCK)
-            self.rad[..., blk], Y = swf_angular(order, r - pos[blk])
-            for nu in range(order + 1):
-                deg = slice(nu * nu, (nu + 1) ** 2)
-                self.angular[nu, ..., blk] = (1j ** -nu) * np.einsum(
-                    "...mi,mi->...m", Y[..., deg], D[blk, deg])
+        pos, self.a, b = mic_functionals(mics)
+        r = np.asarray(r, dtype=float)
+        # Coordinate by coordinate, so that no (..., M, 3) array is built;
+        # the sum rounds as np.linalg.norm of the differences does.
+        self.rad = np.sqrt(sum((r[..., c, None] - pos[:, c]) ** 2 for c in range(3)))
+        self.proj = None
+        if b.any():
+            proj = r @ b.T - np.einsum("mi,mi->m", b, pos)
+            self.proj = np.divide(proj, self.rad, out=np.zeros_like(proj), where=self.rad > 0)
 
     def matrix(self, k):
         """V with ``V[..., m] = v_m(r)`` at wavenumber k."""
-        jn = sph_jn_all(len(self.angular) - 1, k * self.rad)
-        return np.sum(jn * self.angular, axis=0)
+        j = sph_jn_all(0 if self.proj is None else 1, k * self.rad)
+        V = (self.a * j[0]).astype(complex)
+        if self.proj is not None:
+            V.imag = -j[1] * self.proj
+        return V
 
 
 def representer_matrix(mics, r, k):
@@ -195,19 +200,13 @@ def extract_expansion(alpha, mics, origin, order, k):
     return CoefficientSet(order=order, origin=origin, coeffs=coeffs)
 
 
-def finite_kernel_matrix(mics, origin, order, k):
-    """Gram matrix of the finite-dimensional model, ``B B^H``.
+def finite_to_infinite_gap(mics, origin, order, k):
+    """Relative Frobenius gap between the truncated and exact Gram matrices.
 
-    ``K_finite[m1, m2] = sum_{n <= order} (F_{m1} p_n)(F_{m2} p_n)^*`` for
-    the spherical basis about `origin`; it converges to
-    :func:`kernel_matrix` as the truncation degree grows.
+    The finite-dimensional model's Gram matrix is ``B B^H`` for the
+    spherical basis about `origin` up to degree `order`; it converges to
+    :func:`kernel_matrix` as the degree grows.
     """
     B = build_observation_matrix(mics, SphericalBasis(order=order, origin=origin), k)
-    return B @ B.conj().T
-
-
-def finite_to_infinite_gap(mics, origin, order, k):
-    """Relative Frobenius gap between the truncated and exact Gram matrices."""
-    Kf = finite_kernel_matrix(mics, origin, order, k)
     Ki = kernel_matrix(mics, k)
-    return float(np.linalg.norm(Kf - Ki) / np.linalg.norm(Ki))
+    return float(np.linalg.norm(B @ B.conj().T - Ki) / np.linalg.norm(Ki))

@@ -290,6 +290,13 @@ def _array_from_dict(spec, estimator, directivity_a):
             _require_bm_model(estimator, spec.key_path("mount"), array.mount,
                               [(f"{mics_path}[{i}].kind", mic.kind)
                                for i, mic in enumerate(array.mics)])
+            # one sphere about the origin: radii within 1e-9 of their median, none 0
+            radii = np.linalg.norm(array.positions, axis=1)
+            median = np.median(radii)
+            for i, r in enumerate(radii):
+                if r == 0.0 or abs(r - median) > 1e-9 * median:
+                    raise ConfigError(f"{mics_path}[{i}].pos: {estimator} models mics on one "
+                                      f"sphere about the origin, not at radius {r:g}")
         if estimator == "BM-first":
             # it divides by one radial response: one omni weight, outward axes
             for i, mic in enumerate(array.mics):

@@ -7,10 +7,11 @@ A microphone is a linear functional of the sound field.  Supported kinds:
   ``F u = (i/k) y . grad u(r0)`` for unit axis ``y``.
 * ``first_order``: mixture ``F u = a u(r0) + (1-a) (i/k) y . grad u(r0)``.
 
-Every kind is equivalently described by directivity coefficients
-``d_{nu,mu}`` of degree at most 1 such that
-``F u = sum d_{nu,mu}^* u_{nu,mu}(r0)`` where ``u_{nu,mu}(r0)`` are the
-regular-expansion coefficients of the field about the microphone position.
+Every kind is ``F u = a u(r0) + (i/k) b . grad u(r0)`` with ``b = (1-a) y``
+(:func:`mic_functionals`), which gives free-field observations in closed
+form, or ``F u = sum d_{nu,mu}^* u_{nu,mu}(r0)`` with directivity coefficients
+of degree <= 1 (:func:`directivity_matrix`), ``u_{nu,mu}(r0)`` being the
+field's regular-expansion coefficients about the microphone position.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .specfun import degrees_orders, num_coeffs, sph_harm_matrix, sph_hn_all
-from .wavefuncs import singular_swf_matrix, translate_coeffs
+from .wavefuncs import green
 
 MIC_KINDS = ("omni", "bidirectional", "first_order")
 
@@ -55,31 +56,31 @@ class Microphone:
         """Degree of the directivity expansion (0 for omni, else 1)."""
         return 0 if self.kind == "omni" else 1
 
-    def directivity_coeffs(self):
-        """Directivity coefficients d_{nu,mu}, flat layout up to self.order."""
-        D, _ = directivity_matrix([self])
-        return D[0]
 
+def mic_functionals(mics):
+    """Every mic as ``F u = a u(r_m) + (i/k) b . grad u(r_m)``.
 
-def observe_coeffs(mic, cset, k):
-    """Apply the microphone functional to a field given as a coefficient set."""
-    local = translate_coeffs(cset, mic.pos, k, order_out=mic.order)
-    d = mic.directivity_coeffs()
-    return complex(d.conj() @ local.coeffs)
+    Returns ``(pos, a, b)`` of shapes (M, 3), (M,) and (M, 3): `a` is 1 for
+    an omni mic, 0 for a bidirectional one and the mic's own weight for a
+    first-order one, and ``b = (1 - a) y`` for axis y (0 for omni).
+    """
+    pos = np.array([mic.pos for mic in mics])
+    a = np.array([{"omni": 1.0, "bidirectional": 0.0}.get(mic.kind, mic.a) for mic in mics])
+    axes = np.array([np.zeros(3) if mic.kind == "omni" else mic.axis for mic in mics])
+    return pos, a, (1.0 - a)[:, None] * axes
 
 
 def directivity_matrix(mics):
     """Directivity coefficients of all mics, zero-padded to a common degree.
 
     Returns ``(D, order)`` with ``D[m]`` the flat coefficients of mic m up to
-    the largest microphone degree ``order``.  An omni mic has
-    ``d_{0,0} = 1``; a directional mic with axis y and omni weight a (0 when
-    bidirectional) has ``d_{0,0} = a`` and
-    ``d_{1,mu} = (1 - a) Yhat_{1,mu}(y)^* / 3``.
+    the largest microphone degree ``order``: ``d_{0,0} = a`` and, for a
+    directional mic with axis y, ``d_{1,mu} = (1 - a) Yhat_{1,mu}(y)^* / 3``
+    (`a` as in :func:`mic_functionals`).
     """
     order = max(mic.order for mic in mics)
     D = np.zeros((len(mics), num_coeffs(order)), dtype=complex)
-    a = np.array([{"omni": 1.0, "bidirectional": 0.0}.get(mic.kind, mic.a) for mic in mics])
+    _, a, _ = mic_functionals(mics)
     D[:, 0] = a
     directional = np.flatnonzero([mic.kind != "omni" for mic in mics])
     if directional.size:
@@ -91,27 +92,26 @@ def directivity_matrix(mics):
 def plane_wave_observations(mics, x_inc, k):
     """Exact observations of a unit plane wave arriving from direction x_inc.
 
-    Mic m observes ``gamma_m(x_inc)^* e^{-ik x_inc . r_m}`` with
-    ``gamma_m(x)^* = sum d_{m,nu,mu}^* Yhat_{nu,mu}(x)^*``; shape (M,).
+    The wave ``u = e^{-ik x_inc . r}`` has ``(i/k) grad u = x_inc u``, so mic m
+    observes ``(a_m + b_m . x_inc) e^{-ik x_inc . r_m}``; shape (M,).
     """
     x_inc = np.asarray(x_inc, dtype=float)
-    D, order = directivity_matrix(mics)
-    pos = np.array([mic.pos for mic in mics])
-    gamma = D.conj() @ sph_harm_matrix(order, x_inc).conj()
-    return gamma * np.exp(-1j * k * (pos @ x_inc))
+    pos, a, b = mic_functionals(mics)
+    return (a + b @ x_inc) * np.exp(-1j * k * (pos @ x_inc))
 
 
 def point_source_observations(mics, r_src, k):
     """Exact observations of a free-field point source at r_src; shape (M,).
 
-    Uses the partial-wave expansion of the Green's function about each
-    microphone position: the local regular coefficients are the singular
-    wave functions evaluated at ``r_src - r_m``.
+    With ``d = r_m - r_src``, the Green's function G has
+    ``(i/k) grad G = -(1 + i/(k|d|)) G d/|d|``, so mic m observes
+    ``G (a_m - (1 + i/(k|d|)) b_m . d/|d|)``.
     """
-    D, order = directivity_matrix(mics)
-    pos = np.array([mic.pos for mic in mics])
-    psi = singular_swf_matrix(order, np.asarray(r_src, float) - pos, k)
-    return np.einsum("mi,mi->m", D.conj(), psi)
+    pos, a, b = mic_functionals(mics)
+    d = pos - np.asarray(r_src, dtype=float)
+    dist = np.linalg.norm(d, axis=-1)
+    b_d = np.einsum("mi,mi->m", b, d) / dist
+    return green(pos, r_src, k) * (a - (1.0 + 1j / (k * dist)) * b_d)
 
 
 def observe_plane_wave(mic, x_inc, k):

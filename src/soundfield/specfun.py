@@ -234,11 +234,6 @@ def legendre_all(nmax, x):
     return p
 
 
-def legendre(n, x):
-    """Legendre polynomial P_n(x)."""
-    return _select(legendre_all, n, x)
-
-
 # ---------------------------------------------------------------------------
 # Spherical harmonics
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Solutions of the homogeneous/inhomogeneous Helmholtz equation and the
 algebra that connects them: free-field Green's function, plane waves,
-regular/singular spherical wave functions, expansion evaluation, translation
+regular/singular spherical wave functions, translation
 and rotation of expansion coefficients.
 
 A field ``u`` regular around an origin ``r0`` is represented by coefficients
@@ -23,7 +23,6 @@ import numpy as np
 from .specfun import (
     degrees_orders,
     flat_index,
-    legendre_all,
     num_coeffs,
     sph_harm_matrix,
     sph_hn_all,
@@ -130,11 +129,6 @@ class CoefficientSet:
                 f"expected {num_coeffs(self.order)} coefficients for order "
                 f"{self.order}, got {self.coeffs.size}"
             )
-
-    def evaluate(self, r, k):
-        """Evaluate the expansion at points `r` (shape (..., 3))."""
-        Phi = regular_swf_matrix(self.order, np.asarray(r) - self.origin, k)
-        return Phi @ self.coeffs
 
 
 def plane_wave_coeffs(order, x_inc, k, origin=(0.0, 0.0, 0.0)):
@@ -273,27 +267,3 @@ def rotate_coeffs(cset, rot):
         out[block] = D.conj().T @ cset.coeffs[block]
     return CoefficientSet(order=cset.order, origin=cset.origin, coeffs=out)
 
-
-# ---------------------------------------------------------------------------
-# Addition theorem
-# ---------------------------------------------------------------------------
-
-def green_partial_wave(r, r_src, k, order):
-    """Partial-wave expansion of the Green's function.
-
-    ``G(r; r_src) = sum_{nu,mu} psi_{nu,mu}(r_src) phi_{nu,mu}(r)`` valid for
-    ``|r| < |r_src|``; the sum over orders collapses to Legendre polynomials:
-
-    ``G = (ik/4pi) sum_nu (2nu+1) j_nu(k|r|) h_nu(k|r_src|) P_nu(cos angle)``.
-    """
-    r = np.asarray(r, dtype=float)
-    r_src = np.asarray(r_src, dtype=float)
-    rad, dirs = _radial_dirs(r)
-    rs = float(np.linalg.norm(r_src))
-    ds = r_src / rs
-    cosang = np.clip(dirs @ ds, -1.0, 1.0)
-    nu = np.arange(order + 1).reshape((order + 1,) + (1,) * rad.ndim)
-    hs = sph_hn_all(order, k * rs).reshape(nu.shape)
-    out = np.sum((2 * nu + 1) * sph_jn_all(order, k * rad) * hs
-                 * legendre_all(order, cosang), axis=0)
-    return (1j * k / (4.0 * np.pi)) * out

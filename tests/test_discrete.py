@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from soundfield import discrete, observation
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 from soundfield.discrete import (
@@ -11,14 +12,27 @@ from soundfield.discrete import (
     SphericalBasis,
     build_observation_matrix,
     extract_expansion,
-    finite_kernel_matrix,
     finite_to_infinite_gap,
     kernel_matrix,
     representer_matrix,
     solve_kernel,
     solve_tikhonov,
 )
-from soundfield.observation import Microphone, observe_coeffs, plane_wave_observations
+from soundfield.observation import (
+    Microphone,
+    mic_functionals,
+    plane_wave_observations,
+    point_source_observations,
+)
+
+from oracles import (
+    directivity_coeffs,
+    evaluate,
+    harmonic_representers,
+    mixed_mics,
+    observe_coeffs,
+    translation_kernel_matrix,
+)
 
 
 def _random_mics(rng, m, kinds=("omni", "bidirectional", "first_order")):
@@ -61,7 +75,7 @@ def test_observation_matrix_rows_are_single_translations(rng):
     B = build_observation_matrix(mics, basis, k)
     for m, mic in enumerate(mics):
         T = wf.translation_matrix(mic.pos - basis.origin, k, mic.order, basis.order)
-        row = mic.directivity_coeffs().conj() @ T
+        row = directivity_coeffs(mic).conj() @ T
         assert np.max(np.abs(B[m] - row)) <= 1e-13
 
 
@@ -135,14 +149,12 @@ def test_omni_kernel_is_sinc():
 
 
 def test_omni_equals_generic_kernel_ridge():
-    # Fast omni path vs the generic directional construction, bit-level
+    # The closed-form Gram matrix of omni mics is j0(k |r - r'|) itself, so
+    # it and the kernel ridge weights match a direct sinc evaluation.
     rng = np.random.default_rng(4)
     k = 5.0
     omni = [Microphone(pos=0.3 * rng.normal(size=3), kind="omni") for _ in range(8)]
     K_fast = kernel_matrix(omni, k)
-    # build via the generic translation-operator route by marking a mic list
-    # that defeats the all-omni fast path detection order: compare against
-    # an explicit j0 evaluation instead
     s = rng.normal(size=8) + 1j * rng.normal(size=8)
     a1 = solve_kernel(K_fast, s, 1e-3)
     D = np.linalg.norm(
@@ -170,31 +182,109 @@ def test_kernel_block_equals_column_solves(rng, weighted):
         assert np.max(np.abs(A[:, t] - col)) <= 1e-12 * np.max(np.abs(col))
 
 
-def _representers_per_mic(mics, pts, k):
-    """Reference: column m is mic m's regular wave functions times its d."""
-    return np.stack([
-        wf.regular_swf_matrix(mic.order, pts - mic.pos, k) @ mic.directivity_coeffs()
-        for mic in mics
-    ], axis=-1)
-
-
 def test_factored_representers_match_per_mic_reference(rng):
-    # Mixed omni/first-order mics, more mics than one block, and evaluation
-    # points that include a mic position (the r = 0 row).
+    # Mixed omni/first-order mics and evaluation points that include a mic
+    # position (the r = 0 row).
     mics = _random_mics(rng, 19, kinds=("omni", "first_order"))
     pts = np.vstack([0.5 * rng.normal(size=(40, 3)), mics[0].pos, mics[1].pos])
     rep = Representers(mics, pts)
     for k in (0.5, 3.0, 9.0):
-        ref = _representers_per_mic(mics, pts, k)
+        ref = harmonic_representers(mics, pts, k)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(rep.matrix(k) - ref)) <= 1e-13 * scale
         assert np.max(np.abs(representer_matrix(mics, pts, k) - ref)) <= 1e-13 * scale
     # At its own position a representer is phi_{0,0}(0) d_{0,0} = d_{0,0}.
     V = rep.matrix(3.0)
-    assert V[-2, 0] == mics[0].directivity_coeffs()[0]
-    assert V[-1, 1] == mics[1].directivity_coeffs()[0]
+    assert V[-2, 0] == directivity_coeffs(mics[0])[0]
+    assert V[-1, 1] == directivity_coeffs(mics[1])[0]
     grid = pts[:12].reshape(3, 4, 3)
     assert representer_matrix(mics, grid, 2.0).shape == (3, 4, len(mics))
+
+
+# ---------------------------------------------------------------------------
+# Closed forms against the translation and harmonic routes
+# ---------------------------------------------------------------------------
+
+def _rel_gap(x, ref):
+    return np.max(np.abs(x - ref)) / np.max(np.abs(ref))
+
+
+# Mixed kinds, each mic with its own a and a tilted axis: with one a and
+# outward axes on a sphere, the value-gradient cross terms cancel and go
+# unchecked.  Bidirectional mics alone (a = 0) leave only the gradient terms.
+KIND_LISTS = [("omni", "bidirectional", "first_order"), ("bidirectional",)]
+
+
+@pytest.mark.parametrize("kinds", KIND_LISTS)
+@pytest.mark.parametrize("k", [0.5, 3.0, 9.0])
+def test_kernel_matrix_matches_translation_oracle(rng, k, kinds):
+    mics = mixed_mics(rng, 12, kinds)
+    assert _rel_gap(kernel_matrix(mics, k), translation_kernel_matrix(mics, k)) <= 1e-13
+
+
+@pytest.mark.parametrize("kinds", KIND_LISTS)
+@pytest.mark.parametrize("k", [0.5, 3.0, 9.0])
+def test_representers_match_harmonic_oracle(rng, k, kinds):
+    mics = mixed_mics(rng, 12, kinds)
+    pts = 0.5 * rng.normal(size=(40, 3))
+    V = Representers(mics, pts).matrix(k)
+    assert _rel_gap(V, harmonic_representers(mics, pts, k)) <= 1e-13
+
+
+def test_closed_forms_at_coincident_points(rng):
+    # rho = 0: the Gram diagonal, two mics at one position, and each
+    # representer at its own mic.
+    k = 2.0
+    mics = mixed_mics(rng, 6)
+    mics.append(Microphone(pos=mics[1].pos, kind="first_order", axis=rng.normal(size=3),
+                           a=0.3))
+    _, a, b = mic_functionals(mics)
+    K = kernel_matrix(mics, k)
+    assert np.diag(K) == pytest.approx(a**2 + np.sum(b * b, axis=1) / 3, rel=1e-14)
+    assert _rel_gap(K, translation_kernel_matrix(mics, k)) <= 1e-13
+    pts = np.array([m.pos for m in mics])
+    V = representer_matrix(mics, pts, k)
+    assert np.array_equal(np.diag(V), a)
+    assert V[1, 6] == a[6] and V[6, 1] == a[1]
+    assert _rel_gap(V, harmonic_representers(mics, pts, k)) <= 1e-13
+
+
+@pytest.mark.parametrize("x", [1e-12, 1e-6, 1e-3])
+def test_closed_forms_at_small_k_rho(rng, x):
+    # Mic pairs and evaluation points at k rho = x, where the Gram matrix
+    # takes j1(x)/x as (j0 + j2)/3.
+    k = 3.0
+    mics = mixed_mics(rng, 6)
+    u = rng.normal(size=(6, 3))
+    shift = (x / k) * u / np.linalg.norm(u, axis=1, keepdims=True)
+    near = mixed_mics(rng, 6)
+    for m, mic in enumerate(near):
+        mic.pos = mics[m].pos + shift[m]
+    mics += near
+    assert _rel_gap(kernel_matrix(mics, k), translation_kernel_matrix(mics, k)) <= 1e-13
+    pts = np.array([m.pos for m in mics[:6]]) - shift
+    V = Representers(mics, pts).matrix(k)
+    assert _rel_gap(V, harmonic_representers(mics, pts, k)) <= 1e-13
+
+
+def test_closed_forms_use_no_harmonics(rng, monkeypatch):
+    # Degree <= 1 mics need neither harmonics nor translation operators.
+    def refuse(*args, **kwargs):
+        raise AssertionError("harmonic route taken")
+
+    for module in (sf, wf, observation, discrete):
+        for name in ("sph_harm_matrix", "swf_angular", "regular_swf_matrix",
+                     "singular_swf_matrix", "translation_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    k = 3.0
+    mics = mixed_mics(rng, 6)
+    pts = 0.5 * rng.normal(size=(10, 3))
+    kernel_matrix(mics, k)
+    Representers(mics, pts).matrix(k)
+    plane_wave_observations(mics, np.array([0.0, 0.6, 0.8]), k)
+    point_source_observations(mics, np.array([1.5, -1.0, 0.5]), k)
+    build_observation_matrix(mics, PlaneWaveBasis(dirs=np.eye(3), origin=np.zeros(3)), k)
 
 
 def test_kernel_matrix_hermitian_psd(rng):
@@ -250,8 +340,10 @@ def test_finite_kernel_matrix_definition(rng):
     order = 6
     basis = SphericalBasis(order=order, origin=np.zeros(3))
     B = build_observation_matrix(mics, basis, k)
-    K = finite_kernel_matrix(mics, np.zeros(3), order, k)
-    assert np.max(np.abs(K - B @ B.conj().T)) <= 1e-12 * np.max(np.abs(K))
+    Ki = kernel_matrix(mics, k)
+    want = np.linalg.norm(B @ B.conj().T - Ki) / np.linalg.norm(Ki)
+    assert finite_to_infinite_gap(mics, np.zeros(3), order, k) == pytest.approx(
+        want, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +360,7 @@ def test_extract_expansion_matches_kernel_eval(rng):
     order = int(np.ceil(k * 0.2)) + 8
     cset = extract_expansion(alpha, mics, origin, order, k)
     pts = origin + 0.2 * rng.normal(size=(15, 3)) / 3
-    a = cset.evaluate(pts, k)
+    a = evaluate(cset, pts, k)
     b = representer_matrix(mics, pts, k) @ alpha
     assert np.max(np.abs(a - b)) <= 1e-8 * max(1.0, np.max(np.abs(b)))
 
@@ -283,7 +375,7 @@ def test_extract_expansion_sums_translated_representers(rng):
     expected = np.zeros(sf.num_coeffs(order), dtype=complex)
     for a, mic in zip(alpha, mics):
         rep = wf.CoefficientSet(
-            order=mic.order, origin=mic.pos, coeffs=mic.directivity_coeffs()
+            order=mic.order, origin=mic.pos, coeffs=directivity_coeffs(mic)
         )
         expected += a * wf.translate_coeffs(rep, origin, k, order_out=order).coeffs
     assert np.max(np.abs(cset.coeffs - expected)) <= 1e-13 * np.max(np.abs(expected))

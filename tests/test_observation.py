@@ -10,13 +10,20 @@ from soundfield.observation import (
     add_noise,
     directivity_matrix,
     load_t_design,
-    observe_coeffs,
     observe_plane_wave,
     observe_point_source,
     plane_wave_observations,
     point_source_observations,
     rigid_sphere_observation,
     spherical_array,
+)
+
+from oracles import (
+    directivity_coeffs,
+    harmonic_plane_wave_observations,
+    harmonic_point_source_observations,
+    mixed_mics,
+    observe_coeffs,
 )
 
 
@@ -99,6 +106,24 @@ def test_observe_coeffs_matches_plane_wave():
     )
 
 
+@pytest.mark.parametrize("kinds", [("omni", "bidirectional", "first_order"),
+                                   ("bidirectional",)])
+def test_closed_form_observations_match_harmonic_route(kinds):
+    # Tilted axes and one a per mic, against the directivity-coefficient
+    # route: Yhat^* for a plane wave, singular wave functions for a source.
+    rng = np.random.default_rng(8)
+    mics = mixed_mics(rng, 12, kinds=kinds)
+    src = np.array([1.3, -0.8, 0.6])
+    for k in (0.5, 3.0, 9.0):
+        x = _unit(rng.normal(size=3))
+        pw = harmonic_plane_wave_observations(mics, x, k)
+        ps = harmonic_point_source_observations(mics, src, k)
+        assert np.max(np.abs(plane_wave_observations(mics, x, k) - pw)) <= 1e-14 * np.max(
+            np.abs(pw))
+        assert np.max(np.abs(point_source_observations(mics, src, k) - ps)) <= 1e-14 * np.max(
+            np.abs(ps))
+
+
 # ---------------------------------------------------------------------------
 # Rigid-sphere observation
 # ---------------------------------------------------------------------------
@@ -124,7 +149,7 @@ def test_array_observations_match_per_mic():
     D, order = directivity_matrix(mics)
     assert order == 1
     for m, mic in enumerate(mics):
-        d = mic.directivity_coeffs()
+        d = directivity_coeffs(mic)
         assert np.array_equal(D[m, : d.size], d) and not D[m, d.size:].any()
 
 

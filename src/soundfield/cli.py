@@ -13,7 +13,11 @@ Exit codes: 0 on success, 2 on configuration validation failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
+import functools
 import json
+import os
 import sys
 
 from .boundary import forbidden_frequencies
@@ -131,13 +135,85 @@ def build_parser():
     return p
 
 
+@functools.cache
+def _openblas_thread_controls():
+    """(get, set, stop) functions of each OpenBLAS loaded in this process.
+
+    get and set are the thread-count functions; stop is the library's
+    `blas_thread_shutdown_`, which ends its worker threads, or None unless
+    the library exports it and runs its own thread pool (not OpenMP).  Empty
+    where /proc/self/maps is missing (not Linux) or no OpenBLAS exports get
+    and set.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("openblas_{}_num_threads", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "scipy_openblas_{}_num_threads64_"):
+            get = getattr(lib, name.format("get"), None)
+            put = getattr(lib, name.format("set"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                parallel = getattr(lib, name.format("get").replace("num_threads", "parallel"), None)
+                stop = getattr(lib, "blas_thread_shutdown_", None)
+                if parallel is None or parallel() != 1:  # 1: pthreads pool
+                    stop = None
+                elif stop is not None:
+                    stop.argtypes, stop.restype = [], ctypes.c_int
+                controls.append((get, put, stop))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _single_threaded_blas():
+    """Run OpenBLAS on one thread inside the block, then restore each old count.
+
+    The CLI's matrices are small (at most a few thousand by 64), where a second
+    BLAS thread spins and saves no time.  A user's OPENBLAS_NUM_THREADS or
+    OMP_NUM_THREADS wins.
+
+    An idle OpenBLAS worker busy-waits for about 2**28 clock cycles (0.1 s
+    on a 2-core x86-64 VM) after it starts or finishes a job, and a lower
+    thread count does not stop it.  So the workers are also shut down before
+    the block, and again after the old count is set back, since setting a
+    count starts them; OpenBLAS starts them on its next threaded call, as it
+    does after a fork.
+    """
+    user_set = "OPENBLAS_NUM_THREADS" in os.environ or "OMP_NUM_THREADS" in os.environ
+    controls = () if user_set else _openblas_thread_controls()
+    old = [get() for get, _, _ in controls]
+    for _, put, stop in controls:
+        put(1)
+        if stop is not None:
+            stop()
+    try:
+        yield
+    finally:
+        for (_, put, stop), n in zip(controls, old):
+            put(n)
+            if stop is not None:
+                stop()
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    with _single_threaded_blas():
+        try:
+            return args.func(args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -230,18 +230,19 @@ class ScenarioConfig:
 
         fs = _field_spec(
             top.get("field", {"type": "plane_wave", "direction": [1.0, 0.0, 0.0]}),
-            kwargs["eval_radius"])
+            kwargs["eval_radius"], array.positions)
         top.close()
         return cls(
             estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs,
         )
 
 
-def _field_spec(obj, eval_radius):
+def _field_spec(obj, eval_radius, mic_positions):
     """The checked `field` spec.
 
-    A point source must lie outside the evaluation ball: the interior model
-    assumes a source-free region.
+    A point source must lie outside the evaluation ball, since the interior
+    model assumes a source-free region, and off every mic, where its field
+    is infinite.
     """
     spec = _ConfigObject(obj, "field")
     kind = spec.get("type")
@@ -253,6 +254,12 @@ def _field_spec(obj, eval_radius):
             raise ConfigError(
                 f"field.position: must lie outside eval_grid.radius ({eval_radius:g} m); "
                 "the region must be source-free")
+        tol = 1e-9 * max(1.0, float(np.linalg.norm(pos)))
+        hits = np.flatnonzero(np.linalg.norm(mic_positions - pos, axis=1) <= tol)
+        if hits.size:
+            raise ConfigError(
+                f"field.position: must lie away from every mic, not within {tol:g} m "
+                f"of mic {hits[0]}; the field is infinite there")
     else:
         raise ConfigError("field.type: must be 'plane_wave' or 'point_source'")
     spec.close()

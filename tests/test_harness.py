@@ -496,6 +496,16 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
          "array.mics: must be a non-empty list"),
         ("sweep", _base_config(array={"mount": "open", "radius": 0, "mics": [
             {"pos": [0.5, 0, 0]}]}), "array.radius: must be a positive number"),
+        # a point source on a mic, exactly or within 1e-9 |position|
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [2, 0, 0]}, {"pos": [0, 0.5, 0]}, {"pos": [0, 0, 0.5]}]},
+            field={"type": "point_source", "position": [2, 0, 0]}),
+         "field.position: must lie away from every mic, not within 2e-09 m of mic 0"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "radius": 2.0},
+                               field={"type": "point_source",
+                                      "position": [float(v) * 2.0 + 1e-9
+                                                   for v in load_t_design(5)[3]]}),
+         "field.position: must lie away from every mic, not within 2e-09 m of mic 3"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):

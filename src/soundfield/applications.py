@@ -141,12 +141,6 @@ def wpm_drive(G, u_des, eta, W):
 # Spatial ANC, frequency domain
 # ---------------------------------------------------------------------------
 
-def anc_cost(e, A):
-    """Regional noise power estimate e^H A e (real part)."""
-    e = np.asarray(e, dtype=complex).reshape(-1)
-    return float(np.real(e.conj() @ np.asarray(A, dtype=complex) @ e))
-
-
 def anc_error(W, G, d, x):
     """Error-microphone signals e = d + G W x."""
     y = np.asarray(W, dtype=complex) @ np.asarray(x, dtype=complex)

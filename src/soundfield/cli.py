@@ -22,8 +22,13 @@ import sys
 
 from .boundary import forbidden_frequencies
 from .harness import (
+    _COUNT,
+    _NON_NEGATIVE,
+    _NUMBER,
+    _POSITIVE,
     ConfigError,
     ScenarioConfig,
+    _checked,
     anc_experiment,
     dump_field,
     run_sweep,
@@ -57,7 +62,16 @@ def cmd_sweep(args):
     return 0
 
 
+def _check_flags(args, rules):
+    """Check each flag by its rule as a config value is checked; argparse has
+    already made it an int or a float."""
+    for flag, rule in rules.items():
+        _checked(f"--{flag}", getattr(args, flag), rule)
+
+
 def cmd_field(args):
+    _check_flags(args, {"freq": _POSITIVE, "spacing": _POSITIVE, "extent": _NON_NEGATIVE,
+                        "offset": _NUMBER, "trial": _COUNT})
     cfg = ScenarioConfig.from_dict(_read_json(args.config))
     text = dump_field(
         cfg, args.freq, plane=args.plane, extent=args.extent,
@@ -69,8 +83,8 @@ def cmd_field(args):
 
 
 def cmd_forbidden(args):
-    if args.radius <= 0 or args.c <= 0 or args.fmax <= 0 or args.numax < 0:
-        raise ConfigError("radius, c and fmax must be positive; numax non-negative")
+    _check_flags(args, {"radius": _POSITIVE, "c": _POSITIVE, "fmax": _POSITIVE,
+                        "numax": _COUNT})
     pairs = forbidden_frequencies(args.radius, args.c, args.numax, args.fmax)
     lines = ["frequency_hz,degree"]
     for f, nu in pairs:

@@ -10,7 +10,7 @@ Two regularized least-squares estimators are provided:
 * Infinite-dimensional: kernel ridge regression in the native space of
   interior fields with the kernel ``j0(k |r - r'|)``.  Every mic is
   ``F u = a u(r_m) + (i/k) b . grad u(r_m)`` (see
-  :func:`~soundfield.observation.mic_functionals`), so its representer and
+  :class:`~soundfield.observation.Mics`), so its representer and
   the Gram matrix are closed forms in j0, j1 and j2 of ``k |r - r_m|``
   (the kernel of Ueno, Koyama & Saruwatari, IEEE SPL 2018, at degree <= 1).
 """
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .observation import directivity_matrix, mic_functionals
+from .observation import directivity_matrix
 from .specfun import sph_jn_all
 from .wavefuncs import CoefficientSet, regular_swf_matrix, translation_matrix
 
@@ -71,12 +71,10 @@ def build_observation_matrix(mics, basis, k):
     as in :func:`~soundfield.observation.plane_wave_observations`.
     """
     if isinstance(basis, PlaneWaveBasis):
-        pos, a, b = mic_functionals(mics)
-        pickup = a[:, None] + b @ basis.dirs.T
-        return pickup * np.exp(-1j * k * (pos - basis.origin) @ basis.dirs.T)
+        pickup = mics.a[:, None] + mics.b @ basis.dirs.T
+        return pickup * np.exp(-1j * k * (mics.pos - basis.origin) @ basis.dirs.T)
     D, order = directivity_matrix(mics)
-    pos = np.array([mic.pos for mic in mics])
-    T = translation_matrix(pos - basis.origin, k, order, basis.order)
+    T = translation_matrix(mics.pos - basis.origin, k, order, basis.order)
     return np.einsum("mi,min->mn", D.conj(), T)
 
 
@@ -124,7 +122,7 @@ def kernel_matrix(mics, k):
     at x = 0 too.  The Bessel functions go up to twice the largest mic
     degree: for omni mics K is ``j0(k |rho|)`` alone.
     """
-    pos, a, b = mic_functionals(mics)
+    pos, a, b = mics.pos, mics.a, mics.b
     rho = pos[:, None, :] - pos[None, :, :]
     dist = np.linalg.norm(rho, axis=-1)
     j = sph_jn_all(2 if b.any() else 0, k * dist)
@@ -162,7 +160,7 @@ class Representers:
     """
 
     def __init__(self, mics, r):
-        pos, self.a, b = mic_functionals(mics)
+        pos, self.a, b = mics.pos, mics.a, mics.b
         r = np.asarray(r, dtype=float)
         # Coordinate by coordinate, so that no (..., M, 3) array is built;
         # the sum rounds as np.linalg.norm of the differences does.
@@ -194,8 +192,7 @@ def extract_expansion(alpha, mics, origin, order, k):
     ``sum_m alpha_m T(origin - r_m) d_m`` truncated at the requested degree.
     """
     D, mic_order = directivity_matrix(mics)
-    pos = np.array([mic.pos for mic in mics])
-    T = translation_matrix(np.asarray(origin, float) - pos, k, order, mic_order)
+    T = translation_matrix(np.asarray(origin, float) - mics.pos, k, order, mic_order)
     coeffs = np.einsum("m,mni,mi->n", np.asarray(alpha, dtype=complex), T, D)
     return CoefficientSet(order=order, origin=origin, coeffs=coeffs)
 

@@ -28,7 +28,7 @@ from .observation import (
     MIC_KINDS,
     T_DESIGNS,
     ArrayConfig,
-    Microphone,
+    Mics,
     add_noise,
     noise_std,
     plane_wave_observations,
@@ -147,14 +147,18 @@ def _field(obj, key, default, rule, integer=False):
 
 
 def _vector_field(obj, key, default, nonzero=False):
-    """obj[key], or `default` when absent, as a (3,) float array."""
+    """obj[key], or `default` when absent, as a (3,) float array.
+
+    With `nonzero`, its squared norm must be above 0 and finite, so that it
+    can be normalised.
+    """
     path = obj.key_path(key)
     value = obj.get(key, default)
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{path}: must be a list of 3 numbers")
     for i, v in enumerate(value):
         _checked(f"{path}[{i}]", v, _NUMBER)
-    if nonzero and not any(value):
+    if nonzero and not 0.0 < sum(float(v) * float(v) for v in value) < math.inf:
         raise ConfigError(f"{path}: must be a nonzero 3-vector")
     return np.asarray(value, dtype=float)
 
@@ -219,18 +223,11 @@ class ScenarioConfig:
         kwargs["eval_spacing"] = _field(grid, "spacing", 0.1, _POSITIVE)
         grid.close()
 
-        arr = _ConfigObject(need("array"), "array")
-        try:
-            array = _array_from_dict(
-                arr, estimator, kwargs.get("directivity_a", cls.directivity_a))
-        except ConfigError:
-            raise
-        except ValueError as exc:
-            raise ConfigError(f"array: {exc}") from exc
-
+        array = _array_from_dict(_ConfigObject(need("array"), "array"), estimator,
+                                 kwargs.get("directivity_a", cls.directivity_a))
         fs = _field_spec(
             top.get("field", {"type": "plane_wave", "direction": [1.0, 0.0, 0.0]}),
-            kwargs["eval_radius"], array.positions)
+            kwargs["eval_radius"], array.mics.pos)
         top.close()
         return cls(
             estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs,
@@ -274,15 +271,29 @@ _BM_MODELS = {"BM-omni": ("omni", "open", "omni"),
               "BM-rigid": ("omni", "rigid", "rigid")}
 
 
-def _require_bm_model(estimator, mount_path, mount, kinds):
-    """Reject an array that boundary estimator `estimator` does not model.
+def _require_kind(model, model_kind, kinds, kind_path):
+    """Reject the first of the mic `kinds` (an array) that `model` does not
+    model; `kind_path(i)` is the field path of entry i."""
+    bad = np.flatnonzero(kinds != model_kind)
+    if bad.size:
+        raise ConfigError(f"{kind_path(bad[0])}: {model} models {model_kind} mics only, "
+                          f"not {str(kinds[bad[0]])!r}")
 
-    `kinds` lists ``(field path, mic kind)`` for the array's mics.
-    """
+
+def _require_sphere(model, mics_path, pos, radius, tol):
+    """Reject the first mic at the origin or off the sphere of `radius`
+    (within `tol`) about it."""
+    radii = np.linalg.norm(pos, axis=1)
+    bad = np.flatnonzero((radii == 0.0) | (np.abs(radii - radius) > tol))
+    if bad.size:
+        raise ConfigError(f"{mics_path}[{bad[0]}].pos: {model} models mics on one sphere "
+                          f"about the origin, not at radius {radii[bad[0]]:g}")
+
+
+def _require_bm_model(estimator, mount_path, mount, kinds, kind_path):
+    """Reject an array that boundary estimator `estimator` does not model."""
     model_kind, model_mount, _ = _BM_MODELS[estimator]
-    for path, kind in kinds:
-        if kind != model_kind:
-            raise ConfigError(f"{path}: {estimator} models {model_kind} mics only, not {kind!r}")
+    _require_kind(estimator, model_kind, kinds, kind_path)
     if mount != model_mount:
         raise ConfigError(f"{mount_path}: {estimator} models the {model_mount} mount only, "
                           f"not {mount!r}")
@@ -291,30 +302,29 @@ def _require_bm_model(estimator, mount_path, mount, kinds):
 def _array_from_dict(spec, estimator, directivity_a):
     """Build an ArrayConfig from its explicit mic list or a spherical-design spec."""
     if "mics" in spec:
-        array = _explicit_array(spec)
+        array, kinds = _explicit_array(spec)
         mics_path = spec.key_path("mics")
         if estimator in _BM_MODELS:
-            _require_bm_model(estimator, spec.key_path("mount"), array.mount,
-                              [(f"{mics_path}[{i}].kind", mic.kind)
-                               for i, mic in enumerate(array.mics)])
-            # one sphere about the origin: radii within 1e-9 of their median, none 0
-            radii = np.linalg.norm(array.positions, axis=1)
-            median = np.median(radii)
-            for i, r in enumerate(radii):
-                if r == 0.0 or abs(r - median) > 1e-9 * median:
-                    raise ConfigError(f"{mics_path}[{i}].pos: {estimator} models mics on one "
-                                      f"sphere about the origin, not at radius {r:g}")
+            _require_bm_model(estimator, spec.key_path("mount"), array.mount, kinds,
+                              lambda i: f"{mics_path}[{i}].kind")
+            # one sphere about the origin: radii within 1e-9 of their median
+            median = np.median(np.linalg.norm(array.mics.pos, axis=1))
+            _require_sphere(estimator, mics_path, array.mics.pos, median, 1e-9 * median)
         if estimator == "BM-first":
             # it divides by one radial response: one omni weight, outward axes
-            for i, mic in enumerate(array.mics):
-                if mic.a != array.mics[0].a:
-                    raise ConfigError(f"{mics_path}[{i}].a: BM-first models one a on all mics")
-                outward = mic.pos / np.linalg.norm(mic.pos)
-                if not np.allclose(mic.axis, outward, rtol=0.0, atol=1e-9):
-                    raise ConfigError(f"{mics_path}[{i}].y: BM-first models outward axes only")
+            mics = array.mics
+            outward = mics.pos / np.linalg.norm(mics.pos, axis=1)[:, None]
+            bad_a = mics.a != mics.a[0]
+            bad = np.flatnonzero(bad_a | np.any(np.abs(mics.axes - outward) > 1e-9, axis=1))
+            if bad.size:
+                i = bad[0]
+                raise ConfigError(f"{mics_path}[{i}].a: BM-first models one a on all mics"
+                                  if bad_a[i] else
+                                  f"{mics_path}[{i}].y: BM-first models outward axes only")
         return array
     if spec.get("type") != "spherical":
-        raise ValueError("must contain 'mics' or be {'type': 'spherical', ...}")
+        raise ConfigError(f"{spec.path}: must contain 'mics' or be "
+                          "{'type': 'spherical', ...}")
     t = _field(spec, "t", 7, _T_DESIGN, integer=True)
     radius = _field(spec, "radius", 1.0, _POSITIVE)
     kind = _choice(spec, "kind", "first_order" if estimator == "BM-first" else "omni",
@@ -323,34 +333,49 @@ def _array_from_dict(spec, estimator, directivity_a):
     spec.close()
     if estimator == "BM-rigid":
         mount = "rigid"
+    kinds, kind_path = np.array([kind]), lambda i: spec.key_path("kind")
     if estimator in _BM_MODELS:
-        _require_bm_model(estimator, spec.key_path("mount"), mount,
-                          [(spec.key_path("kind"), kind)])
-    a = directivity_a if kind == "first_order" else None
-    return spherical_array(t, radius, mount=mount, kind=kind, a=a)
+        _require_bm_model(estimator, spec.key_path("mount"), mount, kinds, kind_path)
+    if mount == "rigid":
+        _require_kind("the rigid mount", "omni", kinds, kind_path)
+    return spherical_array(t, radius, mount=mount, kind=kind, a=directivity_a)
 
 
 def _explicit_array(spec):
-    """The `{"mount", "mics", "radius"}` form of an array, checked key by key."""
+    """The `{"mount", "mics", "radius"}` form of an array, checked key by key.
+
+    Returns the ArrayConfig and the mic kinds.  A mic gives `y` exactly when
+    its kind is directional and `a` exactly when it is first-order.
+    """
     mount = _choice(spec, "mount", None, _MOUNTS)
     radius = _field(spec, "radius", None, _POSITIVE) if "radius" in spec else None
+    mics_path = spec.key_path("mics")
     entries = spec.get("mics")
     if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{spec.key_path('mics')}: must be a non-empty list of mic objects")
-    mics = []
+        raise ConfigError(f"{mics_path}: must be a non-empty list of mic objects")
+    pos, kinds, axes, weights = [], [], [], []
     for i, entry in enumerate(entries):
-        mic = _ConfigObject(entry, f"{spec.key_path('mics')}[{i}]")
-        pos = _vector_field(mic, "pos", None)
+        mic = _ConfigObject(entry, f"{mics_path}[{i}]")
+        pos.append(_vector_field(mic, "pos", None))
         kind = _choice(mic, "kind", "omni", MIC_KINDS)
-        axis = _vector_field(mic, "y", None, nonzero=True) if "y" in mic else None
-        a = _field(mic, "a", None, _UNIT_INTERVAL) if "a" in mic else None
+        takes = {"y": kind != "omni", "a": kind == "first_order"}
+        for key, wanted in takes.items():
+            if (key in mic) != wanted:
+                raise ConfigError(f"{mic.key_path(key)}: " + (
+                    "required" if wanted else "not taken") + f" by {kind} mics")
+        kinds.append(kind)
+        axes.append(_vector_field(mic, "y", None, nonzero=True) if takes["y"] else np.zeros(3))
+        weights.append(_field(mic, "a", None, _UNIT_INTERVAL) if takes["a"] else None)
         mic.close()
-        try:
-            mics.append(Microphone(pos=pos, kind=kind, axis=axis, a=a))
-        except ValueError as exc:
-            raise ConfigError(f"{mic.path}: {exc}") from exc
     spec.close()
-    return ArrayConfig(mount=mount, mics=mics, radius=radius)
+    kinds = np.array(kinds)
+    if mount == "rigid":
+        if radius is None:
+            raise ConfigError(f"{spec.key_path('radius')}: required for the rigid mount")
+        _require_kind("the rigid mount", "omni", kinds, lambda i: f"{mics_path}[{i}].kind")
+        _require_sphere("the rigid mount", mics_path, np.array(pos), radius,
+                        1e-9 * max(1.0, radius))
+    return ArrayConfig(mount=mount, mics=Mics(pos, kinds, axes, weights), radius=radius), kinds
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +417,7 @@ def observe_field(array, field_spec, k, mic_harmonics=None):
     if array.mount == "rigid":
         order = _rigid_truth_order(array, k)
         truth = _truth_coeffs(field_spec, order, k)
-        dirs = array.positions / array.radius
+        dirs = array.mics.pos / array.radius
         return rigid_sphere_observation(
             truth.coeffs, order, dirs, k, array.radius, harmonics=mic_harmonics)
     if field_spec["type"] == "plane_wave":
@@ -421,7 +446,7 @@ class Estimator:
         # estimator): a bound one would be a reference cycle that keeps the
         # grid harmonics until a gc pass.
         if self.model:
-            pos = cfg.array.positions
+            pos = cfg.array.mics.pos
             norms = np.linalg.norm(pos, axis=1)
             self.order = cfg.order
             self.radius = float(np.mean(norms))
@@ -441,7 +466,7 @@ class Estimator:
         the mics' own omni weight; None for the DM estimators."""
         if self.model:
             return radial_response(self.model[2], self.order, k * self.radius,
-                                   a=self.cfg.array.mics[0].a)
+                                   a=self.cfg.array.mics.a[0])
         return None
 
     def _expansion(self, k):
@@ -531,7 +556,7 @@ def run_sweep(cfg):
     mic_harmonics = None
     if cfg.array.mount == "rigid":
         mic_harmonics = sph_harm_matrix(
-            _rigid_truth_order(cfg.array, max(ks)), cfg.array.positions / cfg.array.radius)
+            _rigid_truth_order(cfg.array, max(ks)), cfg.array.mics.pos / cfg.array.radius)
     trials = range(cfg.trials)
     noise = np.stack([
         unit_noise(len(cfg.array.mics), np.random.default_rng(cfg.seed + t)) for t in trials

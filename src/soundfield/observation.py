@@ -1,4 +1,4 @@
-"""Microphone observation models and array configurations.
+"""Mic observation models and array configurations.
 
 A microphone is a linear functional of the sound field.  Supported kinds:
 
@@ -8,8 +8,9 @@ A microphone is a linear functional of the sound field.  Supported kinds:
 * ``first_order``: mixture ``F u = a u(r0) + (1-a) (i/k) y . grad u(r0)``.
 
 Every kind is ``F u = a u(r0) + (i/k) b . grad u(r0)`` with ``b = (1-a) y``
-(:func:`mic_functionals`), which gives free-field observations in closed
-form, or ``F u = sum d_{nu,mu}^* u_{nu,mu}(r0)`` with directivity coefficients
+(an array's ``(pos, a, b)`` are the arrays of :class:`Mics`), which gives
+free-field observations in closed form, or
+``F u = sum d_{nu,mu}^* u_{nu,mu}(r0)`` with directivity coefficients
 of degree <= 1 (:func:`directivity_matrix`), ``u_{nu,mu}(r0)`` being the
 field's regular-expansion coefficients about the microphone position.
 """
@@ -28,64 +29,64 @@ from .wavefuncs import green
 MIC_KINDS = ("omni", "bidirectional", "first_order")
 
 
-@dataclass
-class Microphone:
-    """A single microphone: position, pickup kind and orientation."""
+class Mics:
+    """An array's mics as arrays: ``F_m u = a_m u(r_m) + (i/k) b_m . grad u(r_m)``.
 
-    pos: np.ndarray
-    kind: str = "omni"
-    axis: np.ndarray | None = None
-    a: float | None = None
+    `pos` (M, 3) holds the positions; `a` (M,) the omni weights: 1 for
+    omni, 0 for bidirectional and the mic's own for first-order; `axes`
+    (M, 3) the unit axes, 0 for omni; and ``b = (1 - a) axes`` (M, 3).
 
-    def __post_init__(self):
-        self.pos = np.asarray(self.pos, dtype=float).reshape(3)
-        if self.kind not in MIC_KINDS:
-            raise ValueError(f"unknown microphone kind {self.kind!r}")
-        if self.kind != "omni":
-            if self.axis is None:
-                raise ValueError(f"{self.kind} microphone requires an axis")
-            self.axis = np.asarray(self.axis, dtype=float).reshape(3)
-            self.axis = self.axis / np.linalg.norm(self.axis)
-        if self.kind == "first_order":
-            if self.a is None:
-                raise ValueError("first_order microphone requires mixing weight a")
-            self.a = float(self.a)
-
-    @property
-    def order(self):
-        """Degree of the directivity expansion (0 for omni, else 1)."""
-        return 0 if self.kind == "omni" else 1
-
-
-def mic_functionals(mics):
-    """Every mic as ``F u = a u(r_m) + (i/k) b . grad u(r_m)``.
-
-    Returns ``(pos, a, b)`` of shapes (M, 3), (M,) and (M, 3): `a` is 1 for
-    an omni mic, 0 for a bidirectional one and the mic's own weight for a
-    first-order one, and ``b = (1 - a) y`` for axis y (0 for omni).
+    This constructor is the one place that maps a mic kind to its weight
+    and axis.  `kind` is one kind for every mic or one per mic.  `axes`,
+    (3,) or (M, 3), is required when a mic is directional, and `a`, a
+    number or (M,), when one is first-order; a mic ignores what its kind
+    does not take.  Each axis is divided by the square root of its own dot
+    product, which rounds as ``np.linalg.norm`` of that row does.
     """
-    pos = np.array([mic.pos for mic in mics])
-    a = np.array([{"omni": 1.0, "bidirectional": 0.0}.get(mic.kind, mic.a) for mic in mics])
-    axes = np.array([np.zeros(3) if mic.kind == "omni" else mic.axis for mic in mics])
-    return pos, a, (1.0 - a)[:, None] * axes
+
+    def __init__(self, pos, kind="omni", axes=None, a=None):
+        self.pos = np.array(pos, dtype=float).reshape(-1, 3)
+        kind = np.broadcast_to(np.asarray(kind, dtype=str), len(self.pos))
+        unknown = np.isin(kind, MIC_KINDS, invert=True)
+        if unknown.any():
+            raise ValueError(f"unknown microphone kind {str(kind[unknown][0])!r}")
+        directional, first = kind != "omni", kind == "first_order"
+        if directional.any() and axes is None:
+            raise ValueError(f"{kind[directional][0]} microphone requires an axis")
+        if first.any() and a is None:
+            raise ValueError("first_order microphone requires mixing weight a")
+        self.a = np.where(directional, 0.0, 1.0)
+        self.a[first] = np.broadcast_to(np.asarray(a, dtype=float), kind.shape)[first]
+        self.axes = np.zeros_like(self.pos)
+        if directional.any():
+            y = np.broadcast_to(np.asarray(axes, dtype=float), self.pos.shape)[directional]
+            with np.errstate(over="ignore"):
+                sq = np.matmul(y[:, None, :], y[:, :, None])[:, 0, 0]
+            if not np.all((sq > 0.0) & (sq < np.inf)):
+                raise ValueError("a directional microphone's axis must have a squared "
+                                 "norm above 0 and finite")
+            self.axes[directional] = y / np.sqrt(sq)[:, None]
+        self.b = (1.0 - self.a)[:, None] * self.axes
+
+    def __len__(self):
+        return len(self.pos)
 
 
 def directivity_matrix(mics):
     """Directivity coefficients of all mics, zero-padded to a common degree.
 
     Returns ``(D, order)`` with ``D[m]`` the flat coefficients of mic m up to
-    the largest microphone degree ``order``: ``d_{0,0} = a`` and, for a
-    directional mic with axis y, ``d_{1,mu} = (1 - a) Yhat_{1,mu}(y)^* / 3``
-    (`a` as in :func:`mic_functionals`).
+    the largest microphone degree ``order`` (0 when every mic is omni, else
+    1): ``d_{0,0} = a`` and, for a directional mic with axis y,
+    ``d_{1,mu} = (1 - a) Yhat_{1,mu}(y)^* / 3``.
     """
-    order = max(mic.order for mic in mics)
+    directional = mics.axes.any(axis=1)
+    order = int(directional.any())
     D = np.zeros((len(mics), num_coeffs(order)), dtype=complex)
-    _, a, _ = mic_functionals(mics)
-    D[:, 0] = a
-    directional = np.flatnonzero([mic.kind != "omni" for mic in mics])
-    if directional.size:
-        y1 = sph_harm_matrix(1, np.array([mics[m].axis for m in directional])).conj()[:, 1:4]
-        D[directional, 1:4] = (1.0 - a[directional, None]) * y1 / 3.0
+    D[:, 0] = mics.a
+    if order:
+        y1 = sph_harm_matrix(1, mics.axes[directional]).conj()[:, 1:4]
+        D[directional, 1:4] = (1.0 - mics.a[directional, None]) * y1 / 3.0
     return D, order
 
 
@@ -96,8 +97,7 @@ def plane_wave_observations(mics, x_inc, k):
     observes ``(a_m + b_m . x_inc) e^{-ik x_inc . r_m}``; shape (M,).
     """
     x_inc = np.asarray(x_inc, dtype=float)
-    pos, a, b = mic_functionals(mics)
-    return (a + b @ x_inc) * np.exp(-1j * k * (pos @ x_inc))
+    return (mics.a + mics.b @ x_inc) * np.exp(-1j * k * (mics.pos @ x_inc))
 
 
 def point_source_observations(mics, r_src, k):
@@ -107,21 +107,20 @@ def point_source_observations(mics, r_src, k):
     ``(i/k) grad G = -(1 + i/(k|d|)) G d/|d|``, so mic m observes
     ``G (a_m - (1 + i/(k|d|)) b_m . d/|d|)``.
     """
-    pos, a, b = mic_functionals(mics)
-    d = pos - np.asarray(r_src, dtype=float)
+    d = mics.pos - np.asarray(r_src, dtype=float)
     dist = np.linalg.norm(d, axis=-1)
-    b_d = np.einsum("mi,mi->m", b, d) / dist
-    return green(pos, r_src, k) * (a - (1.0 + 1j / (k * dist)) * b_d)
+    b_d = np.einsum("mi,mi->m", mics.b, d) / dist
+    return green(mics.pos, r_src, k) * (mics.a - (1.0 + 1j / (k * dist)) * b_d)
 
 
 def observe_plane_wave(mic, x_inc, k):
-    """Exact observation of a unit plane wave arriving from direction x_inc."""
-    return complex(plane_wave_observations([mic], x_inc, k)[0])
+    """Exact observation of a unit plane wave by the one-mic :class:`Mics` `mic`."""
+    return complex(plane_wave_observations(mic, x_inc, k)[0])
 
 
 def observe_point_source(mic, r_src, k):
-    """Exact observation of a free-field point source at r_src."""
-    return complex(point_source_observations([mic], r_src, k)[0])
+    """Exact observation of a free-field point source by the one-mic :class:`Mics` `mic`."""
+    return complex(point_source_observations(mic, r_src, k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -158,39 +157,16 @@ def rigid_sphere_observation(coeffs, order, dirs, k, radius, harmonics=None):
 
 @dataclass
 class ArrayConfig:
-    """A microphone array: mounting type plus the individual microphones.
+    """A microphone array: mounting type plus its :class:`Mics`.
 
     ``mount`` is ``"open"`` (free-field microphones) or ``"rigid"`` (omni
     pressure sensors flush on a rigid sphere of radius `radius` centered at
-    the origin; all positions must then lie on that sphere).
+    the origin, on whose surface all positions lie).
     """
 
     mount: str
-    mics: list
+    mics: Mics
     radius: float | None = None
-
-    def __post_init__(self):
-        if self.mount not in ("open", "rigid"):
-            raise ValueError(f"unknown mount {self.mount!r}")
-        if not self.mics:
-            raise ValueError("needs at least one microphone")
-        if self.mount == "rigid":
-            if self.radius is None:
-                raise ValueError("rigid mount requires a radius")
-            self.radius = float(self.radius)
-            for m in self.mics:
-                if m.kind != "omni":
-                    raise ValueError("rigid mount supports omni microphones only")
-                if abs(np.linalg.norm(m.pos) - self.radius) > 1e-9 * max(
-                    1.0, self.radius
-                ):
-                    raise ValueError(
-                        "rigid-mount microphones must lie on the sphere surface"
-                    )
-
-    @property
-    def positions(self):
-        return np.array([m.pos for m in self.mics])
 
 
 # The embedded spherical t-designs: t -> data file.
@@ -216,14 +192,11 @@ def spherical_array(t, radius, mount="open", kind="omni", a=None):
 
     Directional microphones are oriented along the outward radial direction.
     """
+    if mount == "rigid" and kind != "omni":
+        raise ValueError("rigid mount supports omni microphones only")
     dirs = load_t_design(t)
-    mics = []
-    for x in dirs:
-        axis = x if kind != "omni" else None
-        mics.append(Microphone(pos=radius * x, kind=kind, axis=axis, a=a))
-    return ArrayConfig(
-        mount=mount, mics=mics, radius=radius if mount == "rigid" else None
-    )
+    return ArrayConfig(mount=mount, mics=Mics(radius * dirs, kind, dirs, a),
+                       radius=radius if mount == "rigid" else None)
 
 
 # ---------------------------------------------------------------------------

@@ -207,11 +207,6 @@ def sph_jn(n, x, derivative=False):
     return _select(lambda m, z, d: _bessel_all("j", m, z, d), n, x, derivative)
 
 
-def sph_hn(n, x, derivative=False):
-    """Spherical Hankel function of the first kind h_n(x) = j_n + i y_n."""
-    return _select(lambda m, z, d: _bessel_all("h", m, z, d), n, x, derivative)
-
-
 def sph_jn_all(nmax, x, derivative=False):
     """j_n(x) for all n = 0..nmax; result has shape (nmax+1,) + shape(x)."""
     return _bessel_all("j", nmax, x, derivative)

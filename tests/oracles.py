@@ -3,14 +3,27 @@ and the mic lists they are checked on.
 
 Each reference evaluates a quantity through the spherical-harmonic route:
 directivity coefficients, regular/singular wave functions and the
-translation operator.
+translation operator.  The spherical Hankel function at given degrees and
+the ANC cost are here too, since only tests evaluate them one at a time.
 """
 
 import numpy as np
 
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
-from soundfield.observation import Microphone, directivity_matrix
+from soundfield.observation import Mics, directivity_matrix
+
+
+def sph_hn(n, x, derivative=False):
+    """Spherical Hankel function of the first kind h_n(x) = j_n + i y_n (or
+    h_n'(x)) for degrees `n` broadcast against `x`."""
+    return sf._select(sf.sph_hn_all, n, x, derivative)
+
+
+def anc_cost(e, A):
+    """Regional noise power estimate e^H A e (real part)."""
+    e = np.asarray(e, dtype=complex).reshape(-1)
+    return float(np.real(e.conj() @ np.asarray(A, dtype=complex) @ e))
 
 
 def legendre(n, x):
@@ -42,22 +55,18 @@ def evaluate(cset, r, k):
     return wf.regular_swf_matrix(cset.order, np.asarray(r) - cset.origin, k) @ cset.coeffs
 
 
-def directivity_coeffs(mic):
-    """One mic's directivity coefficients d_{nu,mu}, flat layout up to its degree."""
-    return directivity_matrix([mic])[0][0]
-
-
-def observe_coeffs(mic, cset, k):
-    """A mic's observation of a field given as a coefficient set: the field is
-    re-expanded about the mic and contracted with its directivity."""
-    local = wf.translate_coeffs(cset, mic.pos, k, order_out=mic.order)
-    return complex(directivity_coeffs(mic).conj() @ local.coeffs)
+def observe_coeffs(mics, cset, k):
+    """Each mic's observation of a field given as a coefficient set: the field
+    is re-expanded about the mic and contracted with its directivity."""
+    D, order = directivity_matrix(mics)
+    return np.array([d.conj() @ wf.translate_coeffs(cset, p, k, order_out=order).coeffs
+                     for p, d in zip(mics.pos, D)])
 
 
 def translation_kernel_matrix(mics, k):
     """Gram matrix ``K[m1, m2] = d_{m1}^H T(r_{m1} - r_{m2}) d_{m2}``."""
     D, order = directivity_matrix(mics)
-    pos = np.array([m.pos for m in mics])
+    pos = mics.pos
     T = wf.translation_matrix(pos[:, None, :] - pos[None, :, :], k, order, order)
     return np.einsum("ai,abij,bj->ab", D.conj(), T, D)
 
@@ -65,36 +74,41 @@ def translation_kernel_matrix(mics, k):
 def harmonic_representers(mics, r, k):
     """``v_m(r) = sum_{nu,mu} d_{m,nu,mu} phi_{nu,mu}(r - r_m)``; shape (..., M)."""
     D, order = directivity_matrix(mics)
-    pos = np.array([m.pos for m in mics])
-    phi = wf.regular_swf_matrix(order, np.asarray(r, dtype=float)[..., None, :] - pos, k)
+    phi = wf.regular_swf_matrix(order, np.asarray(r, dtype=float)[..., None, :] - mics.pos, k)
     return np.einsum("...mi,mi->...m", phi, D)
 
 
 def harmonic_plane_wave_observations(mics, x_inc, k):
     """Mic m observes ``sum d_{m,nu,mu}^* Yhat_{nu,mu}(x_inc)^* e^{-ik x_inc . r_m}``."""
     D, order = directivity_matrix(mics)
-    pos = np.array([m.pos for m in mics])
     gamma = D.conj() @ sf.sph_harm_matrix(order, np.asarray(x_inc, float)).conj()
-    return gamma * np.exp(-1j * k * (pos @ x_inc))
+    return gamma * np.exp(-1j * k * (mics.pos @ x_inc))
 
 
 def harmonic_point_source_observations(mics, r_src, k):
     """Mic m observes ``d_m^H psi(r_src - r_m)``: the Green's function's local
     regular coefficients about r_m are the singular wave functions."""
     D, order = directivity_matrix(mics)
-    pos = np.array([m.pos for m in mics])
-    psi = wf.singular_swf_matrix(order, np.asarray(r_src, float) - pos, k)
+    psi = wf.singular_swf_matrix(order, np.asarray(r_src, float) - mics.pos, k)
     return np.einsum("mi,mi->m", D.conj(), psi)
 
 
-def mixed_mics(rng, m, kinds=("omni", "bidirectional", "first_order")):
-    """`m` mics of the given kinds in turn, near the origin, each with its own
-    tilted axis and, when first-order, its own a in [0, 1)."""
-    mics = []
+def mixed_mic_spec(rng, m, kinds=("omni", "bidirectional", "first_order")):
+    """The :class:`Mics` arguments ``(pos, kind, axes, a)`` of `m` mics of the
+    given kinds in turn, near the origin, each with its own tilted axis and,
+    when first-order, its own a in [0, 1); rows a kind does not take hold
+    0 (axes) or NaN (a)."""
+    pos, kind, axes, a = np.zeros((m, 3)), [], np.zeros((m, 3)), np.full(m, np.nan)
     for i in range(m):
-        kind = kinds[i % len(kinds)]
-        mics.append(Microphone(
-            pos=0.4 * rng.normal(size=3), kind=kind,
-            axis=None if kind == "omni" else rng.normal(size=3),
-            a=rng.uniform() if kind == "first_order" else None))
-    return mics
+        kind.append(kinds[i % len(kinds)])
+        pos[i] = 0.4 * rng.normal(size=3)
+        if kind[i] != "omni":
+            axes[i] = rng.normal(size=3)
+        if kind[i] == "first_order":
+            a[i] = rng.uniform()
+    return pos, kind, axes, a
+
+
+def mixed_mics(rng, m, kinds=("omni", "bidirectional", "first_order")):
+    """The :class:`Mics` of :func:`mixed_mic_spec`."""
+    return Mics(*mixed_mic_spec(rng, m, kinds))

@@ -7,6 +7,8 @@ import pytest
 from soundfield import applications as apps
 from soundfield.wavefuncs import green, plane_wave
 
+from oracles import anc_cost
+
 
 # ---------------------------------------------------------------------------
 # Geometry helpers
@@ -173,8 +175,8 @@ def test_anc_gradient_matches_finite_differences(rng):
         for which in (1.0, 1.0j):
             dW = np.zeros_like(W)
             dW[i, 0] = which * h
-            cp = apps.anc_cost(apps.anc_error(W + dW, G, d, x), A)
-            cm = apps.anc_cost(apps.anc_error(W - dW, G, d, x), A)
+            cp = anc_cost(apps.anc_error(W + dW, G, d, x), A)
+            cm = anc_cost(apps.anc_error(W - dW, G, d, x), A)
             # Wirtinger convention: dJ/dW* so that the update -mu*grad descends
             if which == 1.0:
                 fd[i, 0] += (cp - cm) / (2 * h) / 2
@@ -434,7 +436,7 @@ def test_anc_lms_matches_reference_trajectory(record_cost):
     out = apps.anc_lms_run(G, A, d, x, mu, iters, W0=W0, record_cost=record_cost)
     if record_cost:
         W, costs = out
-        expected = [apps.anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
+        expected = [anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
         assert costs.shape == (iters,)
         assert np.allclose(costs, expected, rtol=1e-12, atol=0)
         assert expected[-1] < expected[0]  # the run did adapt
@@ -473,7 +475,7 @@ def test_anc_lms_closed_form_matches_loop(M, L, R, step, iters, with_W0):
     G, A, d, x, mu, W0 = _lms_problem(11, M, L, R, step, with_W0)
     start = np.zeros((L, R)) if W0 is None else W0
     traj = _lms_reference_trajectory(G, A, d, x, mu, iters, start)
-    expected = [apps.anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
+    expected = [anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
     W, costs = apps.anc_lms_run(G, A, d, x, mu, iters, W0=W0, record_cost=True)
     assert costs.shape == (iters,)
     np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=0)
@@ -488,8 +490,8 @@ def test_anc_lms_cost_error_is_absolute_near_a_zero_optimum():
     G, A, d, x, mu, W0 = _lms_problem(11, 4, 7, 1, 1.0, True)
     iters = 3000
     traj = _lms_reference_trajectory(G, A, d, x, mu, iters, W0)
-    expected = np.array([apps.anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj])
-    c0 = apps.anc_cost(apps.anc_error(W0, G, d, x), A)
+    expected = np.array([anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj])
+    c0 = anc_cost(apps.anc_error(W0, G, d, x), A)
     _, costs = apps.anc_lms_run(G, A, d, x, mu, iters, W0=W0, record_cost=True)
     assert expected[-1] < 1e-8 * c0
     assert np.max(np.abs(costs - expected)) <= 1e-13 * c0

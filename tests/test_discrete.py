@@ -19,36 +19,40 @@ from soundfield.discrete import (
     solve_tikhonov,
 )
 from soundfield.observation import (
-    Microphone,
-    mic_functionals,
+    Mics,
+    directivity_matrix,
     plane_wave_observations,
     point_source_observations,
 )
 
 from oracles import (
-    directivity_coeffs,
     evaluate,
     harmonic_representers,
+    mixed_mic_spec,
     mixed_mics,
     observe_coeffs,
     translation_kernel_matrix,
 )
 
 
-def _random_mics(rng, m, kinds=("omni", "bidirectional", "first_order")):
-    mics = []
+def _random_spec(rng, m, kinds=("omni", "bidirectional", "first_order")):
+    """The :class:`Mics` arguments ``(pos, kind, axes, a)`` of `m` mics of
+    `kinds` in turn, each with its own unit axis and a = 0.4."""
+    pos, axes = np.zeros((m, 3)), np.zeros((m, 3))
     for i in range(m):
-        pos = 0.4 * rng.normal(size=3)
-        kind = kinds[i % len(kinds)]
-        axis = rng.normal(size=3)
-        axis /= np.linalg.norm(axis)
-        if kind == "omni":
-            mics.append(Microphone(pos=pos, kind="omni"))
-        elif kind == "bidirectional":
-            mics.append(Microphone(pos=pos, kind="bidirectional", axis=axis))
-        else:
-            mics.append(Microphone(pos=pos, kind="first_order", axis=axis, a=0.4))
-    return mics
+        pos[i] = 0.4 * rng.normal(size=3)
+        axes[i] = rng.normal(size=3)
+        axes[i] /= np.linalg.norm(axes[i])
+    return pos, [kinds[i % len(kinds)] for i in range(m)], axes, np.full(m, 0.4)
+
+
+def _random_mics(rng, m, kinds=("omni", "bidirectional", "first_order")):
+    return Mics(*_random_spec(rng, m, kinds))
+
+
+def _each_mic(spec):
+    """A one-mic :class:`Mics` for each mic of `spec`."""
+    return [Mics(*row) for row in zip(*spec)]
 
 
 # ---------------------------------------------------------------------------
@@ -64,18 +68,19 @@ def test_observation_matrix_matches_direct_observation(rng):
     n = sf.num_coeffs(order)
     coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
     cset = wf.CoefficientSet(order=order, origin=basis.origin, coeffs=coeffs)
-    direct = np.array([observe_coeffs(m, cset, k) for m in mics])
+    direct = observe_coeffs(mics, cset, k)
     assert np.max(np.abs(B @ coeffs - direct)) <= 1e-10 * np.max(np.abs(direct))
 
 
 def test_observation_matrix_rows_are_single_translations(rng):
     k = 3.0
     basis = SphericalBasis(order=4, origin=np.array([0.1, 0.0, -0.05]))
-    mics = _random_mics(rng, 6)
-    B = build_observation_matrix(mics, basis, k)
-    for m, mic in enumerate(mics):
-        T = wf.translation_matrix(mic.pos - basis.origin, k, mic.order, basis.order)
-        row = directivity_coeffs(mic).conj() @ T
+    spec = _random_spec(rng, 6)
+    B = build_observation_matrix(Mics(*spec), basis, k)
+    for m, mic in enumerate(_each_mic(spec)):
+        D, order = directivity_matrix(mic)
+        T = wf.translation_matrix(mic.pos[0] - basis.origin, k, order, basis.order)
+        row = D[0].conj() @ T
         assert np.max(np.abs(B[m] - row)) <= 1e-13
 
 
@@ -140,11 +145,11 @@ def test_tikhonov_block_equals_column_solves(rng, shape, weighted):
 def test_omni_kernel_is_sinc():
     rng = np.random.default_rng(11)
     k = 3.0
-    mics = [Microphone(pos=0.3 * rng.normal(size=3), kind="omni") for _ in range(6)]
-    K = kernel_matrix(mics, k)
+    pos = 0.3 * rng.normal(size=(6, 3))
+    K = kernel_matrix(Mics(pos), k)
     for i in range(6):
         for j in range(6):
-            d = np.linalg.norm(mics[i].pos - mics[j].pos)
+            d = np.linalg.norm(pos[i] - pos[j])
             assert K[i, j] == pytest.approx(sf.sph_jn(0, k * d), abs=1e-12)
 
 
@@ -153,15 +158,11 @@ def test_omni_equals_generic_kernel_ridge():
     # it and the kernel ridge weights match a direct sinc evaluation.
     rng = np.random.default_rng(4)
     k = 5.0
-    omni = [Microphone(pos=0.3 * rng.normal(size=3), kind="omni") for _ in range(8)]
-    K_fast = kernel_matrix(omni, k)
+    pos = 0.3 * rng.normal(size=(8, 3))
+    K_fast = kernel_matrix(Mics(pos), k)
     s = rng.normal(size=8) + 1j * rng.normal(size=8)
     a1 = solve_kernel(K_fast, s, 1e-3)
-    D = np.linalg.norm(
-        np.array([m.pos for m in omni])[:, None, :]
-        - np.array([m.pos for m in omni])[None, :, :],
-        axis=-1,
-    )
+    D = np.linalg.norm(pos[:, None, :] - pos[None, :, :], axis=-1)
     K_ref = np.sinc(k * D / np.pi)
     a2 = np.linalg.solve(K_ref + 1e-3 * np.eye(8), s)
     assert np.max(np.abs(K_fast - K_ref)) <= 1e-12
@@ -186,7 +187,7 @@ def test_factored_representers_match_per_mic_reference(rng):
     # Mixed omni/first-order mics and evaluation points that include a mic
     # position (the r = 0 row).
     mics = _random_mics(rng, 19, kinds=("omni", "first_order"))
-    pts = np.vstack([0.5 * rng.normal(size=(40, 3)), mics[0].pos, mics[1].pos])
+    pts = np.vstack([0.5 * rng.normal(size=(40, 3)), mics.pos[:2]])
     rep = Representers(mics, pts)
     for k in (0.5, 3.0, 9.0):
         ref = harmonic_representers(mics, pts, k)
@@ -195,8 +196,9 @@ def test_factored_representers_match_per_mic_reference(rng):
         assert np.max(np.abs(representer_matrix(mics, pts, k) - ref)) <= 1e-13 * scale
     # At its own position a representer is phi_{0,0}(0) d_{0,0} = d_{0,0}.
     V = rep.matrix(3.0)
-    assert V[-2, 0] == directivity_coeffs(mics[0])[0]
-    assert V[-1, 1] == directivity_coeffs(mics[1])[0]
+    D, _ = directivity_matrix(mics)
+    assert V[-2, 0] == D[0, 0]
+    assert V[-1, 1] == D[1, 0]
     grid = pts[:12].reshape(3, 4, 3)
     assert representer_matrix(mics, grid, 2.0).shape == (3, 4, len(mics))
 
@@ -235,14 +237,14 @@ def test_closed_forms_at_coincident_points(rng):
     # rho = 0: the Gram diagonal, two mics at one position, and each
     # representer at its own mic.
     k = 2.0
-    mics = mixed_mics(rng, 6)
-    mics.append(Microphone(pos=mics[1].pos, kind="first_order", axis=rng.normal(size=3),
-                           a=0.3))
-    _, a, b = mic_functionals(mics)
+    pos, kinds, axes, a = mixed_mic_spec(rng, 6)
+    mics = Mics(np.vstack([pos, pos[1]]), kinds + ["first_order"],
+                np.vstack([axes, rng.normal(size=3)]), np.append(a, 0.3))
+    a, b = mics.a, mics.b
     K = kernel_matrix(mics, k)
     assert np.diag(K) == pytest.approx(a**2 + np.sum(b * b, axis=1) / 3, rel=1e-14)
     assert _rel_gap(K, translation_kernel_matrix(mics, k)) <= 1e-13
-    pts = np.array([m.pos for m in mics])
+    pts = mics.pos
     V = representer_matrix(mics, pts, k)
     assert np.array_equal(np.diag(V), a)
     assert V[1, 6] == a[6] and V[6, 1] == a[1]
@@ -254,15 +256,14 @@ def test_closed_forms_at_small_k_rho(rng, x):
     # Mic pairs and evaluation points at k rho = x, where the Gram matrix
     # takes j1(x)/x as (j0 + j2)/3.
     k = 3.0
-    mics = mixed_mics(rng, 6)
+    pos, kinds, axes, a = mixed_mic_spec(rng, 6)
     u = rng.normal(size=(6, 3))
     shift = (x / k) * u / np.linalg.norm(u, axis=1, keepdims=True)
-    near = mixed_mics(rng, 6)
-    for m, mic in enumerate(near):
-        mic.pos = mics[m].pos + shift[m]
-    mics += near
+    _, near_kinds, near_axes, near_a = mixed_mic_spec(rng, 6)
+    mics = Mics(np.vstack([pos, pos + shift]), kinds + near_kinds,
+                np.vstack([axes, near_axes]), np.append(a, near_a))
     assert _rel_gap(kernel_matrix(mics, k), translation_kernel_matrix(mics, k)) <= 1e-13
-    pts = np.array([m.pos for m in mics[:6]]) - shift
+    pts = pos - shift
     V = Representers(mics, pts).matrix(k)
     assert _rel_gap(V, harmonic_representers(mics, pts, k)) <= 1e-13
 
@@ -304,22 +305,22 @@ def test_representer_reproduces_bandlimited_observation(rng):
     n = sf.num_coeffs(order)
     coeffs = rng.normal(size=n) + 1j * rng.normal(size=n)
     cset = wf.CoefficientSet(order=order, origin=np.zeros(3), coeffs=coeffs)
-    s = np.array([observe_coeffs(m, cset, k) for m in mics])
+    s = observe_coeffs(mics, cset, k)
     K = kernel_matrix(mics, k)
     alpha = solve_kernel(K, s, 1e-12)
-    mic_pts = np.array([m.pos for m in mics])
-    vals = representer_matrix(mics, mic_pts, k) @ alpha
+    vals = representer_matrix(mics, mics.pos, k) @ alpha
     # at omni mic positions the interpolant equals the observed pressure
-    for i, m in enumerate(mics):
-        if m.kind == "omni":
-            assert vals[i] == pytest.approx(s[i], rel=1e-6)
+    for i in np.flatnonzero(~mics.axes.any(axis=1)):
+        assert vals[i] == pytest.approx(s[i], rel=1e-6)
 
 
 def test_finite_kernel_gap(rng):
     # K^finite(N0) -> K^infinite; relative Frobenius gap <= 1e-6 at N0 = 20
     k = 2.0  # kR <= 2 for mics within the unit ball scaled to 1
-    mics = [Microphone(pos=v, kind="omni") for v in 0.9 * rng.normal(size=(6, 3)) / 3]
-    mics += _random_mics(rng, 4)
+    omni = 0.9 * rng.normal(size=(6, 3)) / 3
+    pos, kinds, axes, a = _random_spec(rng, 4)
+    mics = Mics(np.vstack([omni, pos]), ["omni"] * 6 + kinds,
+                np.vstack([np.zeros((6, 3)), axes]), 0.4)
     K_inf = kernel_matrix(mics, k)
     gap = finite_to_infinite_gap(mics, np.zeros(3), 20, k)
     assert gap <= 1e-6
@@ -367,16 +368,15 @@ def test_extract_expansion_matches_kernel_eval(rng):
 
 def test_extract_expansion_sums_translated_representers(rng):
     k = 2.5
-    mics = _random_mics(rng, 9)
+    spec = _random_spec(rng, 9)
     alpha = rng.normal(size=9) + 1j * rng.normal(size=9)
     origin = np.array([0.05, -0.1, 0.0])
     order = 5
-    cset = extract_expansion(alpha, mics, origin, order, k)
+    cset = extract_expansion(alpha, Mics(*spec), origin, order, k)
     expected = np.zeros(sf.num_coeffs(order), dtype=complex)
-    for a, mic in zip(alpha, mics):
-        rep = wf.CoefficientSet(
-            order=mic.order, origin=mic.pos, coeffs=directivity_coeffs(mic)
-        )
+    for a, mic in zip(alpha, _each_mic(spec)):
+        D, mic_order = directivity_matrix(mic)
+        rep = wf.CoefficientSet(order=mic_order, origin=mic.pos[0], coeffs=D[0])
         expected += a * wf.translate_coeffs(rep, origin, k, order_out=order).coeffs
     assert np.max(np.abs(cset.coeffs - expected)) <= 1e-13 * np.max(np.abs(expected))
 

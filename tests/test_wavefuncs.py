@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 
-from oracles import evaluate, green_partial_wave, legendre
+from oracles import evaluate, green_partial_wave, legendre, sph_hn
 
 
 def _unit(v):
@@ -94,7 +94,7 @@ def test_green_partial_wave_matches_per_degree_loop(rng):
     dirs = np.where(rad[:, None] > 0, r / np.where(rad > 0, rad, 1.0)[:, None], [0, 0, 1.0])
     rs = np.linalg.norm(src)
     cosang = np.clip(dirs @ (src / rs), -1.0, 1.0)
-    ref = sum((2 * nu + 1) * sf.sph_jn(nu, k * rad) * sf.sph_hn(nu, k * rs)
+    ref = sum((2 * nu + 1) * sf.sph_jn(nu, k * rad) * sph_hn(nu, k * rs)
               * legendre(nu, cosang) for nu in range(order + 1))
     ref = (1j * k / (4.0 * np.pi)) * ref
     out = green_partial_wave(r, src, k, order)

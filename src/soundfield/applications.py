@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .specfun import sph_jn
+from .discrete import Representers, kernel_matrix
+from .observation import Mics
 from .wavefuncs import green
 
 
@@ -54,8 +55,8 @@ def square_boundary_points(side, count, z=0.0, outward_shift=0.0):
     return pts
 
 
-def square_grid(side, spacing, z=0.0, midpoint=False):
-    """Grid of points covering a centered square in the z-plane.
+def square_grid(side, spacing, midpoint=False):
+    """Grid of points covering a centered square in the plane z = 0.
 
     With ``midpoint=False`` the nodes include the square's boundary
     (``(side/spacing + 1)**2`` points), the natural choice for control and
@@ -70,7 +71,7 @@ def square_grid(side, spacing, z=0.0, midpoint=False):
         n = int(round(side / spacing)) + 1
         ax = np.linspace(-side / 2.0, side / 2.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
-    pts = np.stack([X, Y, np.full_like(X, z)], axis=-1).reshape(-1, 3)
+    pts = np.stack([X, Y, np.zeros_like(X)], axis=-1).reshape(-1, 3)
     return pts, spacing * spacing
 
 
@@ -85,25 +86,20 @@ def transfer_matrix(src_pos, pts, k):
 # Kernel region weighting
 # ---------------------------------------------------------------------------
 
-def kernel_vector(points, r, k):
-    """kappa(r) with entries j0(k |r - points_n|); r may be (..., 3)."""
-    d = np.linalg.norm(np.asarray(r, float)[..., None, :] - points, axis=-1)
-    return sph_jn(0, k * d)
-
-
 def region_weighting(points, region_pts, cell_measure, k, reg):
     """Quadratic region weighting matrix for pressures sampled at `points`.
 
     ``W = P^H [ \\int kappa(r)^* kappa(r)^T dV ] P`` with
-    ``P = (K + reg I)^{-1}``; the integral over the target region is
+    ``P = (K + reg I)^{-1}``, K and kappa the Gram matrix and representers of
+    omni mics at `points`; the integral over the target region is
     approximated by the midpoint rule on `region_pts` with cell measure
     `cell_measure`.  Used both for weighted pressure matching (points =
     control points) and spatial ANC (points = error microphones).
     """
-    points = np.asarray(points, dtype=float)
-    K = kernel_vector(points, points, k)
-    P = np.linalg.inv(K + reg * np.eye(len(points)))
-    kap = kernel_vector(points, np.asarray(region_pts, float), k)  # (Q, M)
+    mics = Mics(points)
+    K = kernel_matrix(mics, k).real
+    P = np.linalg.inv(K + reg * np.eye(len(mics)))
+    kap = np.ascontiguousarray(Representers(mics, region_pts).matrix(k).real)  # (Q, M)
     # einsum's own loop rather than BLAS: on a shared 2-core x86-64 VM,
     # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
     # call in some processes (cause not established); einsum takes ~2 ms
@@ -181,16 +177,16 @@ def _geometric_sums(a, t):
     return S
 
 
-def anc_lms_run(G, A, d, x, mu, iters, W0=None, record_cost=False):
-    """Frequency-domain LMS adaptation W <- W - mu G^H A e x^H, e = d + G W x.
+def anc_lms_run(G, A, d, x, mu, iters):
+    """Frequency-domain LMS from W = 0: W <- W - mu G^H A e x^H, e = d + G W x.
 
     The update is an affine recurrence with fixed coefficients, so every
     iterate is evaluated in closed form (the eigenmode analysis of steepest
     descent; Widrow & Stearns, *Adaptive Signal Processing*, 1985).  With
-    s = x^H x, H = G^H A G = V diag(lam) V^H and g = V^H G^H A e_0, mode i
+    s = x^H x, H = G^H A G = V diag(lam) V^H and g = V^H G^H A d, mode i
     decays by q_i = 1 - mu s lam_i per update; after t updates
 
-        W_t = W_0 - mu V (S_t * g) x^H,  S_{t,i} = sum_{r<t} q_i^r,
+        W_t = -mu V (S_t * g) x^H,  S_{t,i} = sum_{r<t} q_i^r,
         c_t = c_0 - 2 mu s sum_i S_{t,i} |g_i|^2
                   + (mu s)^2 sum_i S_{t,i}^2 lam_i |g_i|^2.
 
@@ -199,19 +195,16 @@ def anc_lms_run(G, A, d, x, mu, iters, W0=None, record_cost=False):
     few ulps of c_0, not of c_t: relative to c_t the error grows where the
     cost falls many decades below its start.
 
-    Returns the final filter and, optionally, the per-iteration cost (the
-    cost is evaluated after each update), built in O(iters) memory.
+    Returns the final filter and the per-iteration cost (the cost is
+    evaluated after each update), built in O(iters) memory.
     """
     G = np.asarray(G, dtype=complex)
     A = np.asarray(A, dtype=complex)
-    d = np.asarray(d, dtype=complex)
+    e0 = np.asarray(d, dtype=complex)
     x = np.atleast_1d(np.asarray(x, dtype=complex))
-    L = G.shape[1]
-    W0 = np.zeros((L, x.size), dtype=complex) if W0 is None else np.array(W0, dtype=complex)
     if np.max(np.abs(A - A.conj().T), initial=0.0) > 1e-10 * np.max(np.abs(A), initial=0.0):
         raise ValueError("A must be Hermitian")
     GH = G.conj().T
-    e0 = d + G @ (W0 @ x)
     Ae0 = A @ e0
     H = GH @ A @ G
     # region_weighting's output is Hermitian only up to rounding
@@ -219,9 +212,7 @@ def anc_lms_run(G, A, d, x, mu, iters, W0=None, record_cost=False):
     g = V.conj().T @ (GH @ Ae0)
     mu_s = mu * float(np.vdot(x, x).real)
     a = mu_s * lam
-    W = W0 - mu * np.outer(V @ (_geometric_sums(a, [iters])[0] * g), x.conj())
-    if not record_cost:
-        return W
+    W = -mu * np.outer(V @ (_geometric_sums(a, [iters])[0] * g), x.conj())
     g2 = np.abs(g) ** 2
     c0 = np.vdot(e0, Ae0).real
     w1 = 2.0 * mu_s * g2
@@ -254,8 +245,8 @@ def weighting_taps(A_of_freq, nfft, half_len):
     return out
 
 
-def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len, W0=None):
-    """Kernel-weighted FxLMS adaptation in the time domain.
+def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len):
+    """Kernel-weighted FxLMS adaptation in the time domain, from a zero filter.
 
     Parameters
     ----------
@@ -296,9 +287,6 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len, W0=None):
     if filt_len < 1:
         raise ValueError(f"filt_len must be >= 1, got {filt_len}")
     I = filt_len
-    W = np.zeros((I, L, R)) if W0 is None else np.array(W0, dtype=float)
-    if W.shape != (I, L, R):
-        raise ValueError(f"W0 must have shape (I, L, R) = {(I, L, R)}, got {W.shape}")
     K = (A_taps.shape[0] - 1) // 2
     B = K + 1
     P = J + 2 * K
@@ -331,7 +319,7 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len, W0=None):
     # b = ub+k, then the filter after it; steps[c] is the filter before
     # the block's first update (the one at the highest b).
     steps = np.empty((B + 1, L, I * R))
-    W_t = W.transpose(1, 0, 2).reshape(L, I * R)  # column (i, r) is W(i)[:, r]
+    W_t = np.zeros((L, I * R))  # column (i, r) is W(i)[:, r]
     # W_T follows the last sample's update, hence the block at n0 = T when
     # B divides T
     for n0 in range(0, T + 1, B):

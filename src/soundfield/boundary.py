@@ -48,32 +48,37 @@ def radial_response(kind, order, kR, a=None):
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
-def estimate_coeffs(signals, dirs, kind, k, radius, order, a=None, weights=None,
-                    center=(0.0, 0.0, 0.0)):
-    """Estimate interior expansion coefficients from boundary observations.
+def estimate_coeffs(signals, dirs, kind, k, radius, order, a=None):
+    """Estimate interior expansion coefficients about the sphere's center.
 
-    ``alpha_{nu,mu} = (1/A_nu) sum_m w_m Yhat_{nu,mu}(x_m)^* s_m`` with
-    equal weights ``w_m = 1/M`` by default.  `dirs` holds the unit directions
-    of the microphones as seen from the sphere center.
+    ``alpha_{nu,mu} = (1/A_nu) (1/M) sum_m Yhat_{nu,mu}(x_m)^* s_m``: equal
+    quadrature weights, as on a t-design.  `dirs` holds the unit directions
+    of the microphones as seen from the center.
     """
     signals = np.asarray(signals, dtype=complex)
     A = radial_response(kind, order, k * radius, a=a)
     nu, _ = degrees_orders(order)
-    raw = analysis_matrix(order, dirs, weights) @ signals
-    return CoefficientSet(order=order, origin=center, coeffs=raw / A[nu])
+    raw = analysis_matrix(order, dirs) @ signals
+    return CoefficientSet(order=order, origin=np.zeros(3), coeffs=raw / A[nu])
 
 
-def analysis_matrix(order, dirs, weights=None):
-    """Discrete spherical-harmonic analysis ``(Yhat(x_m)^* w_m)^T``, shape (n, M).
+def analysis_matrix(order, dirs):
+    """Discrete spherical-harmonic analysis ``(Yhat(x_m)^* / M)^T``, shape (n, M).
 
     The part of :func:`estimate_coeffs` that does not depend on k: the raw
     coefficients are this matrix times the signals, before division by
-    ``A_nu``.  Weights default to ``1/M``.
+    ``A_nu``.
     """
     dirs = np.asarray(dirs, dtype=float)
-    if weights is None:
-        weights = np.full(len(dirs), 1.0 / len(dirs))
-    return (sph_harm_matrix(order, dirs).conj() * weights[:, None]).T
+    return (sph_harm_matrix(order, dirs).conj() * (1.0 / len(dirs))).T
+
+
+def scan_grid(radius, c, fmax):
+    """kR_max and the kR point count of :func:`forbidden_frequencies`' scan:
+    20 per unit of kR, where zeros of j_nu are about 1 apart, and at least 41.
+    The count stops at 2**62, so that it is an int where kR_max overflows."""
+    kmax = 2.0 * math.pi * fmax * radius / c
+    return kmax, max(40, int(min(20 * kmax, 2.0**62))) + 1
 
 
 def forbidden_frequencies(radius, c, numax, fmax):
@@ -83,11 +88,10 @@ def forbidden_frequencies(radius, c, numax, fmax):
     interior field is not recoverable from boundary pressure alone.  Returns
     a sorted list of (frequency_hz, nu) pairs with f in (0, fmax].
     """
-    kmax = 2.0 * math.pi * fmax * radius / c
-    # j_nu oscillates with roughly unit spacing in x beyond its first zero;
     # scan a fine grid for sign changes, then bisect every bracket at once
-    # down to a width of _XTOL.
-    xs = np.linspace(1e-6, kmax, max(40, int(20 * kmax)) + 1)
+    # down to a width of _XTOL
+    kmax, points = scan_grid(radius, c, fmax)
+    xs = np.linspace(1e-6, kmax, points)
     vals = sph_jn_all(numax, xs)
     nu, i = np.nonzero((vals[:, :-1] != 0.0) & (vals[:, :-1] * vals[:, 1:] < 0.0))
     if nu.size == 0:

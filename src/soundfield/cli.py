@@ -20,7 +20,7 @@ import json
 import os
 import sys
 
-from .boundary import forbidden_frequencies
+from .boundary import forbidden_frequencies, scan_grid
 from .harness import (
     _COUNT,
     _NON_NEGATIVE,
@@ -29,6 +29,8 @@ from .harness import (
     ConfigError,
     ScenarioConfig,
     _checked,
+    _csv,
+    _fmt,
     anc_experiment,
     dump_field,
     run_sweep,
@@ -85,11 +87,13 @@ def cmd_field(args):
 def cmd_forbidden(args):
     _check_flags(args, {"radius": _POSITIVE, "c": _POSITIVE, "fmax": _POSITIVE,
                         "numax": _COUNT})
+    _, points = scan_grid(args.radius, args.c, args.fmax)
+    if (args.numax + 1) * points > 10**7:  # Bessel values: 80 MB of doubles
+        flag = "--fmax" if points > 41 else "--numax"  # 41: the smallest kR grid
+        raise ConfigError(f"{flag}: the scan of (numax + 1) degrees x {points} kR points "
+                          "would exceed 1e7 Bessel values; lower --fmax, --radius or --numax")
     pairs = forbidden_frequencies(args.radius, args.c, args.numax, args.fmax)
-    lines = ["frequency_hz,degree"]
-    for f, nu in pairs:
-        lines.append(f"{f:.17g},{nu}")
-    _write("\n".join(lines) + "\n", args.output)
+    _write(_csv("frequency_hz,degree", ([_fmt(f), str(nu)] for f, nu in pairs)), args.output)
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .observation import directivity_matrix
 from .specfun import sph_jn_all
-from .wavefuncs import CoefficientSet, regular_swf_matrix, translation_matrix
+from .wavefuncs import CoefficientSet, translation_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -40,9 +40,6 @@ class SphericalBasis:
     def __post_init__(self):
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
 
-    def eval_matrix(self, r, k):
-        return regular_swf_matrix(self.order, np.asarray(r) - self.origin, k)
-
 
 @dataclass
 class PlaneWaveBasis:
@@ -54,10 +51,6 @@ class PlaneWaveBasis:
     def __post_init__(self):
         self.dirs = np.asarray(self.dirs, dtype=float).reshape(-1, 3)
         self.origin = np.asarray(self.origin, dtype=float).reshape(3)
-
-    def eval_matrix(self, r, k):
-        rel = np.asarray(r, dtype=float) - self.origin
-        return np.exp(-1j * k * rel @ self.dirs.T)
 
 
 def build_observation_matrix(mics, basis, k):
@@ -78,32 +71,25 @@ def build_observation_matrix(mics, basis, k):
     return np.einsum("mi,min->mn", D.conj(), T)
 
 
-def solve_tikhonov(B, s, reg, noise_cov=None):
-    """Tikhonov-regularized weighted least squares.
+def solve_tikhonov(B, s, reg):
+    """Tikhonov-regularized least squares.
 
-    Minimizes ``(s - B c)^H Sigma^{-1} (s - B c) + reg * ||c||^2`` and
-    evaluates whichever of the two equivalent closed forms
+    Minimizes ``||s - B c||^2 + reg * ||c||^2`` (white noise) and evaluates
+    whichever of the two equivalent closed forms
 
-        c = (B^H Sigma^{-1} B + reg I)^{-1} B^H Sigma^{-1} s
-          = B^H (B B^H + reg Sigma)^{-1} s
+        c = (B^H B + reg I)^{-1} B^H s = B^H (B B^H + reg I)^{-1} s
 
-    involves the smaller linear solve.  `noise_cov` defaults to identity.
-    `s` is one signal vector (M,) or a block of them (M, T), solved with one
-    factorisation; `c` has the matching shape.
+    involves the smaller linear solve.  `s` is one signal vector (M,) or a
+    block of them (M, T), solved with one factorisation; `c` has the
+    matching shape.
     """
     B = np.asarray(B, dtype=complex)
     s = np.asarray(s, dtype=complex)
     M, N = B.shape
-    if noise_cov is None:
-        noise_cov = np.eye(M)
-    noise_cov = np.asarray(noise_cov, dtype=complex)
+    BH = B.conj().T
     if M <= N:
-        A = B @ B.conj().T + reg * noise_cov
-        return B.conj().T @ np.linalg.solve(A, s)
-    Sinv_B = np.linalg.solve(noise_cov, B)
-    A = B.conj().T @ Sinv_B + reg * np.eye(N)
-    rhs = Sinv_B.conj().T @ s
-    return np.linalg.solve(A, rhs)
+        return BH @ np.linalg.solve(B @ BH + reg * np.eye(M), s)
+    return np.linalg.solve(BH @ B + reg * np.eye(N), BH @ s)
 
 
 # ---------------------------------------------------------------------------
@@ -135,18 +121,14 @@ def kernel_matrix(mics, k):
     return K.astype(complex)
 
 
-def solve_kernel(K, s, reg, noise_cov=None):
-    """Representer weights ``alpha = (K + reg Sigma)^{-1} s``.
+def solve_kernel(K, s, reg):
+    """Representer weights ``alpha = (K + reg I)^{-1} s``.
 
     `s` is one signal vector (M,) or a block of them (M, T), solved with one
     factorisation; `alpha` has the matching shape.
     """
     K = np.asarray(K, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    M = K.shape[0]
-    if noise_cov is None:
-        noise_cov = np.eye(M)
-    return np.linalg.solve(K + reg * np.asarray(noise_cov, dtype=complex), s)
+    return np.linalg.solve(K + reg * np.eye(len(K)), np.asarray(s, dtype=complex))
 
 
 class Representers:

@@ -71,6 +71,10 @@ _NUMBER = ("a number", lambda v: True)
 _COUNT = ("an integer >= 0", lambda v: v >= 0)
 _AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
 _UNIT_INTERVAL = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
+# Twice a radius or a position must square to a finite number (below about
+# 6.7e153), so that the squared distance of any two configured points is too.
+_RADIUS = ("a positive number below about 6.7e153",
+           lambda v: v > 0 and (2.0 * v) * (2.0 * v) < math.inf)
 _T_DESIGN = (f"one of {', '.join(map(str, T_DESIGNS))} (the embedded t-designs)",
              lambda v: v in T_DESIGNS)
 _MOUNTS = ("open", "rigid")
@@ -149,8 +153,8 @@ def _field(obj, key, default, rule, integer=False):
 def _vector_field(obj, key, default, nonzero=False):
     """obj[key], or `default` when absent, as a (3,) float array.
 
-    With `nonzero`, its squared norm must be above 0 and finite, so that it
-    can be normalised.
+    ``(2v).(2v)`` must be finite, as for `_RADIUS`.  With `nonzero`, its
+    squared norm must be above 0 and finite, so that it can be normalised.
     """
     path = obj.key_path(key)
     value = obj.get(key, default)
@@ -160,6 +164,8 @@ def _vector_field(obj, key, default, nonzero=False):
         _checked(f"{path}[{i}]", v, _NUMBER)
     if nonzero and not 0.0 < sum(float(v) * float(v) for v in value) < math.inf:
         raise ConfigError(f"{path}: must be a nonzero 3-vector")
+    if not sum((2.0 * float(v)) * (2.0 * float(v)) for v in value) < math.inf:
+        raise ConfigError(f"{path}: must have a norm below about 6.7e153")
     return np.asarray(value, dtype=float)
 
 
@@ -326,7 +332,7 @@ def _array_from_dict(spec, estimator, directivity_a):
         raise ConfigError(f"{spec.path}: must contain 'mics' or be "
                           "{'type': 'spherical', ...}")
     t = _field(spec, "t", 7, _T_DESIGN, integer=True)
-    radius = _field(spec, "radius", 1.0, _POSITIVE)
+    radius = _field(spec, "radius", 1.0, _RADIUS)
     kind = _choice(spec, "kind", "first_order" if estimator == "BM-first" else "omni",
                    MIC_KINDS)
     mount = _choice(spec, "mount", "open", _MOUNTS)
@@ -348,7 +354,7 @@ def _explicit_array(spec):
     its kind is directional and `a` exactly when it is first-order.
     """
     mount = _choice(spec, "mount", None, _MOUNTS)
-    radius = _field(spec, "radius", None, _POSITIVE) if "radius" in spec else None
+    radius = _field(spec, "radius", None, _RADIUS) if "radius" in spec else None
     mics_path = spec.key_path("mics")
     entries = spec.get("mics")
     if not isinstance(entries, list) or not entries:
@@ -586,19 +592,15 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _csv(header, rows):
+    """CSV text: the `header` line, then each row of formatted cells."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
 def sweep_csv(records):
-    lines = ["frequency_hz,estimator,trial,seed,nmse_db,nmse_mean_db,min_radial_response"]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.frequency), r.estimator, str(r.trial), str(r.seed),
-                    _fmt(r.nmse_db), _fmt(r.nmse_mean_db),
-                    _fmt(r.min_radial_response),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("frequency_hz,estimator,trial,seed,nmse_db,nmse_mean_db,min_radial_response",
+                ([_fmt(r.frequency), r.estimator, str(r.trial), str(r.seed), _fmt(r.nmse_db),
+                  _fmt(r.nmse_mean_db), _fmt(r.min_radial_response)] for r in records))
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +637,7 @@ def dump_field(cfg, frequency, plane="xy", extent=2.0, spacing=0.1, offset=0.0,
         clean = observe_field(cfg.array, cfg.field_spec, k)
         signals = add_noise(clean, cfg.snr_db, np.random.default_rng(cfg.seed + trial))
         est_vals = estimate_field(cfg, signals, k, pts)
-    lines = ["x,y,z,re_true,im_true,re_est,im_est,norm_err"]
+    rows = []
     for i, p in enumerate(pts):
         row = [_fmt(p[0]), _fmt(p[1]), _fmt(p[2]),
                _fmt(truth_vals[i].real), _fmt(truth_vals[i].imag)]
@@ -644,8 +646,8 @@ def dump_field(cfg, frequency, plane="xy", extent=2.0, spacing=0.1, offset=0.0,
         else:
             err = abs(est_vals[i] - truth_vals[i]) ** 2 / mean_pow
             row += [_fmt(est_vals[i].real), _fmt(est_vals[i].imag), _fmt(err)]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+        rows.append(row)
+    return _csv("x,y,z,re_true,im_true,re_est,im_est,norm_err", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -697,10 +699,8 @@ def wpm_experiment(obj):
         err_pm = float(np.mean(np.abs(Ge @ d_pm - u_eval) ** 2)) / denom
         err_wpm = float(np.mean(np.abs(Ge @ d_wpm - u_eval) ** 2)) / denom
         rows.append((f, 10 * math.log10(err_pm), 10 * math.log10(err_wpm)))
-    lines = ["frequency_hz,pm_region_mse_db,wpm_region_mse_db"]
-    for f, a, b in rows:
-        lines.append(",".join([_fmt(f), _fmt(a), _fmt(b)]))
-    return rows, "\n".join(lines) + "\n"
+    return rows, _csv("frequency_hz,pm_region_mse_db,wpm_region_mse_db",
+                      ([_fmt(f), _fmt(a), _fmt(b)] for f, a, b in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -751,16 +751,13 @@ def anc_experiment(obj):
     ]:
         eig = float(np.linalg.eigvalsh(G.conj().T @ A @ G).max())
         mu = mu_scale / eig
-        W, costs = apps.anc_lms_run(G, A, d, x, mu, iters, record_cost=True)
+        W, costs = apps.anc_lms_run(G, A, d, x, mu, iters)
         u = up + Gr @ (W @ x)
         out[name] = {
             "regional_power_db": 10 * math.log10(float(np.sum(np.abs(u) ** 2) * cell) / p0),
             "final_cost": float(costs[-1]),
             "costs": costs,
         }
-    lines = ["weighting,regional_power_db,final_cost"]
-    for name in ("multipoint", "kernel"):
-        lines.append(
-            ",".join([name, _fmt(out[name]["regional_power_db"]), _fmt(out[name]["final_cost"])])
-        )
-    return out, "\n".join(lines) + "\n"
+    return out, _csv("weighting,regional_power_db,final_cost",
+                     ([name, _fmt(out[name]["regional_power_db"]), _fmt(out[name]["final_cost"])]
+                      for name in ("multipoint", "kernel")))

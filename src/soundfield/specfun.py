@@ -202,9 +202,9 @@ def _bessel_all(kind, nmax, x, derivative=False):
     return out[: nmax + 1].reshape((nmax + 1,) + x.shape)
 
 
-def sph_jn(n, x, derivative=False):
-    """Spherical Bessel function of the first kind j_n(x) (or j_n'(x))."""
-    return _select(lambda m, z, d: _bessel_all("j", m, z, d), n, x, derivative)
+def sph_jn(n, x):
+    """Spherical Bessel function of the first kind j_n(x)."""
+    return _select(sph_jn_all, n, x)
 
 
 def sph_jn_all(nmax, x, derivative=False):

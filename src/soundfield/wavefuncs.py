@@ -131,18 +131,14 @@ class CoefficientSet:
             )
 
 
-def plane_wave_coeffs(order, x_inc, k, origin=(0.0, 0.0, 0.0)):
-    """Expansion coefficients of a plane wave about `origin`.
+def plane_wave_coeffs(order, x_inc, k):
+    """Expansion coefficients about the origin of a plane wave arriving from
+    unit direction ``x_inc``, with its phase referenced to the origin.
 
-    About the origin of the wave's phase reference, a plane wave arriving
-    from unit direction ``x_inc`` has coefficients ``Yhat_{nu,mu}(x_inc)^*``;
-    moving the expansion origin multiplies all of them by the plane-wave
-    value at the new origin.
+    They are ``Yhat_{nu,mu}(x_inc)^*``, the same at every wavenumber k.
     """
-    origin = np.asarray(origin, dtype=float)
-    phase = np.exp(-1j * k * float(np.dot(np.asarray(x_inc, dtype=float), origin)))
-    coeffs = sph_harm_matrix(order, np.asarray(x_inc, dtype=float)).conj() * phase
-    return CoefficientSet(order=order, origin=origin, coeffs=coeffs)
+    coeffs = sph_harm_matrix(order, np.asarray(x_inc, dtype=float)).conj()
+    return CoefficientSet(order=order, origin=np.zeros(3), coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -237,16 +233,14 @@ def translation_matrix(displacement, k, order_out, order_in):
     return T.reshape(d.shape[:-1] + (n_out, n_in))
 
 
-def translate_coeffs(cset, new_origin, k, order_out=None):
-    """Re-expand a coefficient set about a new origin."""
-    if order_out is None:
-        order_out = cset.order
+def translate_coeffs(cset, new_origin, k):
+    """Re-expand a coefficient set about a new origin, at the set's own order."""
     d = np.asarray(new_origin, dtype=float) - cset.origin
-    T = translation_matrix(d, k, order_out, cset.order)
+    T = translation_matrix(d, k, cset.order, cset.order)
     # An elementwise product and row sum, not ``T @ c``: on a 2-core x86-64
     # VM the threaded BLAS matrix-vector call took about 8 ms at 169 x 169,
     # against 0.12 ms for this.
-    return CoefficientSet(order=order_out, origin=new_origin,
+    return CoefficientSet(order=cset.order, origin=new_origin,
                           coeffs=(T * cset.coeffs).sum(-1))
 
 

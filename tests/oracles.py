@@ -59,7 +59,8 @@ def observe_coeffs(mics, cset, k):
     """Each mic's observation of a field given as a coefficient set: the field
     is re-expanded about the mic and contracted with its directivity."""
     D, order = directivity_matrix(mics)
-    return np.array([d.conj() @ wf.translate_coeffs(cset, p, k, order_out=order).coeffs
+    return np.array([d.conj() @ (wf.translation_matrix(p - cset.origin, k, order, cset.order)
+                                 @ cset.coeffs)
                      for p, d in zip(mics.pos, D)])
 
 

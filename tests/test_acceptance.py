@@ -272,7 +272,7 @@ def test_criterion_5_special_functions():
     for x in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 50.0):
         for nu in range(11):
             j = sf.sph_jn(nu, x)
-            jp = sf.sph_jn(nu, x, derivative=True)
+            jp = sf.sph_jn_all(nu, x, derivative=True)[nu]
             h = sph_hn(nu, x)
             hp = sph_hn(nu, x, derivative=True)
             target = 1j / x**2

@@ -37,7 +37,7 @@ def test_first_order_radial_response():
     A = radial_response("first_order", 5, kR, a=a)
     for nu in range(6):
         expected = (1j ** (-nu)) * (
-            a * sf.sph_jn(nu, kR) + 1j * (1 - a) * sf.sph_jn(nu, kR, derivative=True)
+            a * sf.sph_jn(nu, kR) + 1j * (1 - a) * sf.sph_jn_all(nu, kR, derivative=True)[nu]
         )
         assert A[nu] == pytest.approx(expected, rel=1e-13)
 
@@ -49,7 +49,7 @@ def test_rigid_radial_response_dual_forms():
         hp = sph_hn(nu, kR, derivative=True)
         assert A[nu] == pytest.approx((1j ** (-nu)) * 1j / (kR**2 * hp), rel=1e-12)
         alt = (1j ** (-nu)) * (
-            sf.sph_jn(nu, kR) - sf.sph_jn(nu, kR, derivative=True) / hp * sph_hn(nu, kR)
+            sf.sph_jn(nu, kR) - sf.sph_jn_all(nu, kR, derivative=True)[nu] / hp * sph_hn(nu, kR)
         )
         assert A[nu] == pytest.approx(alt, rel=1e-10)
 

@@ -572,6 +572,21 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
          "array.mics[2].kind: the rigid mount models omni mics only, not 'bidirectional'"),
         ("sweep", _base_config(array=_moved_mic(_mic_list("rigid", {}), 7, 1.0 + 1e-8)),
          "array.mics[7].pos: the rigid mount models mics on one sphere"),
+        # positions and radii whose double squares to inf
+        ("sweep", _base_config(array={"mount": "open", "mics": [
+            {"pos": [1e200, 0, 0]}, {"pos": [0, 0.5, 0]}]}),
+         "array.mics[0].pos: must have a norm below about 6.7e153"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "radius": 1e200}),
+         "array.radius: must be a positive number below about 6.7e153"),
+        ("sweep", _base_config(array={"mount": "rigid", "radius": 1e200, "mics": [
+            {"pos": [0.5, 0, 0]}]}), "array.radius: must be a positive number below"),
+        ("sweep", _base_config(field={"type": "point_source", "position": [1e200, 0, 0]}),
+         "field.position: must have a norm below"),
+        ("sweep", _base_config(field={"type": "plane_wave", "direction": [1e154, 0, 0]}),
+         "field.direction: must have a norm below"),
+        ("sweep", _base_config(origin=[1e200, 0, 0]), "origin: must have a norm below"),
+        ("anc", dict(ANC_BASE, primary_source=[1e200, 0, 0]),
+         "primary_source: must have a norm below"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -764,6 +779,24 @@ def test_cli_forbidden_flags_exit_2(tmp_path, capsys, flags, bad):
     out = tmp_path / "f.csv"
     assert cli_main(["forbidden", *sum(argv.items(), ()), "-o", str(out)]) == 2
     assert f"config error: {bad}: must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, bad", [
+    (["--fmax", "1e12"], "--fmax"),
+    (["--numax", "10000000"], "--numax"),
+])
+def test_cli_forbidden_scan_is_bounded(tmp_path, capsys, monkeypatch, flags, bad):
+    # rejected before the scan allocates its (numax + 1) x grid Bessel table
+    def scan(*args):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr("soundfield.cli.forbidden_frequencies", scan)
+    argv = {"--radius": "1", "--numax": "3", "--fmax": "100"}
+    argv.update(zip(flags[::2], flags[1::2]))
+    out = tmp_path / "f.csv"
+    assert cli_main(["forbidden", *sum(argv.items(), ()), "-o", str(out)]) == 2
+    assert f"config error: {bad}: the scan of" in capsys.readouterr().err
     assert not out.exists()
 
 

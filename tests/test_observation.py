@@ -203,7 +203,7 @@ def test_rigid_sphere_radial_velocity_vanishes():
     order = 6
     A = radial_response("rigid", order, kR)
     jn = np.array([sf.sph_jn(nu, kR) for nu in range(order + 1)])
-    jp = np.array([sf.sph_jn(nu, kR, derivative=True) for nu in range(order + 1)])
+    jp = np.array([sf.sph_jn_all(nu, kR, derivative=True)[nu] for nu in range(order + 1)])
     hn = np.array([sph_hn(nu, kR) for nu in range(order + 1)])
     hp = np.array([sph_hn(nu, kR, derivative=True) for nu in range(order + 1)])
     via_wronskian = np.array(
@@ -233,7 +233,7 @@ def test_rigid_sphere_observation_consistency():
             (1j ** (-int(nu)))
             * (
                 sf.sph_jn(int(nu), kR)
-                - sf.sph_jn(int(nu), kR, derivative=True)
+                - sf.sph_jn_all(int(nu), kR, derivative=True)[int(nu)]
                 / sph_hn(int(nu), kR, derivative=True)
                 * sph_hn(int(nu), kR)
             )

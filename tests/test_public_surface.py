@@ -5,11 +5,21 @@ another library module, in its own module beyond its definition, in an
 experiment script or in the benchmark, or else is one of the paper's
 features that the tests alone verify.  A helper that only the tests use
 belongs in ``tests/oracles.py``.
+
+Likewise each parameter with a default, of a public function, class or
+method, is passed by some call outside the tests; a default that no caller
+overrides is the only behaviour, not an option.  The check reads calls by
+name, so it does not catch an option that its callers pass with one value
+only (a flag that every call sets to True): that one needs a reader.
 """
 
+import ast
+import functools
 import importlib
 import inspect
+import math
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -24,6 +34,11 @@ PAPER_FEATURES = {
     "wavefuncs.rotate_coeffs", "boundary.dirichlet_green_sphere", "applications.anc_gradient",
     "applications.fxlms_weighted_run", "applications.weighting_taps",
     "discrete.PlaneWaveBasis", "discrete.finite_to_infinite_gap",
+}
+# Whose parameters with defaults need no caller outside the tests.
+OPTION_EXEMPT = PAPER_FEATURES | {
+    # test-only, but the benchmark's tracer wraps it; it leaves with its tracing
+    "boundary.estimate_coeffs",
 }
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
@@ -53,3 +68,79 @@ def test_public_names_have_a_caller_outside_the_tests(module):
         if not named and f"{module}.{name}" not in PAPER_FEATURES:
             unused.append(name)
     assert not unused, f"{module}: only the tests use {unused}; move them to tests/oracles.py"
+
+
+def _record(passed, call):
+    """Add the positions and keywords that `call` passes: ``*args`` passes
+    every position from its own on, and ``**kwargs`` every keyword."""
+    starred = [i for i, a in enumerate(call.args) if isinstance(a, ast.Starred)]
+    passed["positions"] = max(passed["positions"], math.inf if starred else len(call.args))
+    passed["keywords"] |= {kw.arg for kw in call.keywords}  # None for **kwargs
+
+
+@functools.cache
+def _calls_outside_the_tests():
+    """{called name: {"positions": int, "keywords": set}} over the calls in
+    the library, the scripts and the benchmark.
+
+    ``f(...)`` and ``x.f(...)`` count for the name f, and ``cls(...)`` in a
+    classmethod for its class.
+    """
+    passed = defaultdict(lambda: {"positions": 0, "keywords": set()})
+    for path in list(SRC.glob("*.py")) + CALLERS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                _record(passed[name], node)
+            elif isinstance(node, ast.ClassDef):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and any(
+                            isinstance(d, ast.Name) and d.id == "classmethod"
+                            for d in fn.decorator_list):
+                        for call in ast.walk(fn):
+                            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                                    and call.func.id == "cls"):
+                                _record(passed[node.name], call)
+    return passed
+
+
+def _callables(module):
+    """(qualified name, called name, parameters) of each public function,
+    class and method of `module`; a method's parameters omit self or cls."""
+    mod = importlib.import_module(f"soundfield.{module}")
+    out = []
+    for name in _public(module):
+        obj = getattr(mod, name)
+        if inspect.isfunction(obj):
+            out.append((name, name, list(inspect.signature(obj).parameters.values())))
+            continue
+        for attr, member in vars(obj).items():
+            if attr != "__init__" and attr.startswith("_"):
+                continue
+            func = member.__func__ if isinstance(member, (classmethod, staticmethod)) else member
+            if not inspect.isfunction(func):
+                continue
+            params = list(inspect.signature(func).parameters.values())
+            if not isinstance(member, staticmethod):
+                params = params[1:]
+            out.append((name if attr == "__init__" else f"{name}.{attr}",
+                        name if attr == "__init__" else attr, params))
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_parameters_with_defaults_are_passed_outside_the_tests(module):
+    calls = _calls_outside_the_tests()
+    unused = []
+    for qualname, called, params in _callables(module):
+        if f"{module}.{qualname.split('.')[0]}" in OPTION_EXEMPT:
+            continue
+        passed = calls.get(called, {"positions": 0, "keywords": set()})
+        for i, p in enumerate(params):
+            if p.default is inspect.Parameter.empty:
+                continue
+            by_position = p.kind is not p.KEYWORD_ONLY and i < passed["positions"]
+            if not (by_position or p.name in passed["keywords"] or None in passed["keywords"]):
+                unused.append(f"{qualname}({p.name})")
+    assert not unused, f"{module}: only the tests pass {unused}; make the default the behaviour"

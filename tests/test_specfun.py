@@ -30,7 +30,7 @@ def test_flat_index_roundtrip(order):
 def test_wronskian(x):
     for nu in range(11):
         j = sf.sph_jn(nu, x)
-        jp = sf.sph_jn(nu, x, derivative=True)
+        jp = sf.sph_jn_all(nu, x, derivative=True)[nu]
         h = sph_hn(nu, x)
         hp = sph_hn(nu, x, derivative=True)
         target = 1j / x**2

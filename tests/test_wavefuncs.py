@@ -142,11 +142,18 @@ def test_translation_theorem_field(rng):
     )
     cset = wf.CoefficientSet(order=order_in, origin=np.zeros(3), coeffs=coeffs)
     new_origin = np.array([0.2, -0.1, 0.15])
-    moved = wf.translate_coeffs(cset, new_origin, k, order_out=order_out)
+    moved = wf.CoefficientSet(
+        order=order_out, origin=new_origin,
+        coeffs=wf.translation_matrix(new_origin, k, order_out, order_in) @ coeffs)
     pts = 0.1 * rng.normal(size=(10, 3)) + new_origin
     a = evaluate(cset, pts, k)
     b = evaluate(moved, pts, k)
     assert np.max(np.abs(a - b)) <= 1e-8 * np.max(np.abs(a))
+    # translate_coeffs keeps the set's own order: the leading rows
+    same = wf.translate_coeffs(cset, new_origin, k)
+    assert same.order == order_in and np.array_equal(same.origin, new_origin)
+    lead = moved.coeffs[:sf.num_coeffs(order_in)]
+    assert np.max(np.abs(same.coeffs - lead)) <= 1e-12 * np.max(np.abs(lead))
 
 
 def test_translation_quadrature_identity(squad):

@@ -33,24 +33,15 @@ def square_boundary_points(side, count, z=0.0, outward_shift=0.0):
         raise ValueError("count must be a multiple of 4")
     per_edge = count // 4
     h = side / 2.0
-    pts = []
-    normals = []
-    # walk the perimeter counterclockwise, one edge at a time
-    for edge in range(4):
-        for i in range(per_edge):
-            frac = (i + 0.5) / per_edge
-            along = -h + side * frac
-            if edge == 0:
-                pts.append([along, -h, z]); normals.append([0.0, -1.0, 0.0])
-            elif edge == 1:
-                pts.append([h, along, z]); normals.append([1.0, 0.0, 0.0])
-            elif edge == 2:
-                pts.append([-along, h, z]); normals.append([0.0, 1.0, 0.0])
-            else:
-                pts.append([-h, -along, z]); normals.append([-1.0, 0.0, 0.0])
-    pts = np.asarray(pts)
+    along = -h + side * ((np.arange(per_edge) + 0.5) / per_edge)
+    edge = np.full(per_edge, h)
+    # the edges y = -h, x = h, y = h, x = -h, counterclockwise
+    pts = np.stack([np.concatenate([along, edge, -along, -edge]),
+                    np.concatenate([-edge, along, edge, -along]),
+                    np.full(count, float(z))], axis=1)
     if outward_shift:
-        normals = np.asarray(normals)
+        normals = np.repeat([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
+                             [-1.0, 0.0, 0.0]], per_edge, axis=0)
         pts[1::2] += outward_shift * normals[1::2]
     return pts
 

@@ -37,16 +37,8 @@ from .observation import (
     spherical_array,
     unit_noise,
 )
-from .specfun import degrees_orders, sph_harm_matrix
-from .wavefuncs import (
-    CoefficientSet,
-    green,
-    plane_wave,
-    plane_wave_coeffs,
-    singular_swf_matrix,
-    swf_angular,
-    swf_radial,
-)
+from .specfun import degrees_orders, sph_hn_all
+from .wavefuncs import green, plane_wave, swf_angular, swf_radial
 
 NMSE_FLOOR_DB = -300.0
 
@@ -169,6 +161,12 @@ def _vector_field(obj, key, default, nonzero=False):
     return np.asarray(value, dtype=float)
 
 
+def _unit_field(obj, key, default):
+    """obj[key], or `default` when absent, as a unit (3,) float array."""
+    v = _vector_field(obj, key, default, nonzero=True)
+    return v / np.linalg.norm(v)
+
+
 def _frequencies(value):
     """The `frequencies` list: non-empty, of positive Hz values."""
     if not isinstance(value, list) or not value:
@@ -231,34 +229,39 @@ class ScenarioConfig:
 
         array = _array_from_dict(_ConfigObject(need("array"), "array"), estimator,
                                  kwargs.get("directivity_a", cls.directivity_a))
-        fs = _field_spec(
-            top.get("field", {"type": "plane_wave", "direction": [1.0, 0.0, 0.0]}),
-            kwargs["eval_radius"], array.mics.pos)
+        fs = _field_spec(top.get("field", {"type": "plane_wave"}), kwargs["eval_radius"], array)
         top.close()
         return cls(
             estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs,
         )
 
 
-def _field_spec(obj, eval_radius, mic_positions):
-    """The checked `field` spec.
+def _field_spec(obj, eval_radius, array):
+    """The checked `field` spec: its `type` and the unit `direction` of a
+    plane wave or the `position` of a point source, as a float array.
 
     A point source must lie outside the evaluation ball, since the interior
-    model assumes a source-free region, and off every mic, where its field
-    is infinite.
+    model assumes a source-free region; outside a rigid sphere, since the
+    incident field's expansion about its center diverges on it; and off
+    every mic, where its field is infinite.
     """
     spec = _ConfigObject(obj, "field")
     kind = spec.get("type")
     if kind == "plane_wave":
-        _vector_field(spec, "direction", [1.0, 0.0, 0.0], nonzero=True)
+        out = {"type": kind, "direction": _unit_field(spec, "direction", [1.0, 0.0, 0.0])}
     elif kind == "point_source":
         pos = _vector_field(spec, "position", None)
-        if np.linalg.norm(pos) <= eval_radius:
+        out, dist = {"type": kind, "position": pos}, float(np.linalg.norm(pos))
+        if dist <= eval_radius:
             raise ConfigError(
                 f"field.position: must lie outside eval_grid.radius ({eval_radius:g} m); "
                 "the region must be source-free")
-        tol = 1e-9 * max(1.0, float(np.linalg.norm(pos)))
-        hits = np.flatnonzero(np.linalg.norm(mic_positions - pos, axis=1) <= tol)
+        if array.mount == "rigid" and dist <= array.radius:
+            raise ConfigError(
+                f"field.position: must lie outside the rigid sphere (radius {array.radius:g} m), "
+                "where the incident field's expansion about its center converges")
+        tol = 1e-9 * max(1.0, dist)
+        hits = np.flatnonzero(np.linalg.norm(array.mics.pos - pos, axis=1) <= tol)
         if hits.size:
             raise ConfigError(
                 f"field.position: must lie away from every mic, not within {tol:g} m "
@@ -266,7 +269,7 @@ def _field_spec(obj, eval_radius, mic_positions):
     else:
         raise ConfigError("field.type: must be 'plane_wave' or 'point_source'")
     spec.close()
-    return obj
+    return out
 
 
 # Each boundary estimator's mic kind and mount, and the kind of radial
@@ -388,24 +391,10 @@ def _explicit_array(spec):
 # Field truth and observation
 # ---------------------------------------------------------------------------
 
-def _direction(field_spec):
-    d = np.asarray(field_spec.get("direction", [1, 0, 0]), dtype=float)
-    return d / np.linalg.norm(d)
-
-
 def _truth_eval(field_spec, pts, k):
     if field_spec["type"] == "plane_wave":
-        return plane_wave(pts, _direction(field_spec), k)
-    return green(pts, np.asarray(field_spec["position"], float), k)
-
-
-def _truth_coeffs(field_spec, order, k):
-    if field_spec["type"] == "plane_wave":
-        return plane_wave_coeffs(order, _direction(field_spec), k)
-    pos = np.asarray(field_spec["position"], float)
-    return CoefficientSet(
-        order=order, origin=np.zeros(3), coeffs=singular_swf_matrix(order, pos, k)
-    )
+        return plane_wave(pts, field_spec["direction"], k)
+    return green(pts, field_spec["position"], k)
 
 
 def _rigid_truth_order(array, k):
@@ -413,22 +402,28 @@ def _rigid_truth_order(array, k):
     return int(math.ceil(k * array.radius)) + 20
 
 
-def observe_field(array, field_spec, k, mic_harmonics=None):
+def observe_field(array, field_spec, k):
     """Noiseless microphone signals of the configured array for the truth field.
 
-    For a rigid array, `mic_harmonics` may hold the mic harmonics up to any
-    order at least :func:`_rigid_truth_order` at k (see
-    :func:`rigid_sphere_observation`).
+    On a rigid sphere the incident field's coefficients about its center are
+    ``g_nu Yhat_{nu,mu}(x0)^*`` up to :func:`_rigid_truth_order` (see
+    :func:`rigid_sphere_observation`): ``g_nu = 1`` about the arrival
+    direction for a plane wave, ``g_nu = (ik/4pi) i^nu h_nu(k|r_s|)`` about
+    ``r_s/|r_s|`` for a point source at r_s.
     """
-    if array.mount == "rigid":
-        order = _rigid_truth_order(array, k)
-        truth = _truth_coeffs(field_spec, order, k)
-        dirs = array.mics.pos / array.radius
-        return rigid_sphere_observation(
-            truth.coeffs, order, dirs, k, array.radius, harmonics=mic_harmonics)
+    if array.mount != "rigid":
+        if field_spec["type"] == "plane_wave":
+            return plane_wave_observations(array.mics, field_spec["direction"], k)
+        return point_source_observations(array.mics, field_spec["position"], k)
+    nu = np.arange(_rigid_truth_order(array, k) + 1)
     if field_spec["type"] == "plane_wave":
-        return plane_wave_observations(array.mics, _direction(field_spec), k)
-    return point_source_observations(array.mics, np.asarray(field_spec["position"], float), k)
+        g, axis = np.ones(nu.size), field_spec["direction"]
+    else:
+        pos = field_spec["position"]
+        dist = np.linalg.norm(pos)
+        g = (1j * k / (4.0 * np.pi)) * (1j ** nu.astype(float)) * sph_hn_all(nu[-1], k * dist)
+        axis = pos / dist
+    return rigid_sphere_observation(g, axis, array.mics.pos / array.radius, k, array.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +525,15 @@ def nmse(estimate_vals, truth_vals):
 
 
 def ball_grid(radius, spacing):
-    """All grid points at `spacing` intervals inside a centered ball."""
-    n = int(math.floor(radius / spacing))
+    """All grid points at `spacing` intervals inside a centered ball.
+
+    The enclosing cube, built first, must hold at most 1e7 points; the
+    ratio is tested for ``inf`` before ``floor``.
+    """
+    ratio = radius / spacing
+    if not (math.isfinite(ratio) and (2 * math.floor(ratio) + 1) ** 3 <= 10**7):
+        raise ConfigError("eval_grid.spacing: too fine; the grid would exceed 1e7 points")
+    n = math.floor(ratio)
     ax = np.arange(-n, n + 1) * spacing
     pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
     return pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
@@ -552,25 +554,21 @@ def run_sweep(cfg):
     """Simulate, estimate and evaluate NMSE for every (frequency, trial).
 
     What does not depend on frequency is computed once: the
-    :class:`Estimator` on the grid, the unit noise of each trial (drawn from
-    ``default_rng(seed + trial)``) and, for a rigid array, the mic
-    harmonics.  Each frequency then fits all trials as one block.
+    :class:`Estimator` on the grid and the unit noise of each trial (drawn
+    from ``default_rng(seed + trial)``).  Each frequency then fits all
+    trials as one block.
     """
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
     est = Estimator(cfg, grid)
-    ks = [2.0 * math.pi * f / cfg.c for f in cfg.frequencies]
-    mic_harmonics = None
-    if cfg.array.mount == "rigid":
-        mic_harmonics = sph_harm_matrix(
-            _rigid_truth_order(cfg.array, max(ks)), cfg.array.mics.pos / cfg.array.radius)
     trials = range(cfg.trials)
     noise = np.stack([
         unit_noise(len(cfg.array.mics), np.random.default_rng(cfg.seed + t)) for t in trials
     ], axis=1)
     records = []
-    for f, k in zip(cfg.frequencies, ks):
+    for f in cfg.frequencies:
+        k = 2.0 * math.pi * f / cfg.c
         truth_vals = _truth_eval(cfg.field_spec, grid, k)
-        clean = observe_field(cfg.array, cfg.field_spec, k, mic_harmonics)
+        clean = observe_field(cfg.array, cfg.field_spec, k)
         signals = clean[:, None] + noise_std(clean, cfg.snr_db) * noise
         estimates = prepare_estimator(est, k)(signals)
         A = est.response(k)
@@ -611,10 +609,14 @@ PLANES = {"xy": (0, 1, 2), "xz": (0, 2, 1), "yz": (1, 2, 0)}
 
 
 def plane_grid(plane, extent, spacing, offset=0.0):
-    """Grid on an axis plane; `extent` is the full side length."""
+    """Grid on an axis plane; `extent` is the full side length.  It must
+    hold at most 1e7 points; the ratio is tested for ``inf`` before ``ceil``."""
     if plane not in PLANES:
         raise ConfigError(f"plane: must be one of {sorted(PLANES)}")
-    n = int(math.ceil(extent / spacing)) + 1
+    ratio = extent / spacing
+    if not (math.isfinite(ratio) and (math.ceil(ratio) + 1) ** 2 <= 10**7):
+        raise ConfigError("--spacing: too fine; the grid would exceed 1e7 points")
+    n = math.ceil(ratio) + 1
     ax = -extent / 2.0 + spacing * np.arange(n)
     U, V = np.meshgrid(ax, ax, indexing="ij")
     i, j, kk = PLANES[plane]
@@ -666,11 +668,8 @@ def wpm_experiment(obj):
     freqs = _frequencies(obj.get("frequencies"))
     eta = _field(obj, "eta", 1e-3, _NON_NEGATIVE)
     lam = _field(obj, "reg", 1e-3, _NON_NEGATIVE)
-    direction = _vector_field(
-        obj, "direction", [math.cos(-math.pi / 4), math.sin(-math.pi / 4), 0.0],
-        nonzero=True,
-    )
-    direction = direction / np.linalg.norm(direction)
+    direction = _unit_field(obj, "direction",
+                            [math.cos(-math.pi / 4), math.sin(-math.pi / 4), 0.0])
     eval_spacing = _field(obj, "eval_spacing", 0.05, _SPACING)
     quad_spacing = _field(obj, "quad_spacing", 0.02, _SPACING)
     control_spacing = _field(obj, "control_spacing", 0.2, _SPACING)

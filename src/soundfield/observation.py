@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import degrees_orders, num_coeffs, sph_harm_matrix, sph_hn_all
+from .specfun import legendre_all, num_coeffs, sph_harm_matrix, sph_hn_all
 from .wavefuncs import green
 
 MIC_KINDS = ("omni", "bidirectional", "first_order")
@@ -127,28 +127,25 @@ def observe_point_source(mic, r_src, k):
 # Rigid-sphere array observation
 # ---------------------------------------------------------------------------
 
-def rigid_sphere_observation(coeffs, order, dirs, k, radius, harmonics=None):
-    """Pressure on a rigid sphere for an incident field with given coefficients.
+def rigid_sphere_observation(g, axis, dirs, k, radius):
+    """Pressure on a rigid sphere at surface points ``radius * dirs`` for an
+    incident field axisymmetric about the unit vector `axis`.
 
-    The incident field ``sum alpha phi_{nu,mu}(r)`` (expansion about the
-    sphere center) is scattered by a rigid sphere of the given radius; the
-    total pressure at surface points ``radius * dirs`` is
+    The incident field's coefficients about the sphere center are
+    ``g_nu Yhat_{nu,mu}(axis)^*`` for nu = 0..len(g)-1.  The Neumann condition
+    and the Wronskian of j and h scale degree nu of the total pressure by
+    ``i^{-nu} i / ((kR)^2 h_nu'(kR))``, and the addition theorem sums its
+    orders, so the pressure is
 
-        sum_{nu,mu} alpha_{nu,mu} i^{-nu} (i / ((kR)^2 h_nu'(kR))) Yhat_{nu,mu}(x)
-
-    which follows from the Neumann condition and the Wronskian of j and h.
-    `harmonics`, if given, is ``sph_harm_matrix(N, dirs)`` for some
-    ``N >= order``; its leading columns are the order-`order` set, so a sweep
-    over frequencies computes it once.
+        sum_nu (2nu+1) g_nu i^{-nu} (i / ((kR)^2 h_nu'(kR))) P_nu(x . axis).
     """
-    coeffs = np.asarray(coeffs, dtype=complex)
-    nu, _ = degrees_orders(order)
+    order = len(g) - 1
+    nu = np.arange(order + 1)
     kR = k * radius
     hp = sph_hn_all(order, kR, derivative=True)
-    radial = (1j ** (-nu.astype(float))) * (1j / (kR**2 * hp[nu]))
-    if harmonics is None:
-        harmonics = sph_harm_matrix(order, np.asarray(dirs, dtype=float))
-    return harmonics[..., : num_coeffs(order)] @ (radial * coeffs)
+    radial = (1j ** (-nu.astype(float))) * (1j / (kR**2 * hp))
+    cos = np.clip(np.asarray(dirs, dtype=float) @ np.asarray(axis, dtype=float), -1.0, 1.0)
+    return ((2 * nu + 1) * radial * np.asarray(g, dtype=complex)) @ legendre_all(order, cos)
 
 
 # ---------------------------------------------------------------------------

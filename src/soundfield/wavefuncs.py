@@ -1,7 +1,7 @@
 """Solutions of the homogeneous/inhomogeneous Helmholtz equation and the
 algebra that connects them: free-field Green's function, plane waves,
-regular/singular spherical wave functions, translation
-and rotation of expansion coefficients.
+regular spherical wave functions, translation and rotation of expansion
+coefficients.
 
 A field ``u`` regular around an origin ``r0`` is represented by coefficients
 ``c[nu**2+nu+mu]`` of the regular spherical wave functions:
@@ -25,7 +25,6 @@ from .specfun import (
     flat_index,
     num_coeffs,
     sph_harm_matrix,
-    sph_hn_all,
     sph_jn_all,
     wigner_D,
 )
@@ -99,16 +98,6 @@ def regular_swf_matrix(order, r, k):
     return swf_radial(order, rad, k) * Y
 
 
-def singular_swf_matrix(order, r, k):
-    """All psi_{nu,mu}(r) for nu <= order, flat layout as for the regular set."""
-    rad, dirs = _radial_dirs(r)
-    Y = sph_harm_matrix(order, dirs).conj()
-    hn = sph_hn_all(order, k * rad)
-    nu, _ = degrees_orders(order)
-    radial = np.moveaxis(hn, 0, -1)[..., nu] * (1j ** nu.astype(float))
-    return (1j * k / (4.0 * np.pi)) * radial * Y
-
-
 # ---------------------------------------------------------------------------
 # Coefficient sets
 # ---------------------------------------------------------------------------
@@ -131,11 +120,11 @@ class CoefficientSet:
             )
 
 
-def plane_wave_coeffs(order, x_inc, k):
+def plane_wave_coeffs(order, x_inc):
     """Expansion coefficients about the origin of a plane wave arriving from
     unit direction ``x_inc``, with its phase referenced to the origin.
 
-    They are ``Yhat_{nu,mu}(x_inc)^*``, the same at every wavenumber k.
+    They are ``Yhat_{nu,mu}(x_inc)^*``, the same at every wavenumber.
     """
     coeffs = sph_harm_matrix(order, np.asarray(x_inc, dtype=float)).conj()
     return CoefficientSet(order=order, origin=np.zeros(3), coeffs=coeffs)

@@ -2,9 +2,10 @@
 and the mic lists they are checked on.
 
 Each reference evaluates a quantity through the spherical-harmonic route:
-directivity coefficients, regular/singular wave functions and the
-translation operator.  The spherical Hankel function at given degrees and
-the ANC cost are here too, since only tests evaluate them one at a time.
+directivity coefficients, regular/singular wave functions, the translation
+operator and the rigid sphere's response degree by degree.  The spherical
+Hankel function at given degrees and the ANC cost are here too, since only
+tests evaluate them one at a time.
 """
 
 import numpy as np
@@ -79,6 +80,32 @@ def harmonic_representers(mics, r, k):
     return np.einsum("...mi,mi->...m", phi, D)
 
 
+def singular_swf_matrix(order, r, k):
+    """All psi_{nu,mu}(r) = (ik/4pi) i^nu h_nu(k|r|) Yhat_{nu,mu}(r/|r|)^* for
+    nu <= order, flat layout as for the regular set: the regular-expansion
+    coefficients about the origin of the Green's function of a source at r."""
+    rad, dirs = wf._radial_dirs(r)
+    Y = sf.sph_harm_matrix(order, dirs).conj()
+    hn = sf.sph_hn_all(order, k * rad)
+    nu, _ = sf.degrees_orders(order)
+    radial = np.moveaxis(hn, 0, -1)[..., nu] * (1j ** nu.astype(float))
+    return (1j * k / (4.0 * np.pi)) * radial * Y
+
+
+def harmonic_rigid_sphere_observation(coeffs, order, dirs, k, radius):
+    """Pressure on a rigid sphere at ``radius * dirs`` for an incident field
+    with regular coefficients `coeffs` about its center, degree by degree:
+
+        sum_{nu,mu} alpha_{nu,mu} i^{-nu} (i / ((kR)^2 h_nu'(kR))) Yhat_{nu,mu}(x)
+    """
+    nu, _ = sf.degrees_orders(order)
+    kR = k * radius
+    hp = sf.sph_hn_all(order, kR, derivative=True)
+    radial = (1j ** (-nu.astype(float))) * (1j / (kR**2 * hp[nu]))
+    Y = sf.sph_harm_matrix(order, np.asarray(dirs, dtype=float))
+    return Y @ (radial * np.asarray(coeffs, dtype=complex))
+
+
 def harmonic_plane_wave_observations(mics, x_inc, k):
     """Mic m observes ``sum d_{m,nu,mu}^* Yhat_{nu,mu}(x_inc)^* e^{-ik x_inc . r_m}``."""
     D, order = directivity_matrix(mics)
@@ -90,7 +117,7 @@ def harmonic_point_source_observations(mics, r_src, k):
     """Mic m observes ``d_m^H psi(r_src - r_m)``: the Green's function's local
     regular coefficients about r_m are the singular wave functions."""
     D, order = directivity_matrix(mics)
-    psi = wf.singular_swf_matrix(order, np.asarray(r_src, float) - mics.pos, k)
+    psi = singular_swf_matrix(order, np.asarray(r_src, float) - mics.pos, k)
     return np.einsum("mi,mi->m", D.conj(), psi)
 
 

@@ -13,7 +13,7 @@ from soundfield.boundary import (
 )
 from soundfield.observation import load_t_design
 
-from oracles import legendre, observe_coeffs, sph_hn
+from oracles import harmonic_rigid_sphere_observation, legendre, observe_coeffs, sph_hn
 
 
 def _unit(v):
@@ -73,9 +73,7 @@ def test_estimate_recovers_bandlimited_field(kind, a, rng):
     )
 
     if kind == "rigid":
-        from soundfield.observation import rigid_sphere_observation
-
-        s = rigid_sphere_observation(truth.coeffs, order, dirs, k, radius)
+        s = harmonic_rigid_sphere_observation(truth.coeffs, order, dirs, k, radius)
     else:
         from soundfield.observation import Mics
 
@@ -96,7 +94,7 @@ def test_estimate_plane_wave_aliasing_decays_with_frequency():
 
         s = plane_wave_observations(Mics(dirs), x, k)
         est = estimate_coeffs(s, dirs, "omni", k, 1.0, 3)
-        truth = wf.plane_wave_coeffs(3, x, k)
+        truth = wf.plane_wave_coeffs(3, x)
         errs.append(np.max(np.abs(est.coeffs - truth.coeffs)))
     # degree-5 aliasing grows like k^5 but the estimate divides by
     # A_3 ~ k^3, so the net error decays quadratically in frequency

@@ -39,15 +39,10 @@ from soundfield.observation import (
     spherical_array,
     observe_plane_wave,
     observe_point_source,
-    rigid_sphere_observation,
 )
-from soundfield.wavefuncs import (
-    green,
-    plane_wave,
-    plane_wave_coeffs,
-    regular_swf_matrix,
-    singular_swf_matrix,
-)
+from soundfield.wavefuncs import green, plane_wave, plane_wave_coeffs, regular_swf_matrix
+
+from oracles import harmonic_rigid_sphere_observation, singular_swf_matrix
 
 
 def _base_config(**over):
@@ -232,30 +227,31 @@ def _oracle_config(estimator, kind, field):
     ))
 
 
-def _reference_nmse(cfg, kind):
-    """NMSE per (frequency, trial), one trial at a time from the public primitives."""
+def _reference_nmse(cfg, kind, fs):
+    """NMSE per (frequency, trial), one trial at a time from the public
+    primitives, for the field spec `fs` as configured."""
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
     mics = cfg.array.mics
     pos = mics.pos
     one_mics = [Mics(p, kind, p, cfg.directivity_a) for p in pos]
     norms = np.linalg.norm(pos, axis=1)
-    fs = cfg.field_spec
     out = []
     for f in cfg.frequencies:
         k = 2.0 * math.pi * f / cfg.c
         rigid_order = math.ceil(k * 0.5) + 20
         if fs["type"] == "plane_wave":
-            d = np.asarray(fs["direction"]) / np.linalg.norm(fs["direction"])
+            d = np.asarray(fs["direction"], float)
+            d = d / np.linalg.norm(d)
             truth = plane_wave(grid, d, k)
             clean = np.array([observe_plane_wave(m, d, k) for m in one_mics])
-            incident = plane_wave_coeffs(rigid_order, d, k).coeffs
+            incident = plane_wave_coeffs(rigid_order, d).coeffs
         else:
             src = np.asarray(fs["position"], float)
             truth = green(grid, src, k)
             clean = np.array([observe_point_source(m, src, k) for m in one_mics])
             incident = singular_swf_matrix(rigid_order, src, k)
         if cfg.array.mount == "rigid":
-            clean = rigid_sphere_observation(incident, rigid_order, pos / 0.5, k, 0.5)
+            clean = harmonic_rigid_sphere_observation(incident, rigid_order, pos / 0.5, k, 0.5)
         for t in range(cfg.trials):
             s = add_noise(clean, cfg.snr_db, np.random.default_rng(cfg.seed + t))
             if cfg.estimator.startswith("BM-"):
@@ -280,7 +276,7 @@ def _reference_nmse(cfg, kind):
 def test_sweep_matches_per_trial_reference(estimator, kind, field):
     cfg = _oracle_config(estimator, kind, FIELDS[field])
     records = run_sweep(cfg)
-    ref = _reference_nmse(cfg, kind)
+    ref = _reference_nmse(cfg, kind, FIELDS[field])
     assert len(records) == len(ref) == 6
     for r, want in zip(records, ref):
         assert abs(r.nmse_db - want) <= 1e-9
@@ -587,6 +583,14 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
         ("sweep", _base_config(origin=[1e200, 0, 0]), "origin: must have a norm below"),
         ("anc", dict(ANC_BASE, primary_source=[1e200, 0, 0]),
          "primary_source: must have a norm below"),
+        # a point source inside or on the rigid sphere, either form
+        ("sweep", _base_config(estimator="BM-rigid",
+                               array={"type": "spherical", "t": 7, "radius": 1.0},
+                               field={"type": "point_source", "position": [0.8, 0, 0]}),
+         "field.position: must lie outside the rigid sphere (radius 1 m)"),
+        ("sweep", _base_config(array=_mic_list("rigid", {}), eval_grid={"radius": 0.4},
+                               field={"type": "point_source", "position": [0, 0.3, 0.4]}),
+         "field.position: must lie outside the rigid sphere (radius 0.5 m)"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -763,6 +767,42 @@ def test_cli_field_flags_exit_2(tmp_path, capsys, flags, bad):
     assert cli_main(["field", str(cfg), *sum(argv.items(), ()), "-o", str(out)]) == 2
     assert f"config error: {bad}: must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, flags, bad", [
+    ("sweep", _base_config(eval_grid={"radius": 1e200, "spacing": 0.1}), [],
+     "eval_grid.spacing"),
+    # 217^3 points: the first ball grid above 1e7
+    ("sweep", _base_config(eval_grid={"radius": 1.08, "spacing": 0.01}), [],
+     "eval_grid.spacing"),
+    ("field", _base_config(), ["--freq", "200", "--spacing", "1e-300"], "--spacing"),
+    ("field", _base_config(), ["--freq", "200", "--extent", "1e300", "--spacing", "1e-300"],
+     "--spacing"),
+])
+def test_cli_grids_are_bounded(tmp_path, capsys, monkeypatch, command, config, flags, bad):
+    # rejected by the grid builder before its meshgrid of more than 1e7
+    # points is allocated
+    def meshgrid(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", meshgrid)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "f.csv"
+    assert cli_main([command, str(cfg), *flags, "-o", str(out)]) == 2
+    assert f"config error: {bad}: too fine; the grid would exceed 1e7 points" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_field_builds_no_ball_grid(tmp_path):
+    # `field` samples a plane, so an `eval_grid` too fine for a sweep passes
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_base_config(eval_grid={"radius": 1e200, "spacing": 0.1})))
+    out = tmp_path / "f.csv"
+    assert cli_main(["field", str(cfg), "--freq", "200", "--extent", "1.0", "--spacing", "0.5",
+                     "-o", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 1 + 3 * 3
 
 
 @pytest.mark.parametrize("flags, bad", [

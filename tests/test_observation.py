@@ -21,8 +21,10 @@ from soundfield.observation import (
 from oracles import (
     harmonic_plane_wave_observations,
     harmonic_point_source_observations,
+    harmonic_rigid_sphere_observation,
     mixed_mics,
     observe_coeffs,
+    singular_swf_matrix,
     sph_hn,
 )
 
@@ -93,7 +95,7 @@ def test_observe_coeffs_matches_plane_wave():
     k = 3.0
     x = _unit([1.0, -1.0, 0.5])
     mic = Mics([0.2, 0.3, -0.1], "first_order", _unit([1.0, 0.0, 1.0]), 0.5)
-    cset = wf.plane_wave_coeffs(25, x, k)
+    cset = wf.plane_wave_coeffs(25, x)
     assert observe_coeffs(mic, cset, k)[0] == pytest.approx(
         observe_plane_wave(mic, x, k), rel=1e-10
     )
@@ -220,9 +222,9 @@ def test_rigid_sphere_observation_consistency():
     k, radius = 4.0, 0.5
     order = 12
     x = _unit([0.3, 0.7, -0.6])
-    cset = wf.plane_wave_coeffs(order, x, k)
+    cset = wf.plane_wave_coeffs(order, x)
     dirs = load_t_design(5)
-    s = rigid_sphere_observation(cset.coeffs, order, dirs, k, radius)
+    s = harmonic_rigid_sphere_observation(cset.coeffs, order, dirs, k, radius)
     # Independent oracle: incident j_nu mode plus scattered h_nu mode with
     # the scattering coefficient fixed by the zero-radial-velocity condition.
     nus, _ = sf.degrees_orders(order)
@@ -242,10 +244,31 @@ def test_rigid_sphere_observation_consistency():
     )
     expected = Y @ (radial * cset.coeffs)
     assert np.max(np.abs(s - expected)) <= 1e-10 * np.max(np.abs(expected))
-    # Harmonics of a higher order, as a sweep passes them, give the same result.
-    wide = sf.sph_harm_matrix(order + 5, dirs)
-    s_wide = rigid_sphere_observation(cset.coeffs, order, dirs, k, radius, harmonics=wide)
-    assert np.max(np.abs(s_wide - s)) <= 1e-14 * np.max(np.abs(s))
+
+
+@pytest.mark.parametrize("t", [5, 7])
+@pytest.mark.parametrize("field", ["plane_wave", "point_source"])
+def test_rigid_sphere_legendre_series_matches_harmonic_route(t, field):
+    # Incident coefficients g_nu Yhat_{nu,mu}(x0)^* summed over orders by the
+    # addition theorem give the same pressure as the degree-by-degree route.
+    rng = np.random.default_rng(t)
+    dirs = load_t_design(t)
+    for radius in (0.5, 1.0, 1.5):
+        for f in (100.0, 400.0, 1000.0):
+            k = 2.0 * np.pi * f / 340.65
+            order = int(np.ceil(k * radius)) + 20
+            axis = _unit(rng.normal(size=3))
+            nu = np.arange(order + 1)
+            if field == "plane_wave":
+                g, coeffs = np.ones(order + 1), wf.plane_wave_coeffs(order, axis).coeffs
+            else:
+                src = rng.uniform(1.2, 3.0) * radius * axis
+                g = (1j * k / (4 * np.pi)) * 1j ** nu.astype(float) * sph_hn(
+                    nu, k * np.linalg.norm(src))
+                coeffs = singular_swf_matrix(order, src, k)
+            s = rigid_sphere_observation(g, axis, dirs, k, radius)
+            expected = harmonic_rigid_sphere_observation(coeffs, order, dirs, k, radius)
+            assert np.max(np.abs(s - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 # ---------------------------------------------------------------------------

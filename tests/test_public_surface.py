@@ -8,7 +8,8 @@ belongs in ``tests/oracles.py``.
 
 Likewise each parameter with a default, of a public function, class or
 method, is passed by some call outside the tests; a default that no caller
-overrides is the only behaviour, not an option.  The check reads calls by
+overrides is the only behaviour, not an option.  A call inside a library
+function that only the tests reach is a call from the tests.  The check reads calls by
 name, so it does not catch an option that its callers pass with one value
 only (a flag that every call sets to True): that one needs a reader.
 """
@@ -39,6 +40,13 @@ PAPER_FEATURES = {
 OPTION_EXEMPT = PAPER_FEATURES | {
     # test-only, but the benchmark's tracer wraps it; it leaves with its tracing
     "boundary.estimate_coeffs",
+}
+# Library functions and classes that only the tests reach: the calls made
+# inside them are not calls from outside the tests.
+TEST_ONLY = OPTION_EXEMPT | {
+    # the benchmark's tracer wraps them
+    "observation.observe_plane_wave", "observation.observe_point_source",
+    "discrete.representer_matrix", "discrete.extract_expansion",
 }
 MODULES = sorted(p.stem for p in SRC.glob("*.py") if p.stem != "__init__")
 
@@ -78,18 +86,17 @@ def _record(passed, call):
     passed["keywords"] |= {kw.arg for kw in call.keywords}  # None for **kwargs
 
 
-@functools.cache
-def _calls_outside_the_tests():
-    """{called name: {"positions": int, "keywords": set}} over the calls in
-    the library, the scripts and the benchmark.
+def _record_calls(passed, tree, skipped=()):
+    """Record in `passed` the calls in `tree` outside its top-level functions
+    and classes named in `skipped`.
 
     ``f(...)`` and ``x.f(...)`` count for the name f, and ``cls(...)`` in a
     classmethod for its class.
     """
-    passed = defaultdict(lambda: {"positions": 0, "keywords": set()})
-    for path in list(SRC.glob("*.py")) + CALLERS:
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in ast.walk(tree):
+    for top in tree.body:
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and top.name in skipped:
+            continue
+        for node in ast.walk(top):
             if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
                 name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
                 _record(passed[name], node)
@@ -102,7 +109,33 @@ def _calls_outside_the_tests():
                             if (isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
                                     and call.func.id == "cls"):
                                 _record(passed[node.name], call)
+
+
+def _call_record():
+    """An empty {called name: {"positions": int, "keywords": set}}."""
+    return defaultdict(lambda: {"positions": 0, "keywords": set()})
+
+
+@functools.cache
+def _calls_outside_the_tests():
+    """{called name: {"positions": int, "keywords": set}} over the calls in
+    the library, outside its :data:`TEST_ONLY` names, the scripts and the
+    benchmark."""
+    passed = _call_record()
+    for path in list(SRC.glob("*.py")) + CALLERS:
+        skipped = {name.split(".")[1] for name in TEST_ONLY
+                   if path.parent == SRC and name.split(".")[0] == path.stem}
+        _record_calls(passed, ast.parse(path.read_text(encoding="utf-8")), skipped)
     return passed
+
+
+def test_calls_inside_test_only_functions_do_not_count():
+    passed = _call_record()
+    _record_calls(passed, ast.parse(
+        "def observe_plane_wave(m):\n    return f(m, x=1)\n\n"
+        "class PlaneWaveBasis:\n    def g(self):\n        return f(1, 2, y=3)\n\n"
+        "def kept():\n    return f(1)\n"), {"observe_plane_wave", "PlaneWaveBasis"})
+    assert dict(passed) == {"f": {"positions": 1, "keywords": set()}}
 
 
 def _callables(module):

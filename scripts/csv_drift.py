@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Compare the CLI's CSV outputs of two checkouts, column by column.
+
+Usage:
+    python scripts/csv_drift.py PARENT_DIR CHANGE_DIR
+
+Every file in CHANGE_DIR/configs is run on both checkouts through each
+command that takes it: a sweep config through `sweep`, through `field` at
+its first frequency and through `forbidden` for its array radius, its
+`order` and its highest frequency; `synth.json` through `synth` and
+`anc.json` through `anc`.  Each checkout runs all its commands in one child
+process, with its own `src` first on the path.
+
+For each column of each output, one line says `identical` when the text is
+equal, or else the largest |change - parent| over the largest |parent| of
+the column.  The exit status is 1 when a command fails or the outputs
+differ in their header or row count, else 0.
+"""
+
+import argparse
+import json
+import math
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+# Runs each argv through soundfield.cli.main in one process; prints the
+# exit statuses as a JSON list.
+CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from soundfield.cli import main
+print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
+"""
+
+
+def jobs(config_dir):
+    """(output name, argv without -o) of every run of the configs."""
+    out = []
+    for path in sorted(Path(config_dir).glob("*.json")):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        if path.name in ("synth.json", "anc.json"):
+            out.append((path.stem, [path.stem, str(path)]))
+            continue
+        out.append((f"{path.stem}-sweep", ["sweep", str(path)]))
+        out.append((f"{path.stem}-field",
+                    ["field", str(path), "--freq", repr(float(cfg["frequencies"][0]))]))
+        out.append((f"{path.stem}-forbidden",
+                    ["forbidden", "--radius", repr(float(cfg["array"].get("radius", 1.0))),
+                     "--numax", str(cfg.get("order", 7)),
+                     "--fmax", repr(float(max(cfg["frequencies"])))]))
+    return out
+
+
+def run(checkout, runs, out_dir):
+    """Run every job on `checkout`, writing <name>.csv to `out_dir`."""
+    argvs = [argv + ["-o", str(Path(out_dir) / f"{name}.csv")] for name, argv in runs]
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, str(Path(checkout).resolve() / "src"), json.dumps(argvs)],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.exit(f"{checkout}: the child process failed:\n{proc.stderr}")
+    return dict(zip([name for name, _ in runs], json.loads(proc.stdout.splitlines()[-1])))
+
+
+def _number(cell):
+    return math.nan if cell == "" else float(cell)
+
+
+def column_drift(parent, change):
+    """"identical", or the largest relative drift of one column's cells."""
+    if parent == change:
+        return "identical"
+    try:
+        a = [_number(c) for c in parent]
+        b = [_number(c) for c in change]
+    except ValueError:
+        return "text differs"
+    scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0)
+    diffs = [abs(x - y) for x, y in zip(a, b)
+             if not (x == y or (math.isnan(x) and math.isnan(y)))]
+    worst = max(diffs) if all(math.isfinite(d) for d in diffs) else math.inf
+    return f"drift {worst / scale if scale > 0 else worst:.3g}"
+
+
+def read_columns(path):
+    header, *rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    return header, [list(col) for col in zip(*rows)] if rows else [[] for _ in header]
+
+
+def compare(parent_dir, change_dir, runs):
+    """Print one line per column; returns True when every output compared."""
+    ok = True
+    for name, _ in runs:
+        pa, ch = Path(parent_dir) / f"{name}.csv", Path(change_dir) / f"{name}.csv"
+        if not (pa.exists() and ch.exists()):
+            print(f"{name}: missing output")
+            ok = False
+            continue
+        (h1, c1), (h2, c2) = read_columns(pa), read_columns(ch)
+        if h1 != h2 or len(c1[0]) != len(c2[0]):
+            print(f"{name}: header or row count differs")
+            ok = False
+            continue
+        for col, a, b in zip(h1, c1, c2):
+            print(f"{name} {col}: {column_drift(a, b)}")
+    return ok
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("parent", help="checkout whose outputs are the reference")
+    p.add_argument("change", help="checkout whose outputs are compared")
+    args = p.parse_args(argv)
+    runs = jobs(Path(args.change) / "configs")
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = {}
+        for label, checkout in (("parent", args.parent), ("change", args.change)):
+            dirs[label] = Path(tmp) / label
+            dirs[label].mkdir()
+            statuses = run(checkout, runs, dirs[label])
+            failed = [name for name, status in statuses.items() if status != 0]
+            if failed:
+                print(f"{label}: exit status != 0 for {', '.join(failed)}")
+                return 1
+        return 0 if compare(dirs["parent"], dirs["change"], runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

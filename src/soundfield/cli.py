@@ -49,12 +49,31 @@ def _read_json(path):
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
 
 
+class _Output:
+    """The text stream of `path` (stdout for None or "-"), opened at the
+    first write, so that a run rejected before it writes leaves no file."""
+
+    def __init__(self, path):
+        self.path = path
+        self.fh = None
+
+    def write(self, text):
+        if self.fh is None:
+            self.fh = (sys.stdout if self.path in (None, "-") else
+                       open(self.path, "w", encoding="utf-8", newline="\n"))
+        self.fh.write(text)
+
+    def close(self):
+        if self.fh not in (None, sys.stdout):
+            self.fh.close()
+
+
 def _write(text, path):
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    out = _Output(path)
+    try:
+        out.write(text)
+    finally:
+        out.close()
 
 
 def cmd_sweep(args):
@@ -75,12 +94,13 @@ def cmd_field(args):
     _check_flags(args, {"freq": _POSITIVE, "spacing": _POSITIVE, "extent": _NON_NEGATIVE,
                         "offset": _NUMBER, "trial": _COUNT})
     cfg = ScenarioConfig.from_dict(_read_json(args.config))
-    text = dump_field(
-        cfg, args.freq, plane=args.plane, extent=args.extent,
-        spacing=args.spacing, offset=args.offset,
-        include_estimate=not args.truth_only, trial=args.trial,
-    )
-    _write(text, args.output)
+    out = _Output(args.output)
+    try:
+        dump_field(cfg, args.freq, out, plane=args.plane, extent=args.extent,
+                   spacing=args.spacing, offset=args.offset,
+                   include_estimate=not args.truth_only, trial=args.trial)
+    finally:
+        out.close()
     return 0
 
 

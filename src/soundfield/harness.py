@@ -37,8 +37,8 @@ from .observation import (
     spherical_array,
     unit_noise,
 )
-from .specfun import degrees_orders, sph_hn_all
-from .wavefuncs import green, plane_wave, swf_angular, swf_radial
+from .specfun import degrees_orders, num_coeffs, sph_hn_all, sph_jn_all
+from .wavefuncs import green, plane_wave, swf_angular
 
 NMSE_FLOOR_DB = -300.0
 
@@ -231,9 +231,39 @@ class ScenarioConfig:
                                  kwargs.get("directivity_a", cls.directivity_a))
         fs = _field_spec(top.get("field", {"type": "plane_wave"}), kwargs["eval_radius"], array)
         top.close()
-        return cls(
-            estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs,
-        )
+        cfg = cls(estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs)
+        _check_fit_sizes(cfg)
+        return cfg
+
+
+def _check_fit_sizes(cfg):
+    """Reject, naming the key to lower, a scenario whose fit-stage arrays
+    would hold more than BLOCK_BYTES of complex values: a BM estimator's
+    (order+1)^2 x M analysis matrix, DM-finite's M x (order_n0+1)^2
+    observation matrix (4 times that for directional mics, whose translation
+    operators carry their 4 harmonics), DM-infinite's M x M Gram matrix, and
+    the noise, signals and fitted weights of all trials,
+    max((order+1)^2, M) x trials.
+    """
+    limit = BLOCK_BYTES // _VALUE_BYTES
+    budget = f"so that the fit's values stay within the {BLOCK_BYTES >> 20} MB block budget"
+    mics = cfg.array.mics
+    m = len(mics)
+    coeffs = 0
+    if cfg.estimator == "DM-infinite":
+        if m * m > limit:
+            raise ConfigError(f"array.mics: must hold at most {math.isqrt(limit)} mics "
+                              f"for DM-infinite, {budget}")
+    else:
+        key = "order_n0" if cfg.estimator == "DM-finite" else "order"
+        coeffs = num_coeffs(getattr(cfg, key))
+        per_mic = 4 if key == "order_n0" and mics.b.any() else 1
+        if coeffs * m * per_mic > limit:
+            most = math.isqrt(limit // (m * per_mic)) - 1
+            raise ConfigError(f"{key}: must be at most {most} with {m} mics, {budget}")
+    width = max(coeffs, m)
+    if cfg.trials * width > limit:
+        raise ConfigError(f"trials: must be at most {limit // width}, {budget}")
 
 
 def _field_spec(obj, eval_radius, array):
@@ -430,37 +460,58 @@ def observe_field(array, field_spec, k):
 # Estimators
 # ---------------------------------------------------------------------------
 
-class Estimator:
-    """The configured estimator at fixed points `pts`.
+# Evaluation walks its points in blocks whose per-point arrays, about
+# max((order+1)^2, M, trials) complex values per point (see
+# Estimator.block_rows), take at most this many bytes; the fit-stage arrays
+# are held to it too (see _check_fit_sizes).
+BLOCK_BYTES = 32 * 2**20
+# Bytes of one complex value, the unit of the block budget.
+_VALUE_BYTES = 16
 
-    It keeps only what its kind needs that does not depend on frequency or
-    trial: for BM the radii and harmonics of the points (`basis`, see
-    :func:`swf_angular`), the array radius and its `analysis` matrix; for
-    DM-finite the `basis` about `origin`; for DM-infinite the mics'
-    `representers` at the points.
+
+def _block_rows(width):
+    """Points per block when each point takes `width` complex values."""
+    return max(1, BLOCK_BYTES // (_VALUE_BYTES * width))
+
+
+class Estimator:
+    """The configured estimator, fitted per frequency and evaluated in blocks
+    of points.
+
+    It keeps only what depends on neither frequency, trial nor point: for BM
+    the array radius and its `analysis` matrix; for BM and DM-finite the
+    `order` and `origin` of the expansion (`order` is None for DM-infinite).
+    :func:`prepare_estimator` fits it at one frequency, :meth:`at` gives what
+    a block of points needs at every frequency and :meth:`evaluate` the
+    estimates there.
     """
 
-    def __init__(self, cfg, pts):
+    def __init__(self, cfg):
         self.cfg = cfg
         self.model = _BM_MODELS.get(cfg.estimator)
-        # `_at` is the kind's method, unbound (prepare_estimator passes the
-        # estimator): a bound one would be a reference cycle that keeps the
-        # grid harmonics until a gc pass.
+        self.order = None
         if self.model:
             pos = cfg.array.mics.pos
             norms = np.linalg.norm(pos, axis=1)
-            self.order = cfg.order
+            self.order, self.origin = cfg.order, np.zeros(3)
             self.radius = float(np.mean(norms))
-            self.basis = swf_angular(cfg.order, pts)
             self.analysis = analysis_matrix(cfg.order, pos / norms[:, None])
-            self._at = Estimator._boundary_at
         elif cfg.estimator == "DM-finite":
-            self.order = cfg.order_n0
-            self.basis = swf_angular(cfg.order_n0, pts - np.asarray(cfg.origin))
-            self._at = Estimator._finite_at
+            self.order, self.origin = cfg.order_n0, np.asarray(cfg.origin)
+
+    def block_rows(self, trials):
+        """Points per block for `trials` columns of estimates.
+
+        A point takes its (order+1)^2 harmonics, or for DM-infinite the
+        real (Q, M) arrays of its Bessel evaluation: about four, eight for
+        directional mics, so 2 M or 4 M complex values.
+        """
+        mics = self.cfg.array.mics
+        if self.order is None:
+            width = len(mics) * (4 if mics.b.any() else 2)
         else:
-            self.representers = Representers(cfg.array.mics, pts)
-            self._at = Estimator._kernel_at
+            width = num_coeffs(self.order)
+        return _block_rows(max(width, len(mics), trials))
 
     def response(self, k):
         """A BM estimator's radial response A_nu, nu = 0..order, at k, with
@@ -470,73 +521,141 @@ class Estimator:
                                    a=self.cfg.array.mics.a[0])
         return None
 
-    def _expansion(self, k):
-        rad, Y = self.basis
-        return swf_radial(self.order, rad, k) * Y
+    def at(self, pts):
+        """What evaluation at the points `pts` (Q, 3) needs at every k.
 
-    def _boundary_at(self, k):
-        A = self.response(k)[degrees_orders(self.order)[0]][:, None]
-        E = self._expansion(k)
-        return lambda signals: E @ ((self.analysis @ signals) / A)
+        For DM-infinite the mics' :class:`Representers` there; otherwise the
+        distinct radii of the points about `origin`, the index of each
+        point's radius among them, and the harmonics (see
+        :func:`swf_angular`) as a C-ordered ((order+1)**2, Q) array.
+        """
+        if self.order is None:
+            return Representers(self.cfg.array.mics, pts)
+        rad, Y = swf_angular(self.order, pts - self.origin)
+        radii, inverse = np.unique(rad, return_inverse=True)
+        return radii, inverse, Y.T
 
-    def _finite_at(self, k):
-        basis = SphericalBasis(order=self.order, origin=self.cfg.origin)
-        B = build_observation_matrix(self.cfg.array.mics, basis, k)
-        E = self._expansion(k)
-        return lambda signals: E @ solve_tikhonov(B, signals, self.cfg.reg)
+    def evaluate(self, at, k, weights):
+        """The estimates (T, Q) at the points of `at` from the weights
+        (., T) that :func:`prepare_estimator` fitted at k.
 
-    def _kernel_at(self, k):
-        K = kernel_matrix(self.cfg.array.mics, k)
-        R = self.representers.matrix(k)
-        return lambda signals: R @ solve_kernel(K, signals, self.cfg.reg)
+        An expansion is summed degree by degree, ``i^{-nu} j_nu(k r)`` (on
+        the distinct radii only) times that degree's harmonics and weights,
+        so no (Q, (order+1)**2) matrix is formed.
+        """
+        if self.order is None:
+            return _kernel_estimates(at, k, weights)
+        radii, inverse, Yt = at
+        nu = np.arange(self.order + 1)
+        radial = sph_jn_all(self.order, k * radii) * (1j ** -nu.astype(float))[:, None]
+        est = np.zeros((weights.shape[1], Yt.shape[1]), dtype=complex)
+        for n in nu:
+            block = slice(n * n, (n + 1) ** 2)
+            part = weights[block].T @ Yt[block]
+            part *= radial[n, inverse]
+            est += part
+        return est
+
+
+def _kernel_estimates(rep, k, alpha):
+    """``(V @ alpha).T`` for the representers ``V = rep.matrix(k)``, (T, Q).
+
+    V is not formed: its real part ``a j0`` and, for directional mics, its
+    imaginary part ``-j1 proj`` each multiply the stacked real and imaginary
+    parts of alpha in a real matrix product.
+    """
+    j = sph_jn_all(0 if rep.proj is None else 1, k * rep.rad)
+    j[0] *= rep.a
+    trials = alpha.shape[1]
+    out = np.concatenate([alpha.real.T, alpha.imag.T]) @ j[0].T
+    if rep.proj is not None:
+        j[1] *= rep.proj
+        out += np.concatenate([alpha.imag.T, -alpha.real.T]) @ j[1].T
+    est = np.empty((trials, out.shape[1]), dtype=complex)
+    est.real, est.imag = out[:trials], out[trials:]
+    return est
 
 
 def prepare_estimator(est, k):
-    """The :class:`Estimator` `est` at wavenumber k.
+    """The fit of the :class:`Estimator` `est` at wavenumber k.
 
-    Returns a callable mapping a block of signals (M, T), one column per
-    trial, to the estimates at the points (Q, T).  The k-dependent matrices
-    are built here once per frequency; the callable makes one solve and
-    one matrix product for all trials.
+    Builds the k-dependent operator once (BM: the radial response A;
+    DM-finite: the observation matrix B; DM-infinite: the Gram matrix K) and
+    returns the callable mapping a block of signals S (M, T), one column per
+    trial, to the weights :meth:`Estimator.evaluate` takes: BM
+    ``analysis @ S / A``, DM-finite ``solve_tikhonov(B, S)`` and DM-infinite
+    ``solve_kernel(K, S)``, one solve for all trials.
     """
-    return est._at(est, k)
+    cfg = est.cfg
+    if est.model:
+        A = est.response(k)[degrees_orders(est.order)[0]][:, None]
+        return lambda signals: (est.analysis @ signals) / A
+    if est.order is not None:
+        basis = SphericalBasis(order=est.order, origin=est.origin)
+        B = build_observation_matrix(cfg.array.mics, basis, k)
+        return lambda signals: solve_tikhonov(B, signals, cfg.reg)
+    K = kernel_matrix(cfg.array.mics, k)
+    return lambda signals: solve_kernel(K, signals, cfg.reg)
 
 
 def estimate_field(cfg, signals, k, pts):
-    """The configured estimator's values at `pts` from one signal vector."""
-    return prepare_estimator(Estimator(cfg, pts), k)(np.asarray(signals)[:, None])[:, 0]
+    """The configured estimator's values at `pts` (Q, 3) from one signal vector."""
+    est = Estimator(cfg)
+    weights = prepare_estimator(est, k)(np.asarray(signals)[:, None])
+    return est.evaluate(est.at(pts), k, weights)[0]
 
 
 # ---------------------------------------------------------------------------
 # NMSE and sweeps
 # ---------------------------------------------------------------------------
 
+def _nmse_db(num, den):
+    """10 log10(num / den), floored at -300 dB, for error power `num` and
+    truth power `den`."""
+    if den == 0.0:
+        raise ValueError("truth field is identically zero on the grid")
+    if num == 0.0:
+        return NMSE_FLOOR_DB
+    return max(10.0 * math.log10(num / den), NMSE_FLOOR_DB)
+
+
 def nmse(estimate_vals, truth_vals):
     """10 log10( sum |est - truth|^2 / sum |truth|^2 ), floored at -300 dB."""
     truth_vals = np.asarray(truth_vals)
     estimate_vals = np.asarray(estimate_vals)
-    denom = float(np.sum(np.abs(truth_vals) ** 2))
-    if denom == 0.0:
-        raise ValueError("truth field is identically zero on the grid")
-    num = float(np.sum(np.abs(estimate_vals - truth_vals) ** 2))
-    if num == 0.0:
-        return NMSE_FLOOR_DB
-    return max(10.0 * math.log10(num / denom), NMSE_FLOOR_DB)
+    return _nmse_db(float(np.sum(np.abs(estimate_vals - truth_vals) ** 2)),
+                    float(np.sum(np.abs(truth_vals) ** 2)))
+
+
+def _check_length(path, value):
+    """Reject a grid length whose double squares to inf, as for `_RADIUS`:
+    then no squared distance between a grid point and a configured point
+    overflows."""
+    if not (2.0 * value) * (2.0 * value) < math.inf:
+        raise ConfigError(f"{path}: must put every grid point within about 6.7e153 m "
+                          "of the origin")
 
 
 def ball_grid(radius, spacing):
     """All grid points at `spacing` intervals inside a centered ball.
 
-    The enclosing cube, built first, must hold at most 1e7 points; the
-    ratio is tested for ``inf`` before ``floor``.
+    The enclosing cube must hold at most 1e7 points; the ratio is tested for
+    ``inf`` before ``floor``.  The cube is scanned one x-slab at a time, so
+    only the grid itself is held.
     """
     ratio = radius / spacing
     if not (math.isfinite(ratio) and (2 * math.floor(ratio) + 1) ** 3 <= 10**7):
         raise ConfigError("eval_grid.spacing: too fine; the grid would exceed 1e7 points")
+    _check_length("eval_grid.radius", radius)
     n = math.floor(ratio)
     ax = np.arange(-n, n + 1) * spacing
-    pts = np.stack(np.meshgrid(ax, ax, ax, indexing="ij"), axis=-1).reshape(-1, 3)
-    return pts[np.linalg.norm(pts, axis=1) <= radius + 1e-12]
+    slab = np.empty(((2 * n + 1) ** 2, 3))
+    slab[:, 1:] = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
+    inside = []
+    for x in ax:
+        slab[:, 0] = x
+        inside.append(slab[np.linalg.norm(slab, axis=1) <= radius + 1e-12])
+    return np.concatenate(inside)
 
 
 @dataclass
@@ -553,27 +672,43 @@ class ResultRecord:
 def run_sweep(cfg):
     """Simulate, estimate and evaluate NMSE for every (frequency, trial).
 
-    What does not depend on frequency is computed once: the
-    :class:`Estimator` on the grid and the unit noise of each trial (drawn
-    from ``default_rng(seed + trial)``).  Each frequency then fits all
-    trials as one block.
+    The unit noise of each trial (from ``default_rng(seed + trial)``) is
+    drawn once, and every frequency is fitted first, all trials as one
+    block.  The grid is then walked in blocks of
+    :meth:`Estimator.block_rows` points: what a block needs at every
+    frequency (:meth:`Estimator.at`) is computed once, and its estimates and
+    truth at each frequency add to each (frequency, trial)'s NMSE numerator
+    and denominator.
     """
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
-    est = Estimator(cfg, grid)
+    est = Estimator(cfg)
     trials = range(cfg.trials)
     noise = np.stack([
         unit_noise(len(cfg.array.mics), np.random.default_rng(cfg.seed + t)) for t in trials
     ], axis=1)
-    records = []
-    for f in cfg.frequencies:
-        k = 2.0 * math.pi * f / cfg.c
-        truth_vals = _truth_eval(cfg.field_spec, grid, k)
+    ks = [2.0 * math.pi * f / cfg.c for f in cfg.frequencies]
+    weights = []
+    for k in ks:
         clean = observe_field(cfg.array, cfg.field_spec, k)
         signals = clean[:, None] + noise_std(clean, cfg.snr_db) * noise
-        estimates = prepare_estimator(est, k)(signals)
-        A = est.response(k)
+        weights.append(prepare_estimator(est, k)(signals))
+    num = np.zeros((len(ks), cfg.trials))
+    den = np.zeros(len(ks))
+    rows = est.block_rows(cfg.trials)
+    for start in range(0, len(grid), rows):
+        pts = grid[start:start + rows]
+        at = est.at(pts)
+        for i, k in enumerate(ks):
+            truth_vals = _truth_eval(cfg.field_spec, pts, k)
+            err = est.evaluate(at, k, weights[i]) - truth_vals
+            num[i] += np.sum(np.abs(err) ** 2, axis=1)
+            den[i] += np.sum(np.abs(truth_vals) ** 2)
+        del at  # before the next block's are built
+    records = []
+    for i, f in enumerate(cfg.frequencies):
+        A = est.response(ks[i])
         diag = float("nan") if A is None else float(np.min(np.abs(A)))
-        vals = [nmse(estimates[:, t], truth_vals) for t in trials]
+        vals = [_nmse_db(n, den[i]) for n in num[i]]
         mean_db = float(np.mean(vals))
         records.extend(
             ResultRecord(
@@ -590,9 +725,14 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
+def _csv_rows(rows):
+    """CSV lines, each ending in a newline, of rows of formatted cells."""
+    return "".join(",".join(row) + "\n" for row in rows)
+
+
 def _csv(header, rows):
     """CSV text: the `header` line, then each row of formatted cells."""
-    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+    return header + "\n" + _csv_rows(rows)
 
 
 def sweep_csv(records):
@@ -606,18 +746,25 @@ def sweep_csv(records):
 # ---------------------------------------------------------------------------
 
 PLANES = {"xy": (0, 1, 2), "xz": (0, 2, 1), "yz": (1, 2, 0)}
+# A field row's 8 formatted cells take about as much memory as this many
+# complex values while its block's text is built.
+_CSV_ROW_WIDTH = 32
 
 
 def plane_grid(plane, extent, spacing, offset=0.0):
     """Grid on an axis plane; `extent` is the full side length.  It must
-    hold at most 1e7 points; the ratio is tested for ``inf`` before ``ceil``."""
+    hold at most 1e7 points; the ratio is tested for ``inf`` before ``ceil``.
+    Every point must lie within about 6.7e153 m of the origin."""
     if plane not in PLANES:
         raise ConfigError(f"plane: must be one of {sorted(PLANES)}")
     ratio = extent / spacing
     if not (math.isfinite(ratio) and (math.ceil(ratio) + 1) ** 2 <= 10**7):
         raise ConfigError("--spacing: too fine; the grid would exceed 1e7 points")
+    half = extent / 2.0
+    _check_length("--extent", math.hypot(half, half))
+    _check_length("--offset", math.hypot(half, half, offset))
     n = math.ceil(ratio) + 1
-    ax = -extent / 2.0 + spacing * np.arange(n)
+    ax = -half + spacing * np.arange(n)
     U, V = np.meshgrid(ax, ax, indexing="ij")
     i, j, kk = PLANES[plane]
     pts = np.zeros(U.shape + (3,))
@@ -627,29 +774,36 @@ def plane_grid(plane, extent, spacing, offset=0.0):
     return pts.reshape(-1, 3)
 
 
-def dump_field(cfg, frequency, plane="xy", extent=2.0, spacing=0.1, offset=0.0,
+def dump_field(cfg, frequency, out, plane="xy", extent=2.0, spacing=0.1, offset=0.0,
                include_estimate=True, trial=0):
-    """CSV text of the true (and optionally estimated) field on a plane grid."""
+    """Write to the text stream `out` the CSV of the true (and optionally
+    estimated) field on a plane grid.
+
+    The estimator is fitted once; the rows are then evaluated and written
+    block by block.  Nothing is written before the grid is checked.
+    """
     k = 2.0 * math.pi * frequency / cfg.c
     pts = plane_grid(plane, extent, spacing, offset)
     truth_vals = _truth_eval(cfg.field_spec, pts, k)
     mean_pow = float(np.mean(np.abs(truth_vals) ** 2))
-    est_vals = None
+    rows = _block_rows(_CSV_ROW_WIDTH)
     if include_estimate:
+        est = Estimator(cfg)
         clean = observe_field(cfg.array, cfg.field_spec, k)
         signals = add_noise(clean, cfg.snr_db, np.random.default_rng(cfg.seed + trial))
-        est_vals = estimate_field(cfg, signals, k, pts)
-    rows = []
-    for i, p in enumerate(pts):
-        row = [_fmt(p[0]), _fmt(p[1]), _fmt(p[2]),
-               _fmt(truth_vals[i].real), _fmt(truth_vals[i].imag)]
-        if est_vals is None:
-            row += ["", "", ""]
-        else:
-            err = abs(est_vals[i] - truth_vals[i]) ** 2 / mean_pow
-            row += [_fmt(est_vals[i].real), _fmt(est_vals[i].imag), _fmt(err)]
-        rows.append(row)
-    return _csv("x,y,z,re_true,im_true,re_est,im_est,norm_err", rows)
+        weights = prepare_estimator(est, k)(signals[:, None])
+        rows = min(rows, est.block_rows(1))
+    pad = [] if include_estimate else ["", "", ""]
+    out.write("x,y,z,re_true,im_true,re_est,im_est,norm_err\n")
+    for start in range(0, len(pts), rows):
+        block = slice(start, start + rows)
+        p, truth = pts[block], truth_vals[block]
+        cols = [p[:, 0], p[:, 1], p[:, 2], truth.real, truth.imag]
+        if include_estimate:
+            est_vals = est.evaluate(est.at(p), k, weights)[0]
+            cols += [est_vals.real, est_vals.imag, np.abs(est_vals - truth) ** 2 / mean_pow]
+        out.write(_csv_rows([_fmt(x) for x in row] + pad
+                            for row in zip(*(c.tolist() for c in cols))))
 
 
 # ---------------------------------------------------------------------------

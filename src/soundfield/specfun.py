@@ -247,7 +247,9 @@ def sph_harm_matrix(order, dirs):
     """All Yhat_{nu,mu} up to degree `order` at the given unit vectors.
 
     Returns an array of shape ``shape(dirs)[:-1] + ((order+1)**2,)`` with
-    columns in flat (nu, mu) ordering.
+    columns in flat (nu, mu) ordering.  It is the transposed view of a
+    C-ordered ``((order+1)**2, Q)`` array, so each column is contiguous and
+    ``Y.T[nu**2:(nu+1)**2]`` is the C-ordered block of degree nu.
 
     The 4 pi-normalised associated Legendre functions
     ``Pbar_nu^m = sqrt((2nu+1)(nu-m)!/(nu+m)!) P_nu^m`` (Condon-Shortley
@@ -268,12 +270,15 @@ def sph_harm_matrix(order, dirs):
         a, b = _legendre_step(n)
         P[n, :n] = a * z * P[n - 1, :n] - b * P[max(n - 2, 0), :n]  # b = 0 at n = 1
         P[n, n] = -math.sqrt((2 * n + 1) / (2 * n)) * sin_theta * P[n - 1, n - 1]
-    nu, mu = degrees_orders(order)
-    am = np.abs(mu)
-    sign = np.where((mu < 0) & (am % 2 == 1), -1.0, 1.0)[:, None]
-    phase = np.exp(1j * np.multiply.outer(phi, np.arange(-order, order + 1)))
-    Y = phase[:, mu + order] * (P[nu, am] * sign).T
-    return Y.reshape(dirs.shape[:-1] + (-1,))
+    phase = np.exp(1j * np.multiply.outer(np.arange(order + 1), phi))  # e^{i m phi}, m >= 0
+    Y = np.empty((num_coeffs(order), z.size), dtype=complex)
+    for n in range(order + 1):
+        c = n * n + n  # the row of (n, 0)
+        np.multiply(phase[:n + 1], P[n, :n + 1], out=Y[c:c + n + 1])
+        neg = Y[c - n:c][::-1]  # the rows of (n, -1), ..., (n, -n)
+        np.conjugate(Y[c + 1:c + n + 1], out=neg)
+        neg[::2] *= -1.0  # odd m
+    return Y.T.reshape(dirs.shape[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------

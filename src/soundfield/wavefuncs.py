@@ -73,9 +73,8 @@ def swf_angular(order, r):
     Y = sph_harm_matrix(order, dirs)
     at_origin = rad == 0
     if np.any(at_origin):
-        origin_row = np.zeros(num_coeffs(order), dtype=complex)
-        origin_row[0] = 1.0
-        Y = np.where(at_origin[..., None], origin_row, Y)
+        Y[at_origin] = 0.0
+        Y[at_origin, 0] = 1.0
     return rad, Y
 
 

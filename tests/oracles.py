@@ -27,6 +27,29 @@ def anc_cost(e, A):
     return float(np.real(e.conj() @ np.asarray(A, dtype=complex) @ e))
 
 
+def gathered_sph_harm_matrix(order, dirs):
+    """``sf.sph_harm_matrix`` assembled by gathers: every (nu, mu) column is
+    ``e^{i mu phi} (-1)^mu Pbar_nu^|mu|`` for odd negative mu, with
+    ``e^{i mu phi}`` evaluated for each mu, negative ones included, and the
+    Legendre table of ``sf.sph_harm_matrix``'s own recurrence."""
+    dirs = np.asarray(dirs, dtype=float)
+    z = np.clip(dirs[..., 2], -1.0, 1.0).ravel()
+    sin_theta = np.sqrt((1.0 - z) * (1.0 + z))
+    phi = np.arctan2(dirs[..., 1], dirs[..., 0]).ravel()
+    P = np.zeros((order + 1, order + 1, z.size))
+    P[0, 0] = 1.0
+    for n in range(1, order + 1):
+        a, b = sf._legendre_step(n)
+        P[n, :n] = a * z * P[n - 1, :n] - b * P[max(n - 2, 0), :n]
+        P[n, n] = -np.sqrt((2 * n + 1) / (2 * n)) * sin_theta * P[n - 1, n - 1]
+    nu, mu = sf.degrees_orders(order)
+    am = np.abs(mu)
+    sign = np.where((mu < 0) & (am % 2 == 1), -1.0, 1.0)[:, None]
+    phase = np.exp(1j * np.multiply.outer(phi, np.arange(-order, order + 1)))
+    Y = phase[:, mu + order] * (P[nu, am] * sign).T
+    return Y.reshape(dirs.shape[:-1] + (-1,))
+
+
 def legendre(n, x):
     """Legendre polynomials P_n(x) for degrees `n` broadcast against `x`."""
     n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))

@@ -1,14 +1,16 @@
 import gc
+import io
 import json
 import math
 import subprocess
 import sys
+import warnings
 import weakref
 
 import numpy as np
 import pytest
 
-from soundfield import specfun
+from soundfield import harness, specfun
 from soundfield.boundary import estimate_coeffs
 from soundfield.cli import main as cli_main
 from soundfield.discrete import (
@@ -326,14 +328,15 @@ def test_grid_harmonics_once_per_sweep(monkeypatch, estimator):
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_estimator_freed_without_gc(estimator):
-    # its grid harmonics are the sweep's largest arrays; a reference cycle
-    # would hold them until a gc pass and raise the peak memory of a run
+    # a reference cycle through the estimator would hold what it keeps (the
+    # analysis matrix) until a gc pass
     array = {"type": "spherical", "t": 5, "radius": 0.5}
     cfg = ScenarioConfig.from_dict(_base_config(estimator=estimator, array=array))
     gc.disable()
     try:
-        est = Estimator(cfg, ball_grid(0.5, 0.25))
-        prepare_estimator(est, 2.0)(np.ones((12, 1)))
+        est = Estimator(cfg)
+        weights = prepare_estimator(est, 2.0)(np.ones((12, 1)))
+        est.evaluate(est.at(ball_grid(0.5, 0.25)), 2.0, weights)
         ref = weakref.ref(est)
         del est
         assert ref() is None
@@ -341,13 +344,85 @@ def test_estimator_freed_without_gc(estimator):
         gc.enable()
 
 
+def _count_grid_harmonics(monkeypatch, mics):
+    """Record the number of directions of each sph_harm_matrix call on more
+    directions than there are mics: those on blocks of grid points."""
+    orig = specfun.sph_harm_matrix
+    sizes = []
+
+    def counting(order, dirs):
+        if np.size(dirs) // 3 > mics:
+            sizes.append(np.size(dirs) // 3)
+        return orig(order, dirs)
+
+    for mod in [m for name, m in sys.modules.items() if name.startswith("soundfield")]:
+        if getattr(mod, "sph_harm_matrix", None) is orig:
+            monkeypatch.setattr(mod, "sph_harm_matrix", counting)
+    return sizes
+
+
+def _count_blocks(monkeypatch):
+    """Record the number of points of each block the estimator is evaluated on."""
+    orig = harness.Estimator.at
+    sizes = []
+
+    def at(self, pts):
+        sizes.append(len(pts))
+        return orig(self, pts)
+
+    monkeypatch.setattr(harness.Estimator, "at", at)
+    return sizes
+
+
+# 100 points per block at 64 complex values per point ((7 + 1)^2 harmonics)
+SMALL_BUDGET = 16 * 64 * 100
+
+
+def _blocked_config(estimator):
+    array = {"type": "spherical", "t": 5, "radius": 0.5}
+    if estimator.startswith("DM-"):
+        array["kind"] = "first_order"
+    return ScenarioConfig.from_dict(_base_config(
+        estimator=estimator, frequencies=[150.0, 300.0, 420.0], trials=3, array=array,
+        eval_grid={"radius": 0.5, "spacing": 0.1}, origin=[0.05, -0.02, 0.03],
+        field=FIELDS["point_source"]))
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_sweep_in_blocks_matches_one_block(monkeypatch, estimator):
+    # splitting the grid changes only the summation order of the NMSE sums;
+    # each block's harmonics are computed once for all frequencies
+    cfg = _blocked_config(estimator)
+    one = run_sweep(cfg)
+    monkeypatch.setattr(harness, "BLOCK_BYTES", SMALL_BUDGET)
+    blocks = _count_blocks(monkeypatch)
+    harmonics = _count_grid_harmonics(monkeypatch, len(cfg.array.mics))
+    split = run_sweep(cfg)
+    grid_size = len(ball_grid(cfg.eval_radius, cfg.eval_spacing))
+    assert len(blocks) >= 3 and sum(blocks) == grid_size
+    assert harmonics == ([] if estimator == "DM-infinite" else blocks)
+    assert len(split) == len(one) == 9
+    for a, b in zip(one, split):
+        assert (a.frequency, a.trial) == (b.frequency, b.trial)
+        assert abs(a.nmse_db - b.nmse_db) <= 1e-12
+        assert abs(a.nmse_mean_db - b.nmse_mean_db) <= 1e-12
+        assert a.min_radial_response == b.min_radial_response or math.isnan(
+            a.min_radial_response)
+
+
 # ---------------------------------------------------------------------------
 # Field dumps
 # ---------------------------------------------------------------------------
 
+def _dump(cfg, frequency, **kwargs):
+    out = io.StringIO()
+    dump_field(cfg, frequency, out, **kwargs)
+    return out.getvalue()
+
+
 def test_dump_field_columns_and_norm_err():
     cfg = ScenarioConfig.from_dict(_base_config())
-    text = dump_field(cfg, 200.0, plane="xy", extent=1.0, spacing=0.5)
+    text = _dump(cfg, 200.0, plane="xy", extent=1.0, spacing=0.5)
     lines = text.strip().split("\n")
     assert lines[0] == "x,y,z,re_true,im_true,re_est,im_est,norm_err"
     rows = [ln.split(",") for ln in lines[1:]]
@@ -363,10 +438,28 @@ def test_dump_field_columns_and_norm_err():
 
 def test_dump_field_truth_only_empty_est_columns():
     cfg = ScenarioConfig.from_dict(_base_config())
-    text = dump_field(cfg, 200.0, include_estimate=False, extent=1.0, spacing=0.5)
+    text = _dump(cfg, 200.0, include_estimate=False, extent=1.0, spacing=0.5)
     for ln in text.strip().split("\n")[1:]:
         parts = ln.split(",")
         assert parts[5] == "" and parts[6] == "" and parts[7] == ""
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_dump_field_in_blocks_matches_one_block(monkeypatch, estimator):
+    cfg = _blocked_config(estimator)
+    kwargs = {"plane": "xz", "extent": 1.0, "spacing": 0.1, "offset": 0.05}
+    one = np.array([ln.split(",") for ln in _dump(cfg, 300.0, **kwargs).splitlines()[1:]],
+                   dtype=float)
+    monkeypatch.setattr(harness, "BLOCK_BYTES", SMALL_BUDGET // 4)
+    blocks = _count_blocks(monkeypatch)
+    harmonics = _count_grid_harmonics(monkeypatch, len(cfg.array.mics))
+    text = _dump(cfg, 300.0, **kwargs)
+    split = np.array([ln.split(",") for ln in text.splitlines()[1:]], dtype=float)
+    assert len(blocks) >= 3 and sum(blocks) == len(one) == 121
+    assert harmonics == ([] if estimator == "DM-infinite" else blocks)
+    assert text.splitlines()[0] == "x,y,z,re_true,im_true,re_est,im_est,norm_err"
+    scale = np.max(np.abs(one), axis=0)
+    assert np.all(np.abs(split - one) <= 1e-12 * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +886,80 @@ def test_cli_grids_are_bounded(tmp_path, capsys, monkeypatch, command, config, f
     assert f"config error: {bad}: too fine; the grid would exceed 1e7 points" in (
         capsys.readouterr().err)
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, config, flags, bad", [
+    ("sweep", _base_config(eval_grid={"radius": 1e200, "spacing": 1e199}), [],
+     "eval_grid.radius"),
+    ("sweep", _base_config(eval_grid={"radius": 7e153, "spacing": 1e153}), [],
+     "eval_grid.radius"),
+    ("field", _base_config(), ["--freq", "300", "--offset", "1e200"], "--offset"),
+    ("field", _base_config(), ["--freq", "300", "--offset=-7e153"], "--offset"),
+    ("field", _base_config(), ["--freq", "300", "--extent", "1e200", "--spacing", "1e199"],
+     "--extent"),
+])
+def test_cli_grid_lengths_are_bounded(tmp_path, capsys, command, config, flags, bad):
+    # a grid point farther than about 6.7e153 m from the origin would
+    # overflow a squared distance; rejected before any is computed
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli_main([command, str(cfg), *flags, "-o", str(out)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert f"config error: {bad}: must put every grid point within about 6.7e153 m" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("over, bad", [
+    # t = 7: 64 mics, so at most 2^21 / 64 = 32768 fit values per mic, and
+    # a quarter of that for directional mics in DM-finite
+    ({"estimator": "BM-omni", "order": 181}, "order: must be at most 180 with 64 mics"),
+    ({"estimator": "BM-rigid", "order": 10**6}, "order: must be at most 180"),
+    ({"estimator": "DM-finite", "order_n0": 181}, "order_n0: must be at most 180 with 64 mics"),
+    ({"estimator": "DM-finite", "order_n0": 90, "array": {"type": "spherical", "t": 7,
+                                                          "kind": "first_order"}},
+     "order_n0: must be at most 89 with 64 mics"),
+    ({"estimator": "BM-omni", "trials": 32769}, "trials: must be at most 32768"),
+    ({"estimator": "BM-omni", "order": 100, "trials": 300}, "trials: must be at most 205"),
+    ({"estimator": "DM-infinite", "trials": 10**9}, "trials: must be at most 32768"),
+    # DM-infinite's Gram matrix: at most 1448 mics (1448^2 <= 2^21 < 1449^2)
+    ({"estimator": "DM-infinite", "array": {"mount": "open", "mics": [
+        {"pos": [1.0 + 1e-3 * i, 0.0, 0.0]} for i in range(1449)]}},
+     "array.mics: must hold at most 1448 mics for DM-infinite"),
+])
+def test_cli_fit_sizes_are_bounded(tmp_path, capsys, monkeypatch, over, bad):
+    # rejected by the parser, before the sweep allocates any fit-stage array
+    def sweep(cfg):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr("soundfield.cli.run_sweep", sweep)
+    cfg = tmp_path / "cfg.json"
+    config = _base_config(array={"type": "spherical", "t": 7}, eval_grid={})
+    config.update(over)
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "f.csv"
+    assert cli_main(["sweep", str(cfg), "-o", str(out)]) == 2
+    assert f"config error: {bad}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("over", [
+    {"estimator": "BM-omni", "order": 180},
+    {"estimator": "BM-omni", "order": 30},
+    {"estimator": "DM-finite", "order_n0": 30, "array": {"type": "spherical", "t": 7,
+                                                         "kind": "first_order"}},
+    {"estimator": "BM-omni", "trials": 32768},
+    {"estimator": "DM-infinite", "trials": 32768},
+    {"estimator": "DM-infinite", "array": {"mount": "open", "mics": [
+        {"pos": [1.0 + 1e-3 * i, 0.0, 0.0]} for i in range(1448)]}},
+])
+def test_fit_sizes_at_the_budget_are_accepted(over):
+    config = _base_config(array={"type": "spherical", "t": 7}, eval_grid={})
+    config.update(over)
+    ScenarioConfig.from_dict(config)
 
 
 def test_cli_field_builds_no_ball_grid(tmp_path):

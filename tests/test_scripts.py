@@ -1,5 +1,6 @@
 """The experiment scripts run to completion at their smallest settings, so a
-script whose config the parser rejects fails the suite."""
+script whose config the parser rejects fails the suite; the CSV drift report
+finds the repo identical to itself."""
 
 import os
 import subprocess
@@ -30,3 +31,17 @@ def test_script_runs(tmp_path, script, args):
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_csv_drift_of_the_repo_against_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "csv_drift.py"), str(ROOT), str(ROOT)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert {line.split(" ", 1)[0] for line in lines} == {
+        "anc", "synth", *(f"{name}-{cmd}" for name in
+                          ("sweep_first_order", "sweep_kernel", "sweep_rigid")
+                          for cmd in ("sweep", "field", "forbidden"))}
+    assert all(line.endswith(": identical") for line in lines), proc.stdout

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from soundfield import specfun as sf
 
-from oracles import legendre, sph_hn
+from soundfield import wavefuncs as wf
+
+from oracles import gathered_sph_harm_matrix, legendre, sph_hn
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +89,31 @@ def test_orthonormality(squad):
     Y = sf.sph_harm_matrix(order, dirs)
     G = (Y.conj().T * w) @ Y / (4.0 * np.pi)
     assert np.max(np.abs(G - np.eye(sf.num_coeffs(order)))) <= 1e-10
+
+
+@pytest.mark.parametrize("order", [0, 1, 7, 30])
+def test_harmonics_equal_gathered_assembly(rng, order):
+    # degree by degree with the negative orders by conjugation: the same
+    # values, to the bit, as the per-column gathers
+    dirs = rng.normal(size=(200, 3))
+    dirs = np.vstack([dirs / np.linalg.norm(dirs, axis=1, keepdims=True),
+                      [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]])
+    Y = sf.sph_harm_matrix(order, dirs)
+    assert Y.shape == (202, sf.num_coeffs(order))
+    assert np.array_equal(Y, gathered_sph_harm_matrix(order, dirs))
+    # each column is contiguous: Y is the transposed view of a C array
+    assert Y.T.flags.c_contiguous
+
+
+def test_swf_angular_origin_row(rng):
+    pts = np.vstack([rng.normal(size=(5, 3)), np.zeros(3), rng.normal(size=(2, 3))])
+    rad, Y = wf.swf_angular(4, pts)
+    row = np.zeros(sf.num_coeffs(4), dtype=complex)
+    row[0] = 1.0
+    assert rad[5] == 0.0 and np.array_equal(Y[5], row)
+    others = np.r_[0:5, 6:8]
+    dirs = pts[others] / rad[others, None]
+    assert np.array_equal(Y[others], sf.sph_harm_matrix(4, dirs))
 
 
 def test_conjugation_symmetry(rng):

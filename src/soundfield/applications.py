@@ -10,6 +10,8 @@ replaces plain per-point squared errors.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -46,6 +48,13 @@ def square_boundary_points(side, count, z=0.0, outward_shift=0.0):
     return pts
 
 
+def square_grid_side(side, spacing, midpoint=False):
+    """Points per side of :func:`square_grid`; inf where side / spacing
+    overflows."""
+    ratio = side / spacing
+    return math.inf if ratio == math.inf else round(ratio) + (0 if midpoint else 1)
+
+
 def square_grid(side, spacing, midpoint=False):
     """Grid of points covering a centered square in the plane z = 0.
 
@@ -55,11 +64,10 @@ def square_grid(side, spacing, midpoint=False):
     centers, giving a second-order midpoint quadrature rule for region
     integrals.  Returns (points, cell_area).
     """
+    n = square_grid_side(side, spacing, midpoint)
     if midpoint:
-        n = int(round(side / spacing))
         ax = -side / 2.0 + spacing * (np.arange(n) + 0.5)
     else:
-        n = int(round(side / spacing)) + 1
         ax = np.linspace(-side / 2.0, side / 2.0, n)
     X, Y = np.meshgrid(ax, ax, indexing="ij")
     pts = np.stack([X, Y, np.zeros_like(X)], axis=-1).reshape(-1, 3)
@@ -95,7 +103,10 @@ def region_weighting(points, region_pts, cell_measure, k, reg):
     # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
     # call in some processes (cause not established); einsum takes ~2 ms
     inner = cell_measure * np.einsum("qm,qn->mn", kap.conj(), kap)
-    return P.conj().T @ inner @ P
+    W = P.conj().T @ inner @ P
+    # exactly Hermitian: rounding leaves P^H inner P Hermitian only to about
+    # cond(K + reg I) ulps, which at low k exceeds anc_lms_run's tolerance
+    return 0.5 * (W + W.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .harness import (
     _POSITIVE,
     ConfigError,
     ScenarioConfig,
-    _checked,
     _csv,
     _fmt,
     anc_experiment,
@@ -83,11 +82,11 @@ def cmd_sweep(args):
     return 0
 
 
-def _check_flags(args, rules):
-    """Check each flag by its rule as a config value is checked; argparse has
-    already made it an int or a float."""
-    for flag, rule in rules.items():
-        _checked(f"--{flag}", getattr(args, flag), rule)
+def _check_flags(args, readers):
+    """Check each flag by the reader of a config value; argparse has already
+    made it an int or a float."""
+    for flag, read in readers.items():
+        read(f"--{flag}", getattr(args, flag))
 
 
 def cmd_field(args):

@@ -9,6 +9,7 @@ identical config and seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -44,6 +45,18 @@ NMSE_FLOOR_DB = -300.0
 
 ESTIMATORS = ("BM-omni", "BM-first", "BM-rigid", "DM-finite", "DM-infinite")
 
+# Evaluation walks its points in blocks whose per-point arrays, about
+# max((order+1)^2, M, trials) complex values per point (see
+# Estimator.block_rows), take at most this many bytes; every array whose
+# size a config sets is held to it too (see _check_fit_sizes,
+# wpm_experiment and anc_experiment).
+BLOCK_BYTES = 32 * 2**20
+# Bytes of one complex value, the unit of the block budget.
+_VALUE_BYTES = 16
+# The largest k r at which sph_jn_all and sph_hn_all were checked against
+# mpmath; see _wavenumbers.
+_KR_MAX = 2000.0
+
 
 class ConfigError(ValueError):
     """Invalid scenario configuration; message includes the field path."""
@@ -53,186 +66,323 @@ class ConfigError(ValueError):
 # Configuration
 # ---------------------------------------------------------------------------
 
-# Config checks shared by the scenario, synth and anc configs.
-# A rule is (what the value must be, test it must pass).
-_POSITIVE = ("a positive number", lambda v: v > 0)
-_NON_NEGATIVE = ("a number >= 0", lambda v: v >= 0)
-_SPACING = ("a number in (0, 1] (metres, on the 1 m square region)", lambda v: 0 < v <= 1)
-_MULTIPLE_OF_4 = ("a positive multiple of 4", lambda v: v > 0 and v % 4 == 0)
-_NUMBER = ("a number", lambda v: True)
-_COUNT = ("an integer >= 0", lambda v: v >= 0)
-_AT_LEAST_1 = ("an integer >= 1", lambda v: v >= 1)
-_UNIT_INTERVAL = ("a number in [0, 1]", lambda v: 0 <= v <= 1)
+# Each JSON object of a config is read by its table of (key, default, read)
+# rows: read(path, value) returns the checked value or raises ConfigError
+# naming `path`.  A None default leaves an absent key None; _REQUIRED rejects it.
+_REQUIRED = object()
+
+
+def _rule(expect, ok, integer=False):
+    """The reader of a finite number passing `ok`, returned as a float (an
+    int if `integer`); anything else raises ConfigError "<path>: must be
+    <expect>".  JSON true and false are not numbers here."""
+    kinds = int if integer else (int, float)
+
+    def read(path, value):
+        try:
+            good = (not isinstance(value, bool) and isinstance(value, kinds)
+                    and math.isfinite(value) and ok(value))
+        except OverflowError:  # an integer beyond the float range
+            good = False
+        if not good:
+            raise ConfigError(f"{path}: must be {expect}")
+        return value if integer else float(value)
+
+    return read
+
+
+def _choice(*choices):
+    """The reader of one of the strings `choices`."""
+    def read(path, value):
+        if not isinstance(value, str) or value not in choices:
+            raise ConfigError(f"{path}: must be one of {', '.join(map(repr, choices))}")
+        return value
+
+    return read
+
+
+# Complex values within the block budget; a count whose square stays within it.
+_BUDGET = BLOCK_BYTES // _VALUE_BYTES
+_SQUARE_BUDGET = math.isqrt(_BUDGET)
+_BUDGET_NAME = f"the {BLOCK_BYTES >> 20} MB block budget"
+
+_POSITIVE = _rule("a positive number", lambda v: v > 0)
+_NON_NEGATIVE = _rule("a number >= 0", lambda v: v >= 0)
+_NUMBER = _rule("a number", lambda v: True)
+_COUNT = _rule("an integer >= 0", lambda v: v >= 0, integer=True)
+_AT_LEAST_1 = _rule("an integer >= 1", lambda v: v >= 1, integer=True)
+_UNIT_INTERVAL = _rule("a number in [0, 1]", lambda v: 0 <= v <= 1)
+_SPACING = _rule("a number in (0, 1] (metres, on the 1 m square region)",
+                 lambda v: 0 < v <= 1)
 # Twice a radius or a position must square to a finite number (below about
 # 6.7e153), so that the squared distance of any two configured points is too.
-_RADIUS = ("a positive number below about 6.7e153",
-           lambda v: v > 0 and (2.0 * v) * (2.0 * v) < math.inf)
-_T_DESIGN = (f"one of {', '.join(map(str, T_DESIGNS))} (the embedded t-designs)",
-             lambda v: v in T_DESIGNS)
-_MOUNTS = ("open", "rigid")
-# Optional scalar fields of a scenario: (key, rule, integer).
-_SCENARIO_FIELDS = (
-    ("c", _POSITIVE, False),
-    ("snr_db", _NUMBER, False),
-    ("seed", _COUNT, True),
-    ("trials", _AT_LEAST_1, True),
-    ("order", _COUNT, True),
-    ("order_n0", _COUNT, True),
-    ("reg", _NON_NEGATIVE, False),
-    ("directivity_a", _UNIT_INTERVAL, False),
-)
+_RADIUS = _rule("a positive number below about 6.7e153",
+                lambda v: v > 0 and (2.0 * v) * (2.0 * v) < math.inf)
+# K has a unit diagonal, so beyond about 1/eps K + reg I rounds to reg I;
+# the weighting P^H inner P, of order 1/reg^2, leaves the float range near
+# reg = 1e150.
+_KERNEL_REG = _rule("a number in [0, 1e15]", lambda v: 0 <= v <= 1e15)
+_SQUARE_COUNT = _rule(
+    f"a positive multiple of 4 up to {_SQUARE_BUDGET}, so that the square matrices "
+    f"stay within {_BUDGET_NAME}", lambda v: 0 < v <= _SQUARE_BUDGET and v % 4 == 0, integer=True)
+_MOUNTS = _choice("open", "rigid")
+_MIC_KIND = _choice(*MIC_KINDS)
 
 
-def _checked(path, value, rule, integer=False):
-    """`value` as a float (an int if `integer`) when it is a finite number
-    passing `rule`.
-
-    Otherwise raises ConfigError "<path>: must be <rule[0]>".  JSON true and
-    false are not numbers here.
-    """
-    expect, ok = rule
-    kinds = int if integer else (int, float)
-    try:
-        good = (not isinstance(value, bool) and isinstance(value, kinds)
-                and math.isfinite(value) and ok(value))
-    except OverflowError:  # an integer beyond the float range
-        good = False
-    if not good:
-        raise ConfigError(f"{path}: must be {expect}")
-    return value if integer else float(value)
-
-
-class _ConfigObject:
-    """One JSON object of a config, read key by key.
-
-    Every key the parser asks for is recorded, so :meth:`close` rejects
-    exactly the keys it never read.  `path` prefixes key names in messages
-    (empty at the top level).
-    """
-
-    def __init__(self, obj, path=""):
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{path or 'top level'}: must be a JSON object")
-        self.obj = obj
-        self.path = path
-        self._read = set()
-
-    def key_path(self, key):
-        return f"{self.path}.{key}" if self.path else key
-
-    def __contains__(self, key):
-        self._read.add(key)
-        return key in self.obj
-
-    def get(self, key, default=None):
-        self._read.add(key)
-        return self.obj.get(key, default)
-
-    def close(self):
-        """Raise ConfigError naming the first key that was never read."""
-        unknown = sorted(set(self.obj) - self._read)
-        if unknown:
-            raise ConfigError(
-                f"{self.key_path(unknown[0])}: unknown key; expected one of "
-                f"{', '.join(sorted(self._read))}")
-
-
-def _field(obj, key, default, rule, integer=False):
-    """obj[key], or `default` when absent, checked by :func:`_checked`."""
-    return _checked(obj.key_path(key), obj.get(key, default), rule, integer)
-
-
-def _vector_field(obj, key, default, nonzero=False):
-    """obj[key], or `default` when absent, as a (3,) float array.
+def _vector(path, value, nonzero=False):
+    """A list of 3 numbers as a (3,) float array.
 
     ``(2v).(2v)`` must be finite, as for `_RADIUS`.  With `nonzero`, its
     squared norm must be above 0 and finite, so that it can be normalised.
     """
-    path = obj.key_path(key)
-    value = obj.get(key, default)
     if not isinstance(value, list) or len(value) != 3:
         raise ConfigError(f"{path}: must be a list of 3 numbers")
-    for i, v in enumerate(value):
-        _checked(f"{path}[{i}]", v, _NUMBER)
-    if nonzero and not 0.0 < sum(float(v) * float(v) for v in value) < math.inf:
+    v = [_NUMBER(f"{path}[{i}]", x) for i, x in enumerate(value)]
+    if nonzero and not 0.0 < sum(x * x for x in v) < math.inf:
         raise ConfigError(f"{path}: must be a nonzero 3-vector")
-    if not sum((2.0 * float(v)) * (2.0 * float(v)) for v in value) < math.inf:
+    if not sum((2.0 * x) * (2.0 * x) for x in v) < math.inf:
         raise ConfigError(f"{path}: must have a norm below about 6.7e153")
-    return np.asarray(value, dtype=float)
+    return np.asarray(v)
 
 
-def _unit_field(obj, key, default):
-    """obj[key], or `default` when absent, as a unit (3,) float array."""
-    v = _vector_field(obj, key, default, nonzero=True)
+_axis = functools.partial(_vector, nonzero=True)
+
+
+def _unit(path, value):
+    """A nonzero 3-vector, normalised."""
+    v = _axis(path, value)
     return v / np.linalg.norm(v)
 
 
-def _frequencies(value):
-    """The `frequencies` list: non-empty, of positive Hz values."""
-    if not isinstance(value, list) or not value:
-        raise ConfigError("frequencies: must be a non-empty list of Hz values")
-    return [_checked(f"frequencies[{i}]", f, _POSITIVE) for i, f in enumerate(value)]
+def _list_of(read, what):
+    """The reader of a non-empty list of `what`, each entry read by `read`."""
+    def read_list(path, value):
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{path}: must be a non-empty list of {what}")
+        return [read(f"{path}[{i}]", entry) for i, entry in enumerate(value)]
+
+    return read_list
 
 
-def _choice(obj, key, default, choices):
-    """obj[key], or `default` when absent, when it is one of `choices`."""
-    value = obj.get(key, default)
-    if not isinstance(value, str) or value not in choices:
-        raise ConfigError(
-            f"{obj.key_path(key)}: must be one of {', '.join(map(repr, choices))}")
-    return value
+_frequencies = _list_of(_POSITIVE, "Hz values")
+
+
+def _read(obj, rows, path=""):
+    """The values of the JSON object `obj`, a dict read by its table `rows`.
+
+    A row (key, default, read) gives read(key path, value), of the key's
+    value or else of `default`; an absent key stays None when `default` is
+    None and is rejected when it is _REQUIRED.  A non-object `obj` and a
+    key with no row are rejected before any row is read.  `path` prefixes
+    key names in messages (empty at the top level).
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{path or 'top level'}: must be a JSON object")
+    keys = [key for key, _, _ in rows]
+    prefix = f"{path}." if path else ""
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ConfigError(f"{prefix}{unknown[0]}: unknown key; expected one of "
+                          f"{', '.join(sorted(keys))}")
+    values = {}
+    for key, default, read in rows:
+        key_path = prefix + key
+        if key in obj:
+            values[key] = read(key_path, obj[key])
+        elif default is _REQUIRED:
+            raise ConfigError(f"{key_path}: required")
+        else:
+            values[key] = None if default is None else read(key_path, default)
+    return values
+
+
+def _object(rows):
+    """The reader of a JSON object by its table `rows` (see :func:`_read`)."""
+    return lambda path, value: _read(value, rows, path)
+
+
+def _array(path, value):
+    """The `array` object: the explicit form when it gives `mics`, else the
+    spherical-design form."""
+    explicit = isinstance(value, dict) and "mics" in value
+    return _read(value, _EXPLICIT if explicit else _SPHERICAL, path)
+
+
+def _field(path, value):
+    """The `field` object, read by the table of its `type`."""
+    kind = value.get("type") if isinstance(value, dict) else "plane_wave"  # _read rejects it
+    return _read(value, _FIELDS[_FIELD_TYPE(f"{path}.type", kind)], path)
+
+
+_EVAL_GRID = (("radius", 1.0, _POSITIVE), ("spacing", 0.1, _POSITIVE))
+_SPHERICAL = (
+    ("type", _REQUIRED, _choice("spherical")),
+    ("t", 7, _rule(f"one of {', '.join(map(str, T_DESIGNS))} (the embedded t-designs)",
+                   lambda v: v in T_DESIGNS, integer=True)),
+    ("radius", 1.0, _RADIUS),
+    ("kind", None, _MIC_KIND),  # None: the kind the estimator models, else omni
+    ("mount", "open", _MOUNTS),
+)
+_MIC = (
+    ("pos", _REQUIRED, _vector),
+    ("kind", "omni", _MIC_KIND),
+    ("y", None, _axis),
+    ("a", None, _UNIT_INTERVAL),
+)
+_EXPLICIT = (
+    ("mount", _REQUIRED, _MOUNTS),
+    ("mics", _REQUIRED, _list_of(_object(_MIC), "mic objects")),
+    ("radius", None, _RADIUS),
+)
+_FIELD_TYPE = _choice("plane_wave", "point_source")
+_FIELDS = {"plane_wave": (("type", _REQUIRED, _FIELD_TYPE),
+                          ("direction", [1.0, 0.0, 0.0], _unit)),
+           "point_source": (("type", _REQUIRED, _FIELD_TYPE),
+                            ("position", _REQUIRED, _vector))}
+_SCENARIO = (
+    ("estimator", _REQUIRED, _choice(*ESTIMATORS)),
+    ("frequencies", _REQUIRED, _frequencies),
+    ("array", _REQUIRED, _array),
+    ("field", {"type": "plane_wave"}, _field),
+    ("c", 340.65, _POSITIVE),
+    # the noise variance 10^(-snr_db/10) times the signal power stays finite
+    ("snr_db", 30.0, _rule(f"a number >= {NMSE_FLOOR_DB:g} (dB)", lambda v: v >= NMSE_FLOOR_DB)),
+    ("seed", 0, _COUNT),
+    ("trials", 10, _AT_LEAST_1),
+    ("order", 7, _COUNT),  # truncation order N of the boundary estimators
+    ("order_n0", 7, _COUNT),  # basis truncation N0 of DM-finite
+    ("origin", [0.0, 0.0, 0.0], _vector),
+    ("reg", 1e-3, _NON_NEGATIVE),
+    ("directivity_a", 0.5, _UNIT_INTERVAL),
+    ("eval_grid", {}, _object(_EVAL_GRID)),
+)
+_SYNTH = (
+    ("frequencies", _REQUIRED, _frequencies),
+    ("c", 340.65, _POSITIVE),
+    # The rings at z = +-0.2 give G exactly duplicated columns, so G^H W G +
+    # eta I is singular unless eta shows against G^H W G, whose norm is at
+    # most trace(W) |G|^2, about 3e5 on the finest control grid.
+    ("eta", 1e-3, _rule("a number >= 1e-9", lambda v: v >= 1e-9)),
+    ("reg", 1e-3, _KERNEL_REG),
+    ("direction", [math.cos(-math.pi / 4), math.sin(-math.pi / 4), 0.0], _unit),
+    ("eval_spacing", 0.05, _SPACING),
+    ("quad_spacing", 0.02, _SPACING),
+    ("control_spacing", 0.2, _SPACING),
+)
+_ANC = (
+    ("c", 340.65, _POSITIVE),
+    ("frequency", 700.0, _POSITIVE),
+    ("reg", 1e-3, _KERNEL_REG),
+    # the costs of both weightings: 16 bytes, one complex value, an iteration
+    ("iterations", 20000, _rule(f"an integer in [1, {_BUDGET}], so that the costs stay "
+                                f"within {_BUDGET_NAME}", lambda v: 1 <= v <= _BUDGET,
+                                integer=True)),
+    ("primary_source", [3.0, 0.0, 0.0], _vector),
+    ("num_error_mics", 24, _SQUARE_COUNT),
+    ("outward_shift", 0.03, _NON_NEGATIVE),
+    ("num_sources", 12, _SQUARE_COUNT),
+    ("eval_spacing", 0.05, _SPACING),
+    # LMS converges for 0 < mu < 2 / max eig(G^H A G) with the unit reference
+    ("mu_scale", 1.0, _rule("a number in (0, 2)", lambda v: 0 < v < 2)),
+)
+
+
+def _wavenumbers(freqs, c, lengths):
+    """(path, k) of each (path, f) of `freqs`, k = 2 pi f / c.
+
+    Rejects, naming the frequency's path, a k that is not a positive
+    finite number, or whose k r exceeds _KR_MAX at the farthest of the
+    (path, r) `lengths`, which is named too.
+    """
+    far_path, far = max(lengths, key=lambda item: item[1])
+    out = []
+    for path, f in freqs:
+        k = 2.0 * math.pi * f / c
+        if not 0.0 < k < math.inf:
+            raise ConfigError(f"{path}: the wavenumber 2 pi f / c must be a positive finite "
+                              f"number, not {k:g}")
+        if k * far > _KR_MAX:
+            raise ConfigError(f"{path}: k r must be at most {_KR_MAX:g}, not {k * far:.3g}, "
+                              f"at the farthest configured point ({far_path}, {far:g} m)")
+        out.append((path, k))
+    return out
+
+
+def _check_budget(values, path, what):
+    """Reject, naming `path`, a config whose `what` would hold more complex
+    values than the block budget."""
+    if values > _BUDGET:
+        raise ConfigError(f"{path}: too fine; {what} would exceed {_BUDGET_NAME}")
+
+
+def _check_wavenumbers(cfg, spec):
+    """Check each frequency's k (see :func:`_wavenumbers`) over the mics,
+    a point source and DM-finite's origin, and reject one at which a
+    radial response that the run divides by or sums is 0 or not finite: a
+    BM estimator's A_nu, nu <= order, on the mics' mean radius, and on a
+    rigid mount the rigid response up to the truth's order.  `spec` is the
+    read `array` object.
+    """
+    norms = np.linalg.norm(cfg.array.mics.pos, axis=1)
+    far = int(np.argmax(norms))
+    explicit = "mics" in spec
+    lengths = [(f"array.mics[{far}].pos" if explicit else "array.radius", float(norms[far]))]
+    if cfg.field_spec["type"] == "point_source":
+        lengths.append(("field.position", float(np.linalg.norm(cfg.field_spec["position"]))))
+    if cfg.estimator == "DM-finite":
+        lengths.append(("origin", float(np.linalg.norm(cfg.origin))))
+    freqs = [(f"frequencies[{i}]", f) for i, f in enumerate(cfg.frequencies)]
+    for path, k in _wavenumbers(freqs, cfg.c, lengths):
+        checks = []
+        with np.errstate(all="ignore"):  # an overflowed response is rejected below
+            if cfg.estimator in _BM_MODELS:
+                checks.append((_bm_response(cfg, k), float(np.mean(norms)),
+                               "array.mics" if explicit else "array.radius"))
+            if cfg.array.mount == "rigid":
+                radius = cfg.array.radius
+                checks.append((radial_response("rigid", _rigid_truth_order(cfg.array, k),
+                                               k * radius), radius, "array.radius"))
+        for A, radius, radius_path in checks:
+            bad = np.flatnonzero(~np.isfinite(A) | (A == 0))
+            if bad.size:
+                raise ConfigError(
+                    f"{path}: the radial response A_{bad[0]} at kR = {k * radius:g} "
+                    f"({radius_path}, R = {radius:g} m) must be finite and nonzero")
 
 
 @dataclass
 class ScenarioConfig:
+    """A sweep scenario, as :meth:`from_dict` reads it from its JSON object
+    by the `_SCENARIO` table."""
+
     estimator: str
     frequencies: list
     array: ArrayConfig
     field_spec: dict
-    c: float = 340.65
-    snr_db: float = 30.0
-    seed: int = 0
-    trials: int = 10
-    order: int = 7          # truncation order N for boundary estimators
-    order_n0: int = 7       # basis truncation N0 for DM-finite
-    origin: tuple = (0.0, 0.0, 0.0)
-    reg: float = 1e-3
-    directivity_a: float = 0.5
-    eval_radius: float = 1.0
-    eval_spacing: float = 0.1
+    c: float
+    snr_db: float
+    seed: int
+    trials: int
+    order: int
+    order_n0: int
+    origin: np.ndarray
+    reg: float
+    directivity_a: float
+    eval_radius: float
+    eval_spacing: float
 
     @classmethod
     def from_dict(cls, obj):
-        top = _ConfigObject(obj)
-
-        def need(key):
-            if key not in top:
-                raise ConfigError(f"missing required field '{key}'")
-            return top.get(key)
-
-        estimator = need("estimator")
-        if estimator not in ESTIMATORS:
-            raise ConfigError(
-                f"estimator: unknown value {estimator!r}; expected one of {ESTIMATORS}"
-            )
-        freqs = _frequencies(need("frequencies"))
-
-        kwargs = {
-            key: _checked(key, top.get(key), rule, integer)
-            for key, rule, integer in _SCENARIO_FIELDS if key in top
-        }
-        kwargs["origin"] = tuple(_vector_field(top, "origin", [0.0, 0.0, 0.0]))
-        grid = _ConfigObject(top.get("eval_grid", {}), "eval_grid")
-        kwargs["eval_radius"] = _field(grid, "radius", 1.0, _POSITIVE)
-        kwargs["eval_spacing"] = _field(grid, "spacing", 0.1, _POSITIVE)
-        grid.close()
-
-        array = _array_from_dict(_ConfigObject(need("array"), "array"), estimator,
-                                 kwargs.get("directivity_a", cls.directivity_a))
-        fs = _field_spec(top.get("field", {"type": "plane_wave"}), kwargs["eval_radius"], array)
-        top.close()
-        cfg = cls(estimator=estimator, frequencies=freqs, array=array, field_spec=fs, **kwargs)
+        values = _read(obj, _SCENARIO)
+        grid, spec = values.pop("eval_grid"), values.pop("array")
+        array = _array_config(spec, values["estimator"], values["directivity_a"])
+        field_spec = values.pop("field")
+        if field_spec["type"] == "point_source":
+            _check_source(field_spec["position"], grid["radius"], array)
+        cfg = cls(array=array, field_spec=field_spec, eval_radius=grid["radius"],
+                  eval_spacing=grid["spacing"], **values)
         _check_fit_sizes(cfg)
+        _check_wavenumbers(cfg, spec)
         return cfg
 
 
@@ -245,8 +395,7 @@ def _check_fit_sizes(cfg):
     the noise, signals and fitted weights of all trials,
     max((order+1)^2, M) x trials.
     """
-    limit = BLOCK_BYTES // _VALUE_BYTES
-    budget = f"so that the fit's values stay within the {BLOCK_BYTES >> 20} MB block budget"
+    limit, budget = _BUDGET, f"so that the fit's values stay within {_BUDGET_NAME}"
     mics = cfg.array.mics
     m = len(mics)
     coeffs = 0
@@ -266,40 +415,27 @@ def _check_fit_sizes(cfg):
         raise ConfigError(f"trials: must be at most {limit // width}, {budget}")
 
 
-def _field_spec(obj, eval_radius, array):
-    """The checked `field` spec: its `type` and the unit `direction` of a
-    plane wave or the `position` of a point source, as a float array.
-
-    A point source must lie outside the evaluation ball, since the interior
-    model assumes a source-free region; outside a rigid sphere, since the
-    incident field's expansion about its center diverges on it; and off
-    every mic, where its field is infinite.
+def _check_source(pos, eval_radius, array):
+    """Reject a point source at `pos` inside the evaluation ball, since the
+    interior model assumes a source-free region; inside a rigid sphere,
+    since the incident field's expansion about its center diverges on it;
+    or on a mic, where its field is infinite.
     """
-    spec = _ConfigObject(obj, "field")
-    kind = spec.get("type")
-    if kind == "plane_wave":
-        out = {"type": kind, "direction": _unit_field(spec, "direction", [1.0, 0.0, 0.0])}
-    elif kind == "point_source":
-        pos = _vector_field(spec, "position", None)
-        out, dist = {"type": kind, "position": pos}, float(np.linalg.norm(pos))
-        if dist <= eval_radius:
-            raise ConfigError(
-                f"field.position: must lie outside eval_grid.radius ({eval_radius:g} m); "
-                "the region must be source-free")
-        if array.mount == "rigid" and dist <= array.radius:
-            raise ConfigError(
-                f"field.position: must lie outside the rigid sphere (radius {array.radius:g} m), "
-                "where the incident field's expansion about its center converges")
-        tol = 1e-9 * max(1.0, dist)
-        hits = np.flatnonzero(np.linalg.norm(array.mics.pos - pos, axis=1) <= tol)
-        if hits.size:
-            raise ConfigError(
-                f"field.position: must lie away from every mic, not within {tol:g} m "
-                f"of mic {hits[0]}; the field is infinite there")
-    else:
-        raise ConfigError("field.type: must be 'plane_wave' or 'point_source'")
-    spec.close()
-    return out
+    dist = float(np.linalg.norm(pos))
+    if dist <= eval_radius:
+        raise ConfigError(
+            f"field.position: must lie outside eval_grid.radius ({eval_radius:g} m); "
+            "the region must be source-free")
+    if array.mount == "rigid" and dist <= array.radius:
+        raise ConfigError(
+            f"field.position: must lie outside the rigid sphere (radius {array.radius:g} m), "
+            "where the incident field's expansion about its center converges")
+    tol = 1e-9 * max(1.0, dist)
+    hits = np.flatnonzero(np.linalg.norm(array.mics.pos - pos, axis=1) <= tol)
+    if hits.size:
+        raise ConfigError(
+            f"field.position: must lie away from every mic, not within {tol:g} m "
+            f"of mic {hits[0]}; the field is infinite there")
 
 
 # Each boundary estimator's mic kind and mount, and the kind of radial
@@ -319,36 +455,37 @@ def _require_kind(model, model_kind, kinds, kind_path):
                           f"not {str(kinds[bad[0]])!r}")
 
 
-def _require_sphere(model, mics_path, pos, radius, tol):
+def _require_sphere(model, pos, radius, tol, sphere):
     """Reject the first mic at the origin or off the sphere of `radius`
-    (within `tol`) about it."""
+    (within `tol`) about it; `sphere` names that radius."""
     radii = np.linalg.norm(pos, axis=1)
     bad = np.flatnonzero((radii == 0.0) | (np.abs(radii - radius) > tol))
     if bad.size:
-        raise ConfigError(f"{mics_path}[{bad[0]}].pos: {model} models mics on one sphere "
-                          f"about the origin, not at radius {radii[bad[0]]:g}")
+        raise ConfigError(f"array.mics[{bad[0]}].pos: {model} models mics on one sphere "
+                          f"about the origin, not at radius {radii[bad[0]]:g} "
+                          f"({sphere} {radius:g})")
 
 
-def _require_bm_model(estimator, mount_path, mount, kinds, kind_path):
+def _require_bm_model(estimator, mount, kinds, kind_path):
     """Reject an array that boundary estimator `estimator` does not model."""
     model_kind, model_mount, _ = _BM_MODELS[estimator]
     _require_kind(estimator, model_kind, kinds, kind_path)
     if mount != model_mount:
-        raise ConfigError(f"{mount_path}: {estimator} models the {model_mount} mount only, "
+        raise ConfigError(f"array.mount: {estimator} models the {model_mount} mount only, "
                           f"not {mount!r}")
 
 
-def _array_from_dict(spec, estimator, directivity_a):
-    """Build an ArrayConfig from its explicit mic list or a spherical-design spec."""
+def _array_config(spec, estimator, directivity_a):
+    """The ArrayConfig of the read `array` object, checked against the
+    estimator."""
     if "mics" in spec:
         array, kinds = _explicit_array(spec)
-        mics_path = spec.key_path("mics")
         if estimator in _BM_MODELS:
-            _require_bm_model(estimator, spec.key_path("mount"), array.mount, kinds,
-                              lambda i: f"{mics_path}[{i}].kind")
+            _require_bm_model(estimator, array.mount, kinds, lambda i: f"array.mics[{i}].kind")
             # one sphere about the origin: radii within 1e-9 of their median
             median = np.median(np.linalg.norm(array.mics.pos, axis=1))
-            _require_sphere(estimator, mics_path, array.mics.pos, median, 1e-9 * median)
+            _require_sphere(estimator, array.mics.pos, median, 1e-9 * median,
+                            "their median radius")
         if estimator == "BM-first":
             # it divides by one radial response: one omni weight, outward axes
             mics = array.mics
@@ -357,64 +494,43 @@ def _array_from_dict(spec, estimator, directivity_a):
             bad = np.flatnonzero(bad_a | np.any(np.abs(mics.axes - outward) > 1e-9, axis=1))
             if bad.size:
                 i = bad[0]
-                raise ConfigError(f"{mics_path}[{i}].a: BM-first models one a on all mics"
-                                  if bad_a[i] else
-                                  f"{mics_path}[{i}].y: BM-first models outward axes only")
+                raise ConfigError(f"array.mics[{i}].a: BM-first models one a on all mics, "
+                                  f"that of array.mics[0].a ({mics.a[0]:g})" if bad_a[i] else
+                                  f"array.mics[{i}].y: BM-first models outward axes only")
         return array
-    if spec.get("type") != "spherical":
-        raise ConfigError(f"{spec.path}: must contain 'mics' or be "
-                          "{'type': 'spherical', ...}")
-    t = _field(spec, "t", 7, _T_DESIGN, integer=True)
-    radius = _field(spec, "radius", 1.0, _RADIUS)
-    kind = _choice(spec, "kind", "first_order" if estimator == "BM-first" else "omni",
-                   MIC_KINDS)
-    mount = _choice(spec, "mount", "open", _MOUNTS)
-    spec.close()
-    if estimator == "BM-rigid":
-        mount = "rigid"
-    kinds, kind_path = np.array([kind]), lambda i: spec.key_path("kind")
+    kind = spec["kind"] or _BM_MODELS.get(estimator, ("omni",))[0]
+    mount = "rigid" if estimator == "BM-rigid" else spec["mount"]
+    kinds, kind_path = np.array([kind]), lambda i: "array.kind"
     if estimator in _BM_MODELS:
-        _require_bm_model(estimator, spec.key_path("mount"), mount, kinds, kind_path)
+        _require_bm_model(estimator, mount, kinds, kind_path)
     if mount == "rigid":
         _require_kind("the rigid mount", "omni", kinds, kind_path)
-    return spherical_array(t, radius, mount=mount, kind=kind, a=directivity_a)
+    return spherical_array(spec["t"], spec["radius"], mount=mount, kind=kind, a=directivity_a)
 
 
 def _explicit_array(spec):
-    """The `{"mount", "mics", "radius"}` form of an array, checked key by key.
-
-    Returns the ArrayConfig and the mic kinds.  A mic gives `y` exactly when
-    its kind is directional and `a` exactly when it is first-order.
-    """
-    mount = _choice(spec, "mount", None, _MOUNTS)
-    radius = _field(spec, "radius", None, _RADIUS) if "radius" in spec else None
-    mics_path = spec.key_path("mics")
-    entries = spec.get("mics")
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError(f"{mics_path}: must be a non-empty list of mic objects")
-    pos, kinds, axes, weights = [], [], [], []
-    for i, entry in enumerate(entries):
-        mic = _ConfigObject(entry, f"{mics_path}[{i}]")
-        pos.append(_vector_field(mic, "pos", None))
-        kind = _choice(mic, "kind", "omni", MIC_KINDS)
-        takes = {"y": kind != "omni", "a": kind == "first_order"}
-        for key, wanted in takes.items():
-            if (key in mic) != wanted:
-                raise ConfigError(f"{mic.key_path(key)}: " + (
+    """The ArrayConfig of the read explicit `array` object, and the mic
+    kinds.  A mic gives `y` exactly when its kind is directional and `a`
+    exactly when it is first-order; a rigid mount needs `radius` and omni
+    mics on that sphere."""
+    mics = spec["mics"]
+    for i, mic in enumerate(mics):
+        kind = mic["kind"]
+        for key, wanted in (("y", kind != "omni"), ("a", kind == "first_order")):
+            if (mic[key] is not None) != wanted:
+                raise ConfigError(f"array.mics[{i}].{key}: " + (
                     "required" if wanted else "not taken") + f" by {kind} mics")
-        kinds.append(kind)
-        axes.append(_vector_field(mic, "y", None, nonzero=True) if takes["y"] else np.zeros(3))
-        weights.append(_field(mic, "a", None, _UNIT_INTERVAL) if takes["a"] else None)
-        mic.close()
-    spec.close()
-    kinds = np.array(kinds)
-    if mount == "rigid":
+    pos = np.array([mic["pos"] for mic in mics])
+    kinds = np.array([mic["kind"] for mic in mics])
+    radius = spec["radius"]
+    if spec["mount"] == "rigid":
         if radius is None:
-            raise ConfigError(f"{spec.key_path('radius')}: required for the rigid mount")
-        _require_kind("the rigid mount", "omni", kinds, lambda i: f"{mics_path}[{i}].kind")
-        _require_sphere("the rigid mount", mics_path, np.array(pos), radius,
-                        1e-9 * max(1.0, radius))
-    return ArrayConfig(mount=mount, mics=Mics(pos, kinds, axes, weights), radius=radius), kinds
+            raise ConfigError("array.radius: required for the rigid mount")
+        _require_kind("the rigid mount", "omni", kinds, lambda i: f"array.mics[{i}].kind")
+        _require_sphere("the rigid mount", pos, radius, 1e-9 * max(1.0, radius), "array.radius")
+    axes = [np.zeros(3) if mic["y"] is None else mic["y"] for mic in mics]
+    return ArrayConfig(mount=spec["mount"], radius=radius,
+                       mics=Mics(pos, kinds, axes, [mic["a"] for mic in mics])), kinds
 
 
 # ---------------------------------------------------------------------------
@@ -460,18 +576,21 @@ def observe_field(array, field_spec, k):
 # Estimators
 # ---------------------------------------------------------------------------
 
-# Evaluation walks its points in blocks whose per-point arrays, about
-# max((order+1)^2, M, trials) complex values per point (see
-# Estimator.block_rows), take at most this many bytes; the fit-stage arrays
-# are held to it too (see _check_fit_sizes).
-BLOCK_BYTES = 32 * 2**20
-# Bytes of one complex value, the unit of the block budget.
-_VALUE_BYTES = 16
-
-
 def _block_rows(width):
     """Points per block when each point takes `width` complex values."""
     return max(1, BLOCK_BYTES // (_VALUE_BYTES * width))
+
+
+def _bm_response(cfg, k):
+    """A BM estimator's radial response A_nu, nu = 0..order, at k, on the
+    mics' mean radius and with their own omni weight; None for the DM
+    estimators."""
+    model = _BM_MODELS.get(cfg.estimator)
+    if model is None:
+        return None
+    mics = cfg.array.mics
+    radius = float(np.mean(np.linalg.norm(mics.pos, axis=1)))
+    return radial_response(model[2], cfg.order, k * radius, a=mics.a[0])
 
 
 class Estimator:
@@ -479,7 +598,7 @@ class Estimator:
     of points.
 
     It keeps only what depends on neither frequency, trial nor point: for BM
-    the array radius and its `analysis` matrix; for BM and DM-finite the
+    its `analysis` matrix; for BM and DM-finite the
     `order` and `origin` of the expansion (`order` is None for DM-infinite).
     :func:`prepare_estimator` fits it at one frequency, :meth:`at` gives what
     a block of points needs at every frequency and :meth:`evaluate` the
@@ -494,10 +613,9 @@ class Estimator:
             pos = cfg.array.mics.pos
             norms = np.linalg.norm(pos, axis=1)
             self.order, self.origin = cfg.order, np.zeros(3)
-            self.radius = float(np.mean(norms))
             self.analysis = analysis_matrix(cfg.order, pos / norms[:, None])
         elif cfg.estimator == "DM-finite":
-            self.order, self.origin = cfg.order_n0, np.asarray(cfg.origin)
+            self.order, self.origin = cfg.order_n0, cfg.origin
 
     def block_rows(self, trials):
         """Points per block for `trials` columns of estimates.
@@ -512,14 +630,6 @@ class Estimator:
         else:
             width = num_coeffs(self.order)
         return _block_rows(max(width, len(mics), trials))
-
-    def response(self, k):
-        """A BM estimator's radial response A_nu, nu = 0..order, at k, with
-        the mics' own omni weight; None for the DM estimators."""
-        if self.model:
-            return radial_response(self.model[2], self.order, k * self.radius,
-                                   a=self.cfg.array.mics.a[0])
-        return None
 
     def at(self, pts):
         """What evaluation at the points `pts` (Q, 3) needs at every k.
@@ -588,7 +698,7 @@ def prepare_estimator(est, k):
     """
     cfg = est.cfg
     if est.model:
-        A = est.response(k)[degrees_orders(est.order)[0]][:, None]
+        A = _bm_response(cfg, k)[degrees_orders(est.order)[0]][:, None]
         return lambda signals: (est.analysis @ signals) / A
     if est.order is not None:
         basis = SphericalBasis(order=est.order, origin=est.origin)
@@ -645,7 +755,8 @@ def ball_grid(radius, spacing):
     """
     ratio = radius / spacing
     if not (math.isfinite(ratio) and (2 * math.floor(ratio) + 1) ** 3 <= 10**7):
-        raise ConfigError("eval_grid.spacing: too fine; the grid would exceed 1e7 points")
+        raise ConfigError("eval_grid.spacing: too fine; the grid would exceed 1e7 points "
+                          "within eval_grid.radius")
     _check_length("eval_grid.radius", radius)
     n = math.floor(ratio)
     ax = np.arange(-n, n + 1) * spacing
@@ -706,7 +817,7 @@ def run_sweep(cfg):
         del at  # before the next block's are built
     records = []
     for i, f in enumerate(cfg.frequencies):
-        A = est.response(ks[i])
+        A = _bm_response(cfg, ks[i])
         diag = float("nan") if A is None else float(np.min(np.abs(A)))
         vals = [_nmse_db(n, den[i]) for n in num[i]]
         mean_db = float(np.mean(vals))
@@ -817,37 +928,32 @@ def wpm_experiment(obj):
     square borders at z = +-0.2 m, a 1 m square target region at z = 0
     sampled at 0.05 m (441 points), 36 control points on a 0.2 m subgrid.
     """
-    obj = _ConfigObject(obj)
-    c = _field(obj, "c", 340.65, _POSITIVE)
-    freqs = _frequencies(obj.get("frequencies"))
-    eta = _field(obj, "eta", 1e-3, _NON_NEGATIVE)
-    lam = _field(obj, "reg", 1e-3, _NON_NEGATIVE)
-    direction = _unit_field(obj, "direction",
-                            [math.cos(-math.pi / 4), math.sin(-math.pi / 4), 0.0])
-    eval_spacing = _field(obj, "eval_spacing", 0.05, _SPACING)
-    quad_spacing = _field(obj, "quad_spacing", 0.02, _SPACING)
-    control_spacing = _field(obj, "control_spacing", 0.2, _SPACING)
-    obj.close()
-    src = np.vstack(
-        [
-            apps.square_boundary_points(2.0, 16, z=0.2),
-            apps.square_boundary_points(2.0, 16, z=-0.2),
-        ]
-    )
-    region, _ = apps.square_grid(1.0, eval_spacing)
-    quad, cell = apps.square_grid(1.0, quad_spacing, midpoint=True)
-    ctrl, _ = apps.square_grid(1.0, control_spacing)
+    v = _read(obj, _SYNTH)
+    src = np.vstack([apps.square_boundary_points(2.0, 16, z=z) for z in (0.2, -0.2)])
+    n_ctrl = apps.square_grid_side(1.0, v["control_spacing"]) ** 2
+    n_quad = apps.square_grid_side(1.0, v["quad_spacing"], midpoint=True) ** 2
+    n_eval = apps.square_grid_side(1.0, v["eval_spacing"]) ** 2
+    _check_budget(n_ctrl * n_ctrl, "control_spacing", "the control points' kernel matrices")
+    _check_budget(n_quad * n_ctrl, "quad_spacing",
+                  "the quadrature points times the control points (control_spacing)")
+    _check_budget(n_eval * len(src), "eval_spacing",
+                  f"the evaluation points times the {len(src)} sources")
+    far = float(np.max(np.linalg.norm(src, axis=1)))
+    freqs = [(f"frequencies[{i}]", f) for i, f in enumerate(v["frequencies"])]
+    ks = [k for _, k in _wavenumbers(freqs, v["c"], [("the sources", far)])]
+    region, _ = apps.square_grid(1.0, v["eval_spacing"])
+    quad, cell = apps.square_grid(1.0, v["quad_spacing"], midpoint=True)
+    ctrl, _ = apps.square_grid(1.0, v["control_spacing"])
     rows = []
-    for f in freqs:
-        k = 2.0 * math.pi * f / c
+    for f, k in zip(v["frequencies"], ks):
         G = apps.transfer_matrix(src, ctrl, k)
         Ge = apps.transfer_matrix(src, region, k)
-        u_ctrl = plane_wave(ctrl, direction, k)
-        u_eval = plane_wave(region, direction, k)
-        W = apps.region_weighting(ctrl, quad, cell, k, lam)
+        u_ctrl = plane_wave(ctrl, v["direction"], k)
+        u_eval = plane_wave(region, v["direction"], k)
+        W = apps.region_weighting(ctrl, quad, cell, k, v["reg"])
         W = W * (len(ctrl) / float(np.trace(W).real))
-        d_pm = apps.pm_drive(G, u_ctrl, eta)
-        d_wpm = apps.wpm_drive(G, u_ctrl, eta, W)
+        d_pm = apps.pm_drive(G, u_ctrl, v["eta"])
+        d_wpm = apps.wpm_drive(G, u_ctrl, v["eta"], W)
         denom = float(np.mean(np.abs(u_eval) ** 2))
         err_pm = float(np.mean(np.abs(Ge @ d_pm - u_eval) ** 2)) / denom
         err_wpm = float(np.mean(np.abs(Ge @ d_wpm - u_eval) ** 2)) / denom
@@ -868,28 +974,23 @@ def anc_experiment(obj):
     primary point source outside, 700 Hz tone, free-field transfer
     functions evaluated in the z = 0 plane.
     """
-    obj = _ConfigObject(obj)
-    c = _field(obj, "c", 340.65, _POSITIVE)
-    f = _field(obj, "frequency", 700.0, _POSITIVE)
-    lam = _field(obj, "reg", 1e-3, _NON_NEGATIVE)
-    iters = _field(obj, "iterations", 20000, ("an integer >= 1", lambda v: v >= 1), integer=True)
-    prim = _vector_field(obj, "primary_source", [3.0, 0.0, 0.0])
-    num_mics = _field(obj, "num_error_mics", 24, _MULTIPLE_OF_4, integer=True)
-    shift = _field(obj, "outward_shift", 0.03, _NON_NEGATIVE)
-    num_src = _field(obj, "num_sources", 12, _MULTIPLE_OF_4, integer=True)
-    spacing = _field(obj, "eval_spacing", 0.05, _SPACING)
+    v = _read(obj, _ANC)
+    prim, shift, spacing = v["primary_source"], v["outward_shift"], v["eval_spacing"]
     # The field model assumes a source-free target region.
     gap = math.hypot(max(abs(prim[0]) - 0.5, 0.0), max(abs(prim[1]) - 0.5, 0.0), prim[2])
     if gap < spacing:
         raise ConfigError(
             f"primary_source: must be at least eval_spacing ({spacing:g} m) away from "
             "the 1 m target square at z = 0")
-    # LMS converges for 0 < mu < 2 / max eig(G^H A G) with the unit reference
-    mu_scale = _field(obj, "mu_scale", 1.0, ("a number in (0, 2)", lambda v: 0 < v < 2))
-    obj.close()
-    k = 2.0 * math.pi * f / c
-    mics = apps.square_boundary_points(1.0, num_mics, outward_shift=shift)
-    src = apps.square_boundary_points(2.0, num_src)
+    n_region = apps.square_grid_side(1.0, spacing, midpoint=True) ** 2
+    _check_budget(n_region * max(v["num_error_mics"], v["num_sources"]), "eval_spacing",
+                  "the region points times num_error_mics or num_sources")
+    lengths = [("primary_source", math.hypot(*prim)),
+               ("outward_shift", math.hypot(0.5, 0.5) + shift),
+               ("the sources", math.hypot(1.0, 1.0))]
+    (_, k), = _wavenumbers([("frequency", v["frequency"])], v["c"], lengths)
+    mics = apps.square_boundary_points(1.0, v["num_error_mics"], outward_shift=shift)
+    src = apps.square_boundary_points(2.0, v["num_sources"])
     region, cell = apps.square_grid(1.0, spacing, midpoint=True)
     G = apps.transfer_matrix(src, mics, k)
     Gr = apps.transfer_matrix(src, region, k)
@@ -900,11 +1001,10 @@ def anc_experiment(obj):
     out = {}
     for name, A in [
         ("multipoint", np.eye(len(mics))),
-        ("kernel", apps.region_weighting(mics, region, cell, k, lam)),
+        ("kernel", apps.region_weighting(mics, region, cell, k, v["reg"])),
     ]:
         eig = float(np.linalg.eigvalsh(G.conj().T @ A @ G).max())
-        mu = mu_scale / eig
-        W, costs = apps.anc_lms_run(G, A, d, x, mu, iters)
+        W, costs = apps.anc_lms_run(G, A, d, x, v["mu_scale"] / eig, v["iterations"])
         u = up + Gr @ (W @ x)
         out[name] = {
             "regional_power_db": 10 * math.log10(float(np.sum(np.abs(u) ** 2) * cell) / p0),

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .specfun import legendre_all, num_coeffs, sph_harm_matrix, sph_hn_all
+from .boundary import radial_response
+from .specfun import legendre_all, num_coeffs, sph_harm_matrix
 from .wavefuncs import green
 
 MIC_KINDS = ("omni", "bidirectional", "first_order")
@@ -134,16 +135,14 @@ def rigid_sphere_observation(g, axis, dirs, k, radius):
     The incident field's coefficients about the sphere center are
     ``g_nu Yhat_{nu,mu}(axis)^*`` for nu = 0..len(g)-1.  The Neumann condition
     and the Wronskian of j and h scale degree nu of the total pressure by
-    ``i^{-nu} i / ((kR)^2 h_nu'(kR))``, and the addition theorem sums its
-    orders, so the pressure is
+    the rigid :func:`radial_response` ``i^{-nu} i / ((kR)^2 h_nu'(kR))``,
+    and the addition theorem sums its orders, so the pressure is
 
         sum_nu (2nu+1) g_nu i^{-nu} (i / ((kR)^2 h_nu'(kR))) P_nu(x . axis).
     """
     order = len(g) - 1
     nu = np.arange(order + 1)
-    kR = k * radius
-    hp = sph_hn_all(order, kR, derivative=True)
-    radial = (1j ** (-nu.astype(float))) * (1j / (kR**2 * hp))
+    radial = radial_response("rigid", order, k * radius)
     cos = np.clip(np.asarray(dirs, dtype=float) @ np.asarray(axis, dtype=float), -1.0, 1.0)
     return ((2 * nu + 1) * radial * np.asarray(g, dtype=complex)) @ legendre_all(order, cos)
 

@@ -10,6 +10,7 @@ import weakref
 import numpy as np
 import pytest
 
+from soundfield import applications as apps
 from soundfield import harness, specfun
 from soundfield.boundary import estimate_coeffs
 from soundfield.cli import main as cli_main
@@ -684,6 +685,36 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
         ("sweep", _base_config(array=_mic_list("rigid", {}), eval_grid={"radius": 0.4},
                                field={"type": "point_source", "position": [0, 0.3, 0.4]}),
          "field.position: must lie outside the rigid sphere (radius 0.5 m)"),
+        # sizes beyond the 32 MB block budget, rejected before they are allocated
+        ("synth", dict(SYNTH_BASE, quad_spacing=1e-308),
+         "quad_spacing: too fine; the quadrature points times the control points"),
+        ("anc", dict(ANC_BASE, iterations=4 * 10**9),
+         "iterations: must be an integer in [1, 2097152]"),
+        ("anc", dict(ANC_BASE, num_error_mics=4 * 10**9),
+         "num_error_mics: must be a positive multiple of 4 up to 1448"),
+        # scalars whose run overflows, divides by 0 or meets a singular matrix
+        ("sweep", _base_config(snr_db=-3084), "snr_db: must be a number >= -300 (dB)"),
+        ("synth", dict(SYNTH_BASE, eta=1e-308), "eta: must be a number >= 1e-9"),
+        ("anc", dict(ANC_BASE, reg=1e100), "reg: must be a number in [0, 1e15]"),
+        ("anc", dict(ANC_BASE, outward_shift=1e308),
+         "frequency: k r must be at most 2000, not inf, at the farthest configured point "
+         "(outward_shift, 1e+308 m)"),
+        # wavenumbers: not finite, k r beyond 2000, a radial response of 0
+        ("sweep", _base_config(c=1e-308),
+         "frequencies[0]: the wavenumber 2 pi f / c must be a positive finite number"),
+        ("synth", dict(SYNTH_BASE, frequencies=[100, 1e308]),
+         "frequencies[1]: the wavenumber 2 pi f / c must be a positive finite number"),
+        ("sweep", _base_config(array={"type": "spherical", "t": 5, "radius": 6.7e153}),
+         "frequencies[0]: k r must be at most 2000, not 2.47e+154, at the farthest configured "
+         "point (array.radius, 6.7e+153 m)"),
+        ("anc", dict(ANC_BASE, frequency=6.7e153), "frequency: k r must be at most 2000"),
+        ("sweep", _base_config(estimator="BM-omni", c=6.7e153),
+         "frequencies[0]: the radial response A_3 at kR = 9.37789e-152 (array.radius, "
+         "R = 0.5 m) must be finite and nonzero"),
+        # the rigid truth's degrees beyond the BM order overflow
+        ("sweep", _base_config(estimator="BM-rigid", c=1e30,
+                               array={"type": "spherical", "t": 5, "radius": 0.5}),
+         "frequencies[0]: the radial response A_"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -766,6 +797,20 @@ def test_cli_bm_first_explicit_list_matches_spherical_spec(tmp_path):
     assert out["list"].read_bytes() == out["spec"].read_bytes()
     row = out["list"].read_text().splitlines()[1].split(",")
     assert float(row[5]) < -20.0
+
+
+@pytest.mark.parametrize("frequency", [10.0, 100.0, 150.0])
+def test_cli_anc_below_180_hz(tmp_path, frequency):
+    # P^H inner P is Hermitian only to about cond(K + reg I) ulps, beyond
+    # anc_lms_run's 1e-10 below about 180 Hz; the weighting is made exact
+    k = 2.0 * math.pi * frequency / 340.65
+    mics = apps.square_boundary_points(1.0, 24, outward_shift=0.03)
+    region, cell = apps.square_grid(1.0, 0.05, midpoint=True)
+    A = apps.region_weighting(mics, region, cell, k, 1e-3)
+    assert np.array_equal(A, A.conj().T)
+    cfg = tmp_path / "anc.json"
+    cfg.write_text(json.dumps({"frequency": frequency, "iterations": 100}))
+    assert cli_main(["anc", str(cfg), "-o", str(tmp_path / "anc.csv")]) == 0
 
 
 def test_cli_anc_source_just_outside_region(tmp_path):
@@ -949,6 +994,7 @@ def test_cli_fit_sizes_are_bounded(tmp_path, capsys, monkeypatch, over, bad):
 @pytest.mark.parametrize("over", [
     {"estimator": "BM-omni", "order": 180},
     {"estimator": "BM-omni", "order": 30},
+    {"estimator": "DM-finite", "order_n0": 180},
     {"estimator": "DM-finite", "order_n0": 30, "array": {"type": "spherical", "t": 7,
                                                          "kind": "first_order"}},
     {"estimator": "BM-omni", "trials": 32768},

@@ -116,14 +116,9 @@ def cmd_forbidden(args):
     return 0
 
 
-def cmd_synth(args):
-    _, text = wpm_experiment(_read_json(args.config))
-    _write(text, args.output)
-    return 0
-
-
-def cmd_anc(args):
-    _, text = anc_experiment(_read_json(args.config))
+def cmd_experiment(run, args):
+    """`synth` or `anc`: the CSV of the experiment `run` on the config."""
+    _, text = run(_read_json(args.config))
     _write(text, args.output)
     return 0
 
@@ -163,12 +158,12 @@ def build_parser():
     yp = sub.add_parser("synth", help="pressure matching vs weighted pressure matching")
     yp.add_argument("config", help="experiment JSON file")
     yp.add_argument("-o", "--output", default="-")
-    yp.set_defaults(func=cmd_synth)
+    yp.set_defaults(func=functools.partial(cmd_experiment, wpm_experiment))
 
     ap = sub.add_parser("anc", help="multipoint vs kernel-weighted active noise control")
     ap.add_argument("config", help="experiment JSON file")
     ap.add_argument("-o", "--output", default="-")
-    ap.set_defaults(func=cmd_anc)
+    ap.set_defaults(func=functools.partial(cmd_experiment, anc_experiment))
     return p
 
 

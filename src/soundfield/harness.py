@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .observation import (
     T_DESIGNS,
     ArrayConfig,
     Mics,
-    add_noise,
     noise_std,
     plane_wave_observations,
     point_source_observations,
@@ -288,7 +287,7 @@ _ANC = (
 
 
 def _wavenumbers(freqs, c, lengths):
-    """(path, k) of each (path, f) of `freqs`, k = 2 pi f / c.
+    """The k = 2 pi f / c of each (path, f) of `freqs`.
 
     Rejects, naming the frequency's path, a k that is not a positive
     finite number, or whose k r exceeds _KR_MAX at the farthest of the
@@ -304,7 +303,7 @@ def _wavenumbers(freqs, c, lengths):
         if k * far > _KR_MAX:
             raise ConfigError(f"{path}: k r must be at most {_KR_MAX:g}, not {k * far:.3g}, "
                               f"at the farthest configured point ({far_path}, {far:g} m)")
-        out.append((path, k))
+        out.append(k)
     return out
 
 
@@ -315,24 +314,32 @@ def _check_budget(values, path, what):
         raise ConfigError(f"{path}: too fine; {what} would exceed {_BUDGET_NAME}")
 
 
-def _check_wavenumbers(cfg, spec):
-    """Check each frequency's k (see :func:`_wavenumbers`) over the mics,
-    a point source and DM-finite's origin, and reject one at which a
-    radial response that the run divides by or sums is 0 or not finite: a
-    BM estimator's A_nu, nu <= order, on the mics' mean radius, and on a
-    rigid mount the rigid response up to the truth's order.  `spec` is the
-    read `array` object.
+def _check_wavenumbers(cfg, freqs):
+    """The k of each (path, f) of `freqs` (see :func:`_wavenumbers`), checked
+    over the mics, a point source and DM-finite's origin.  Also rejects a k
+    at which ``1 / (k d)``, by which a point source's observation is divided,
+    overflows at the mic nearest to it, or at which a radial response that
+    the run divides by or sums is 0 or not finite: a BM estimator's A_nu,
+    nu <= order, on the mics' mean radius, and on a rigid mount the rigid
+    response up to the truth's order.
     """
-    norms = np.linalg.norm(cfg.array.mics.pos, axis=1)
+    pos = cfg.array.mics.pos
+    norms = np.linalg.norm(pos, axis=1)
     far = int(np.argmax(norms))
-    explicit = "mics" in spec
+    explicit = cfg.explicit_array
     lengths = [(f"array.mics[{far}].pos" if explicit else "array.radius", float(norms[far]))]
+    near = math.inf  # the distance d of a point source from its nearest mic
     if cfg.field_spec["type"] == "point_source":
-        lengths.append(("field.position", float(np.linalg.norm(cfg.field_spec["position"]))))
+        src = cfg.field_spec["position"]
+        lengths.append(("field.position", float(np.linalg.norm(src))))
+        near = float(np.min(np.linalg.norm(pos - src, axis=1)))
     if cfg.estimator == "DM-finite":
         lengths.append(("origin", float(np.linalg.norm(cfg.origin))))
-    freqs = [(f"frequencies[{i}]", f) for i, f in enumerate(cfg.frequencies)]
-    for path, k in _wavenumbers(freqs, cfg.c, lengths):
+    ks = _wavenumbers(freqs, cfg.c, lengths)
+    for (path, _), k in zip(freqs, ks):
+        if not (k * near > 0.0 and 1.0 / (k * near) < math.inf):
+            raise ConfigError(f"{path}: 1 / (k d) must be finite, not inf at k = {k:g}, for the "
+                              f"distance d = {near:g} m of field.position from its nearest mic")
         checks = []
         with np.errstate(all="ignore"):  # an overflowed response is rejected below
             if cfg.estimator in _BM_MODELS:
@@ -348,6 +355,7 @@ def _check_wavenumbers(cfg, spec):
                 raise ConfigError(
                     f"{path}: the radial response A_{bad[0]} at kR = {k * radius:g} "
                     f"({radius_path}, R = {radius:g} m) must be finite and nonzero")
+    return ks
 
 
 @dataclass
@@ -370,6 +378,8 @@ class ScenarioConfig:
     directivity_a: float
     eval_radius: float
     eval_spacing: float
+    explicit_array: bool  # the `array` object lists its mics
+    wavenumbers: list = field(init=False)  # the k of each frequency, set by from_dict
 
     @classmethod
     def from_dict(cls, obj):
@@ -380,9 +390,10 @@ class ScenarioConfig:
         if field_spec["type"] == "point_source":
             _check_source(field_spec["position"], grid["radius"], array)
         cfg = cls(array=array, field_spec=field_spec, eval_radius=grid["radius"],
-                  eval_spacing=grid["spacing"], **values)
+                  eval_spacing=grid["spacing"], explicit_array="mics" in spec, **values)
         _check_fit_sizes(cfg)
-        _check_wavenumbers(cfg, spec)
+        cfg.wavenumbers = _check_wavenumbers(
+            cfg, [(f"frequencies[{i}]", f) for i, f in enumerate(cfg.frequencies)])
         return cfg
 
 
@@ -611,9 +622,8 @@ class Estimator:
         self.order = None
         if self.model:
             pos = cfg.array.mics.pos
-            norms = np.linalg.norm(pos, axis=1)
             self.order, self.origin = cfg.order, np.zeros(3)
-            self.analysis = analysis_matrix(cfg.order, pos / norms[:, None])
+            self.analysis = analysis_matrix(cfg.order, pos / np.linalg.norm(pos, axis=1)[:, None])
         elif cfg.estimator == "DM-finite":
             self.order, self.origin = cfg.order_n0, cfg.origin
 
@@ -708,6 +718,20 @@ def prepare_estimator(est, k):
     return lambda signals: solve_kernel(K, signals, cfg.reg)
 
 
+def _noise(cfg, trials):
+    """The unit noise (M, len(trials)), trial t's column from ``default_rng(seed + t)``."""
+    m = len(cfg.array.mics)
+    return np.stack([unit_noise(m, np.random.default_rng(cfg.seed + t)) for t in trials], axis=1)
+
+
+def _fit(est, k, noise):
+    """The weights (., T) that `est` fits at k to the truth's mic signals
+    plus the unit `noise` (M, T) at the configured SNR."""
+    cfg = est.cfg
+    clean = observe_field(cfg.array, cfg.field_spec, k)
+    return prepare_estimator(est, k)(clean[:, None] + noise_std(clean, cfg.snr_db) * noise)
+
+
 def estimate_field(cfg, signals, k, pts):
     """The configured estimator's values at `pts` (Q, 3) from one signal vector."""
     est = Estimator(cfg)
@@ -783,8 +807,8 @@ class ResultRecord:
 def run_sweep(cfg):
     """Simulate, estimate and evaluate NMSE for every (frequency, trial).
 
-    The unit noise of each trial (from ``default_rng(seed + trial)``) is
-    drawn once, and every frequency is fitted first, all trials as one
+    The unit noise of every trial (see :func:`_noise`) is drawn once, and
+    every frequency is fitted first (see :func:`_fit`), all trials as one
     block.  The grid is then walked in blocks of
     :meth:`Estimator.block_rows` points: what a block needs at every
     frequency (:meth:`Estimator.at`) is computed once, and its estimates and
@@ -794,15 +818,9 @@ def run_sweep(cfg):
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
     est = Estimator(cfg)
     trials = range(cfg.trials)
-    noise = np.stack([
-        unit_noise(len(cfg.array.mics), np.random.default_rng(cfg.seed + t)) for t in trials
-    ], axis=1)
-    ks = [2.0 * math.pi * f / cfg.c for f in cfg.frequencies]
-    weights = []
-    for k in ks:
-        clean = observe_field(cfg.array, cfg.field_spec, k)
-        signals = clean[:, None] + noise_std(clean, cfg.snr_db) * noise
-        weights.append(prepare_estimator(est, k)(signals))
+    ks = cfg.wavenumbers
+    noise = _noise(cfg, trials)
+    weights = [_fit(est, k, noise) for k in ks]
     num = np.zeros((len(ks), cfg.trials))
     den = np.zeros(len(ks))
     rows = est.block_rows(cfg.trials)
@@ -821,13 +839,9 @@ def run_sweep(cfg):
         diag = float("nan") if A is None else float(np.min(np.abs(A)))
         vals = [_nmse_db(n, den[i]) for n in num[i]]
         mean_db = float(np.mean(vals))
-        records.extend(
-            ResultRecord(
-                frequency=f, estimator=cfg.estimator, trial=t, seed=cfg.seed + t,
-                nmse_db=v, nmse_mean_db=mean_db, min_radial_response=diag,
-            )
-            for t, v in zip(trials, vals)
-        )
+        records.extend(ResultRecord(frequency=f, estimator=cfg.estimator, trial=t,
+                                    seed=cfg.seed + t, nmse_db=v, nmse_mean_db=mean_db,
+                                    min_radial_response=diag) for t, v in zip(trials, vals))
     records.sort(key=lambda r: (r.frequency, r.trial))
     return records
 
@@ -890,19 +904,18 @@ def dump_field(cfg, frequency, out, plane="xy", extent=2.0, spacing=0.1, offset=
     """Write to the text stream `out` the CSV of the true (and optionally
     estimated) field on a plane grid.
 
-    The estimator is fitted once; the rows are then evaluated and written
-    block by block.  Nothing is written before the grid is checked.
+    `frequency` passes the rule of the config's frequencies, and the fit is
+    the sweep's of trial `trial`; the rows are then evaluated and written
+    block by block.  Nothing is written before the frequency and grid are checked.
     """
-    k = 2.0 * math.pi * frequency / cfg.c
+    k, = _check_wavenumbers(cfg, [("--freq", frequency)])
     pts = plane_grid(plane, extent, spacing, offset)
     truth_vals = _truth_eval(cfg.field_spec, pts, k)
     mean_pow = float(np.mean(np.abs(truth_vals) ** 2))
     rows = _block_rows(_CSV_ROW_WIDTH)
     if include_estimate:
         est = Estimator(cfg)
-        clean = observe_field(cfg.array, cfg.field_spec, k)
-        signals = add_noise(clean, cfg.snr_db, np.random.default_rng(cfg.seed + trial))
-        weights = prepare_estimator(est, k)(signals[:, None])
+        weights = _fit(est, k, _noise(cfg, [trial]))
         rows = min(rows, est.block_rows(1))
     pad = [] if include_estimate else ["", "", ""]
     out.write("x,y,z,re_true,im_true,re_est,im_est,norm_err\n")
@@ -940,7 +953,7 @@ def wpm_experiment(obj):
                   f"the evaluation points times the {len(src)} sources")
     far = float(np.max(np.linalg.norm(src, axis=1)))
     freqs = [(f"frequencies[{i}]", f) for i, f in enumerate(v["frequencies"])]
-    ks = [k for _, k in _wavenumbers(freqs, v["c"], [("the sources", far)])]
+    ks = _wavenumbers(freqs, v["c"], [("the sources", far)])
     region, _ = apps.square_grid(1.0, v["eval_spacing"])
     quad, cell = apps.square_grid(1.0, v["quad_spacing"], midpoint=True)
     ctrl, _ = apps.square_grid(1.0, v["control_spacing"])
@@ -988,7 +1001,7 @@ def anc_experiment(obj):
     lengths = [("primary_source", math.hypot(*prim)),
                ("outward_shift", math.hypot(0.5, 0.5) + shift),
                ("the sources", math.hypot(1.0, 1.0))]
-    (_, k), = _wavenumbers([("frequency", v["frequency"])], v["c"], lengths)
+    k, = _wavenumbers([("frequency", v["frequency"])], v["c"], lengths)
     mics = apps.square_boundary_points(1.0, v["num_error_mics"], outward_shift=shift)
     src = apps.square_boundary_points(2.0, v["num_sources"])
     region, cell = apps.square_grid(1.0, spacing, midpoint=True)

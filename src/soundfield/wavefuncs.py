@@ -67,7 +67,7 @@ def swf_angular(order, r):
 
     Returns ``(rad, Y)``: the radii ``|r|`` and the harmonics ``Yhat`` up to
     `order` at ``r/|r|``.  At ``r = 0`` the row of Y is the degree-0 unit
-    row, so that ``swf_radial(order, rad, k) * Y`` is ``phi(0)`` exactly.
+    row, so that :func:`regular_swf_matrix` is ``phi(0)`` exactly there.
     """
     rad, dirs = _radial_dirs(r)
     Y = sph_harm_matrix(order, dirs)
@@ -78,23 +78,15 @@ def swf_angular(order, r):
     return rad, Y
 
 
-def swf_radial(order, rad, k):
-    """``i^{-nu} j_nu(k rad)`` in flat (nu, mu) layout; shape ``shape(rad) + ((order+1)**2,)``.
-
-    The Bessel functions are evaluated once per distinct radius (a ball grid
-    has far fewer radii than points) and gathered to the rest.
-    """
-    rad = np.asarray(rad, dtype=float)
-    radii, inverse = np.unique(rad.ravel(), return_inverse=True)
-    nu, _ = degrees_orders(order)
-    table = sph_jn_all(order, k * radii).T[:, nu] * (1j ** (-nu.astype(float)))
-    return table[inverse].reshape(rad.shape + (-1,))
-
-
 def regular_swf_matrix(order, r, k):
-    """All phi_{nu,mu}(r) for nu <= order; shape ``shape(r)[:-1] + ((order+1)**2,)``."""
+    """All phi_{nu,mu}(r) for nu <= order; shape ``shape(r)[:-1] + ((order+1)**2,)``.
+
+    Each is ``i^{-nu} j_nu(k |r|)`` times the harmonic of :func:`swf_angular`.
+    """
     rad, Y = swf_angular(order, r)
-    return swf_radial(order, rad, k) * Y
+    nu, _ = degrees_orders(order)
+    radial = np.moveaxis(sph_jn_all(order, k * rad), 0, -1)[..., nu]
+    return radial * (1j ** (-nu.astype(float))) * Y
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +47,8 @@ from soundfield.observation import (
 from soundfield.wavefuncs import green, plane_wave, plane_wave_coeffs, regular_swf_matrix
 
 from oracles import harmonic_rigid_sphere_observation, singular_swf_matrix
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _base_config(**over):
@@ -715,6 +718,13 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
         ("sweep", _base_config(estimator="BM-rigid", c=1e30,
                                array={"type": "spherical", "t": 5, "radius": 0.5}),
          "frequencies[0]: the radial response A_"),
+        # a point source's observation divides by k d, whose inverse overflows
+        # at a subnormal k
+        *(("sweep", _base_config(estimator=estimator, frequencies=[1e-308],
+                                 field={"type": "point_source", "position": [2.0, 1.0, 0.5]}),
+           "frequencies[0]: 1 / (k d) must be finite, not inf at k = 1.84447e-310, for the "
+           "distance d = 1.88038 m of field.position from its nearest mic")
+          for estimator in ("DM-infinite", "DM-finite")),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -905,6 +915,50 @@ def test_cli_field_flags_exit_2(tmp_path, capsys, flags, bad):
     assert cli_main(["field", str(cfg), *sum(argv.items(), ()), "-o", str(out)]) == 2
     assert f"config error: {bad}: must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config", ["sweep_first_order", "sweep_kernel", "sweep_rigid"])
+@pytest.mark.parametrize("freq", ["1e308", "1e-308", "6.7e153"])
+def test_cli_field_freq_follows_the_wavenumber_rule(tmp_path, capsys, config, freq):
+    # --freq passes the rule of the config's frequencies: a k that is not
+    # positive and finite, a k r beyond 2000, a radial response of 0 or a
+    # 1 / (k d) that overflows exits 2 before anything is computed
+    out = tmp_path / "f.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cli_main(["field", str(CONFIGS / f"{config}.json"), "--freq", freq,
+                         "-o", str(out)]) == 2
+    assert "config error: --freq: " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["BM-omni", "DM-finite"])
+def test_field_fits_the_sweeps_signals_of_its_trial(monkeypatch, estimator):
+    # `field --trial t` fits exactly column t of the signal block that the
+    # sweep fits at the same frequency: the same truth and the same noise
+    cfg = ScenarioConfig.from_dict(_base_config(estimator=estimator, order=2, trials=3,
+                                                frequencies=[150.0, 300.0]))
+    blocks = []
+    fit = harness.prepare_estimator
+
+    def capture(est, k):
+        apply = fit(est, k)
+
+        def record(signals):
+            blocks.append((k, signals.copy()))
+            return apply(signals)
+
+        return record
+
+    monkeypatch.setattr(harness, "prepare_estimator", capture)
+    run_sweep(cfg)
+    sweep = dict(blocks)
+    assert len(sweep) == 2 and all(s.shape == (12, 3) for s in sweep.values())
+    for t in range(3):
+        blocks.clear()
+        _dump(cfg, 300.0, trial=t, extent=1.0, spacing=0.5)
+        (k, signals), = blocks
+        assert np.array_equal(signals, sweep[k][:, [t]])
 
 
 @pytest.mark.parametrize("command, config, flags, bad", [

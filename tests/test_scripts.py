@@ -1,6 +1,7 @@
 """The experiment scripts run to completion at their smallest settings, so a
-script whose config the parser rejects fails the suite; the CSV drift report
-finds the repo identical to itself."""
+script whose config the parser rejects fails the suite, and a bad flag exits
+2 naming the config key; the CSV drift report finds the repo identical to
+itself."""
 
 import os
 import subprocess
@@ -12,25 +13,33 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def _run_script(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
         ("run_truncation_study.py", ["--orders", "1", "--trials", "1"]),
         ("run_estimation_sweep.py", ["--trials", "1", "-o", "{tmp}"]),
-        ("run_anc_experiment.py", ["-o", "{tmp}/anc.csv"]),
-        ("run_synthesis_experiment.py", ["-o", "{tmp}/synth.csv"]),
     ],
 )
 def test_script_runs(tmp_path, script, args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script),
-         *(a.format(tmp=tmp_path) for a in args)],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    proc = _run_script(script, [a.format(tmp=tmp_path) for a in args])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_truncation_study_order_beyond_the_budget_exits_2():
+    # order_n0 = 181 on the 64 mics exceeds the fit budget; every order is
+    # parsed before the first sweep, so nothing is printed
+    proc = _run_script("run_truncation_study.py", ["--orders", "181", "--trials", "1"])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: order_n0: must be at most 180"), proc.stderr
+    assert proc.stdout == ""
 
 
 def test_csv_drift_of_the_repo_against_itself():
@@ -42,6 +51,7 @@ def test_csv_drift_of_the_repo_against_itself():
     lines = proc.stdout.splitlines()
     assert {line.split(" ", 1)[0] for line in lines} == {
         "anc", "synth", *(f"{name}-{cmd}" for name in
-                          ("sweep_first_order", "sweep_kernel", "sweep_rigid")
+                          ("sweep_finite", "sweep_first_order", "sweep_kernel", "sweep_omni",
+                           "sweep_rigid")
                           for cmd in ("sweep", "field", "forbidden"))}
     assert all(line.endswith(": identical") for line in lines), proc.stdout

@@ -101,21 +101,6 @@ def test_green_partial_wave_matches_per_degree_loop(rng):
     assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_swf_radial_gather_is_exact(rng):
-    # evaluating on the distinct radii and gathering changes no value
-    pts = 0.5 * rng.normal(size=(40, 3))
-    pts[::4] = pts[1::4]  # repeated radii
-    pts[7] = 0.0
-    rad = np.linalg.norm(pts, axis=1)
-    k, order = 6.2, 9
-    direct = np.moveaxis(sf.sph_jn_all(order, k * rad), 0, -1)
-    nu, _ = sf.degrees_orders(order)
-    expected = direct[:, nu] * (1j ** (-nu.astype(float)))
-    assert np.array_equal(wf.swf_radial(order, rad, k), expected)
-    assert np.array_equal(wf.swf_radial(order, rad.reshape(5, 8), k),
-                          expected.reshape(5, 8, -1))
-
-
 def test_sw_to_pw_quadrature(squad):
     # phi_{nu,mu}(r) = (1/4pi) \int Yhat_{nu,mu}(x) e^{-i k x . r} dS(x)
     dirs, w = squad

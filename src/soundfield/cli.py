@@ -26,6 +26,8 @@ from .harness import (
     _NON_NEGATIVE,
     _NUMBER,
     _POSITIVE,
+    PLANES,
+    SOUND_SPEED,
     ConfigError,
     ScenarioConfig,
     _csv,
@@ -138,7 +140,7 @@ def build_parser():
     fp = sub.add_parser("field", help="dump field values on a plane grid")
     fp.add_argument("config", help="scenario JSON file")
     fp.add_argument("--freq", type=float, required=True, help="frequency in Hz")
-    fp.add_argument("--plane", default="xy", choices=("xy", "xz", "yz"))
+    fp.add_argument("--plane", default="xy", choices=tuple(PLANES))
     fp.add_argument("--extent", type=float, default=2.0, help="side length of the grid (m)")
     fp.add_argument("--spacing", type=float, default=0.1, help="grid spacing (m)")
     fp.add_argument("--offset", type=float, default=0.0, help="offset along the plane normal (m)")
@@ -149,7 +151,7 @@ def build_parser():
 
     gp = sub.add_parser("forbidden", help="list forbidden frequencies of an open sphere")
     gp.add_argument("--radius", type=float, required=True, help="array radius (m)")
-    gp.add_argument("--c", type=float, default=340.65, help="speed of sound (m/s)")
+    gp.add_argument("--c", type=float, default=SOUND_SPEED, help="speed of sound (m/s)")
     gp.add_argument("--numax", type=int, required=True, help="maximum degree scanned")
     gp.add_argument("--fmax", type=float, required=True, help="upper frequency bound (Hz)")
     gp.add_argument("-o", "--output", default="-")

@@ -30,11 +30,11 @@ from .observation import (
     T_DESIGNS,
     ArrayConfig,
     Mics,
+    load_t_design,
     noise_std,
     plane_wave_observations,
     point_source_observations,
     rigid_sphere_observation,
-    spherical_array,
     unit_noise,
 )
 from .specfun import degrees_orders, num_coeffs, sph_hn_all, sph_jn_all
@@ -43,6 +43,7 @@ from .wavefuncs import green, plane_wave, swf_angular
 NMSE_FLOOR_DB = -300.0
 
 ESTIMATORS = ("BM-omni", "BM-first", "BM-rigid", "DM-finite", "DM-infinite")
+SOUND_SPEED = 340.65  # m/s, the default c of every config and of `forbidden --c`
 
 # Evaluation walks its points in blocks whose per-point arrays, about
 # max((order+1)^2, M, trials) complex values per point (see
@@ -52,6 +53,9 @@ ESTIMATORS = ("BM-omni", "BM-first", "BM-rigid", "DM-finite", "DM-infinite")
 BLOCK_BYTES = 32 * 2**20
 # Bytes of one complex value, the unit of the block budget.
 _VALUE_BYTES = 16
+# The largest mic signal power times the noise's 10^(-snr_db/10): 1e28 below
+# the float range, for the sums over mics, trials and points and the solve's gain.
+_POWER_MAX = 1e280
 # The largest k r at which sph_jn_all and sph_hn_all were checked against
 # mpmath; see _wavenumbers.
 _KR_MAX = 2000.0
@@ -220,7 +224,7 @@ _SPHERICAL = (
                    lambda v: v in T_DESIGNS, integer=True)),
     ("radius", 1.0, _RADIUS),
     ("kind", None, _MIC_KIND),  # None: the kind the estimator models, else omni
-    ("mount", "open", _MOUNTS),
+    ("mount", None, _MOUNTS),  # None: the mount the estimator models, else open
 )
 _MIC = (
     ("pos", _REQUIRED, _vector),
@@ -243,7 +247,7 @@ _SCENARIO = (
     ("frequencies", _REQUIRED, _frequencies),
     ("array", _REQUIRED, _array),
     ("field", {"type": "plane_wave"}, _field),
-    ("c", 340.65, _POSITIVE),
+    ("c", SOUND_SPEED, _POSITIVE),
     # the noise variance 10^(-snr_db/10) times the signal power stays finite
     ("snr_db", 30.0, _rule(f"a number >= {NMSE_FLOOR_DB:g} (dB)", lambda v: v >= NMSE_FLOOR_DB)),
     ("seed", 0, _COUNT),
@@ -257,7 +261,7 @@ _SCENARIO = (
 )
 _SYNTH = (
     ("frequencies", _REQUIRED, _frequencies),
-    ("c", 340.65, _POSITIVE),
+    ("c", SOUND_SPEED, _POSITIVE),
     # The rings at z = +-0.2 give G exactly duplicated columns, so G^H W G +
     # eta I is singular unless eta shows against G^H W G, whose norm is at
     # most trace(W) |G|^2, about 3e5 on the finest control grid.
@@ -269,7 +273,7 @@ _SYNTH = (
     ("control_spacing", 0.2, _SPACING),
 )
 _ANC = (
-    ("c", 340.65, _POSITIVE),
+    ("c", SOUND_SPEED, _POSITIVE),
     ("frequency", 700.0, _POSITIVE),
     ("reg", 1e-3, _KERNEL_REG),
     # the costs of both weightings: 16 bytes, one complex value, an iteration
@@ -317,11 +321,12 @@ def _check_budget(values, path, what):
 def _check_wavenumbers(cfg, freqs):
     """The k of each (path, f) of `freqs` (see :func:`_wavenumbers`), checked
     over the mics, a point source and DM-finite's origin.  Also rejects a k
-    at which ``1 / (k d)``, by which a point source's observation is divided,
-    overflows at the mic nearest to it, or at which a radial response that
-    the run divides by or sums is 0 or not finite: a BM estimator's A_nu,
-    nu <= order, on the mics' mean radius, and on a rigid mount the rigid
-    response up to the truth's order.
+    at which ``1 / (k d)`` overflows for the distance d of a point source from
+    its nearest mic; at which directional mics' signal power, at most
+    ``((1 + 1/(k d)) / (4 pi d))^2``, times ``10^(-snr_db/10)`` passes
+    _POWER_MAX; or at which a radial response the run divides by or sums is 0
+    or not finite: a BM estimator's A_nu, nu <= order, on the mics' mean
+    radius, and on a rigid mount the rigid response up to the truth's order.
     """
     pos = cfg.array.mics.pos
     norms = np.linalg.norm(pos, axis=1)
@@ -336,10 +341,16 @@ def _check_wavenumbers(cfg, freqs):
     if cfg.estimator == "DM-finite":
         lengths.append(("origin", float(np.linalg.norm(cfg.origin))))
     ks = _wavenumbers(freqs, cfg.c, lengths)
+    noise_scale = max(1.0, 10.0 ** (-cfg.snr_db / 10.0))
     for (path, _), k in zip(freqs, ks):
         if not (k * near > 0.0 and 1.0 / (k * near) < math.inf):
             raise ConfigError(f"{path}: 1 / (k d) must be finite, not inf at k = {k:g}, for the "
                               f"distance d = {near:g} m of field.position from its nearest mic")
+        near_field = (1.0 + 1.0 / (k * near)) / (4.0 * math.pi * near)
+        if cfg.array.mics.b.any() and not near_field * near_field * noise_scale <= _POWER_MAX:
+            raise ConfigError(f"{path}: directional mics' near-field factor (1 + 1/(k d)) / "
+                              f"(4 pi d) = {near_field:.3g} at k = {k:g}, d = {near:g} m, squared "
+                              f"and times max(1, 10^(-snr_db/10)), must be at most {_POWER_MAX:g}")
         checks = []
         with np.errstate(all="ignore"):  # an overflowed response is rejected below
             if cfg.estimator in _BM_MODELS:
@@ -457,91 +468,81 @@ _BM_MODELS = {"BM-omni": ("omni", "open", "omni"),
               "BM-rigid": ("omni", "rigid", "rigid")}
 
 
-def _require_kind(model, model_kind, kinds, kind_path):
+def _require_kind(model, model_kind, kinds, where):
     """Reject the first of the mic `kinds` (an array) that `model` does not
-    model; `kind_path(i)` is the field path of entry i."""
+    model; `where(i, key)` is the field path of mic i's `key`."""
     bad = np.flatnonzero(kinds != model_kind)
     if bad.size:
-        raise ConfigError(f"{kind_path(bad[0])}: {model} models {model_kind} mics only, "
+        raise ConfigError(f"{where(bad[0], 'kind')}: {model} models {model_kind} mics only, "
                           f"not {str(kinds[bad[0]])!r}")
 
 
-def _require_sphere(model, pos, radius, tol, sphere):
+def _require_sphere(model, pos, radius, tol, sphere, where):
     """Reject the first mic at the origin or off the sphere of `radius`
     (within `tol`) about it; `sphere` names that radius."""
     radii = np.linalg.norm(pos, axis=1)
     bad = np.flatnonzero((radii == 0.0) | (np.abs(radii - radius) > tol))
     if bad.size:
-        raise ConfigError(f"array.mics[{bad[0]}].pos: {model} models mics on one sphere "
+        raise ConfigError(f"{where(bad[0], 'pos')}: {model} models mics on one sphere "
                           f"about the origin, not at radius {radii[bad[0]]:g} "
                           f"({sphere} {radius:g})")
 
 
-def _require_bm_model(estimator, mount, kinds, kind_path):
-    """Reject an array that boundary estimator `estimator` does not model."""
-    model_kind, model_mount, _ = _BM_MODELS[estimator]
-    _require_kind(estimator, model_kind, kinds, kind_path)
-    if mount != model_mount:
-        raise ConfigError(f"array.mount: {estimator} models the {model_mount} mount only, "
-                          f"not {mount!r}")
-
-
 def _array_config(spec, estimator, directivity_a):
-    """The ArrayConfig of the read `array` object, checked against the
-    estimator."""
+    """The checked ArrayConfig of the read `array` object.  The spherical form
+    is the list of its t-design's mics at `radius`, of one kind, with outward
+    axes and `a = directivity_a`; an absent kind or mount is the estimator's
+    (omni, open for DM).  Every list passes one check sequence: each mic's `y`
+    and `a`, a rigid `radius`, the BM kind and mount, the rigid mount, one BM
+    sphere, BM-first's `a` and axes."""
+    model = _BM_MODELS.get(estimator, ("omni", "open"))
     if "mics" in spec:
-        array, kinds = _explicit_array(spec)
-        if estimator in _BM_MODELS:
-            _require_bm_model(estimator, array.mount, kinds, lambda i: f"array.mics[{i}].kind")
-            # one sphere about the origin: radii within 1e-9 of their median
-            median = np.median(np.linalg.norm(array.mics.pos, axis=1))
-            _require_sphere(estimator, array.mics.pos, median, 1e-9 * median,
-                            "their median radius")
-        if estimator == "BM-first":
-            # it divides by one radial response: one omni weight, outward axes
-            mics = array.mics
-            outward = mics.pos / np.linalg.norm(mics.pos, axis=1)[:, None]
-            bad_a = mics.a != mics.a[0]
-            bad = np.flatnonzero(bad_a | np.any(np.abs(mics.axes - outward) > 1e-9, axis=1))
-            if bad.size:
-                i = bad[0]
-                raise ConfigError(f"array.mics[{i}].a: BM-first models one a on all mics, "
-                                  f"that of array.mics[0].a ({mics.a[0]:g})" if bad_a[i] else
-                                  f"array.mics[{i}].y: BM-first models outward axes only")
-        return array
-    kind = spec["kind"] or _BM_MODELS.get(estimator, ("omni",))[0]
-    mount = "rigid" if estimator == "BM-rigid" else spec["mount"]
-    kinds, kind_path = np.array([kind]), lambda i: "array.kind"
+        mics = spec["mics"]
+        kinds = np.array([mic["kind"] for mic in mics])
+        for i, (mic, kind) in enumerate(zip(mics, kinds)):
+            for key, wanted in (("y", kind != "omni"), ("a", kind == "first_order")):
+                if (mic[key] is not None) != wanted:
+                    raise ConfigError(f"array.mics[{i}].{key}: " + (
+                        "required" if wanted else "not taken") + f" by {kind} mics")
+        pos = np.array([mic["pos"] for mic in mics])
+        axes = [np.zeros(3) if mic["y"] is None else mic["y"] for mic in mics]
+        a = [mic["a"] for mic in mics]
+        where = lambda i, key: f"array.mics[{i}].{key}"
+    else:
+        dirs = load_t_design(spec["t"])
+        pos, axes, a = spec["radius"] * dirs, dirs, directivity_a
+        kinds = np.full(len(dirs), spec["kind"] or model[0])
+        # one kind and one a; the radius sets the positions and axes
+        where = lambda i, key: "array.kind" if key == "kind" else "array.radius"
+    mount, radius = spec["mount"] or model[1], spec["radius"]
+    if mount == "rigid" and radius is None:
+        raise ConfigError("array.radius: required for the rigid mount")
     if estimator in _BM_MODELS:
-        _require_bm_model(estimator, mount, kinds, kind_path)
+        _require_kind(estimator, model[0], kinds, where)
+        if mount != model[1]:
+            raise ConfigError(f"array.mount: {estimator} models the {model[1]} mount only, "
+                              f"not {mount!r}")
     if mount == "rigid":
-        _require_kind("the rigid mount", "omni", kinds, kind_path)
-    return spherical_array(spec["t"], spec["radius"], mount=mount, kind=kind, a=directivity_a)
-
-
-def _explicit_array(spec):
-    """The ArrayConfig of the read explicit `array` object, and the mic
-    kinds.  A mic gives `y` exactly when its kind is directional and `a`
-    exactly when it is first-order; a rigid mount needs `radius` and omni
-    mics on that sphere."""
-    mics = spec["mics"]
-    for i, mic in enumerate(mics):
-        kind = mic["kind"]
-        for key, wanted in (("y", kind != "omni"), ("a", kind == "first_order")):
-            if (mic[key] is not None) != wanted:
-                raise ConfigError(f"array.mics[{i}].{key}: " + (
-                    "required" if wanted else "not taken") + f" by {kind} mics")
-    pos = np.array([mic["pos"] for mic in mics])
-    kinds = np.array([mic["kind"] for mic in mics])
-    radius = spec["radius"]
-    if spec["mount"] == "rigid":
-        if radius is None:
-            raise ConfigError("array.radius: required for the rigid mount")
-        _require_kind("the rigid mount", "omni", kinds, lambda i: f"array.mics[{i}].kind")
-        _require_sphere("the rigid mount", pos, radius, 1e-9 * max(1.0, radius), "array.radius")
-    axes = [np.zeros(3) if mic["y"] is None else mic["y"] for mic in mics]
-    return ArrayConfig(mount=spec["mount"], radius=radius,
-                       mics=Mics(pos, kinds, axes, [mic["a"] for mic in mics])), kinds
+        _require_kind("the rigid mount", "omni", kinds, where)
+        _require_sphere("the rigid mount", pos, radius, 1e-9 * max(1.0, radius), "array.radius",
+                        where)
+    if estimator in _BM_MODELS:
+        # radii within 1e-9 of their median, taken without np.median (it imports numpy.ma)
+        radii = np.sort(np.linalg.norm(pos, axis=1))
+        median = 0.5 * (radii[(len(radii) - 1) // 2] + radii[len(radii) // 2])
+        _require_sphere(estimator, pos, median, 1e-9 * median, "their median radius", where)
+    mics = Mics(pos, kinds, axes, a)
+    if estimator == "BM-first":
+        # it divides by one radial response: one omni weight, outward axes
+        outward = mics.pos / np.linalg.norm(mics.pos, axis=1)[:, None]
+        bad_a = mics.a != mics.a[0]
+        bad = np.flatnonzero(bad_a | np.any(np.abs(mics.axes - outward) > 1e-9, axis=1))
+        if bad.size:
+            i = bad[0]
+            raise ConfigError(f"{where(i, 'a')}: BM-first models one a on all mics, that of "
+                              f"{where(0, 'a')} ({mics.a[0]:g})" if bad_a[i] else
+                              f"{where(i, 'y')}: BM-first models outward axes only")
+    return ArrayConfig(mount=mount, mics=mics, radius=radius)
 
 
 # ---------------------------------------------------------------------------
@@ -880,8 +881,6 @@ def plane_grid(plane, extent, spacing, offset=0.0):
     """Grid on an axis plane; `extent` is the full side length.  It must
     hold at most 1e7 points; the ratio is tested for ``inf`` before ``ceil``.
     Every point must lie within about 6.7e153 m of the origin."""
-    if plane not in PLANES:
-        raise ConfigError(f"plane: must be one of {sorted(PLANES)}")
     ratio = extent / spacing
     if not (math.isfinite(ratio) and (math.ceil(ratio) + 1) ** 2 <= 10**7):
         raise ConfigError("--spacing: too fine; the grid would exceed 1e7 points")

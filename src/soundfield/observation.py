@@ -183,18 +183,6 @@ def load_t_design(t):
     return np.asarray(rows)
 
 
-def spherical_array(t, radius, mount="open", kind="omni", a=None):
-    """Array on a spherical t-design of the given radius.
-
-    Directional microphones are oriented along the outward radial direction.
-    """
-    if mount == "rigid" and kind != "omni":
-        raise ValueError("rigid mount supports omni microphones only")
-    dirs = load_t_design(t)
-    return ArrayConfig(mount=mount, mics=Mics(radius * dirs, kind, dirs, a),
-                       radius=radius if mount == "rigid" else None)
-
-
 # ---------------------------------------------------------------------------
 # Measurement noise
 # ---------------------------------------------------------------------------

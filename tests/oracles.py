@@ -5,20 +5,28 @@ Each reference evaluates a quantity through the spherical-harmonic route:
 directivity coefficients, regular/singular wave functions, the translation
 operator and the rigid sphere's response degree by degree.  The spherical
 Hankel function at given degrees and the ANC cost are here too, since only
-tests evaluate them one at a time.
+tests evaluate them one at a time, and the spherical array the tests build
+without a config.
 """
 
 import numpy as np
 
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
-from soundfield.observation import Mics, directivity_matrix
+from soundfield.observation import ArrayConfig, Mics, directivity_matrix, load_t_design
 
 
 def sph_hn(n, x, derivative=False):
     """Spherical Hankel function of the first kind h_n(x) = j_n + i y_n (or
     h_n'(x)) for degrees `n` broadcast against `x`."""
     return sf._select(sf.sph_hn_all, n, x, derivative)
+
+
+def spherical_array(t, radius, kind="omni", a=None):
+    """The open array of the spherical config form: the t-design's mics at
+    `radius`, all of `kind` with outward axes and omni weight `a`."""
+    dirs = load_t_design(t)
+    return ArrayConfig(mount="open", mics=Mics(radius * dirs, kind, dirs, a), radius=radius)
 
 
 def anc_cost(e, A):

@@ -40,13 +40,12 @@ from soundfield.observation import (
     Mics,
     add_noise,
     load_t_design,
-    spherical_array,
     observe_plane_wave,
     observe_point_source,
 )
 from soundfield.wavefuncs import green, plane_wave, plane_wave_coeffs, regular_swf_matrix
 
-from oracles import harmonic_rigid_sphere_observation, singular_swf_matrix
+from oracles import harmonic_rigid_sphere_observation, singular_swf_matrix, spherical_array
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -527,6 +526,15 @@ def _moved_mic(array, i, scale):
     return array
 
 
+def _near_field_config(estimator, kind, frequency, snr_db):
+    """The t = 5 array of radius 0.5 of directional mics, `directivity_a`
+    0.5, and a point source at [2, 1, 0.5]."""
+    return _base_config(estimator=estimator, frequencies=[frequency], snr_db=snr_db,
+                        directivity_a=0.5,
+                        array={"type": "spherical", "t": 5, "radius": 0.5, "kind": kind},
+                        field={"type": "point_source", "position": [2.0, 1.0, 0.5]})
+
+
 ANC_BASE = {"frequency": 700, "primary_source": [3.0, 0.0, 0.0], "iterations": 5}
 SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
 
@@ -725,6 +733,14 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
            "frequencies[0]: 1 / (k d) must be finite, not inf at k = 1.84447e-310, for the "
            "distance d = 1.88038 m of field.position from its nearest mic")
           for estimator in ("DM-infinite", "DM-finite")),
+        # directional mics observe a point source's near field, up to
+        # (1 + 1/(k d)) / (4 pi d): squared and times the noise scale it
+        # overflows at 1e-160 Hz, or at 1e-150 Hz with snr_db -300
+        *(("sweep", _near_field_config(estimator, kind, frequency, snr_db),
+           "frequencies[0]: directional mics' near-field factor (1 + 1/(k d)) / (4 pi d) = ")
+          for estimator in ("DM-infinite", "DM-finite")
+          for kind in ("first_order", "bidirectional")
+          for frequency, snr_db in ((1e-160, 30), (1e-150, -300))),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):
@@ -762,6 +778,8 @@ def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field)
          "array.mics[0].pos"),
         ("BM-first", _moved_mic(_first_order_list(), 4, 0.0), "array.mics[4].pos"),
         ("BM-first", _moved_mic(_first_order_list(), 2, 0.8), "array.mics[2].pos"),
+        # a spherical form's given mount is checked like a list's
+        ("BM-rigid", {"type": "spherical", "t": 5, "radius": 0.5, "mount": "open"}, "array.mount"),
     ],
 )
 def test_cli_bm_estimator_on_unmodelled_array_exit_2(tmp_path, capsys, estimator, array,
@@ -779,7 +797,8 @@ def test_cli_bm_estimator_on_unmodelled_array_exit_2(tmp_path, capsys, estimator
     ("BM-omni", _mic_list("open", {})),
     ("BM-first", _mic_list("open", {i: "first_order" for i in range(12)})),
     ("BM-rigid", _mic_list("rigid", {})),
-    ("BM-rigid", {"type": "spherical", "t": 5, "radius": 0.5, "mount": "open"}),
+    # the spherical form without a mount takes the estimator's
+    ("BM-rigid", {"type": "spherical", "t": 5, "radius": 0.5}),
     ("BM-omni", _moved_mic(_mic_list("open", {}), 7, 1.0 + 1e-12)),
 ])
 def test_cli_bm_estimator_on_modelled_array(tmp_path, estimator, array):
@@ -807,6 +826,38 @@ def test_cli_bm_first_explicit_list_matches_spherical_spec(tmp_path):
     assert out["list"].read_bytes() == out["spec"].read_bytes()
     row = out["list"].read_text().splitlines()[1].split(",")
     assert float(row[5]) < -20.0
+
+
+@pytest.mark.parametrize("estimator, kind", [
+    ("BM-omni", None), ("BM-first", None), ("BM-rigid", None),
+    ("DM-finite", "first_order"), ("DM-infinite", "bidirectional"),
+])
+def test_cli_spherical_form_is_its_mic_list(tmp_path, estimator, kind):
+    # the spherical form is the list of its t-design's mics at its radius,
+    # with outward axes, a = directivity_a and the estimator's kind and mount
+    # unless it gives them, so both give the same CSV bytes
+    model_kind = kind or ("first_order" if estimator == "BM-first" else "omni")
+    mics = []
+    for d in load_t_design(5):
+        mics.append({"pos": (0.5 * d).tolist(), "kind": model_kind})
+        if model_kind != "omni":
+            mics[-1]["y"] = d.tolist()
+        if model_kind == "first_order":
+            mics[-1]["a"] = 0.3
+    spherical = {"type": "spherical", "t": 5, "radius": 0.5, **({"kind": kind} if kind else {})}
+    mount = "rigid" if estimator == "BM-rigid" else "open"
+    out = {}
+    for name, array in [("spherical", spherical),
+                        ("list", {"mount": mount, "radius": 0.5, "mics": mics})]:
+        cfg = tmp_path / f"{name}.json"
+        cfg.write_text(json.dumps(_base_config(
+            estimator=estimator, array=array, frequencies=[150.0, 300.0], directivity_a=0.3,
+            order=3, order_n0=3, field={"type": "point_source", "position": [2.0, 1.0, 0.5]},
+            eval_grid={"radius": 0.45, "spacing": 0.15})))
+        out[name] = tmp_path / f"{name}.csv"
+        assert cli_main(["sweep", str(cfg), "-o", str(out[name])]) == 0
+    assert out["list"].read_bytes() == out["spherical"].read_bytes()
+    assert len(out["list"].read_text().splitlines()) == 5
 
 
 @pytest.mark.parametrize("frequency", [10.0, 100.0, 150.0])
@@ -930,6 +981,34 @@ def test_cli_field_freq_follows_the_wavenumber_rule(tmp_path, capsys, config, fr
                          "-o", str(out)]) == 2
     assert "config error: --freq: " in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["DM-finite", "DM-infinite"])
+def test_cli_field_freq_follows_the_near_field_rule(tmp_path, capsys, estimator):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_near_field_config(estimator, "first_order", 100.0, 30)))
+    out = tmp_path / "f.csv"
+    assert cli_main(["field", str(cfg), "--freq", "1e-160", "-o", str(out)]) == 2
+    assert ("config error: --freq: directional mics' near-field factor"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("estimator", ["DM-finite", "DM-infinite"])
+@pytest.mark.parametrize("snr_db", [30, -300])
+def test_near_field_bound_accepts_the_frequencies_above_it(estimator, snr_db):
+    # the frequency at which the nearest mic's near-field factor, squared and
+    # times the noise scale, reaches _POWER_MAX: 1 % above it the sweep is
+    # finite, 1 % below it exits 2
+    over = _near_field_config(estimator, "first_order", 1.0, snr_db)
+    cfg = ScenarioConfig.from_dict(over)
+    d = float(np.min(np.linalg.norm(cfg.array.mics.pos - [2.0, 1.0, 0.5], axis=1)))
+    factor = math.sqrt(harness._POWER_MAX / max(1.0, 10.0 ** (-snr_db / 10.0)))
+    bound = cfg.c / (2.0 * math.pi * d * (4.0 * math.pi * d * factor - 1.0))
+    with pytest.raises(ConfigError, match=r"frequencies\[0\]: directional mics' near-field"):
+        ScenarioConfig.from_dict(dict(over, frequencies=[0.99 * bound]))
+    records = run_sweep(ScenarioConfig.from_dict(dict(over, frequencies=[1.01 * bound])))
+    assert len(records) == 2 and all(math.isfinite(r.nmse_db) for r in records)
 
 
 @pytest.mark.parametrize("estimator", ["BM-omni", "DM-finite"])

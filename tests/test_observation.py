@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
+from soundfield.harness import ConfigError, ScenarioConfig
 from soundfield.observation import (
     Mics,
     add_noise,
@@ -15,7 +16,6 @@ from soundfield.observation import (
     plane_wave_observations,
     point_source_observations,
     rigid_sphere_observation,
-    spherical_array,
 )
 
 from oracles import (
@@ -287,20 +287,29 @@ def test_t_design_defining_property(t):
     assert worst <= 1e-9
 
 
+def _spherical_mics(**array):
+    """The mics the config parser builds for the spherical `array` form."""
+    return ScenarioConfig.from_dict({
+        "estimator": "DM-infinite", "frequencies": [100.0], "directivity_a": 0.4,
+        "array": {"type": "spherical", **array}}).array.mics
+
+
 def test_spherical_array_geometry():
-    arr = spherical_array(5, radius=0.8, mount="open", kind="omni")
-    assert len(arr.mics) == 12
-    assert np.allclose(np.linalg.norm(arr.mics.pos, axis=1), 0.8, atol=1e-12)
-    assert np.array_equal(arr.mics.a, np.ones(12)) and not arr.mics.axes.any()
-    arr2 = spherical_array(3, radius=1.0, mount="open", kind="first_order", a=0.4)
-    assert np.array_equal(arr2.mics.a, np.full(6, 0.4))
-    # outward-pointing axes
-    assert np.all(np.einsum("mi,mi->m", arr2.mics.axes, arr2.mics.pos) > 0)
+    mics = _spherical_mics(t=5, radius=0.8)
+    assert len(mics) == 12
+    assert np.allclose(np.linalg.norm(mics.pos, axis=1), 0.8, atol=1e-12)
+    assert np.array_equal(mics.a, np.ones(12)) and not mics.axes.any()
+    mics = _spherical_mics(t=5, radius=0.8, kind="first_order")
+    assert np.array_equal(mics.a, np.full(12, 0.4))
+    # unit axes pointing outward
+    assert np.allclose(mics.axes, mics.pos / 0.8, atol=1e-12)
+    assert np.allclose(np.linalg.norm(mics.axes, axis=1), 1.0, atol=1e-15)
 
 
 def test_rigid_mount_requires_omni():
-    with pytest.raises(ValueError):
-        spherical_array(3, 1.0, mount="rigid", kind="first_order", a=0.5)
+    with pytest.raises(ConfigError,
+                       match="array.kind: the rigid mount models omni mics only, not 'first_order'"):
+        _spherical_mics(t=3, mount="rigid", kind="first_order")
 
 
 # ---------------------------------------------------------------------------

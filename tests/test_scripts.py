@@ -51,7 +51,7 @@ def test_csv_drift_of_the_repo_against_itself():
     lines = proc.stdout.splitlines()
     assert {line.split(" ", 1)[0] for line in lines} == {
         "anc", "synth", *(f"{name}-{cmd}" for name in
-                          ("sweep_finite", "sweep_first_order", "sweep_kernel", "sweep_omni",
-                           "sweep_rigid")
+                          ("sweep_explicit", "sweep_finite", "sweep_first_order",
+                           "sweep_kernel", "sweep_omni", "sweep_rigid")
                           for cmd in ("sweep", "field", "forbidden"))}
     assert all(line.endswith(": identical") for line in lines), proc.stdout

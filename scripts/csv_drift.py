@@ -6,9 +6,10 @@ Usage:
 
 Every file in CHANGE_DIR/configs is run on both checkouts through each
 command that takes it: a sweep config through `sweep`, through `field` at
-its first frequency and through `forbidden` for its array radius, its
-`order` and its highest frequency; `synth.json` through `synth` and
-`anc.json` through `anc`.  Each checkout runs all its commands in one child
+its first frequency (at the default flags, at a value off its default for
+every flag, and with `--truth-only`) and through `forbidden` for its array
+radius, its `order` and its highest frequency; `synth.json` through `synth`
+and `anc.json` through `anc`.  Each checkout runs all its commands in one child
 process, with its own `src` first on the path.
 
 For each column of each output, one line says `identical` when the text is
@@ -25,6 +26,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+# `field` flags each off its default, so that their plumbing is compared too.
+FIELD_FLAGS = ["--plane", "yz", "--extent", "1.5", "--spacing", "0.25", "--offset", "0.1",
+               "--trial", "1"]
 # Runs each argv through soundfield.cli.main in one process; prints the
 # exit statuses as a JSON list.
 CHILD = """
@@ -44,8 +48,10 @@ def jobs(config_dir):
             out.append((path.stem, [path.stem, str(path)]))
             continue
         out.append((f"{path.stem}-sweep", ["sweep", str(path)]))
-        out.append((f"{path.stem}-field",
-                    ["field", str(path), "--freq", repr(float(cfg["frequencies"][0]))]))
+        field = ["field", str(path), "--freq", repr(float(cfg["frequencies"][0]))]
+        out.append((f"{path.stem}-field", field))
+        out.append((f"{path.stem}-field-flags", field + FIELD_FLAGS))
+        out.append((f"{path.stem}-field-truth", field + ["--truth-only"]))
         out.append((f"{path.stem}-forbidden",
                     ["forbidden", "--radius", repr(float(cfg["array"].get("radius", 1.0))),
                      "--numax", str(cfg.get("order", 7)),

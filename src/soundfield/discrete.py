@@ -4,9 +4,8 @@ microphones.
 Two regularized least-squares estimators are provided:
 
 * Finite-dimensional: expand the field about a global origin ``r0`` in
-  regular spherical wave functions up to degree ``N0`` (or in a finite set
-  of plane waves) and solve a Tikhonov-regularized system for the
-  coefficients.
+  regular spherical wave functions up to degree ``N0`` and solve a
+  Tikhonov-regularized system for the coefficients.
 * Infinite-dimensional: kernel ridge regression in the native space of
   interior fields with the kernel ``j0(k |r - r'|)``.  Every mic is
   ``F u = a u(r_m) + (i/k) b . grad u(r_m)`` (see
@@ -17,8 +16,6 @@ Two regularized least-squares estimators are provided:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .observation import directivity_matrix
@@ -27,47 +24,20 @@ from .wavefuncs import CoefficientSet, translation_matrix
 
 
 # ---------------------------------------------------------------------------
-# Basis specifications (finite-dimensional route)
+# Finite-dimensional route
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SphericalBasis:
-    """Regular spherical wave functions up to degree `order` about `origin`."""
+def build_observation_matrix(mics, origin, order, k):
+    """Matrix B with B[m, n] = (observation functional m)(basis function n)
+    for the regular spherical wave functions about `origin` up to degree
+    `order`.
 
-    order: int
-    origin: np.ndarray
-
-    def __post_init__(self):
-        self.origin = np.asarray(self.origin, dtype=float).reshape(3)
-
-
-@dataclass
-class PlaneWaveBasis:
-    """Plane waves from directions `dirs` with phase reference `origin`."""
-
-    dirs: np.ndarray
-    origin: np.ndarray
-
-    def __post_init__(self):
-        self.dirs = np.asarray(self.dirs, dtype=float).reshape(-1, 3)
-        self.origin = np.asarray(self.origin, dtype=float).reshape(3)
-
-
-def build_observation_matrix(mics, basis, k):
-    """Matrix B with B[m, n] = (observation functional m)(basis function n).
-
-    For the spherical basis the entries follow from the translation
-    operator: the local expansion of ``phi_{nu,mu}(r - r0)`` about the
-    microphone position is one column of ``T(r_m - r0)``, so row m is
-    ``d_m^H T(r_m - r0)`` with degrees up to the microphone order.  For the
-    plane-wave basis row m is ``(a_m + b_m . x_n) e^{-ik x_n . (r_m - r0)}``,
-    as in :func:`~soundfield.observation.plane_wave_observations`.
+    The local expansion of ``phi_{nu,mu}(r - r0)`` about the microphone
+    position is one column of the translation operator ``T(r_m - r0)``, so
+    row m is ``d_m^H T(r_m - r0)`` with degrees up to the microphone order.
     """
-    if isinstance(basis, PlaneWaveBasis):
-        pickup = mics.a[:, None] + mics.b @ basis.dirs.T
-        return pickup * np.exp(-1j * k * (mics.pos - basis.origin) @ basis.dirs.T)
-    D, order = directivity_matrix(mics)
-    T = translation_matrix(mics.pos - basis.origin, k, order, basis.order)
+    D, mic_order = directivity_matrix(mics)
+    T = translation_matrix(mics.pos - np.asarray(origin, dtype=float), k, mic_order, order)
     return np.einsum("mi,min->mn", D.conj(), T)
 
 
@@ -186,6 +156,6 @@ def finite_to_infinite_gap(mics, origin, order, k):
     spherical basis about `origin` up to degree `order`; it converges to
     :func:`kernel_matrix` as the degree grows.
     """
-    B = build_observation_matrix(mics, SphericalBasis(order=order, origin=origin), k)
+    B = build_observation_matrix(mics, origin, order, k)
     Ki = kernel_matrix(mics, k)
     return float(np.linalg.norm(B @ B.conj().T - Ki) / np.linalg.norm(Ki))

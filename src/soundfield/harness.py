@@ -19,7 +19,6 @@ from . import applications as apps
 from .boundary import analysis_matrix, radial_response
 from .discrete import (
     Representers,
-    SphericalBasis,
     build_observation_matrix,
     kernel_matrix,
     solve_kernel,
@@ -294,21 +293,26 @@ def _wavenumbers(freqs, c, lengths):
     """The k = 2 pi f / c of each (path, f) of `freqs`.
 
     Rejects, naming the frequency's path, a k that is not a positive
-    finite number, or whose k r exceeds _KR_MAX at the farthest of the
-    (path, r) `lengths`, which is named too.
+    finite number, or that fails :func:`_check_kr` over `lengths`.
     """
-    far_path, far = max(lengths, key=lambda item: item[1])
     out = []
     for path, f in freqs:
         k = 2.0 * math.pi * f / c
         if not 0.0 < k < math.inf:
             raise ConfigError(f"{path}: the wavenumber 2 pi f / c must be a positive finite "
                               f"number, not {k:g}")
-        if k * far > _KR_MAX:
-            raise ConfigError(f"{path}: k r must be at most {_KR_MAX:g}, not {k * far:.3g}, "
-                              f"at the farthest configured point ({far_path}, {far:g} m)")
+        _check_kr(path, k, lengths)
         out.append(k)
     return out
+
+
+def _check_kr(path, k, lengths):
+    """Reject, naming `path`, a wavenumber k whose k r exceeds _KR_MAX at
+    the farthest of the (path, r) `lengths`, which is named too."""
+    far_path, far = max(lengths, key=lambda item: item[1])
+    if k * far > _KR_MAX:
+        raise ConfigError(f"{path}: k r must be at most {_KR_MAX:g}, not {k * far:.3g}, "
+                          f"at the farthest configured point ({far_path}, {far:g} m)")
 
 
 def _check_budget(values, path, what):
@@ -320,7 +324,8 @@ def _check_budget(values, path, what):
 
 def _check_wavenumbers(cfg, freqs):
     """The k of each (path, f) of `freqs` (see :func:`_wavenumbers`), checked
-    over the mics, a point source and DM-finite's origin.  Also rejects a k
+    over the mics, a point source and DM-finite's origin (:func:`run_sweep`
+    and :func:`dump_field` check k r on their grids).  Also rejects a k
     at which ``1 / (k d)`` overflows for the distance d of a point source from
     its nearest mic; at which directional mics' signal power, at most
     ``((1 + 1/(k d)) / (4 pi d))^2``, times ``10^(-snr_db/10)`` passes
@@ -386,7 +391,6 @@ class ScenarioConfig:
     order_n0: int
     origin: np.ndarray
     reg: float
-    directivity_a: float
     eval_radius: float
     eval_spacing: float
     explicit_array: bool  # the `array` object lists its mics
@@ -396,7 +400,7 @@ class ScenarioConfig:
     def from_dict(cls, obj):
         values = _read(obj, _SCENARIO)
         grid, spec = values.pop("eval_grid"), values.pop("array")
-        array = _array_config(spec, values["estimator"], values["directivity_a"])
+        array = _array_config(spec, values["estimator"], values.pop("directivity_a"))
         field_spec = values.pop("field")
         if field_spec["type"] == "point_source":
             _check_source(field_spec["position"], grid["radius"], array)
@@ -712,8 +716,7 @@ def prepare_estimator(est, k):
         A = _bm_response(cfg, k)[degrees_orders(est.order)[0]][:, None]
         return lambda signals: (est.analysis @ signals) / A
     if est.order is not None:
-        basis = SphericalBasis(order=est.order, origin=est.origin)
-        B = build_observation_matrix(cfg.array.mics, basis, k)
+        B = build_observation_matrix(cfg.array.mics, est.origin, est.order, k)
         return lambda signals: solve_tikhonov(B, signals, cfg.reg)
     K = kernel_matrix(cfg.array.mics, k)
     return lambda signals: solve_kernel(K, signals, cfg.reg)
@@ -817,9 +820,11 @@ def run_sweep(cfg):
     and denominator.
     """
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
+    ks = cfg.wavenumbers
+    for i, k in enumerate(ks):
+        _check_kr(f"frequencies[{i}]", k, [("eval_grid.radius", cfg.eval_radius)])
     est = Estimator(cfg)
     trials = range(cfg.trials)
-    ks = cfg.wavenumbers
     noise = _noise(cfg, trials)
     weights = [_fit(est, k, noise) for k in ks]
     num = np.zeros((len(ks), cfg.trials))
@@ -877,7 +882,7 @@ PLANES = {"xy": (0, 1, 2), "xz": (0, 2, 1), "yz": (1, 2, 0)}
 _CSV_ROW_WIDTH = 32
 
 
-def plane_grid(plane, extent, spacing, offset=0.0):
+def plane_grid(plane, extent, spacing, offset):
     """Grid on an axis plane; `extent` is the full side length.  It must
     hold at most 1e7 points; the ratio is tested for ``inf`` before ``ceil``.
     Every point must lie within about 6.7e153 m of the origin."""
@@ -898,17 +903,24 @@ def plane_grid(plane, extent, spacing, offset=0.0):
     return pts.reshape(-1, 3)
 
 
-def dump_field(cfg, frequency, out, plane="xy", extent=2.0, spacing=0.1, offset=0.0,
-               include_estimate=True, trial=0):
+def dump_field(cfg, frequency, out, plane, extent, spacing, offset, include_estimate, trial):
     """Write to the text stream `out` the CSV of the true (and optionally
     estimated) field on a plane grid.
 
-    `frequency` passes the rule of the config's frequencies, and the fit is
-    the sweep's of trial `trial`; the rows are then evaluated and written
-    block by block.  Nothing is written before the frequency and grid are checked.
+    `frequency` passes the rule of the config's frequencies, and k r the
+    bound at the grid's farthest point; the fit is the sweep's of trial
+    `trial`.  The rows are then evaluated and written block by block.
+    Nothing is written before the frequency and grid are checked.
     """
     k, = _check_wavenumbers(cfg, [("--freq", frequency)])
     pts = plane_grid(plane, extent, spacing, offset)
+    # The farthest points are the corners at (-e/2, -e/2) and at the last
+    # grid line, up to one spacing beyond e/2; the flag named sets the larger
+    # part of their distance.
+    edge = max(extent / 2.0, float(pts[-1, PLANES[plane][0]]))
+    flag = ("--offset" if abs(offset) > math.hypot(edge, edge)
+            else "--spacing" if edge > extent else "--extent")
+    _check_kr("--freq", k, [(flag, math.hypot(edge, edge, offset))])
     truth_vals = _truth_eval(cfg.field_spec, pts, k)
     mean_pow = float(np.mean(np.abs(truth_vals) ** 2))
     rows = _block_rows(_CSV_ROW_WIDTH)

@@ -46,18 +46,6 @@ def degrees_orders(order):
     return nu, mu
 
 
-def _select(table, n, x, *args):
-    """``table(nmax, x, *args)[n]`` for degrees `n` broadcast against `x`."""
-    n = np.asarray(n)
-    x = np.asarray(x, dtype=float)
-    if n.ndim == 0:
-        return table(int(n), x, *args)[int(n)][()]
-    if x.ndim == 0:
-        return table(int(n.max()), x, *args)[n]
-    n, x = np.broadcast_arrays(n, x)
-    return np.take_along_axis(table(int(n.max()), x, *args), n[None], axis=0)[0]
-
-
 # ---------------------------------------------------------------------------
 # Spherical Bessel / Hankel functions
 # ---------------------------------------------------------------------------
@@ -203,8 +191,10 @@ def _bessel_all(kind, nmax, x, derivative=False):
 
 
 def sph_jn(n, x):
-    """Spherical Bessel function of the first kind j_n(x)."""
-    return _select(sph_jn_all, n, x)
+    """Spherical Bessel function of the first kind j_n(x), for degrees `n`
+    broadcast against `x`."""
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    return np.take_along_axis(sph_jn_all(int(n.max()), x), n[None], axis=0)[0]
 
 
 def sph_jn_all(nmax, x, derivative=False):

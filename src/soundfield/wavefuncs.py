@@ -51,17 +51,6 @@ def plane_wave(r, x_inc, k):
     return np.exp(-1j * k * (r @ x_inc))
 
 
-def _radial_dirs(r):
-    r = np.asarray(r, dtype=float)
-    rad = np.linalg.norm(r, axis=-1)
-    safe = np.where(rad > 0, rad, 1.0)
-    dirs = r / safe[..., None]
-    # Direction of the zero vector is immaterial (radial factor handles it),
-    # but it must be a valid unit vector for the harmonic evaluation.
-    dirs = np.where(rad[..., None] > 0, dirs, np.array([0.0, 0.0, 1.0]))
-    return rad, dirs
-
-
 def swf_angular(order, r):
     """The part of :func:`regular_swf_matrix` that does not depend on k.
 
@@ -69,8 +58,9 @@ def swf_angular(order, r):
     `order` at ``r/|r|``.  At ``r = 0`` the row of Y is the degree-0 unit
     row, so that :func:`regular_swf_matrix` is ``phi(0)`` exactly there.
     """
-    rad, dirs = _radial_dirs(r)
-    Y = sph_harm_matrix(order, dirs)
+    r = np.asarray(r, dtype=float)
+    rad = np.linalg.norm(r, axis=-1)
+    Y = sph_harm_matrix(order, r / np.where(rad > 0, rad, 1.0)[..., None])
     at_origin = rad == 0
     if np.any(at_origin):
         Y[at_origin] = 0.0

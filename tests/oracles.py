@@ -19,7 +19,8 @@ from soundfield.observation import ArrayConfig, Mics, directivity_matrix, load_t
 def sph_hn(n, x, derivative=False):
     """Spherical Hankel function of the first kind h_n(x) = j_n + i y_n (or
     h_n'(x)) for degrees `n` broadcast against `x`."""
-    return sf._select(sf.sph_hn_all, n, x, derivative)
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    return np.take_along_axis(sf.sph_hn_all(int(n.max()), x, derivative), n[None], axis=0)[0]
 
 
 def spherical_array(t, radius, kind="omni", a=None):
@@ -115,8 +116,8 @@ def singular_swf_matrix(order, r, k):
     """All psi_{nu,mu}(r) = (ik/4pi) i^nu h_nu(k|r|) Yhat_{nu,mu}(r/|r|)^* for
     nu <= order, flat layout as for the regular set: the regular-expansion
     coefficients about the origin of the Green's function of a source at r."""
-    rad, dirs = wf._radial_dirs(r)
-    Y = sf.sph_harm_matrix(order, dirs).conj()
+    rad, Y = wf.swf_angular(order, r)
+    Y = Y.conj()
     hn = sf.sph_hn_all(order, k * rad)
     nu, _ = sf.degrees_orders(order)
     radial = np.moveaxis(hn, 0, -1)[..., nu] * (1j ** nu.astype(float))

@@ -16,7 +16,6 @@ from soundfield import harness, specfun
 from soundfield.boundary import estimate_coeffs
 from soundfield.cli import main as cli_main
 from soundfield.discrete import (
-    SphericalBasis,
     build_observation_matrix,
     kernel_matrix,
     representer_matrix,
@@ -238,7 +237,7 @@ def _reference_nmse(cfg, kind, fs):
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
     mics = cfg.array.mics
     pos = mics.pos
-    one_mics = [Mics(p, kind, p, cfg.directivity_a) for p in pos]
+    one_mics = [Mics(p, kind, p, cfg.array.mics.a[0]) for p in pos]
     norms = np.linalg.norm(pos, axis=1)
     out = []
     for f in cfg.frequencies:
@@ -263,12 +262,12 @@ def _reference_nmse(cfg, kind, fs):
                 kind = {"BM-omni": "omni", "BM-first": "first_order",
                         "BM-rigid": "rigid"}[cfg.estimator]
                 cset = estimate_coeffs(s, pos / norms[:, None], kind, k, norms.mean(),
-                                       cfg.order, a=cfg.directivity_a)
+                                       cfg.order, a=cfg.array.mics.a[0])
                 est = regular_swf_matrix(cfg.order, grid, k) @ cset.coeffs
             elif cfg.estimator == "DM-finite":
-                basis = SphericalBasis(order=cfg.order_n0, origin=cfg.origin)
-                c = solve_tikhonov(build_observation_matrix(mics, basis, k), s, cfg.reg)
-                est = regular_swf_matrix(cfg.order_n0, grid - basis.origin, k) @ c
+                B = build_observation_matrix(mics, cfg.origin, cfg.order_n0, k)
+                c = solve_tikhonov(B, s, cfg.reg)
+                est = regular_swf_matrix(cfg.order_n0, grid - cfg.origin, k) @ c
             else:
                 alpha = solve_kernel(kernel_matrix(mics, k), s, cfg.reg)
                 est = representer_matrix(mics, grid, k) @ alpha
@@ -419,7 +418,9 @@ def test_sweep_in_blocks_matches_one_block(monkeypatch, estimator):
 
 def _dump(cfg, frequency, **kwargs):
     out = io.StringIO()
-    dump_field(cfg, frequency, out, **kwargs)
+    flags = dict(plane="xy", extent=2.0, spacing=0.1, offset=0.0, include_estimate=True,
+                 trial=0)
+    dump_field(cfg, frequency, out, **dict(flags, **kwargs))
     return out.getvalue()
 
 
@@ -1149,6 +1150,67 @@ def test_cli_field_builds_no_ball_grid(tmp_path):
     assert cli_main(["field", str(cfg), "--freq", "200", "--extent", "1.0", "--spacing", "0.5",
                      "-o", str(out)]) == 0
     assert len(out.read_text().splitlines()) == 1 + 3 * 3
+
+
+def _run_quietly(argv):
+    """cli_main(argv) with every RuntimeWarning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        return cli_main(argv)
+
+
+@pytest.mark.parametrize("estimator, freq, grid", [
+    ("BM-omni", 100.0, {"radius": 1e150, "spacing": 1e149}),
+    ("DM-infinite", 100.0, {"radius": 1e150, "spacing": 1e149}),
+    ("BM-omni", 2000.0, {"radius": 100.0, "spacing": 10.0}),  # k r = 3690
+])
+def test_cli_sweep_kr_bound_covers_the_eval_grid(tmp_path, capsys, estimator, freq, grid):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_base_config(estimator=estimator, frequencies=[freq],
+                                           array={"type": "spherical", "t": 7}, eval_grid=grid)))
+    out = tmp_path / "f.csv"
+    assert _run_quietly(["sweep", str(cfg), "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: frequencies[0]: k r must be at most 2000" in err
+    assert "(eval_grid.radius, " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, bad", [
+    (["--extent", "1e150", "--spacing", "1e149"], "--extent"),
+    (["--offset", "1e150"], "--offset"),
+    # one grid line lies a spacing beyond extent / 2
+    (["--extent", "1", "--spacing", "1e5"], "--spacing"),
+])
+def test_cli_field_kr_bound_covers_the_plane_grid(tmp_path, capsys, flags, bad):
+    out = tmp_path / "f.csv"
+    argv = ["field", str(CONFIGS / "sweep_kernel.json"), "--freq", "300", *flags, "-o", str(out)]
+    assert _run_quietly(argv) == 2
+    err = capsys.readouterr().err
+    assert "config error: --freq: k r must be at most 2000" in err
+    assert f"({bad}, " in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, estimator", [
+    ("sweep", "BM-omni"), ("sweep", "DM-infinite"), ("field", "DM-infinite")])
+def test_kr_bound_accepts_the_grids_just_inside_it(tmp_path, capsys, command, estimator):
+    # the farthest grid point at k r = 0.999 x 2000 runs, at 1.001 x 2000 exits 2:
+    # the sweep's ball of 7 points, or one field point at the offset
+    freq = 100.0
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "f.csv"
+    for scale, code in ((1.001, 2), (0.999, 0)):
+        r = scale * harness._KR_MAX / (2.0 * math.pi * freq / harness.SOUND_SPEED)
+        cfg.write_text(json.dumps(_base_config(estimator=estimator, frequencies=[freq],
+                                               eval_grid={"radius": r, "spacing": r})))
+        argv = [command, str(cfg)]
+        if command == "field":
+            argv += ["--freq", repr(freq), "--extent", "0", "--offset", repr(r)]
+        assert _run_quietly(argv + ["-o", str(out)]) == code
+        assert out.exists() == (code == 0)
+    assert "k r must be at most 2000" in capsys.readouterr().err
+    assert len(out.read_text().splitlines()) == 1 + (1 if command == "field" else 2)
 
 
 @pytest.mark.parametrize("flags, bad", [

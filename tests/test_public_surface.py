@@ -29,12 +29,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "soundfield"
 CALLERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # Paper features verified by tests: rotation, the Dirichlet Green's function
-# of a sphere, the ANC gradient, FxLMS, the plane-wave basis and the gap
-# between the finite and infinite models (criterion 3).
+# of a sphere, the ANC gradient, FxLMS and the gap between the finite and
+# infinite models (criterion 3).
 PAPER_FEATURES = {
     "wavefuncs.rotate_coeffs", "boundary.dirichlet_green_sphere", "applications.anc_gradient",
     "applications.fxlms_weighted_run", "applications.weighting_taps",
-    "discrete.PlaneWaveBasis", "discrete.finite_to_infinite_gap",
+    "discrete.finite_to_infinite_gap",
 }
 # Whose parameters with defaults need no caller outside the tests.
 OPTION_EXEMPT = PAPER_FEATURES | {

@@ -53,5 +53,6 @@ def test_csv_drift_of_the_repo_against_itself():
         "anc", "synth", *(f"{name}-{cmd}" for name in
                           ("sweep_explicit", "sweep_finite", "sweep_first_order",
                            "sweep_kernel", "sweep_omni", "sweep_rigid")
-                          for cmd in ("sweep", "field", "forbidden"))}
+                          for cmd in ("sweep", "field", "field-flags", "field-truth",
+                                      "forbidden"))}
     assert all(line.endswith(": identical") for line in lines), proc.stdout

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from .observation import directivity_matrix
-from .specfun import sph_jn_all
-from .wavefuncs import CoefficientSet, translation_matrix
+from .specfun import degrees_orders, flat_index, num_coeffs, sph_jn_all
+from .wavefuncs import CoefficientSet, regular_swf_matrix, translation_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -32,13 +32,29 @@ def build_observation_matrix(mics, origin, order, k):
     for the regular spherical wave functions about `origin` up to degree
     `order`.
 
-    The local expansion of ``phi_{nu,mu}(r - r0)`` about the microphone
-    position is one column of the translation operator ``T(r_m - r0)``, so
-    row m is ``d_m^H T(r_m - r0)`` with degrees up to the microphone order.
+    Row m is ``a_m phi(r_m - r0) + (i/k) b_m . grad phi(r_m - r0)``.  The
+    function ``(i/k) grad phi_{nu,mu}`` has the harmonic ``x Yhat_{nu,mu}(x)``,
+    and ``b . x = b_z cos(theta) + sum_{s=+-1} (b_x - s i b_y)/2 sin(theta) e^{s i phi}``:
+    each factor moves Yhat_{nu,mu} to degrees nu +- 1 and order mu + s
+    (Condon-Shortley phase; the differentiation relations of Gumerov &
+    Duraiswami 2004, ch. 2), so the functions up to degree ``order + 1`` at
+    the mic offsets give every row.
     """
-    D, mic_order = directivity_matrix(mics)
-    T = translation_matrix(mics.pos - np.asarray(origin, dtype=float), k, mic_order, order)
-    return np.einsum("mi,min->mn", D.conj(), T)
+    b, directional = mics.b, bool(mics.b.any())
+    phi = regular_swf_matrix(order + directional, mics.pos - np.asarray(origin, dtype=float), k)
+    B = mics.a[:, None] * phi[:, :num_coeffs(order)]
+    nu, mu = degrees_orders(order)
+    up, down = (2 * nu + 1) * (2 * nu + 3), (2 * nu - 1) * (2 * nu + 1)
+    for s in (0, 1, -1) if directional else ():
+        # f Yhat_{nu,mu} = u Yhat_{nu+1,mu+s} + v Yhat_{nu-1,mu+s} (v = 0 off range)
+        sm = s * mu
+        u, v = ((np.sqrt(((nu + 1) ** 2 - mu ** 2) / up), np.sqrt((nu ** 2 - mu ** 2) / down))
+                if s == 0 else (-s * np.sqrt((nu + 1 + sm) * (nu + 2 + sm) / up),
+                                s * np.sqrt((nu - sm) * (nu - 1 - sm) / down)))
+        weight = b[:, 2] if s == 0 else (b[:, 0] - s * 1j * b[:, 1]) / 2
+        B += weight[:, None] * (u * phi[:, flat_index(nu + 1, mu + s)]
+                                + v * phi[:, np.maximum(flat_index(nu - 1, mu + s), 0)])
+    return B
 
 
 def solve_tikhonov(B, s, reg):

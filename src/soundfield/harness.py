@@ -416,9 +416,9 @@ def _check_fit_sizes(cfg):
     """Reject, naming the key to lower, a scenario whose fit-stage arrays
     would hold more than BLOCK_BYTES of complex values: a BM estimator's
     (order+1)^2 x M analysis matrix, DM-finite's M x (order_n0+1)^2
-    observation matrix (4 times that for directional mics, whose translation
-    operators carry their 4 harmonics), DM-infinite's M x M Gram matrix, and
-    the noise, signals and fitted weights of all trials,
+    observation matrix (4 times that for directional mics, whose rows also
+    gather the functions of degree order_n0 + 1), DM-infinite's M x M Gram
+    matrix, and the noise, signals and fitted weights of all trials,
     max((order+1)^2, M) x trials.
     """
     limit, budget = _BUDGET, f"so that the fit's values stay within {_BUDGET_NAME}"
@@ -885,15 +885,18 @@ _CSV_ROW_WIDTH = 32
 def plane_grid(plane, extent, spacing, offset):
     """Grid on an axis plane; `extent` is the full side length.  It must
     hold at most 1e7 points; the ratio is tested for ``inf`` before ``ceil``.
-    Every point must lie within about 6.7e153 m of the origin."""
+    Every point must lie within about 6.7e153 m of the origin.  Each axis
+    has ``floor(extent/spacing) + 1`` lines, centred, within ``+-extent/2``;
+    a ratio within 1e-9 of whole runs from ``-extent/2`` to ``+extent/2``."""
     ratio = extent / spacing
     if not (math.isfinite(ratio) and (math.ceil(ratio) + 1) ** 2 <= 10**7):
         raise ConfigError("--spacing: too fine; the grid would exceed 1e7 points")
     half = extent / 2.0
     _check_length("--extent", math.hypot(half, half))
     _check_length("--offset", math.hypot(half, half, offset))
-    n = math.ceil(ratio) + 1
-    ax = -half + spacing * np.arange(n)
+    whole = abs(ratio - round(ratio)) <= 1e-9 * ratio
+    n = round(ratio) if whole else math.floor(ratio)
+    ax = spacing * np.arange(n + 1) - (half if whole else spacing * n / 2.0)
     U, V = np.meshgrid(ax, ax, indexing="ij")
     i, j, kk = PLANES[plane]
     pts = np.zeros(U.shape + (3,))
@@ -914,13 +917,11 @@ def dump_field(cfg, frequency, out, plane, extent, spacing, offset, include_esti
     """
     k, = _check_wavenumbers(cfg, [("--freq", frequency)])
     pts = plane_grid(plane, extent, spacing, offset)
-    # The farthest points are the corners at (-e/2, -e/2) and at the last
-    # grid line, up to one spacing beyond e/2; the flag named sets the larger
-    # part of their distance.
-    edge = max(extent / 2.0, float(pts[-1, PLANES[plane][0]]))
-    flag = ("--offset" if abs(offset) > math.hypot(edge, edge)
-            else "--spacing" if edge > extent else "--extent")
-    _check_kr("--freq", k, [(flag, math.hypot(edge, edge, offset))])
+    # No point lies farther than a corner of the square; the flag named sets
+    # the larger part of its distance.
+    half = extent / 2.0
+    flag = "--offset" if abs(offset) > math.hypot(half, half) else "--extent"
+    _check_kr("--freq", k, [(flag, math.hypot(half, half, offset))])
     truth_vals = _truth_eval(cfg.field_spec, pts, k)
     mean_pow = float(np.mean(np.abs(truth_vals) ** 2))
     rows = _block_rows(_CSV_ROW_WIDTH)

@@ -62,7 +62,10 @@ _RESCALE = 2.0**664
 
 def _j0(x):
     """j_0(x) = sin(x)/x, equal to 1 at x = 0."""
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        j0 = np.asarray(np.sin(x) / x)
+    j0[x == 0] = 1.0
+    return j0
 
 
 def _upward(f0, f1, x, nmax):
@@ -384,16 +387,16 @@ def _jy_eigenvectors(nu):
 
 
 def wigner_d_small(nu, beta):
-    """Wigner small-d matrix d^{nu}_{m',m}(beta), shape (2nu+1, 2nu+1).
+    """Wigner small-d matrices d^{nu}_{m',m}(beta), shape ``shape(beta) + (2nu+1, 2nu+1)``.
 
     Row/column indices run over m', m = -nu..nu.  ``d(beta) = exp(-i beta J_y)``
     is formed from the eigen-decomposition of J_y with its exact integer
     eigenvalues, so it is orthogonal to rounding at any degree (no factorial
-    sums, which overflow and cancel at high degree).
+    sums, which overflow and cancel at high degree).  No BLAS call is made.
     """
     V = _jy_eigenvectors(nu)
-    m = np.arange(-nu, nu + 1)
-    return ((V * np.exp(-1j * beta * m)) @ V.conj().T).real
+    phase = np.exp(-1j * np.multiply.outer(beta, np.arange(-nu, nu + 1)))
+    return np.einsum("...ij,kj->...ik", V * phase[..., None, :], V.conj()).real
 
 
 def wigner_D(nu, rot):

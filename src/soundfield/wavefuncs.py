@@ -16,18 +16,11 @@ with ``phi_{nu,mu}(r) = i^{-nu} j_nu(k|r|) Yhat_{nu,mu}(r/|r|)``, so that
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (
-    degrees_orders,
-    flat_index,
-    num_coeffs,
-    sph_harm_matrix,
-    sph_jn_all,
-    wigner_D,
-)
+from .specfun import (degrees_orders, num_coeffs, sph_harm_matrix, sph_jn_all, wigner_D,
+                      wigner_d_small)
 
 
 # ---------------------------------------------------------------------------
@@ -115,67 +108,47 @@ def plane_wave_coeffs(order, x_inc):
 # Translation and rotation
 # ---------------------------------------------------------------------------
 
-# Entries per gather in the coupling-tensor build, which holds two (chunk,
-# nodes) gathered arrays at a time.  At 12 <-> 12 (13 nodes), chunks of
-# 2k-8k entries measured 2.5-3x faster than 16k on a 2-core x86-64 VM
-# with 4 MB of L2.
-_GAUNT_CHUNK = 4096
+def _rcr_factors(d, k, order_out, order_in):
+    """The factors of ``T(d) = D(R) C(k|d|) D(R)^H`` for displacements d (B, 3):
+    rotate z onto d, translate along z and rotate back (Gumerov & Duraiswami,
+    *Fast Multipole Methods for the Helmholtz Equation in Three Dimensions*,
+    2004, ch. 3).  R has z-y-z Euler angles ``(alpha, beta, 0)``.  The
+    coaxial C is diagonal in the order m; with L = order_out + order_in,
 
+        C^m[nu, nu'] = (1/2) \\int Pbar_nu^m(x) Pbar_nu'^m(x) g(x) dx,
+        g(x) = sum_{n <= L} (2n+1) i^{-n} j_n(k|d|) P_n(x),
 
-@lru_cache(maxsize=None)
-def _coupling_tensor(order_out, order_in):
-    """Sparse Gaunt coupling of the translation operator.
-
-    ``C[row * n_in + col, p] = gaunt(nu, mu, nu', mu', nu'', mu'')`` for
-    ``row = (nu, mu)``, ``col = (nu', mu')`` and ``p = (nu'', mu'')``, a
-    matrix of shape ``(n_out * n_in, (order_out + order_in + 1)**2)`` returned
-    as read-only CSR arrays ``(indptr, p, values)``.
-
-    The phi-integral of the three harmonics is 2 pi when ``mu'' = mu' - mu``
-    and 0 otherwise; the remaining cos(theta) integrand is a polynomial of
-    degree ``nu + nu' + nu'' <= 2 L`` (L = order_out + order_in), so
-    Gauss-Legendre with L + 1 nodes integrates it exactly.  The integrand is
-    even in cos(theta), since the selection rules make ``nu + nu' + nu''``
-    even, so only the nodes with cos(theta) >= 0 are used, off-centre ones
-    at twice their weight.
+    the plane wave ``e^{-ik|d|x}`` cut where its terms turn orthogonal to
+    the degree-L ``Pbar Pbar'``: L + 1 Gauss-Legendre nodes are exact.
+    On a padded layout with K the smaller order,
+    ``D[b, nu, mu + order, m + K] = e^{-i mu alpha} d^nu_{mu,m}(beta)``
+    (zero where |mu| or |m| passes nu) and ``C[b, m + K, nu, nu'] = C^|m|``.
     """
-    L = order_out + order_in
+    K, L = min(order_out, order_in), order_out + order_in
+    rad = np.linalg.norm(d, axis=-1)
     x, w = np.polynomial.legendre.leggauss(L + 1)
-    x, w = x[(L + 1) // 2:], 2.0 * w[(L + 1) // 2:]  # the nodes >= 0, ascending
-    if L % 2 == 0:
-        w[0] *= 0.5  # the node at cos(theta) = 0 is its own mirror image
-    # Yhat at phi = 0 is real: the scaled associated Legendre functions.
-    dirs = np.stack([np.sqrt(1.0 - x * x), np.zeros_like(x), x], axis=-1)
-    P = sph_harm_matrix(L, dirs).real  # (half-range nodes, (L+1)**2)
+    # Pbar_nu^mu(x_j): the harmonics at phi = 0; Pbar_n^0 = sqrt(2n+1) P_n
+    P = sph_harm_matrix(L, np.stack([np.sqrt(1.0 - x * x), 0.0 * x, x], axis=-1)).real
+    n = np.arange(L + 1)
+    g = np.einsum("bn,jn->bj", np.sqrt(2 * n + 1) * 1j ** (-n.astype(float))
+                  * sph_jn_all(L, k * rad).T, P[:, n * n + n])
+    nu, m = np.ogrid[:max(order_out, order_in) + 1, :K + 1]
+    P = np.where(m <= nu, P[:, nu * nu + nu + np.minimum(m, nu)], 0.0)  # (nodes, nu, m)
+    C = np.einsum("jum,jvm,bj->bmuv", 0.5 * w[:, None, None] * P[:, :order_out + 1],
+                  P[:, :order_in + 1], g)[:, np.abs(np.arange(-K, K + 1))]
+    alpha, beta = np.arctan2(d[:, 1], d[:, 0]), np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
 
-    # Selection rules per (row, col) pair: nu'' runs in steps of 2 from the
-    # larger of |nu - nu'| and |mu''|, raised to the parity of nu + nu', up to
-    # nu + nu'.  The range is never empty, since |mu''| <= nu + nu'.
-    nu_out, mu_out = degrees_orders(order_out)
-    nu_in, mu_in = degrees_orders(order_in)
-    nu_sum = (nu_out[:, None] + nu_in[None, :]).ravel()
-    mupp = (mu_in[None, :] - mu_out[:, None]).ravel()
-    lo = np.maximum(np.abs(nu_out[:, None] - nu_in[None, :]).ravel(), np.abs(mupp))
-    lo += (lo + nu_sum) % 2
-    counts = (nu_sum - lo) // 2 + 1
-    indptr = np.zeros(counts.size + 1, dtype=np.intp)
-    np.cumsum(counts, out=indptr[1:])
-    pair = np.repeat(np.arange(counts.size), counts)
-    deg = (lo - 2 * indptr[:-1])[pair] + 2 * np.arange(pair.size)
-    p = flat_index(deg, mupp[pair])  # ascending within each row: CSR order
+    def rotation(order):
+        D = np.zeros((len(d), order + 1, 2 * order + 1, 2 * K + 1), dtype=complex)
+        for nu in range(order + 1):
+            c = min(nu, K)
+            D[:, nu, order - nu:order + nu + 1, K - c:K + c + 1] = \
+                wigner_d_small(nu, beta)[..., nu - c:nu + c + 1]
+        mu = np.arange(-order, order + 1)
+        return D * np.exp(-1j * np.multiply.outer(alpha, mu))[:, None, :, None]
 
-    # Each value is one dot product over the nodes of the pair's factor
-    # (w/2) P[row] P[col] with P[p]; chunks bound the gathered arrays.
-    P_out = 0.5 * w * P[:, flat_index(nu_out, mu_out)].T  # (n_out, nodes)
-    A = (P_out[:, None, :] * P[:, flat_index(nu_in, mu_in)].T).reshape(-1, x.size)
-    Pt = np.ascontiguousarray(P.T)
-    vals = np.empty(pair.size)
-    for s in range(0, pair.size, _GAUNT_CHUNK):
-        e = slice(s, s + _GAUNT_CHUNK)
-        np.einsum("eq,eq->e", A[pair[e]], Pt[p[e]], out=vals[e])
-    for a in (indptr, p, vals):
-        a.flags.writeable = False
-    return indptr, p, vals
+    D_out = rotation(order_out)
+    return D_out, C, D_out if order_in == order_out else rotation(order_in)
 
 
 def translation_matrix(displacement, k, order_out, order_in):
@@ -191,27 +164,34 @@ def translation_matrix(displacement, k, order_out, order_in):
     `order_in`.
 
     `displacement` may have shape (..., 3); the result then has shape
-    ``(..., n_out, n_in)``.  All displacements share one contraction of the
-    cached Gaunt coupling with ``phi_{nu'',mu''}(d)``.
+    ``(..., n_out, n_in)``, each the product of :func:`_rcr_factors`.
     """
     d = np.asarray(displacement, dtype=float)
-    n_out = num_coeffs(order_out)
-    n_in = num_coeffs(order_in)
-    phi = regular_swf_matrix(order_out + order_in, d.reshape(-1, 3), k)
-    indptr, p, vals = _coupling_tensor(order_out, order_in)
-    T = np.add.reduceat(phi[:, p] * vals, indptr[:-1], axis=1)  # (batch, n_out*n_in)
-    return T.reshape(d.shape[:-1] + (n_out, n_in))
+    D_out, C, D_in = _rcr_factors(d.reshape(-1, 3), k, order_out, order_in)
+    # X[b, nu, m, nu', mu'] = C^m[nu, nu'] D_in[nu', mu', m]^*, then one
+    # product over m per (b, nu)
+    X = C.transpose(0, 2, 1, 3)[..., None] * D_in.conj().transpose(0, 3, 1, 2)[:, None]
+    T = (D_out @ X.reshape(X.shape[:3] + (-1,))).reshape(D_out.shape[:3] + X.shape[3:])
+    (nu, mu), (nup, mup) = degrees_orders(order_out), degrees_orders(order_in)
+    T = T[:, nu[:, None], mu[:, None] + order_out, nup, mup + order_in]
+    return T.reshape(d.shape[:-1] + T.shape[1:])
 
 
 def translate_coeffs(cset, new_origin, k):
-    """Re-expand a coefficient set about a new origin, at the set's own order."""
+    """Re-expand a coefficient set about a new origin, at the set's own order.
+
+    The factors of :func:`translation_matrix` act one after another as
+    elementwise sums, not BLAS products, whose threads cost milliseconds.
+    """
     d = np.asarray(new_origin, dtype=float) - cset.origin
-    T = translation_matrix(d, k, cset.order, cset.order)
-    # An elementwise product and row sum, not ``T @ c``: on a 2-core x86-64
-    # VM the threaded BLAS matrix-vector call took about 8 ms at 169 x 169,
-    # against 0.12 ms for this.
-    return CoefficientSet(order=cset.order, origin=new_origin,
-                          coeffs=(T * cset.coeffs).sum(-1))
+    D, C, _ = (f[0] for f in _rcr_factors(d.reshape(1, 3), k, cset.order, cset.order))
+    nu, mu = degrees_orders(cset.order)
+    v = np.zeros(D.shape[:2], dtype=complex)
+    v[nu, mu + cset.order] = cset.coeffs
+    v = (D.conj() * v[..., None]).sum(1)  # D^H c, as v[nu', m]
+    v = (C * v.T[:, None, :]).sum(-1)  # C D^H c, as v[m, nu]
+    out = (D * v.T[:, None, :]).sum(-1)[nu, mu + cset.order]
+    return CoefficientSet(order=cset.order, origin=new_origin, coeffs=out)
 
 
 def rotate_coeffs(cset, rot):

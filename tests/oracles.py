@@ -3,7 +3,8 @@ and the mic lists they are checked on.
 
 Each reference evaluates a quantity through the spherical-harmonic route:
 directivity coefficients, regular/singular wave functions, the translation
-operator and the rigid sphere's response degree by degree.  The spherical
+operator (also as the Gaunt sum of the translation theorem) and the rigid
+sphere's response degree by degree.  The spherical
 Hankel function at given degrees and the ANC cost are here too, since only
 tests evaluate them one at a time, and the spherical array the tests build
 without a config.
@@ -95,6 +96,59 @@ def observe_coeffs(mics, cset, k):
     return np.array([d.conj() @ (wf.translation_matrix(p - cset.origin, k, order, cset.order)
                                  @ cset.coeffs)
                      for p, d in zip(mics.pos, D)])
+
+
+def gaunt_sum(d, k, order_out, order_in, entries):
+    """Entries ``(row, col)`` of the translation operator ``T(d)`` by the sum
+    of the translation theorem with exact Gaunt coefficients,
+    ``sum_{nu'',mu''} gaunt(nu, mu, nu', mu', nu'', mu'') phi_{nu'',mu''}(d)``,
+    over the degrees nu'' that the selection rules allow; shape
+    ``shape(d)[:-1] + (len(entries),)``."""
+    phi = wf.regular_swf_matrix(order_out + order_in, d, k)
+    nu, mu = (a.tolist() for a in sf.degrees_orders(order_out + order_in))
+    out = []
+    for r, c in entries:
+        mupp = mu[c] - mu[r]
+        out.append(sum(sf.gaunt(nu[r], mu[r], nu[c], mu[c], npp, mupp)
+                       * phi[..., sf.flat_index(npp, mupp)]
+                       for npp in range(abs(nu[r] - nu[c]), nu[r] + nu[c] + 1, 2)
+                       if npp >= abs(mupp)))
+    return np.stack(out, axis=-1)
+
+
+def gaunt_tensor(order_out, order_in):
+    """The Gaunt coupling of the translation operator as CSR arrays
+    ``(indptr, p, vals)``: row ``row * n_in + col`` holds
+    ``gaunt(nu, mu, nu', mu', nu'', mu'')`` at column ``p = (nu'', mu'')``,
+    so that ``T(d)`` is its product with ``phi(d)`` up to degree
+    order_out + order_in.  Built from a dense selection mask and a
+    full-range Gauss-Legendre loop, three gathers per node."""
+    L = order_out + order_in
+    x, w = np.polynomial.legendre.leggauss(L + 1)
+    dirs = np.stack([np.sqrt(1.0 - x * x), np.zeros_like(x), x], axis=-1)
+    P = sf.sph_harm_matrix(L, dirs).real
+    nu_out, mu_out = sf.degrees_orders(order_out)
+    nu_in, mu_in = sf.degrees_orders(order_in)
+    nu, mu = nu_out[:, None, None], mu_out[:, None, None]
+    nup, mup = nu_in[None, :, None], mu_in[None, :, None]
+    nupp = np.arange(L + 1)[None, None, :]
+    allowed = (
+        (np.abs(mup - mu) <= nupp)
+        & (nupp >= np.abs(nu - nup))
+        & (nupp <= nu + nup)
+        & ((nu + nup + nupp) % 2 == 0)
+    )
+    row, col, deg = np.nonzero(allowed)
+    p = sf.flat_index(deg, mu_in[col] - mu_out[row])
+    vals = np.zeros(row.size)
+    for q in range(L + 1):
+        vals += w[q] * P[q, row] * P[q, col] * P[q, p]
+    vals *= 0.5
+    n_rows = sf.num_coeffs(order_out) * sf.num_coeffs(order_in)
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(np.bincount(row * sf.num_coeffs(order_in) + col, minlength=n_rows),
+              out=indptr[1:])
+    return indptr, p, vals
 
 
 def translation_kernel_matrix(mics, k):

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from soundfield.discrete import (
     solve_kernel,
     solve_tikhonov,
 )
+from soundfield.harness import ScenarioConfig, run_sweep
 from soundfield.observation import (
     Mics,
     directivity_matrix,
@@ -31,6 +35,8 @@ from oracles import (
     observe_coeffs,
     translation_kernel_matrix,
 )
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _random_spec(rng, m, kinds=("omni", "bidirectional", "first_order")):
@@ -80,6 +86,20 @@ def test_observation_matrix_rows_are_single_translations(rng):
         T = wf.translation_matrix(mic.pos[0] - origin, k, order, 4)
         row = D[0].conj() @ T
         assert np.max(np.abs(B[m] - row)) <= 1e-13
+
+
+def test_observation_matrix_makes_no_translation(rng, monkeypatch):
+    # DM-finite's rows are closed forms in the functions to degree N0 + 1
+    def refuse(*args, **kwargs):
+        raise AssertionError("translation operator built")
+
+    for module in (wf, discrete):
+        monkeypatch.setattr(module, "translation_matrix", refuse)
+    mics = Mics(*_random_spec(rng, 8, kinds=("first_order",)))
+    assert build_observation_matrix(mics, [0.1, 0.0, 0.0], 7, 3.0).shape == (8, 64)
+    cfg = ScenarioConfig.from_dict(
+        json.loads((CONFIGS / "sweep_finite.json").read_text(encoding="utf-8")))
+    assert all(np.isfinite(r.nmse_db) for r in run_sweep(cfg))
 
 
 # ---------------------------------------------------------------------------

@@ -1179,8 +1179,6 @@ def test_cli_sweep_kr_bound_covers_the_eval_grid(tmp_path, capsys, estimator, fr
 @pytest.mark.parametrize("flags, bad", [
     (["--extent", "1e150", "--spacing", "1e149"], "--extent"),
     (["--offset", "1e150"], "--offset"),
-    # one grid line lies a spacing beyond extent / 2
-    (["--extent", "1", "--spacing", "1e5"], "--spacing"),
 ])
 def test_cli_field_kr_bound_covers_the_plane_grid(tmp_path, capsys, flags, bad):
     out = tmp_path / "f.csv"
@@ -1190,6 +1188,27 @@ def test_cli_field_kr_bound_covers_the_plane_grid(tmp_path, capsys, flags, bad):
     assert "config error: --freq: k r must be at most 2000" in err
     assert f"({bad}, " in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("extent, spacing, lines", [
+    # a spacing beyond the extent leaves the centre line alone
+    ("1", "10", [0.0]),
+    ("1", "1e5", [0.0]),
+    # 3 spacings of 0.3 fit in 1, centred
+    ("1", "0.3", [-0.45, -0.15, 0.15, 0.45]),
+    # a whole number of spacings runs from -extent/2 to +extent/2
+    ("2.0", "0.2", (-1.0 + 0.2 * np.arange(11)).tolist()),
+])
+def test_cli_field_grid_stays_inside_the_extent(tmp_path, extent, spacing, lines):
+    out = tmp_path / "f.csv"
+    argv = ["field", str(CONFIGS / "sweep_kernel.json"), "--freq", "300", "--extent", extent,
+            "--spacing", spacing, "-o", str(out)]
+    assert _run_quietly(argv) == 0
+    xy = np.array([[float(v) for v in row.split(",")[:2]]
+                   for row in out.read_text().splitlines()[1:]])
+    assert len(xy) == len(lines) ** 2
+    assert np.allclose(np.unique(xy[:, 0]), lines, rtol=0, atol=1e-15)
+    assert np.all(np.abs(xy) <= float(extent) / 2 + 1e-15)
 
 
 @pytest.mark.parametrize("command, estimator", [

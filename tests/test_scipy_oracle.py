@@ -17,7 +17,7 @@ from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 from soundfield.boundary import forbidden_frequencies, radial_response
 
-from oracles import legendre, sph_hn
+from oracles import gaunt_tensor, legendre, sph_hn
 
 C_SOUND = 340.65
 
@@ -239,7 +239,9 @@ def test_forbidden_frequencies_match_brentq(radius, c, numax, fmax):
 
 @pytest.mark.parametrize("order_out, order_in", [(0, 0), (1, 3), (4, 2), (5, 5), (12, 12)])
 def test_translation_matrix_matches_sparse_contraction(order_out, order_in, rng):
-    indptr, cols, vals = wf._coupling_tensor(order_out, order_in)
+    # the rotation-based operator against scipy's product of the sparse
+    # Gaunt coupling with phi(d)
+    indptr, cols, vals = gaunt_tensor(order_out, order_in)
     n_out, n_in = sf.num_coeffs(order_out), sf.num_coeffs(order_in)
     C = sparse.csr_matrix((vals, cols, indptr),
                           shape=(n_out * n_in, sf.num_coeffs(order_out + order_in)))

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 
-from oracles import evaluate, green_partial_wave, legendre, singular_swf_matrix, sph_hn
+from oracles import (evaluate, gaunt_sum, gaunt_tensor, green_partial_wave, legendre,
+                     singular_swf_matrix, sph_hn)
 
 
 def _unit(v):
@@ -203,87 +204,81 @@ def test_translation_shapes(order_out, order_in):
     assert T.shape == (5, n_out, n_in)
 
 
+def _all_entries(order_out, order_in):
+    return [(r, c) for r in range(sf.num_coeffs(order_out)) for c in range(sf.num_coeffs(order_in))]
+
+
+# Random displacements with the zero vector and both directions of the z
+# axis, where the rotation to z is the identity or a half turn.
+def _mixed_batch(rng, n=3):
+    d = 0.4 * rng.normal(size=(n + 3, 3))
+    d[n:] = [[0.0, 0.0, 0.0], [0.0, 0.0, 0.35], [0.0, 0.0, -0.35]]
+    return d
+
+
 @pytest.mark.parametrize("order_out, order_in", [(0, 0), (1, 3), (4, 2), (5, 5)])
-def test_coupling_tensor_matches_gaunt(order_out, order_in):
-    indptr, cols, vals = wf._coupling_tensor(order_out, order_in)
-    flat_rows = np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
-    nu, mu = (a.tolist() for a in sf.degrees_orders(order_out + order_in))
-    row, col = (a.tolist() for a in np.divmod(flat_rows, sf.num_coeffs(order_in)))
-    for r, c, p, v in zip(row, col, cols.tolist(), vals):
-        g = sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p], mu[p])
-        assert abs(v - g) <= 1e-13
-    # every nonzero Gaunt coefficient of the block is stored
-    stored = set(zip(row, col, cols.tolist()))
-    for r in range(sf.num_coeffs(order_out)):
-        for c in range(sf.num_coeffs(order_in)):
-            for p in range(sf.num_coeffs(order_out + order_in)):
-                if (r, c, p) not in stored:
-                    assert sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p], mu[p]) == 0.0
-
-
-def _coupling_tensor_reference(order_out, order_in):
-    """The coupling tensor from a dense selection mask and a full-range
-    Gauss-Legendre loop with three gathers per node over every entry."""
-    L = order_out + order_in
-    x, w = np.polynomial.legendre.leggauss(L + 1)
-    dirs = np.stack([np.sqrt(1.0 - x * x), np.zeros_like(x), x], axis=-1)
-    P = sf.sph_harm_matrix(L, dirs).real
-    nu_out, mu_out = sf.degrees_orders(order_out)
-    nu_in, mu_in = sf.degrees_orders(order_in)
-    nu, mu = nu_out[:, None, None], mu_out[:, None, None]
-    nup, mup = nu_in[None, :, None], mu_in[None, :, None]
-    nupp = np.arange(L + 1)[None, None, :]
-    allowed = (
-        (np.abs(mup - mu) <= nupp)
-        & (nupp >= np.abs(nu - nup))
-        & (nupp <= nu + nup)
-        & ((nu + nup + nupp) % 2 == 0)
-    )
-    row, col, deg = np.nonzero(allowed)
-    p = sf.flat_index(deg, mu_in[col] - mu_out[row])
-    vals = np.zeros(row.size)
-    for q in range(L + 1):
-        vals += w[q] * P[q, row] * P[q, col] * P[q, p]
-    vals *= 0.5
-    n_rows = sf.num_coeffs(order_out) * sf.num_coeffs(order_in)
-    indptr = np.zeros(n_rows + 1, dtype=np.intp)
-    np.cumsum(np.bincount(row * sf.num_coeffs(order_in) + col, minlength=n_rows),
-              out=indptr[1:])
-    return indptr, p, vals
+def test_coupling_tensor_matches_gaunt(order_out, order_in, rng):
+    # T(d) = sum gaunt phi(d), the coupling of the translation theorem, entry by entry
+    d, k = _mixed_batch(rng), 4.1
+    T = wf.translation_matrix(d, k, order_out, order_in)
+    ref = gaunt_sum(d, k, order_out, order_in, _all_entries(order_out, order_in))
+    assert np.max(np.abs(T.reshape(ref.shape) - ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("order_out, order_in",
                          [(0, 0), (0, 7), (7, 0), (1, 7), (3, 5), (12, 12)])
-def test_coupling_tensor_matches_reference_build(order_out, order_in):
-    indptr, p, vals = wf._coupling_tensor(order_out, order_in)
-    ref_indptr, ref_p, ref_vals = _coupling_tensor_reference(order_out, order_in)
-    assert np.array_equal(indptr, ref_indptr)
-    assert np.array_equal(p, ref_p)
-    assert np.max(np.abs(vals - ref_vals)) <= 2e-15
-    assert all(not a.flags.writeable for a in (indptr, p, vals))
-    assert np.all(np.diff(indptr) > 0)
+def test_coupling_tensor_matches_reference_build(order_out, order_in, rng):
+    # T(d) against the quadrature-built Gaunt tensor contracted with phi(d)
+    indptr, p, vals = gaunt_tensor(order_out, order_in)
+    d, k = _mixed_batch(rng), 5.3
+    phi = wf.regular_swf_matrix(order_out + order_in, d, k)
+    ref = np.add.reduceat(phi[:, p] * vals, indptr[:-1], axis=1)
+    T = wf.translation_matrix(d, k, order_out, order_in).reshape(ref.shape)
+    assert np.max(np.abs(T - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_coupling_tensor_high_order_matches_gaunt():
-    # seeded entries of the 12 <-> 12 tensor, whose degrees reach 24
-    indptr, p, vals = wf._coupling_tensor(12, 12)
-    nu, mu = (a.tolist() for a in sf.degrees_orders(24))
-    picks = np.random.default_rng(2018).choice(vals.size, size=300, replace=False)
-    flat_rows = np.searchsorted(indptr, picks, side="right") - 1
-    for e, (r, c) in zip(picks.tolist(), zip(*np.divmod(flat_rows, sf.num_coeffs(12)))):
-        g = sf.gaunt(nu[r], mu[r], nu[c], mu[c], nu[p[e]], mu[p[e]])
-        assert abs(vals[e] - g) <= 1e-13
+    # seeded entries of the 12 <-> 12 operator, whose Gaunt degrees reach 24
+    gen = np.random.default_rng(2018)
+    picks = gen.choice(sf.num_coeffs(12) ** 2, size=300, replace=False)
+    entries = list(zip(*(a.tolist() for a in np.divmod(picks, sf.num_coeffs(12)))))
+    d, k = np.array([0.21, -0.33, 0.12]), 6.2
+    T = wf.translation_matrix(d, k, 12, 12)
+    ref = gaunt_sum(d, k, 12, 12, entries)
+    rows, cols = zip(*entries)
+    assert np.max(np.abs(T[list(rows), list(cols)] - ref)) <= 1e-13
 
 
 def test_coupling_tensor_cold_build_memory():
-    # the chunked gathers must not hold an (entries x nodes) array
+    # a cold order-12 translation holds no table of the Gaunt coupling
+    cset = wf.CoefficientSet(order=12, origin=np.zeros(3),
+                             coeffs=np.ones(sf.num_coeffs(12), dtype=complex))
     tracemalloc.start()
     try:
-        wf._coupling_tensor.__wrapped__(12, 12)
+        wf.translate_coeffs(cset, np.array([0.3, -0.2, 0.1]), 7.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 16e6
+
+
+@pytest.mark.parametrize("d", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.0, -0.4],
+                               [[0.0, 0.0, -0.4], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3],
+                                [0.0, 0.0, 0.4], [-0.3, 0.2, 0.0]]],
+                         ids=["zero", "+z", "-z", "mixed"])
+def test_translation_matrix_edge_displacements(d):
+    # the rotation to z is the identity at d = 0 and along +z and a half turn
+    # along -z; the batch mixes them with a general and an xy-plane displacement
+    d, k = np.array(d), 3.7
+    T = wf.translation_matrix(d, k, 4, 4)
+    ref = gaunt_sum(d, k, 4, 4, _all_entries(4, 4)).reshape(T.shape)
+    assert np.max(np.abs(T - ref)) <= 1e-13
+    # translate_coeffs applies the same operator without forming it
+    c = np.arange(sf.num_coeffs(4)) * (1.0 - 0.5j)
+    cset = wf.CoefficientSet(order=4, origin=np.zeros(3), coeffs=c)
+    for di, ref_i in zip(d.reshape(-1, 3), ref.reshape((-1,) + T.shape[-2:])):
+        moved = wf.translate_coeffs(cset, di, k).coeffs
+        assert np.max(np.abs(moved - ref_i @ c)) <= 1e-13 * np.max(np.abs(c))
 
 
 # ---------------------------------------------------------------------------

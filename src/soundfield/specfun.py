@@ -222,6 +222,20 @@ def legendre_all(nmax, x):
     return p
 
 
+def gauss_legendre(n):
+    """Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]: the
+    eigenvalues of the Jacobi matrix of Bonnet's recurrence (Golub & Welsch
+    1969), one Newton step, the weights ``2 / ((1 - x^2) P_n'(x)^2)`` at the
+    new nodes, and numpy ``leggauss``'s symmetrisation about 0."""
+    k = np.arange(1.0, n)
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1))
+    p = legendre_all(n, x)  # P_n' = n (P_{n-1} - x P_n) / (1 - x^2)
+    x = x - p[n] * (1.0 - x) * (1.0 + x) / (n * (p[n - 1] - x * p[n]))
+    p = legendre_all(n, x)
+    w = 2.0 * (1.0 - x) * (1.0 + x) / (n * (p[n - 1] - x * p[n])) ** 2
+    return (x - x[::-1]) / 2, (w + w[::-1]) / 2
+
+
 # ---------------------------------------------------------------------------
 # Spherical harmonics
 # ---------------------------------------------------------------------------
@@ -355,18 +369,16 @@ def gaunt(nu, mu, nup, mup, nupp, mupp):
 # ---------------------------------------------------------------------------
 
 def euler_zyz(rot):
-    """z-y-z Euler angles (alpha, beta, gamma) of a 3x3 rotation matrix."""
-    rot = np.asarray(rot, dtype=float)
-    beta = math.acos(max(-1.0, min(1.0, rot[2, 2])))
-    if abs(rot[2, 2]) > 1.0 - 1e-12:
-        # Gimbal lock: rotation is about z only.
-        alpha = math.atan2(rot[1, 0], rot[0, 0])
-        if rot[2, 2] < 0:
-            alpha = -alpha
-        return alpha, beta, 0.0
-    alpha = math.atan2(rot[1, 2], rot[0, 2])
-    gamma = math.atan2(rot[2, 1], -rot[2, 0])
-    return alpha, beta, gamma
+    """z-y-z Euler angles with ``R = R_z(alpha) R_y(beta) R_z(gamma)``: alpha
+    from the third column (any alpha serves at beta = 0 or pi), then gamma
+    from whichever of alpha + gamma and alpha - gamma the upper 2x2 block
+    holds at the larger scale, ``1 + cos(beta)`` or ``1 - cos(beta)``."""
+    r = np.asarray(rot, dtype=float)
+    beta = math.atan2(math.hypot(r[0, 2], r[1, 2]), r[2, 2])
+    alpha = math.atan2(r[1, 2], r[0, 2])
+    if r[2, 2] >= 0:
+        return alpha, beta, math.atan2(r[1, 0] - r[0, 1], r[0, 0] + r[1, 1]) - alpha
+    return alpha, beta, alpha - math.atan2(-r[1, 0] - r[0, 1], r[1, 1] - r[0, 0])
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +387,7 @@ def _jy_eigenvectors(nu):
 
     ``J_y = (J_+ - J_-) / 2i`` in the basis m = -nu..nu, with
     ``<m+1|J_+|m> = sqrt(nu(nu+1) - m(m+1))``; its eigenvalues are exactly
-    m = -nu..nu, in the ascending order `eigh` returns them.
+    m = -nu..nu, in the ascending order `eigh` returns them.  Read-only.
     """
     m = np.arange(-nu, nu)
     up = np.sqrt(nu * (nu + 1) - m * (m + 1)) / 2j
@@ -383,7 +395,9 @@ def _jy_eigenvectors(nu):
     Jy = np.zeros((2 * nu + 1, 2 * nu + 1), dtype=complex)
     Jy[i + 1, i] = up
     Jy[i, i + 1] = -up
-    return np.linalg.eigh(Jy)[1]
+    V = np.linalg.eigh(Jy)[1]
+    V.flags.writeable = False
+    return V
 
 
 def wigner_d_small(nu, beta):

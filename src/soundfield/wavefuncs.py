@@ -16,11 +16,12 @@ with ``phi_{nu,mu}(r) = i^{-nu} j_nu(k|r|) Yhat_{nu,mu}(r/|r|)``, so that
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (degrees_orders, num_coeffs, sph_harm_matrix, sph_jn_all, wigner_D,
-                      wigner_d_small)
+from .specfun import (degrees_orders, gauss_legendre, num_coeffs, sph_harm_matrix, sph_jn_all,
+                      wigner_D, wigner_d_small)
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +109,24 @@ def plane_wave_coeffs(order, x_inc):
 # Translation and rotation
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _coaxial_tables(order_out, order_in):
+    """The order-only part of :func:`_rcr_factors`'s C, as read-only arrays:
+    on the L + 1 Gauss-Legendre nodes x_j and weights w_j, ``G[n, j] = (1/2)
+    w_j (2n+1) i^{-n} P_n(x_j)`` for n <= L and the O(L^3) ``Q[j, nu, m] =
+    Pbar_nu^m(x_j)``, nu to the larger order and m to the smaller (0 if m > nu)."""
+    K, L = min(order_out, order_in), order_out + order_in
+    x, w = gauss_legendre(L + 1)
+    # Pbar_nu^mu(x_j): the harmonics at phi = 0; Pbar_n^0 = sqrt(2n+1) P_n
+    P = sph_harm_matrix(L, np.stack([np.sqrt(1.0 - x * x), 0.0 * x, x], axis=-1)).real
+    n = np.arange(L + 1)
+    G = (np.sqrt(2 * n + 1) * 1j ** (-n.astype(float)))[:, None] * (0.5 * w * P[:, n * n + n].T)
+    nu, m = np.ogrid[:max(order_out, order_in) + 1, :K + 1]
+    Q = np.where(m <= nu, P[:, nu * nu + nu + np.minimum(m, nu)], 0.0)
+    G.flags.writeable = Q.flags.writeable = False
+    return G, Q
+
+
 def _rcr_factors(d, k, order_out, order_in):
     """The factors of ``T(d) = D(R) C(k|d|) D(R)^H`` for displacements d (B, 3):
     rotate z onto d, translate along z and rotate back (Gumerov & Duraiswami,
@@ -124,18 +143,12 @@ def _rcr_factors(d, k, order_out, order_in):
     ``D[b, nu, mu + order, m + K] = e^{-i mu alpha} d^nu_{mu,m}(beta)``
     (zero where |mu| or |m| passes nu) and ``C[b, m + K, nu, nu'] = C^|m|``.
     """
-    K, L = min(order_out, order_in), order_out + order_in
+    K = min(order_out, order_in)
+    G, Q = _coaxial_tables(order_out, order_in)
     rad = np.linalg.norm(d, axis=-1)
-    x, w = np.polynomial.legendre.leggauss(L + 1)
-    # Pbar_nu^mu(x_j): the harmonics at phi = 0; Pbar_n^0 = sqrt(2n+1) P_n
-    P = sph_harm_matrix(L, np.stack([np.sqrt(1.0 - x * x), 0.0 * x, x], axis=-1)).real
-    n = np.arange(L + 1)
-    g = np.einsum("bn,jn->bj", np.sqrt(2 * n + 1) * 1j ** (-n.astype(float))
-                  * sph_jn_all(L, k * rad).T, P[:, n * n + n])
-    nu, m = np.ogrid[:max(order_out, order_in) + 1, :K + 1]
-    P = np.where(m <= nu, P[:, nu * nu + nu + np.minimum(m, nu)], 0.0)  # (nodes, nu, m)
-    C = np.einsum("jum,jvm,bj->bmuv", 0.5 * w[:, None, None] * P[:, :order_out + 1],
-                  P[:, :order_in + 1], g)[:, np.abs(np.arange(-K, K + 1))]
+    g = np.einsum("nb,nj->bj", sph_jn_all(order_out + order_in, k * rad), G)
+    C = np.einsum("jum,jvm,bj->bmuv", Q[:, :order_out + 1], Q[:, :order_in + 1],
+                  g)[:, np.abs(np.arange(-K, K + 1))]
     alpha, beta = np.arctan2(d[:, 1], d[:, 0]), np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
 
     def rotation(order):
@@ -203,8 +216,11 @@ def rotate_coeffs(cset, rot):
     """
     if np.linalg.norm(cset.origin) > 0:
         raise ValueError("rotation of coefficients requires origin at 0")
-    out = np.zeros_like(cset.coeffs)
     rot = np.asarray(rot, dtype=float)
+    if not (rot.shape == (3, 3) and np.isfinite(rot).all()
+            and np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-10 and np.linalg.det(rot) > 0):
+        raise ValueError("rot must be a finite 3x3 rotation: R^T R = I to 1e-10, det R > 0")
+    out = np.zeros_like(cset.coeffs)
     for nu in range(cset.order + 1):
         D = wigner_D(nu, rot)
         block = slice(nu * nu, (nu + 1) ** 2)

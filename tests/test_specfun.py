@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,23 @@ def test_legendre_recurrence():
             )
 
 
+@pytest.mark.parametrize("n", [1, 2, 13, 25, 41, 61])
+def test_gauss_legendre_matches_mpmath(n):
+    # 40-digit roots of P_n from numpy's leggauss nodes; weights
+    # 2 (1 - x^2) / (n P_{n-1}(x))^2 at them
+    with mpmath.workdps(40):
+        roots = [mpmath.findroot(lambda t: mpmath.legendre(n, t), mpmath.mpf(float(x0)))
+                 for x0 in np.polynomial.legendre.leggauss(n)[0]]
+        weights = [2 * (1 - t * t) / (n * mpmath.legendre(n - 1, t)) ** 2 for t in roots]
+    x, w = sf.gauss_legendre(n)
+    assert np.max(np.abs(x - np.array(roots, dtype=float))) <= 2.3e-16
+    assert np.max(np.abs(w / np.array(weights, dtype=float) - 1.0)) <= 1e-13
+    # exact for every even monomial of degree below 2n
+    p = np.arange(n)
+    moments = (w[:, None] * x[:, None] ** (2 * p)).sum(0)
+    assert np.max(np.abs(moments - 2.0 / (2 * p + 1))) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # Wigner 3j and Gaunt
 # ---------------------------------------------------------------------------
@@ -277,6 +295,27 @@ def test_wigner_D_gimbal_lock():
             D = sf.wigner_D(nu, R)
             expected = np.diag([np.exp(-1j * mu * angle) for mu in range(-nu, nu + 1)])
             assert np.max(np.abs(D - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.0, 1e-12, 1e-7, 2e-6, 0.4, np.pi / 2, 3.0,
+                                  np.pi - 1e-7, np.pi])
+def test_euler_zyz_recomposes(beta, rng):
+    # R_z(alpha) R_y(beta) R_z(gamma) from the angles gives R back, with the
+    # tilt of z at, near and between 0 and pi
+    z, y = np.array([0.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0])
+    for a, g in rng.uniform(-np.pi, np.pi, size=(5, 2)):
+        R = sf.rotation_matrix(z, a) @ sf.rotation_matrix(y, beta) @ sf.rotation_matrix(z, g)
+        alpha, b, gamma = sf.euler_zyz(R)
+        back = (sf.rotation_matrix(z, alpha) @ sf.rotation_matrix(y, b)
+                @ sf.rotation_matrix(z, gamma))
+        assert np.max(np.abs(back - R)) <= 1e-14
+
+
+def test_cached_tables_are_read_only():
+    # lru_cache hands the same arrays to every caller
+    for table in (*sf.degrees_orders(4), sf._jy_eigenvectors(3)):
+        with pytest.raises(ValueError):
+            table[0] = 0
 
 
 def _wigner_d_sum(nu, beta):

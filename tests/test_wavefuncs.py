@@ -262,6 +262,32 @@ def test_coupling_tensor_cold_build_memory():
     assert peak <= 16e6
 
 
+def test_coaxial_tables_are_built_once_per_order_pair(rng):
+    # the order-only tables of a translation: one read-only entry per order
+    # pair, under 1 MB at 12 <-> 12, and a cold call equal to a warm one
+    cset = wf.CoefficientSet(order=12, origin=np.zeros(3),
+                             coeffs=rng.normal(size=sf.num_coeffs(12)) + 0.5j)
+    d, k = 0.3 * rng.normal(size=(4, 3)), 6.0
+    warm = wf.translate_coeffs(cset, d[0], k).coeffs
+    wf._coaxial_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        cold = wf.translate_coeffs(cset, d[0], k).coeffs
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6
+    assert np.array_equal(cold, warm)
+    for di in d[1:]:
+        wf.translate_coeffs(cset, di, k)
+    assert wf._coaxial_tables.cache_info().currsize == 1
+    tables = wf._coaxial_tables(12, 12)
+    assert sum(t.nbytes for t in tables) < 1e6
+    for t in tables:
+        with pytest.raises(ValueError):
+            t[(0,) * t.ndim] = 1.0
+
+
 @pytest.mark.parametrize("d", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.4], [0.0, 0.0, -0.4],
                                [[0.0, 0.0, -0.4], [0.0, 0.0, 0.0], [0.1, -0.2, 0.3],
                                 [0.0, 0.0, 0.4], [-0.3, 0.2, 0.0]]],
@@ -300,6 +326,32 @@ def test_rotation_field_consistency(rng):
     assert np.max(
         np.abs(evaluate(rotated, pts, k) - evaluate(cset, pts @ R.T, k))
     ) <= 1e-12
+
+
+@pytest.mark.parametrize("rot", [np.diag([1.0, 1.0, -1.0]), 2.0 * np.eye(3),
+                                 [[1.0, 0.3, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                                 np.full((3, 3), np.nan)],
+                         ids=["reflection", "scaled", "shear", "nan"])
+def test_rotate_coeffs_rejects_non_rotations(rot):
+    cset = wf.CoefficientSet(order=3, origin=np.zeros(3), coeffs=np.ones(sf.num_coeffs(3)))
+    with pytest.raises(ValueError, match="rot must be"):
+        wf.rotate_coeffs(cset, rot)
+
+
+@pytest.mark.parametrize("axis, angle", [([0.3, -1.2, 0.5], a) for a in
+                                        (0.0, 1e-9, 0.9, np.pi, -2.5, 100.0)]
+                         + [([1.0, 0.0, 0.0], np.pi), ([1.0, 1.0, 0.0], np.pi),
+                            ([0.0, 0.0, 1.0], 2.0), ([1e-7, 0.0, 1.0], 3.0)])
+def test_rotate_coeffs_accepts_rotation_matrix(axis, angle, rng):
+    # every rotation_matrix output rotates, with tilts of z at, near and
+    # between 0 and pi
+    k, order = 3.0, 3
+    cset = wf.CoefficientSet(order=order, origin=np.zeros(3),
+                             coeffs=rng.normal(size=sf.num_coeffs(order)) + 1j)
+    R = sf.rotation_matrix(axis, angle)
+    pts = 0.5 * rng.normal(size=(8, 3))
+    rotated = wf.rotate_coeffs(cset, R)
+    assert np.max(np.abs(evaluate(rotated, pts, k) - evaluate(cset, pts @ R.T, k))) <= 1e-12
 
 
 def test_rotated_plane_wave(rng):

@@ -10,12 +10,16 @@ its first frequency (at the default flags, at a value off its default for
 every flag, and with `--truth-only`) and through `forbidden` for its array
 radius, its `order` and its highest frequency; `synth.json` through `synth`
 and `anc.json` through `anc`.  Each checkout runs all its commands in one child
-process, with its own `src` first on the path.
+process, with its own `src` first on the path.  A second child per checkout
+makes the seeded translation-layer calls that no command makes: 4 order-12
+`translate_coeffs`, 4 `rotate_coeffs` and one `translation_matrix` over 64
+displacements at order 7 <- 1.
 
-For each column of each output, one line says `identical` when the text is
-equal, or else the largest |change - parent| over the largest |parent| of
-the column.  The exit status is 1 when a command fails or the outputs
-differ in their header or row count, else 0.
+For each column of each output, and for the values of each of those three
+functions, one line says `identical` when the text is equal, or else the
+largest |change - parent| over the largest |parent| of the column.  The exit
+status is 1 when a command fails or the outputs differ in their header or row
+count, else 0.
 """
 
 import argparse
@@ -36,6 +40,26 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
+"""
+# Seeded translate_coeffs, rotate_coeffs and translation_matrix calls; prints
+# the repr of each real and imaginary part of their outputs, by function.
+TRANSLATION_CHILD = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from soundfield import specfun, wavefuncs
+rng = np.random.default_rng(2025)
+n = specfun.num_coeffs(12)
+cset = wavefuncs.CoefficientSet(12, np.zeros(3), rng.normal(size=n) + 1j * rng.normal(size=n))
+out = {
+    "translate": [wavefuncs.translate_coeffs(cset, 0.3 * rng.normal(size=3), 6.0).coeffs
+                  for _ in range(4)],
+    "rotate": [wavefuncs.rotate_coeffs(cset, specfun.rotation_matrix(rng.normal(size=3), a)).coeffs
+               for a in rng.uniform(-np.pi, np.pi, size=4)],
+    "translation_matrix": wavefuncs.translation_matrix(0.5 * rng.normal(size=(64, 3)), 6.0, 7, 1),
+}
+print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
+                  for name, v in out.items()}))
 """
 
 
@@ -59,15 +83,21 @@ def jobs(config_dir):
     return out
 
 
-def run(checkout, runs, out_dir):
-    """Run every job on `checkout`, writing <name>.csv to `out_dir`."""
-    argvs = [argv + ["-o", str(Path(out_dir) / f"{name}.csv")] for name, argv in runs]
+def child(checkout, script, *args):
+    """Run `script` with `checkout`'s src first on the path; returns its last
+    line of output, read as JSON."""
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, str(Path(checkout).resolve() / "src"), json.dumps(argvs)],
+        [sys.executable, "-c", script, str(Path(checkout).resolve() / "src"), *args],
         capture_output=True, text=True)
     if proc.returncode != 0:
         sys.exit(f"{checkout}: the child process failed:\n{proc.stderr}")
-    return dict(zip([name for name, _ in runs], json.loads(proc.stdout.splitlines()[-1])))
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def run(checkout, runs, out_dir):
+    """Run every job on `checkout`, writing <name>.csv to `out_dir`."""
+    argvs = [argv + ["-o", str(Path(out_dir) / f"{name}.csv")] for name, argv in runs]
+    return dict(zip([name for name, _ in runs], child(checkout, CHILD, json.dumps(argvs))))
 
 
 def _number(cell):
@@ -121,7 +151,7 @@ def main(argv=None):
     args = p.parse_args(argv)
     runs = jobs(Path(args.change) / "configs")
     with tempfile.TemporaryDirectory() as tmp:
-        dirs = {}
+        dirs, layer = {}, {}
         for label, checkout in (("parent", args.parent), ("change", args.change)):
             dirs[label] = Path(tmp) / label
             dirs[label].mkdir()
@@ -130,7 +160,11 @@ def main(argv=None):
             if failed:
                 print(f"{label}: exit status != 0 for {', '.join(failed)}")
                 return 1
-        return 0 if compare(dirs["parent"], dirs["change"], runs) else 1
+            layer[label] = child(checkout, TRANSLATION_CHILD)
+        ok = compare(dirs["parent"], dirs["change"], runs)
+        for name, values in layer["parent"].items():
+            print(f"{name} values: {column_drift(values, layer['change'][name])}")
+        return 0 if ok else 1
 
 
 if __name__ == "__main__":

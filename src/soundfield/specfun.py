@@ -413,16 +413,28 @@ def wigner_d_small(nu, beta):
     return np.einsum("...ij,kj->...ik", V * phase[..., None, :], V.conj()).real
 
 
-def wigner_D(nu, rot):
-    """Wigner D-matrix D^{(nu)}_{mu,mu'} of a rotation, shape (2nu+1, 2nu+1).
+def wigner_blocks(order, alpha, beta, gamma, K):
+    """Wigner D blocks of degrees 0..order for z-y-z Euler angles of shape (B,)
+    or scalars, padded to shape (B, order + 1, 2 order + 1, 2K + 1): ``D[b, nu,
+    mu + order, m + K] = e^{-i mu alpha} d^nu_{mu,m}(beta) e^{-i m gamma}``,
+    zero where |mu| > nu or |m| > min(nu, K)."""
+    alpha, beta, gamma = (np.atleast_1d(np.asarray(a, dtype=float)) for a in (alpha, beta, gamma))
+    D = np.zeros((beta.size, order + 1, 2 * order + 1, 2 * K + 1), dtype=complex)
+    for nu in range(order + 1):
+        c = min(nu, K)
+        D[:, nu, order - nu:order + nu + 1, K - c:K + c + 1] = \
+            wigner_d_small(nu, beta)[..., nu - c:nu + c + 1]
+    D *= np.exp(-1j * np.multiply.outer(alpha, np.arange(-order, order + 1)))[:, None, :, None]
+    D *= np.exp(-1j * np.multiply.outer(gamma, np.arange(-K, K + 1)))[:, None, None, :]
+    return D
 
-    Defined so that ``Yhat_{nu,mu'}(R^{-1} x) = sum_mu D_{mu,mu'} Yhat_{nu,mu}(x)``,
-    equivalently ``D_{mu,mu'} = (1/4pi) \\int Yhat_{nu,mu}(R x)^* Yhat_{nu,mu'}(x) dS``.
-    """
-    alpha, beta, gamma = euler_zyz(rot)
-    d = wigner_d_small(nu, beta)
-    m = np.arange(-nu, nu + 1)
-    return np.exp(-1j * m[:, None] * alpha) * d * np.exp(-1j * m[None, :] * gamma)
+
+def wigner_D(nu, rot):
+    """Wigner D-matrix D^{(nu)}_{mu,mu'} of a rotation, shape (2nu+1, 2nu+1):
+    degree nu of :func:`wigner_blocks` at ``euler_zyz(rot)``, so that
+    ``Yhat_{nu,mu'}(R^{-1} x) = sum_mu D_{mu,mu'} Yhat_{nu,mu}(x)``, equivalently
+    ``D_{mu,mu'} = (1/4pi) \\int Yhat_{nu,mu}(R x)^* Yhat_{nu,mu'}(x) dS``."""
+    return wigner_blocks(nu, *euler_zyz(rot), nu)[0, nu]
 
 
 def rotation_matrix(axis, angle):

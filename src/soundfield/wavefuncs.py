@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (degrees_orders, gauss_legendre, num_coeffs, sph_harm_matrix, sph_jn_all,
-                      wigner_D, wigner_d_small)
+from .specfun import (degrees_orders, euler_zyz, gauss_legendre, num_coeffs, sph_harm_matrix,
+                      sph_jn_all, wigner_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +111,7 @@ def plane_wave_coeffs(order, x_inc):
 
 @lru_cache(maxsize=None)
 def _coaxial_tables(order_out, order_in):
-    """The order-only part of :func:`_rcr_factors`'s C, as read-only arrays:
+    """The order-only part of :func:`_translate`'s C, as read-only arrays:
     on the L + 1 Gauss-Legendre nodes x_j and weights w_j, ``G[n, j] = (1/2)
     w_j (2n+1) i^{-n} P_n(x_j)`` for n <= L and the O(L^3) ``Q[j, nu, m] =
     Pbar_nu^m(x_j)``, nu to the larger order and m to the smaller (0 if m > nu)."""
@@ -127,41 +127,47 @@ def _coaxial_tables(order_out, order_in):
     return G, Q
 
 
-def _rcr_factors(d, k, order_out, order_in):
-    """The factors of ``T(d) = D(R) C(k|d|) D(R)^H`` for displacements d (B, 3):
-    rotate z onto d, translate along z and rotate back (Gumerov & Duraiswami,
-    *Fast Multipole Methods for the Helmholtz Equation in Three Dimensions*,
-    2004, ch. 3).  R has z-y-z Euler angles ``(alpha, beta, 0)``.  The
-    coaxial C is diagonal in the order m; with L = order_out + order_in,
+def _rotate_back(D, V):
+    """``D^H V`` degree by degree, for the blocks D of
+    :func:`~soundfield.specfun.wigner_blocks` and flat columns V (B, n, cols):
+    ``w[b, nu, m + K, c] = sum_mu D[b, nu, mu + order, m + K]^* V[b, (nu, mu), c]``."""
+    order = D.shape[1] - 1
+    nu, mu = degrees_orders(order)
+    v = np.zeros(D.shape[:3] + V.shape[-1:], dtype=complex)
+    v[:, nu, mu + order] = V
+    return np.einsum("bvpm,bvpc->bvmc", D.conj(), v)
+
+
+def _translate(d, k, order_out, order_in, V):
+    """``T(d) V`` for displacements d (B, 3) and flat columns V (B or 1, n_in,
+    cols): D^H, C and D as einsum loops, no BLAS product.  ``T(d) = D(R) C(k|d|) D(R)^H``
+    rotates z onto d (z-y-z Euler angles ``(alpha, beta, 0)``), translates
+    along z and rotates back (Gumerov & Duraiswami, *Fast Multipole Methods
+    for the Helmholtz Equation in Three Dimensions*, 2004, ch. 3).  The
+    coaxial C is diagonal in the order m, |m| <= K = min(order_out, order_in);
+    with L = order_out + order_in,
 
         C^m[nu, nu'] = (1/2) \\int Pbar_nu^m(x) Pbar_nu'^m(x) g(x) dx,
         g(x) = sum_{n <= L} (2n+1) i^{-n} j_n(k|d|) P_n(x),
 
     the plane wave ``e^{-ik|d|x}`` cut where its terms turn orthogonal to
     the degree-L ``Pbar Pbar'``: L + 1 Gauss-Legendre nodes are exact.
-    On a padded layout with K the smaller order,
-    ``D[b, nu, mu + order, m + K] = e^{-i mu alpha} d^nu_{mu,m}(beta)``
-    (zero where |mu| or |m| passes nu) and ``C[b, m + K, nu, nu'] = C^|m|``.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        kd = k * np.linalg.norm(d, axis=-1)
+    if not np.isfinite(kd).all():
+        raise ValueError("k |displacement| must be finite")
     K = min(order_out, order_in)
     G, Q = _coaxial_tables(order_out, order_in)
-    rad = np.linalg.norm(d, axis=-1)
-    g = np.einsum("nb,nj->bj", sph_jn_all(order_out + order_in, k * rad), G)
+    g = np.einsum("nb,nj->bj", sph_jn_all(order_out + order_in, kd), G)
     C = np.einsum("jum,jvm,bj->bmuv", Q[:, :order_out + 1], Q[:, :order_in + 1],
-                  g)[:, np.abs(np.arange(-K, K + 1))]
-    alpha, beta = np.arctan2(d[:, 1], d[:, 0]), np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2])
-
-    def rotation(order):
-        D = np.zeros((len(d), order + 1, 2 * order + 1, 2 * K + 1), dtype=complex)
-        for nu in range(order + 1):
-            c = min(nu, K)
-            D[:, nu, order - nu:order + nu + 1, K - c:K + c + 1] = \
-                wigner_d_small(nu, beta)[..., nu - c:nu + c + 1]
-        mu = np.arange(-order, order + 1)
-        return D * np.exp(-1j * np.multiply.outer(alpha, mu))[:, None, :, None]
-
-    D_out = rotation(order_out)
-    return D_out, C, D_out if order_in == order_out else rotation(order_in)
+                  g)[:, np.abs(np.arange(-K, K + 1))]  # C[b, m + K, nu, nu'] = C^|m|
+    angles = np.arctan2(d[:, 1], d[:, 0]), np.arctan2(np.hypot(d[:, 0], d[:, 1]), d[:, 2]), 0.0
+    D_out = wigner_blocks(order_out, *angles, K)
+    D_in = D_out if order_in == order_out else wigner_blocks(order_in, *angles, K)
+    w = np.einsum("bmuv,bvmc->bumc", C, _rotate_back(D_in, V))
+    nu, mu = degrees_orders(order_out)
+    return np.einsum("bupm,bumc->bupc", D_out, w)[:, nu, mu + order_out]
 
 
 def translation_matrix(displacement, k, order_out, order_in):
@@ -177,53 +183,35 @@ def translation_matrix(displacement, k, order_out, order_in):
     `order_in`.
 
     `displacement` may have shape (..., 3); the result then has shape
-    ``(..., n_out, n_in)``, each the product of :func:`_rcr_factors`.
+    ``(..., n_out, n_in)``, each the :func:`_translate` of the identity.
     """
     d = np.asarray(displacement, dtype=float)
-    D_out, C, D_in = _rcr_factors(d.reshape(-1, 3), k, order_out, order_in)
-    # X[b, nu, m, nu', mu'] = C^m[nu, nu'] D_in[nu', mu', m]^*, then one
-    # product over m per (b, nu)
-    X = C.transpose(0, 2, 1, 3)[..., None] * D_in.conj().transpose(0, 3, 1, 2)[:, None]
-    T = (D_out @ X.reshape(X.shape[:3] + (-1,))).reshape(D_out.shape[:3] + X.shape[3:])
-    (nu, mu), (nup, mup) = degrees_orders(order_out), degrees_orders(order_in)
-    T = T[:, nu[:, None], mu[:, None] + order_out, nup, mup + order_in]
+    T = _translate(d.reshape(-1, 3), k, order_out, order_in, np.eye(num_coeffs(order_in))[None])
     return T.reshape(d.shape[:-1] + T.shape[1:])
 
 
 def translate_coeffs(cset, new_origin, k):
-    """Re-expand a coefficient set about a new origin, at the set's own order.
-
-    The factors of :func:`translation_matrix` act one after another as
-    elementwise sums, not BLAS products, whose threads cost milliseconds.
-    """
+    """Re-expand a coefficient set about a new origin, at the set's own order:
+    the :func:`_translate` of its vector, with no matrix formed."""
     d = np.asarray(new_origin, dtype=float) - cset.origin
-    D, C, _ = (f[0] for f in _rcr_factors(d.reshape(1, 3), k, cset.order, cset.order))
-    nu, mu = degrees_orders(cset.order)
-    v = np.zeros(D.shape[:2], dtype=complex)
-    v[nu, mu + cset.order] = cset.coeffs
-    v = (D.conj() * v[..., None]).sum(1)  # D^H c, as v[nu', m]
-    v = (C * v.T[:, None, :]).sum(-1)  # C D^H c, as v[m, nu]
-    out = (D * v.T[:, None, :]).sum(-1)[nu, mu + cset.order]
-    return CoefficientSet(order=cset.order, origin=new_origin, coeffs=out)
+    out = _translate(d.reshape(1, 3), k, cset.order, cset.order, cset.coeffs[None, :, None])
+    return CoefficientSet(order=cset.order, origin=new_origin, coeffs=out[0, :, 0])
 
 
 def rotate_coeffs(cset, rot):
     """Coefficients of ``u(R r)`` given those of ``u(r)`` about the origin.
 
-    Uses ``phi_{nu,mu'}(R r) = sum_mu D^{(nu)}_{mu',mu}(R)^* phi_{nu,mu}(r)``
-    (with D as defined in :func:`soundfield.specfun.wigner_D`), so each degree
-    block transforms by the conjugate-transposed Wigner D-matrix.
+    Uses ``phi_{nu,mu'}(R r) = sum_mu D^{(nu)}_{mu,mu'}(R)^* phi_{nu,mu}(r)``
+    (with D as defined in :func:`soundfield.specfun.wigner_D`): the ``D^H``
+    step of :func:`_translate` on the full blocks.
     """
-    if np.linalg.norm(cset.origin) > 0:
+    if np.any(cset.origin != 0):
         raise ValueError("rotation of coefficients requires origin at 0")
     rot = np.asarray(rot, dtype=float)
     if not (rot.shape == (3, 3) and np.isfinite(rot).all()
             and np.abs(rot.T @ rot - np.eye(3)).max() <= 1e-10 and np.linalg.det(rot) > 0):
         raise ValueError("rot must be a finite 3x3 rotation: R^T R = I to 1e-10, det R > 0")
-    out = np.zeros_like(cset.coeffs)
-    for nu in range(cset.order + 1):
-        D = wigner_D(nu, rot)
-        block = slice(nu * nu, (nu + 1) ** 2)
-        out[block] = D.conj().T @ cset.coeffs[block]
+    D = wigner_blocks(cset.order, *euler_zyz(rot), cset.order)
+    nu, mu = degrees_orders(cset.order)
+    out = _rotate_back(D, cset.coeffs[None, :, None])[0, nu, mu + cset.order, 0]
     return CoefficientSet(order=cset.order, origin=cset.origin, coeffs=out)
-

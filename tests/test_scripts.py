@@ -50,9 +50,9 @@ def test_csv_drift_of_the_repo_against_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert {line.split(" ", 1)[0] for line in lines} == {
-        "anc", "synth", *(f"{name}-{cmd}" for name in
-                          ("sweep_explicit", "sweep_finite", "sweep_first_order",
-                           "sweep_kernel", "sweep_omni", "sweep_rigid")
-                          for cmd in ("sweep", "field", "field-flags", "field-truth",
-                                      "forbidden"))}
+        "anc", "synth", "translate", "rotate", "translation_matrix",
+        *(f"{name}-{cmd}" for name in
+          ("sweep_explicit", "sweep_finite", "sweep_first_order",
+           "sweep_kernel", "sweep_omni", "sweep_rigid")
+          for cmd in ("sweep", "field", "field-flags", "field-truth", "forbidden"))}
     assert all(line.endswith(": identical") for line in lines), proc.stdout

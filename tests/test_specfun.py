@@ -341,6 +341,27 @@ def test_wigner_d_small_matches_explicit_sum():
             assert np.max(np.abs(sf.wigner_d_small(nu, beta) - _wigner_d_sum(nu, beta))) <= 1e-13
 
 
+@pytest.mark.parametrize("K", [2, 6])
+def test_wigner_blocks_match_explicit_sum(K):
+    # each padded block is e^{-i mu alpha} d^nu(beta) e^{-i m gamma} on
+    # |mu| <= nu, |m| <= min(nu, K), and exactly 0 elsewhere
+    order = 6
+    alpha, beta, gamma = np.array([[0.3, 1.1, -2.0], [-1.7, 2.9, 0.4], [2.5, 0.0, math.pi]]).T
+    D = sf.wigner_blocks(order, alpha, beta, gamma, K)
+    assert D.shape == (3, order + 1, 2 * order + 1, 2 * K + 1)
+    for b in range(3):
+        for nu in range(order + 1):
+            c = min(nu, K)
+            mu, m = np.arange(-nu, nu + 1)[:, None], np.arange(-c, c + 1)
+            ref = (np.exp(-1j * mu * alpha[b]) * _wigner_d_sum(nu, beta[b])[:, nu - c:nu + c + 1]
+                   * np.exp(-1j * m * gamma[b]))
+            inside = np.s_[order - nu:order + nu + 1, K - c:K + c + 1]
+            assert np.max(np.abs(D[b, nu][inside] - ref)) <= 1e-13
+            padding = D[b, nu].copy()
+            padding[inside] = 0.0
+            assert not padding.any()
+
+
 @given(st.floats(-2 * math.pi, 2 * math.pi))
 @settings(max_examples=10, deadline=None)
 def test_wigner_d_small_orthogonal_to_high_degree(beta):

@@ -307,6 +307,40 @@ def test_translation_matrix_edge_displacements(d):
         assert np.max(np.abs(moved - ref_i @ c)) <= 1e-13 * np.max(np.abs(c))
 
 
+_NON_FINITE = {"nan-d": ([np.nan, 0.0, 0.0], 3.0), "nan-k": ([0.1, -0.2, 0.3], np.nan),
+               "inf-k": ([0.1, -0.2, 0.3], np.inf), "inf-k-at-0": ([0.0, 0.0, 0.0], np.inf),
+               "huge-d": ([1e200, 0.0, 0.0], 3.0)}
+
+
+@pytest.mark.parametrize("entry, case",
+                         [(e, c) for c in _NON_FINITE for e in ("translate_coeffs",
+                                                                 "translation_matrix")]
+                         + [("rotate_coeffs", "nan-origin")])
+def test_translation_and_rotation_reject_non_finite_input(entry, case):
+    # a non-finite k |d| or origin raises instead of returning NaN or warning
+    origin = [np.nan, 0.0, 0.0] if entry == "rotate_coeffs" else np.zeros(3)
+    cset = wf.CoefficientSet(order=3, origin=origin, coeffs=np.ones(sf.num_coeffs(3)))
+    if entry == "rotate_coeffs":
+        with pytest.raises(ValueError, match="origin at 0"):
+            wf.rotate_coeffs(cset, np.eye(3))
+        return
+    d, k = np.array(_NON_FINITE[case][0]), _NON_FINITE[case][1]
+    with pytest.raises(ValueError, match=r"k \|displacement\| must be finite"):
+        if entry == "translate_coeffs":
+            wf.translate_coeffs(cset, d, k)
+        else:
+            wf.translation_matrix(d, k, 3, 2)
+
+
+def test_translation_runs_at_zero_k_and_far_displacements():
+    # k = 0 leaves only phi_00 = 1: T is the identity; |d| = 1e10 is finite
+    T = wf.translation_matrix(np.array([0.3, -0.2, 0.1]), 0.0, 3, 3)
+    assert np.max(np.abs(T - np.eye(sf.num_coeffs(3)))) <= 1e-13
+    cset = wf.CoefficientSet(order=3, origin=np.zeros(3), coeffs=np.ones(sf.num_coeffs(3)))
+    far = wf.translate_coeffs(cset, np.array([1e10, 0.0, 0.0]), 2.0).coeffs
+    assert np.isfinite(far).all()
+
+
 # ---------------------------------------------------------------------------
 # Rotation
 # ---------------------------------------------------------------------------

@@ -11,11 +11,12 @@ every flag, and with `--truth-only`) and through `forbidden` for its array
 radius, its `order` and its highest frequency; `synth.json` through `synth`
 and `anc.json` through `anc`.  Each checkout runs all its commands in one child
 process, with its own `src` first on the path.  A second child per checkout
-makes the seeded translation-layer calls that no command makes: 4 order-12
-`translate_coeffs`, 4 `rotate_coeffs` and one `translation_matrix` over 64
-displacements at order 7 <- 1.
+makes seeded library calls whose values no command writes: 4 order-12
+`translate_coeffs`, 4 `rotate_coeffs`, one `translation_matrix` over 64
+displacements at order 7 <- 1, and `sph_harm_matrix` to degree 12 at 64
+directions, 3 of them next to a pole.
 
-For each column of each output, and for the values of each of those three
+For each column of each output, and for the values of each of those four
 functions, one line says `identical` when the text is equal, or else the
 largest |change - parent| over the largest |parent| of the column.  The exit
 status is 1 when a command fails or the outputs differ in their header or row
@@ -41,9 +42,10 @@ sys.path.insert(0, sys.argv[1])
 from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
-# Seeded translate_coeffs, rotate_coeffs and translation_matrix calls; prints
-# the repr of each real and imaginary part of their outputs, by function.
-TRANSLATION_CHILD = """
+# Seeded translate_coeffs, rotate_coeffs, translation_matrix and
+# sph_harm_matrix calls; prints the repr of each real and imaginary part of
+# their outputs, by function.
+LAYER_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
@@ -58,6 +60,8 @@ out = {
                for a in rng.uniform(-np.pi, np.pi, size=4)],
     "translation_matrix": wavefuncs.translation_matrix(0.5 * rng.normal(size=(64, 3)), 6.0, 7, 1),
 }
+dirs = np.vstack([rng.normal(size=(61, 3)), [[1e-8, 0, -0.4], [1e-7, 2e-7, 0.9], [-3e-6, 0, 1]]])
+out["harmonics"] = specfun.sph_harm_matrix(12, dirs / np.linalg.norm(dirs, axis=1)[:, None])
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """
@@ -116,7 +120,7 @@ def column_drift(parent, change):
     scale = max((abs(x) for x in a if math.isfinite(x)), default=0.0)
     diffs = [abs(x - y) for x, y in zip(a, b)
              if not (x == y or (math.isnan(x) and math.isnan(y)))]
-    worst = max(diffs) if all(math.isfinite(d) for d in diffs) else math.inf
+    worst = max(diffs, default=0.0) if all(math.isfinite(d) for d in diffs) else math.inf
     return f"drift {worst / scale if scale > 0 else worst:.3g}"
 
 
@@ -160,7 +164,7 @@ def main(argv=None):
             if failed:
                 print(f"{label}: exit status != 0 for {', '.join(failed)}")
                 return 1
-            layer[label] = child(checkout, TRANSLATION_CHILD)
+            layer[label] = child(checkout, LAYER_CHILD)
         ok = compare(dirs["parent"], dirs["change"], runs)
         for name, values in layer["parent"].items():
             print(f"{name} values: {column_drift(values, layer['change'][name])}")

@@ -125,7 +125,9 @@ def cmd_experiment(run, args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The parser of every subcommand, built once per process."""
     p = argparse.ArgumentParser(
         prog="soundfield",
         description="Interior sound field estimation and control simulations.",

@@ -36,8 +36,8 @@ from .observation import (
     rigid_sphere_observation,
     unit_noise,
 )
-from .specfun import degrees_orders, num_coeffs, sph_hn_all, sph_jn_all
-from .wavefuncs import green, plane_wave, swf_angular
+from .specfun import degrees_orders, harmonic_rows, num_coeffs, sph_hn_all, sph_jn_all
+from .wavefuncs import green, plane_wave
 
 NMSE_FLOOR_DB = -300.0
 
@@ -606,7 +606,15 @@ def _bm_response(cfg, k):
         return None
     mics = cfg.array.mics
     radius = float(np.mean(np.linalg.norm(mics.pos, axis=1)))
-    return radial_response(model[2], cfg.order, k * radius, a=mics.a[0])
+    return _radial_response(model[2], cfg.order, k * radius, float(mics.a[0]))
+
+
+@functools.lru_cache(maxsize=64)
+def _radial_response(model, order, kr, a):
+    """:func:`radial_response`, read-only: one for a frequency's check, fit and records."""
+    A = radial_response(model, order, kr, a=a)
+    A.flags.writeable = False
+    return A
 
 
 class Estimator:
@@ -635,9 +643,9 @@ class Estimator:
     def block_rows(self, trials):
         """Points per block for `trials` columns of estimates.
 
-        A point takes its (order+1)^2 harmonics, or for DM-infinite the
-        real (Q, M) arrays of its Bessel evaluation: about four, eight for
-        directional mics, so 2 M or 4 M complex values.
+        A point takes (order+1)^2 real harmonic rows and their scaled copy,
+        or for DM-infinite the real (Q, M) arrays of its Bessel evaluation:
+        about four, eight for directional mics, so 2 M or 4 M complex values.
         """
         mics = self.cfg.array.mics
         if self.order is None:
@@ -651,35 +659,44 @@ class Estimator:
 
         For DM-infinite the mics' :class:`Representers` there; otherwise the
         distinct radii of the points about `origin`, the index of each
-        point's radius among them, and the harmonics (see
-        :func:`swf_angular`) as a C-ordered ((order+1)**2, Q) array.
+        point's radius among them, and the :func:`harmonic_rows` of their
+        directions (at the origin the zero vector's; j_nu(0) = 0 for nu > 0).
         """
         if self.order is None:
             return Representers(self.cfg.array.mics, pts)
-        rad, Y = swf_angular(self.order, pts - self.origin)
+        rel = pts - self.origin
+        rad = np.linalg.norm(rel, axis=1)
         radii, inverse = np.unique(rad, return_inverse=True)
-        return radii, inverse, Y.T
+        return radii, inverse, harmonic_rows(self.order, rel / np.where(rad > 0, rad, 1.0)[:, None])
 
     def evaluate(self, at, k, weights):
         """The estimates (T, Q) at the points of `at` from the weights
         (., T) that :func:`prepare_estimator` fitted at k.
 
-        An expansion is summed degree by degree, ``i^{-nu} j_nu(k r)`` (on
-        the distinct radii only) times that degree's harmonics and weights,
-        so no (Q, (order+1)**2) matrix is formed.
+        An expansion is summed in real arithmetic: the rows of each degree nu
+        times ``j_nu(k r)`` on the distinct radii, by :func:`_row_weights`.
         """
         if self.order is None:
             return _kernel_estimates(at, k, weights)
-        radii, inverse, Yt = at
-        nu = np.arange(self.order + 1)
-        radial = sph_jn_all(self.order, k * radii) * (1j ** -nu.astype(float))[:, None]
-        est = np.zeros((weights.shape[1], Yt.shape[1]), dtype=complex)
-        for n in nu:
-            block = slice(n * n, (n + 1) ** 2)
-            part = weights[block].T @ Yt[block]
-            part *= radial[n, inverse]
-            est += part
-        return est
+        radii, inverse, rows = at
+        radial = sph_jn_all(self.order, k * radii)[:, inverse]
+        scaled = np.empty_like(rows)
+        for n in range(self.order + 1):
+            np.multiply(rows[n * n:(n + 1) ** 2], radial[n], out=scaled[n * n:(n + 1) ** 2])
+        w = _row_weights(self.order, weights)
+        out = np.concatenate([w.real.T, w.imag.T]) @ scaled
+        return out[:w.shape[1]] + 1j * out[w.shape[1]:]
+
+
+def _row_weights(order, weights):
+    """The weights of the :func:`harmonic_rows` that sum as the weights (n, T) of
+    ``i^{-nu} Yhat_{nu,mu}`` do: with w these times ``i^{-nu}``, ``w_m + (-1)^m w_{-m}``
+    on row (nu, m) and ``i (w_m - (-1)^m w_{-m})`` on row (nu, -m), m > 0; w_0 on (nu, 0)."""
+    nu, mu = degrees_orders(order)
+    w = weights * (1j ** -nu.astype(float))[:, None]
+    s = (-1.0) ** mu
+    own, mirror = np.where(mu < 0, -1j * s, 1.0), np.where(mu < 0, 1j, np.where(mu > 0, s, 0.0))
+    return own[:, None] * w + mirror[:, None] * w[nu * nu + nu - mu]
 
 
 def _kernel_estimates(rep, k, alpha):

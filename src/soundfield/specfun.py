@@ -110,7 +110,7 @@ def _jn_miller(nmax, x):
     """
     series = np.abs(x) < _SERIES_X
     start = nmax + 20 + int(6.0 * nmax ** (1.0 / 3.0))
-    xm = np.where(series, _SERIES_X, x)
+    xm = np.where(series, 1.0, x)  # overwritten by the series; a tiny x would set the bound below
     inv = 1.0 / xm
     # The values grow by at most prod (2n+1)/|x| on the way down; check for
     # overflow only when that bound can pass the rescaling threshold.
@@ -250,6 +250,50 @@ def _legendre_step(n):
     return a, b
 
 
+def _legendre_table(order, dirs):
+    """``P[nu, m] = Pbar_nu^m(cos theta)`` (order+1, order+1, Q), 0 for m > nu, and
+    phi (Q,) at the unit vectors `dirs` (..., 3).
+
+    The 4 pi-normalised associated Legendre functions
+    ``Pbar_nu^m = sqrt((2nu+1)(nu-m)!/(nu+m)!) P_nu^m`` (Condon-Shortley
+    phase included) come from the sectoral seed
+    ``Pbar_m^m = -sqrt((2m+1)/(2m)) sin(theta) Pbar_{m-1}^{m-1}`` and the
+    degree recurrence of Holmes & Featherstone (2002),
+    ``Pbar_n^m = a_nm cos(theta) Pbar_{n-1}^m - b_nm Pbar_{n-2}^m``, all
+    orders of one degree per step.  ``sin(theta)`` is ``sqrt((1 - z)(1 + z))``
+    unless that is below 1e-2, where z holds the angle to only about
+    ``1e-16 / sin(theta)^2`` relative and ``hypot(x, y)`` is taken.
+    """
+    dirs = np.asarray(dirs, dtype=float).reshape(-1, 3)
+    z = np.clip(dirs[:, 2], -1.0, 1.0)
+    sin_theta = np.sqrt((1.0 - z) * (1.0 + z))
+    pole = sin_theta < 1e-2
+    sin_theta[pole] = np.hypot(dirs[pole, 0], dirs[pole, 1])
+    P = np.zeros((order + 1, order + 1, z.size))  # P[nu, m]
+    P[0, 0] = 1.0
+    for n in range(1, order + 1):
+        a, b = _legendre_step(n)
+        P[n, :n] = a * z * P[n - 1, :n] - b * P[max(n - 2, 0), :n]  # b = 0 at n = 1
+        P[n, n] = -math.sqrt((2 * n + 1) / (2 * n)) * sin_theta * P[n - 1, n - 1]
+    return P, np.arctan2(dirs[:, 1], dirs[:, 0])
+
+
+def harmonic_rows(order, dirs):
+    """Real harmonics up to degree `order` at the unit vectors `dirs` (..., 3),
+    C-ordered ((order+1)**2, Q) in flat (nu, mu) order: row (nu, m) is
+    ``Pbar_nu^m cos(m phi)`` and row (nu, -m) ``Pbar_nu^m sin(m phi)``, m >= 0.
+    """
+    P, phi = _legendre_table(order, dirs)
+    m_phi = np.multiply.outer(np.arange(order + 1), phi)
+    cos, sin = np.cos(m_phi), np.sin(m_phi)
+    rows = np.empty((num_coeffs(order), phi.size))
+    for n in range(order + 1):
+        c = n * n + n  # the row of (n, 0)
+        np.multiply(P[n, :n + 1], cos[:n + 1], out=rows[c:c + n + 1])
+        np.multiply(P[n, 1:n + 1], sin[1:n + 1], out=rows[c - n:c][::-1])  # (n, -1), ..., (n, -n)
+    return rows
+
+
 def sph_harm_matrix(order, dirs):
     """All Yhat_{nu,mu} up to degree `order` at the given unit vectors.
 
@@ -258,34 +302,20 @@ def sph_harm_matrix(order, dirs):
     C-ordered ``((order+1)**2, Q)`` array, so each column is contiguous and
     ``Y.T[nu**2:(nu+1)**2]`` is the C-ordered block of degree nu.
 
-    The 4 pi-normalised associated Legendre functions
-    ``Pbar_nu^m = sqrt((2nu+1)(nu-m)!/(nu+m)!) P_nu^m`` (Condon-Shortley
-    phase included) come from the sectoral seed
-    ``Pbar_m^m = -sqrt((2m+1)/(2m)) sin(theta) Pbar_{m-1}^{m-1}`` and the
-    degree recurrence of Holmes & Featherstone (2002),
-    ``Pbar_n^m = a_nm cos(theta) Pbar_{n-1}^m - b_nm Pbar_{n-2}^m``, all
-    orders of one degree per step.  Then ``Yhat_{nu,m} = Pbar_nu^m e^{i m phi}``
-    and ``Yhat_{nu,-m} = (-1)^m conj(Yhat_{nu,m})``.
+    ``Yhat_{nu,m} = Pbar_nu^m e^{i m phi}`` (see :func:`_legendre_table`) and
+    ``Yhat_{nu,-m} = (-1)^m conj(Yhat_{nu,m})``; its real and imaginary parts
+    for m >= 0 are the rows of :func:`harmonic_rows`.
     """
-    dirs = np.asarray(dirs, dtype=float)
-    z = np.clip(dirs[..., 2], -1.0, 1.0).ravel()
-    sin_theta = np.sqrt((1.0 - z) * (1.0 + z))
-    phi = np.arctan2(dirs[..., 1], dirs[..., 0]).ravel()
-    P = np.zeros((order + 1, order + 1, z.size))  # P[nu, m]
-    P[0, 0] = 1.0
-    for n in range(1, order + 1):
-        a, b = _legendre_step(n)
-        P[n, :n] = a * z * P[n - 1, :n] - b * P[max(n - 2, 0), :n]  # b = 0 at n = 1
-        P[n, n] = -math.sqrt((2 * n + 1) / (2 * n)) * sin_theta * P[n - 1, n - 1]
+    P, phi = _legendre_table(order, dirs)
     phase = np.exp(1j * np.multiply.outer(np.arange(order + 1), phi))  # e^{i m phi}, m >= 0
-    Y = np.empty((num_coeffs(order), z.size), dtype=complex)
+    Y = np.empty((num_coeffs(order), phi.size), dtype=complex)
     for n in range(order + 1):
         c = n * n + n  # the row of (n, 0)
         np.multiply(phase[:n + 1], P[n, :n + 1], out=Y[c:c + n + 1])
         neg = Y[c - n:c][::-1]  # the rows of (n, -1), ..., (n, -n)
         np.conjugate(Y[c + 1:c + n + 1], out=neg)
         neg[::2] *= -1.0  # odd m
-    return Y.T.reshape(dirs.shape[:-1] + (-1,))
+    return Y.T.reshape(np.shape(dirs)[:-1] + (-1,))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .specfun import (degrees_orders, euler_zyz, gauss_legendre, num_coeffs, sph_harm_matrix,
-                      sph_jn_all, wigner_blocks)
+from .specfun import (degrees_orders, euler_zyz, gauss_legendre, harmonic_rows, num_coeffs,
+                      sph_harm_matrix, sph_jn_all, wigner_blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +117,8 @@ def _coaxial_tables(order_out, order_in):
     Pbar_nu^m(x_j)``, nu to the larger order and m to the smaller (0 if m > nu)."""
     K, L = min(order_out, order_in), order_out + order_in
     x, w = gauss_legendre(L + 1)
-    # Pbar_nu^mu(x_j): the harmonics at phi = 0; Pbar_n^0 = sqrt(2n+1) P_n
-    P = sph_harm_matrix(L, np.stack([np.sqrt(1.0 - x * x), 0.0 * x, x], axis=-1)).real
+    # Pbar_nu^m(x_j): the rows (nu, m >= 0) at phi = 0; Pbar_n^0 = sqrt(2n+1) P_n
+    P = harmonic_rows(L, np.stack([np.sqrt((1.0 - x) * (1.0 + x)), 0.0 * x, x], axis=-1)).T
     n = np.arange(L + 1)
     G = (np.sqrt(2 * n + 1) * 1j ** (-n.astype(float)))[:, None] * (0.5 * w * P[:, n * n + n].T)
     nu, m = np.ogrid[:max(order_out, order_in) + 1, :K + 1]

@@ -45,6 +45,8 @@ def gathered_sph_harm_matrix(order, dirs):
     dirs = np.asarray(dirs, dtype=float)
     z = np.clip(dirs[..., 2], -1.0, 1.0).ravel()
     sin_theta = np.sqrt((1.0 - z) * (1.0 + z))
+    pole = sin_theta < 1e-2  # next to the poles, the sine of the vector itself
+    sin_theta[pole] = np.hypot(dirs[..., 0], dirs[..., 1]).ravel()[pole]
     phi = np.arctan2(dirs[..., 1], dirs[..., 0]).ravel()
     P = np.zeros((order + 1, order + 1, z.size))
     P[0, 0] = 1.0

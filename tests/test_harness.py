@@ -290,9 +290,9 @@ def test_sweep_matches_per_trial_reference(estimator, kind, field):
 
 
 def _grid_harmonics_count(monkeypatch, cfg):
-    """Calls of sph_harm_matrix on at least as many directions as the grid has points."""
+    """Calls of harmonic_rows on at least as many directions as the grid has points."""
     grid_size = len(ball_grid(cfg.eval_radius, cfg.eval_spacing))
-    orig = specfun.sph_harm_matrix
+    orig = specfun.harmonic_rows
     calls = []
 
     def counting(order, dirs):
@@ -301,8 +301,8 @@ def _grid_harmonics_count(monkeypatch, cfg):
         return orig(order, dirs)
 
     for mod in [m for name, m in sys.modules.items() if name.startswith("soundfield")]:
-        if getattr(mod, "sph_harm_matrix", None) is orig:
-            monkeypatch.setattr(mod, "sph_harm_matrix", counting)
+        if getattr(mod, "harmonic_rows", None) is orig:
+            monkeypatch.setattr(mod, "harmonic_rows", counting)
     run_sweep(cfg)
     monkeypatch.undo()
     return len(calls)
@@ -328,6 +328,44 @@ def test_grid_harmonics_once_per_sweep(monkeypatch, estimator):
     assert _grid_harmonics_count(monkeypatch, cfg([100.0, 200.0, 300.0, 400.0])) == once
 
 
+@pytest.mark.parametrize("order", [0, 1, 7, 12])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("estimator, origin", [("BM-omni", [0.0, 0.0, 0.0]),
+                                               ("DM-finite", [0.1, -0.2, 0.05])])
+def test_evaluate_matches_regular_swf_matrix(rng, order, trials, estimator, origin):
+    # the real rows and folded weights give the complex expansion's values,
+    # at the origin and next to the axis through it too
+    over = {"order": order} if estimator == "BM-omni" else {"order_n0": order,
+                                                            "origin": origin}
+    est = Estimator(ScenarioConfig.from_dict(_base_config(estimator=estimator, **over)))
+    axis = [[1e-9, 0.0, 0.3], [0.0, -1e-12, -0.2], [0.0, 0.0, 0.4], [0.0, 0.0, -0.4]]
+    pts = np.vstack([ball_grid(0.5, 0.25), axis, 0.4 * rng.normal(size=(20, 3))]) + origin
+    n, k = (order + 1) ** 2, 3.7
+    weights = rng.normal(size=(n, trials)) + 1j * rng.normal(size=(n, trials))
+    ref = (regular_swf_matrix(order, pts - origin, k) @ weights).T
+    assert np.max(np.abs(est.evaluate(est.at(pts), k, weights) - ref)) <= 1e-13 * np.max(
+        np.abs(ref))
+
+
+def test_bm_response_computed_once_per_frequency(monkeypatch):
+    # the config's check, the fit and the sweep's records share one A_nu per k
+    harness._radial_response.cache_clear()
+    calls = []
+    orig = harness.radial_response
+
+    def counting(*args, **kwargs):
+        calls.append(args[2])
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "radial_response", counting)
+    cfg = ScenarioConfig.from_dict(_base_config(estimator="BM-omni", frequencies=[150.0, 300.0]))
+    run_sweep(cfg)
+    _dump(cfg, 300.0, extent=1.0, spacing=0.5)
+    assert len(calls) == 2
+    _dump(cfg, 250.0, extent=1.0, spacing=0.5)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_estimator_freed_without_gc(estimator):
     # a reference cycle through the estimator would hold what it keeps (the
@@ -347,9 +385,9 @@ def test_estimator_freed_without_gc(estimator):
 
 
 def _count_grid_harmonics(monkeypatch, mics):
-    """Record the number of directions of each sph_harm_matrix call on more
+    """Record the number of directions of each harmonic_rows call on more
     directions than there are mics: those on blocks of grid points."""
-    orig = specfun.sph_harm_matrix
+    orig = specfun.harmonic_rows
     sizes = []
 
     def counting(order, dirs):
@@ -358,8 +396,8 @@ def _count_grid_harmonics(monkeypatch, mics):
         return orig(order, dirs)
 
     for mod in [m for name, m in sys.modules.items() if name.startswith("soundfield")]:
-        if getattr(mod, "sph_harm_matrix", None) is orig:
-            monkeypatch.setattr(mod, "sph_harm_matrix", counting)
+        if getattr(mod, "harmonic_rows", None) is orig:
+            monkeypatch.setattr(mod, "harmonic_rows", counting)
     return sizes
 
 
@@ -480,6 +518,27 @@ def test_cli_sweep_and_determinism(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
     header = out1.read_text().splitlines()[0]
     assert header.startswith("frequency_hz,estimator,trial,seed,nmse_db")
+
+
+def test_cli_commands_in_one_process_match_separate_runs(tmp_path):
+    # the parser is built once per process: each command, run after the
+    # others in this process, writes what it writes in a process of its own
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_base_config(estimator="BM-omni", order=2)))
+    field = ["field", str(cfg), "--freq", "200", "--extent", "1.0", "--spacing", "0.5"]
+    runs = {"field-flags": field + ["--plane", "xz", "--offset", "0.1", "--truth-only"],
+            "field": field, "sweep": ["sweep", str(cfg)],
+            "forbidden": ["forbidden", "--radius", "0.5", "--numax", "3", "--fmax", "1000"]}
+    for name, argv in runs.items():
+        proc = subprocess.run([sys.executable, "-m", "soundfield.cli", *argv,
+                               "-o", str(tmp_path / f"{name}-alone.csv")],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+    for name, argv in runs.items():
+        assert cli_main(argv + ["-o", str(tmp_path / f"{name}.csv")]) == 0
+    for name in runs:
+        assert (tmp_path / f"{name}.csv").read_bytes() == (
+            tmp_path / f"{name}-alone.csv").read_bytes()
 
 
 def test_cli_invalid_config_exit_2(tmp_path):

@@ -3,6 +3,7 @@ script whose config the parser rejects fails the suite, and a bad flag exits
 2 naming the config key; the CSV drift report finds the repo identical to
 itself."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -50,9 +51,18 @@ def test_csv_drift_of_the_repo_against_itself():
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
     assert {line.split(" ", 1)[0] for line in lines} == {
-        "anc", "synth", "translate", "rotate", "translation_matrix",
+        "anc", "synth", "translate", "rotate", "translation_matrix", "harmonics",
         *(f"{name}-{cmd}" for name in
           ("sweep_explicit", "sweep_finite", "sweep_first_order",
            "sweep_kernel", "sweep_omni", "sweep_rigid")
           for cmd in ("sweep", "field", "field-flags", "field-truth", "forbidden"))}
     assert all(line.endswith(": identical") for line in lines), proc.stdout
+
+
+def test_csv_drift_of_equal_numbers_in_other_text_is_zero():
+    # "-0.0" and "0.0" differ as text, not as numbers
+    spec = importlib.util.spec_from_file_location("csv_drift", ROOT / "scripts" / "csv_drift.py")
+    drift = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(drift)
+    assert drift.column_drift(["1.5", "0.0"], ["1.5", "-0.0"]) == "drift 0"
+    assert drift.column_drift(["2.0", ""], ["2.5", ""]) == "drift 0.25"

@@ -71,6 +71,17 @@ def test_bessel_all_matches_scalar():
             assert hall[nu] == pytest.approx(sph_hn(nu, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("nmax", [1, 7, 30])
+def test_bessel_columns_unchanged_by_series_columns(nmax):
+    # Miller's recurrence gives the series columns (x < 1e-8) a placeholder
+    # argument; no other column may change by a bit
+    x = np.array([1e-3, 0.07, 0.5, 2.0, 6.9, 25.0, 40.0])
+    alone = sf.sph_jn_all(nmax, x)
+    batch = sf.sph_jn_all(nmax, np.concatenate([[0.0, 1e-9], x]))
+    assert np.array_equal(batch[:, 2:], alone)
+    assert np.array_equal(batch[:, 0], np.eye(nmax + 1)[0])
+
+
 def test_hankel_closed_forms():
     # h_0(x) = -i e^{ix}/x, h_1(x) = -(1 + i/x) e^{ix}/x
     for x in (0.4, 2.7, 9.1):
@@ -102,8 +113,25 @@ def test_harmonics_equal_gathered_assembly(rng, order):
     Y = sf.sph_harm_matrix(order, dirs)
     assert Y.shape == (202, sf.num_coeffs(order))
     assert np.array_equal(Y, gathered_sph_harm_matrix(order, dirs))
+    # the real rows are the real and imaginary parts of Yhat_{nu,|mu|}
+    nu, mu = sf.degrees_orders(order)
+    Ym = Y[:, nu * nu + nu + np.abs(mu)]
+    assert np.array_equal(sf.harmonic_rows(order, dirs), np.where(mu >= 0, Ym.real, Ym.imag).T)
     # each column is contiguous: Y is the transposed view of a C array
     assert Y.T.flags.c_contiguous
+
+
+@pytest.mark.parametrize("x", [1e-8, 1e-7])
+def test_harmonics_next_to_the_pole_match_mpmath(x):
+    # sin(theta) = hypot(x, y) keeps its relative accuracy next to the pole,
+    # where sqrt((1 - z)(1 + z)) cancels: Yhat_{1,1} was 16% off at x = 1e-8
+    d = np.array([x, 0.0, -0.4]) / np.hypot(x, 0.4)
+    nu, mu = sf.degrees_orders(4)
+    with mpmath.workdps(40):
+        theta = mpmath.atan2(mpmath.mpf(d[0]), mpmath.mpf(d[2]))
+        ref = np.array([complex(mpmath.sqrt(4 * mpmath.pi) * mpmath.spherharm(n, m, theta, 0))
+                        for n, m in zip(nu.tolist(), mu.tolist())])
+    assert np.all(np.abs(sf.sph_harm_matrix(4, d) - ref) <= 1e-14 * np.abs(ref))
 
 
 def test_swf_angular_origin_row(rng):

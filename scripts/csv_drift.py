@@ -13,8 +13,10 @@ and `anc.json` through `anc`.  Each checkout runs all its commands in one child
 process, with its own `src` first on the path.  A second child per checkout
 makes seeded library calls whose values no command writes: 4 order-12
 `translate_coeffs`, 4 `rotate_coeffs`, one `translation_matrix` over 64
-displacements at order 7 <- 1, and `sph_harm_matrix` to degree 12 at 64
-directions, 3 of them next to a pole.
+displacements at order 7 <- 1, `sph_harm_matrix` to degree 12 at 64
+directions, 3 of them next to a pole, and a 4,000-sample
+`fxlms_weighted_run` on the single-tone geometry of the unit tests (its
+final filter and error history).
 
 For each column of each output, and for the values of each of those four
 functions, one line says `identical` when the text is equal, or else the
@@ -43,13 +45,13 @@ from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
 # Seeded translate_coeffs, rotate_coeffs, translation_matrix and
-# sph_harm_matrix calls; prints the repr of each real and imaginary part of
-# their outputs, by function.
+# sph_harm_matrix calls and one FxLMS run; prints the repr of each real and
+# imaginary part of their outputs, by function.
 LAYER_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from soundfield import specfun, wavefuncs
+from soundfield import applications as apps, specfun, wavefuncs
 rng = np.random.default_rng(2025)
 n = specfun.num_coeffs(12)
 cset = wavefuncs.CoefficientSet(12, np.zeros(3), rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -62,6 +64,22 @@ out = {
 }
 dirs = np.vstack([rng.normal(size=(61, 3)), [[1e-8, 0, -0.4], [1e-7, 2e-7, 0.9], [-3e-6, 0, 1]]])
 out["harmonics"] = specfun.sph_harm_matrix(12, dirs / np.linalg.norm(dirs, axis=1)[:, None])
+# FxLMS at 700 Hz, 4 kHz sampling; each transfer function a 2-tap FIR filter
+# matched to its complex gain at the tone
+k, zm1 = 2 * np.pi * 700.0 / 340.65, np.exp(-2j * np.pi * 700.0 / 4000.0)
+mics = apps.square_boundary_points(1.0, 8, outward_shift=0.03)
+src = apps.square_boundary_points(2.0, 4)
+region, cell = apps.square_grid(1.0, 0.1)
+A = apps.region_weighting(mics, region, cell, k, 1e-3)
+A_taps = apps.weighting_taps(lambda f: A, 64, 4)
+def two_tap(c):
+    b = c.imag / zm1.imag
+    return np.stack([c.real - b * zm1.real, b])
+x = np.cos(2 * np.pi * 700.0 / 4000.0 * np.arange(4000))
+d_taps = two_tap(wavefuncs.green(mics, np.array([3.0, 0.0, 0.0]), k))
+d = np.outer(x, d_taps[0]) + np.outer(np.concatenate([[0.0], x[:-1]]), d_taps[1])
+out["fxlms"] = np.concatenate([np.ravel(v) for v in apps.fxlms_weighted_run(
+    two_tap(apps.transfer_matrix(src, mics, k)), A_taps, x, d, 5e-2, 2)])
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """

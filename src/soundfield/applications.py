@@ -17,6 +17,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .discrete import Representers, kernel_matrix
 from .observation import Mics
+from .specfun import sph_jn_all
 from .wavefuncs import green
 
 
@@ -88,25 +89,32 @@ def transfer_matrix(src_pos, pts, k):
 def region_weighting(points, region_pts, cell_measure, k, reg):
     """Quadratic region weighting matrix for pressures sampled at `points`.
 
-    ``W = P^H [ \\int kappa(r)^* kappa(r)^T dV ] P`` with
+    ``W = P^T [ \\int kappa(r) kappa(r)^T dV ] P`` with
     ``P = (K + reg I)^{-1}``, K and kappa the Gram matrix and representers of
-    omni mics at `points`; the integral over the target region is
-    approximated by the midpoint rule on `region_pts` with cell measure
-    `cell_measure`.  Used both for weighted pressure matching (points =
-    control points) and spatial ANC (points = error microphones).
+    omni mics at `points`, both real: ``kappa_m(r) = j0(k |r - r_m|)``.  The
+    integral over the target region is approximated by the midpoint rule on
+    `region_pts` with cell measure `cell_measure`.  Used both for weighted
+    pressure matching (points = control points) and spatial ANC (points =
+    error microphones).  Returns a real symmetric (M, M) array.
     """
+    if not (math.isfinite(k) and 0 <= reg < math.inf and 0 < cell_measure < math.inf):
+        raise ValueError(f"k, reg and cell_measure must be finite with reg >= 0 and "
+                         f"cell_measure > 0, got {k!r}, {reg!r}, {cell_measure!r}")
+    if np.size(region_pts) == 0:
+        raise ValueError("region_pts must hold at least one point")
     mics = Mics(points)
     K = kernel_matrix(mics, k).real
     P = np.linalg.inv(K + reg * np.eye(len(mics)))
-    kap = np.ascontiguousarray(Representers(mics, region_pts).matrix(k).real)  # (Q, M)
+    rep = Representers(mics, region_pts)
+    kap = sph_jn_all(0, k * rep.rad)[0] * rep.a  # (Q, M)
     # einsum's own loop rather than BLAS: on a shared 2-core x86-64 VM,
     # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
     # call in some processes (cause not established); einsum takes ~2 ms
-    inner = cell_measure * np.einsum("qm,qn->mn", kap.conj(), kap)
-    W = P.conj().T @ inner @ P
-    # exactly Hermitian: rounding leaves P^H inner P Hermitian only to about
+    inner = cell_measure * np.einsum("qm,qn->mn", kap, kap)
+    W = P.T @ inner @ P
+    # exactly symmetric: rounding leaves P^T inner P symmetric only to about
     # cond(K + reg I) ulps, which at low k exceeds anc_lms_run's tolerance
-    return 0.5 * (W + W.conj().T)
+    return 0.5 * (W + W.T)
 
 
 # ---------------------------------------------------------------------------
@@ -247,6 +255,12 @@ def weighting_taps(A_of_freq, nfft, half_len):
     return out
 
 
+# Bytes of filtered references formed per batched product: a block of K+1
+# updates takes 8 (K+1) M L I R bytes, so a run with 8 error mics, 4
+# sources, K = 4 and I = 2 forms 25 blocks at a time.
+_FXREF_BYTES = 1 << 16
+
+
 def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len):
     """Kernel-weighted FxLMS adaptation in the time domain, from a zero filter.
 
@@ -262,21 +276,30 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len):
     0..2K), and returns (W, e_history).  Signals before n = 0 are zero, so
     the updates at n < K, whose error e(n-K) is zero, leave W unchanged.
 
-    The recurrence runs exactly, K+1 samples per step.  The update at n
-    reads the error K samples back, so the K+1 updates n0-1 .. n0+K-1 use
-    only errors from before n0: from W_{n0-1} they give the increments
-    ``H(j)^T e(n-K)`` contracted with the Hankel windows ``x(n-i-j)`` as one
-    batched product, the filters W_{n0} .. W_{n0+K} as one cumulative sum
-    (which adds the increments in the loop's order, with the loop's
-    rounding), then the block's outputs and errors.  This is not block LMS,
+    The recurrence runs exactly, K+1 samples per step.  The filtered
+    references ``F_n = -mu sum_j H(j)^T (x) x(n-i-j)`` depend on x alone, so
+    they are formed ahead of the loop, _FXREF_BYTES at a time, as one
+    batched product (multichannel filtered-x LMS; Elliott, Stothers &
+    Nelson, IEEE TASSP 1987); the update at n is then ``e(n-K) F_n``.  The
+    update at n reads the error K samples back, so the K+1 updates
+    n0-1 .. n0+K-1 use only errors from before n0: one batched product gives
+    their increments, one cumulative sum the filters W_{n0} .. W_{n0+K}
+    (adding the increments in the loop's order, with the loop's rounding),
+    and two more the block's outputs and errors.  This is not block LMS,
     which holds W fixed over a block: every sample still sees its own W_n.
+    The time axis is padded with zero signals to whole blocks.
     """
-    G_fir = np.asarray(G_fir, dtype=float)
-    A_taps = np.asarray(A_taps, dtype=float)
-    x = np.asarray(x, dtype=float)
-    d = np.asarray(d, dtype=float)
-    if G_fir.ndim != 3:
-        raise ValueError(f"G_fir must be 3-D (J, M, L), got shape {G_fir.shape}")
+    if not (isinstance(mu, (int, float, np.integer, np.floating)) and 0 < mu < math.inf):
+        raise ValueError(f"mu must be a positive finite number, got {mu!r}")
+    if isinstance(filt_len, bool) or not isinstance(filt_len, (int, np.integer)) or filt_len < 1:
+        raise ValueError(f"filt_len must be an int >= 1, got {filt_len!r}")
+    arrays = dict(G_fir=G_fir, A_taps=A_taps, x=x, d=d)
+    for name, v in arrays.items():
+        if np.iscomplexobj(v) or not np.isfinite(v).all():
+            raise ValueError(f"{name} must be real and finite")
+    G_fir, A_taps, x, d = (np.asarray(v, dtype=float) for v in arrays.values())
+    if G_fir.ndim != 3 or 0 in G_fir.shape[::2]:
+        raise ValueError(f"G_fir must be 3-D (J, M, L) with J, L >= 1, got shape {G_fir.shape}")
     J, M, L = G_fir.shape
     if A_taps.ndim != 3 or A_taps.shape[0] % 2 != 1 or A_taps.shape[1:] != (M, M):
         raise ValueError(f"A_taps must have shape (2K+1, {M}, {M}), got {A_taps.shape}")
@@ -286,56 +309,62 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len):
     T, R = x.shape
     if d.shape != (T, M):
         raise ValueError(f"d must have shape (T, M) = {(T, M)}, got {d.shape}")
-    if filt_len < 1:
-        raise ValueError(f"filt_len must be >= 1, got {filt_len}")
     I = filt_len
     K = (A_taps.shape[0] - 1) // 2
     B = K + 1
     P = J + 2 * K
+    nb = T // B + 1  # blocks of samples; the last one reaches past T
+    T2 = nb * B
 
     # H(i) = sum_{j=0}^{2K} A(j) G(i - j), i = 0..P-1: window i of the
     # zero-padded G holds G(i - 2K), ..., G(i), matched with A(2K), ..., A(0)
     pad = np.zeros((2 * K, M, L))
     G_win = sliding_window_view(np.concatenate([pad, G_fir, pad]), 2 * K + 1, axis=0)
     H = np.einsum("tmn,inlt->iml", A_taps[::-1], G_win)
-    H_t = H.transpose(1, 2, 0).reshape(M, L * P)  # column (l, j) is H(j)[:, l]
+    Hm = (-mu * H).transpose(1, 2, 0).reshape(M * L, P)  # column j is -mu H(j)
     G_t = G_fir.transpose(0, 2, 1).reshape(J * L, M)  # row (i, l) is G(i)[:, l]
 
     # Time runs backwards in these buffers, so that sample n's lags
     # x(n), x(n-1), ... (and y(n), y(n-1), ...) are one contiguous slice
-    # starting at row b = T-1-n; the trailing zero rows stand for n < 0.
-    x_rev = np.zeros((T + I + P - 1, R))
-    x_rev[:T] = x[::-1]
+    # starting at row b = T2-1-n; the trailing zero rows stand for n < 0 and
+    # the leading ones for n >= T.  The update at n also sits at row b.
+    x_rev = np.zeros((T2 + I + P - 1, R))
+    x_rev[T2 - T:T2] = x[::-1]
     # row q = x_rev[q], ..., x_rev[q+I-1] flattened; rows b..b+P-1 are x(n-i-j)
     x_lags = sliding_window_view(x_rev.reshape(-1), I * R)[::R]
-    # the Hankel window x_lags[b:b+P] for b = 0..T (b = T is the update at
-    # n = -1), as (P, I*R) matrices
-    x_win = sliding_window_view(x_lags, P, axis=0).transpose(0, 2, 1)
-    y_rev = np.zeros((T + J, L))  # one spare row, so that T = 0 has a window
+    # the (P, I*R) Hankel windows x_lags[b:b+P] of the updates at b = 1..T2
+    x_win = sliding_window_view(x_lags[1:], P, axis=0).transpose(0, 2, 1)
+    y_rev = np.zeros((T2 + J - 1, L))
     y_lags = sliding_window_view(y_rev.reshape(-1), J * L)[::L]
-    # e(n) is row T-1-n; the K+1 trailing zero rows are e(-1) .. e(-K-1)
-    e_rev = np.zeros((T + K + 1, M))
-    d_rev = d[::-1]
+    # e(n) is row T2-1-n, d(n) until the block's outputs are added; the
+    # trailing block of zero rows is e(-1) .. e(-K-1)
+    e_rev = np.zeros((T2 + B, M))
+    e_rev[T2 - T:T2] = d[::-1]
+    # Sample block q is rows qB .. qB+K; its updates, at rows qB+1 .. qB+B,
+    # read the errors of block q+1.
+    e_blk = e_rev.reshape(nb + 1, B, M)
+    e_up = e_rev.reshape(nb + 1, B, 1, M)
+    x_blk = x_lags[:T2].reshape(nb, B, I * R, 1)
+    y_blk = y_rev[:T2].reshape(nb, B, L, 1)
+    y_lag_blk = y_lags[:T2].reshape(nb, B, J * L)
 
-    # In b order: steps[k] for k < c is the increment of the update at
-    # b = ub+k, then the filter after it; steps[c] is the filter before
-    # the block's first update (the one at the highest b).
-    steps = np.empty((B + 1, L, I * R))
-    W_t = np.zeros((L, I * R))  # column (i, r) is W(i)[:, r]
-    # W_T follows the last sample's update, hence the block at n0 = T when
-    # B divides T
-    for n0 in range(0, T + 1, B):
-        c = min(B, T + 1 - n0)  # updates n = n0-1 .. n0+c-2
-        ub = T + 1 - n0 - c  # ... at b = ub+c-1 down to ub
-        steps[c] = W_t
-        U = (e_rev[ub + K:ub + K + c] @ H_t).reshape(c, L, P)  # e(n-K) is row b+K
-        np.matmul(U, x_win[ub:ub + c], out=steps[:c])
-        steps[:c] *= -mu
-        np.add.accumulate(steps[c::-1], axis=0, out=steps[c::-1])
-        W_t = steps[0]
-        s = min(c, T - n0)  # samples n0 .. n0+s-1 at b = lo .. hi-1
-        lo, hi = T - n0 - s, T - n0
-        # sample b uses the filter after the update at b+1
-        np.matmul(steps[c - s:c], x_lags[lo:hi, :, None], out=y_rev[lo:hi, :, None])
-        np.add(d_rev[lo:hi], y_lags[lo:hi] @ G_t, out=e_rev[lo:hi])
-    return W_t.reshape(L, I, R).transpose(1, 0, 2).copy(), e_rev[:T][::-1]
+    nc = max(1, min(nb, _FXREF_BYTES // (8 * B * M * L * I * R)))  # blocks per chunk
+    F = np.empty((nc * B, M * L, I * R))
+    F_blk = F.reshape(nc, B, M, L * I * R)
+    # steps[k] for k < B is the increment of the update at row qB+1+k, then
+    # the filter after it; steps[B] is the filter before the block
+    steps = np.zeros((B + 1, L, I * R))  # column (i, r) is W(i)[:, r]
+    incs = steps.reshape(B + 1, 1, L * I * R)
+    for top in range(nb - 1, -1, -nc):
+        lo = max(top + 1 - nc, 0)
+        np.matmul(Hm, x_win[lo * B:(top + 1) * B], out=F[:(top + 1 - lo) * B])
+        for q in range(top, lo - 1, -1):
+            steps[B] = steps[0]
+            np.matmul(e_up[q + 1], F_blk[q - lo], out=incs[:B])
+            np.add.accumulate(steps[::-1], axis=0, out=steps[::-1])
+            # sample row b uses the filter after the update at b+1
+            np.matmul(steps[:B], x_blk[q], out=y_blk[q])
+            np.add(e_blk[q], y_lag_blk[q] @ G_t, out=e_blk[q])
+    # W_T follows the update at n = T-1, row T2-T of the last block
+    W_t = steps[T2 - T - 1]
+    return W_t.reshape(L, I, R).transpose(1, 0, 2).copy(), e_rev[T2 - T:T2][::-1]

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from soundfield import applications as apps
+from soundfield.discrete import Representers, kernel_matrix
+from soundfield.observation import Mics
 from soundfield.wavefuncs import green, plane_wave
 
 from oracles import anc_cost
@@ -80,6 +82,35 @@ def test_region_weighting_grid_refinement():
     W2 = apps.region_weighting(ctrl, region2, cell2, k, reg)
     rel = np.linalg.norm(W1 - W2) / np.linalg.norm(W2)
     assert rel <= 0.01
+
+
+@pytest.mark.parametrize("f", [100.0, 700.0, 900.0])
+def test_region_weighting_equals_the_representer_formula(f):
+    # the real Gram of the representers, as built from the complex
+    # representer matrix: the same bits
+    k = 2 * math.pi * f / 343.0
+    ctrl, _ = apps.square_grid(1.0, 0.2)
+    region, cell = apps.square_grid(1.0, 0.02, midpoint=True)
+    mics = Mics(ctrl)
+    P = np.linalg.inv(kernel_matrix(mics, k).real + 1e-3 * np.eye(len(ctrl)))
+    kap = np.ascontiguousarray(Representers(mics, region).matrix(k).real)
+    W = P.conj().T @ (cell * np.einsum("qm,qn->mn", kap.conj(), kap)) @ P
+    out = apps.region_weighting(ctrl, region, cell, k, 1e-3)
+    assert out.dtype == np.float64
+    assert np.array_equal(out, 0.5 * (W + W.conj().T))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [dict(k=math.nan), dict(k=math.inf), dict(reg=math.nan), dict(reg=-1e-3),
+     dict(reg=math.inf), dict(cell_measure=-1.0), dict(cell_measure=0.0),
+     dict(cell_measure=math.nan), dict(region_pts=np.zeros((0, 3)))],
+)
+def test_region_weighting_rejects_malformed_inputs(change):
+    k, ctrl, region, cell, reg = _weighting_setup(spacing=0.1)
+    args = dict(dict(points=ctrl, region_pts=region, cell_measure=cell, k=k, reg=reg), **change)
+    with pytest.raises(ValueError, match="must"):
+        apps.region_weighting(**args)
 
 
 def test_weighted_norm_equals_field_power(rng):
@@ -347,6 +378,10 @@ def _fir_output(G_fir, W0, x):
         (2, 3, 2, 1, 4 * 12 + 1, True),  # T = 1 (mod K+1)
         (2, 3, 2, 1, 4 * 12 + 3, False),  # T = K (mod K+1)
         (3, 4, 3, 2, 203, True),  # K >= 4, R = 2, W0 != 0
+        (3, 2, 2, 2, 3 * 40 - 1, True),  # T + 1 a multiple of K+1
+        # 171 blocks of 384 bytes of filtered references: a chunk of 170
+        # blocks, then one of a single block
+        (2, 1, 2, 1, 340, False),
     ],
 )
 def test_fxlms_matches_per_tap_reference(J, K, I, R, T, with_W0):
@@ -393,6 +428,20 @@ def test_fxlms_memory_holds_no_filter_per_sample():
     assert peak < 2 * 8 * (T * (2 * M + L + 2 * R) + 4 * (K + 1) * L * I * R)
 
 
+@pytest.mark.parametrize("blocks", [1, 7, None])
+def test_fxlms_independent_of_the_reference_chunk(monkeypatch, blocks):
+    # 134 blocks of K+1 = 3 updates, 8 * 3 * M L I R = 1728 bytes each:
+    # chunks of 1 block, 7 blocks (the last of them 1 block) or the whole run
+    rng = np.random.default_rng(5)
+    J, K, M, L, I, R, T = 3, 2, 4, 3, 3, 2, 400
+    args = (0.3 * rng.normal(size=(J, M, L)), 0.3 * rng.normal(size=(2 * K + 1, M, M)),
+            rng.normal(size=(T, R)), rng.normal(size=(T, M)), 1e-2, I)
+    W, e = apps.fxlms_weighted_run(*args)
+    monkeypatch.setattr(apps, "_FXREF_BYTES", 1728 * blocks if blocks else 1 << 40)
+    W_c, e_c = apps.fxlms_weighted_run(*args)
+    assert np.array_equal(W, W_c) and np.array_equal(e, e_c)
+
+
 def _fxlms_case():
     """Valid arguments: J = 2, K = 1, M = 3, L = 2, I = 2, R = 1, T = 10."""
     rng = np.random.default_rng(4)
@@ -414,6 +463,20 @@ def _fxlms_case():
         (dict(d=np.zeros((10, 2))), "d"),  # not M columns
         (dict(d=np.zeros(10)), "d"),
         (dict(filt_len=0), "filt_len"),
+        (dict(mu=math.nan), "mu"),
+        (dict(mu=math.inf), "mu"),
+        (dict(mu=0.0), "mu"),
+        (dict(mu=-1e-2), "mu"),
+        (dict(mu=1e-2 + 0j), "mu"),
+        (dict(G_fir=np.full((2, 3, 2), 1j)), "G_fir"),
+        (dict(G_fir=np.zeros((0, 3, 2))), "G_fir"),  # J = 0
+        (dict(G_fir=np.zeros((2, 3, 0))), "G_fir"),  # L = 0
+        (dict(A_taps=np.full((3, 3, 3), math.nan)), "A_taps"),
+        (dict(x=np.full((10, 1), math.nan)), "x"),
+        (dict(x=np.ones((10, 1)) + 1j), "x"),
+        (dict(d=np.full((10, 3), math.inf)), "d"),
+        (dict(filt_len=2.5), "filt_len"),
+        (dict(filt_len=True), "filt_len"),
     ],
 )
 def test_fxlms_rejects_malformed_inputs(change, name):

@@ -14,11 +14,12 @@ process, with its own `src` first on the path.  A second child per checkout
 makes seeded library calls whose values no command writes: 4 order-12
 `translate_coeffs`, 4 `rotate_coeffs`, one `translation_matrix` over 64
 displacements at order 7 <- 1, `sph_harm_matrix` to degree 12 at 64
-directions, 3 of them next to a pole, and a 4,000-sample
+directions, 3 of them next to a pole, a 4,000-sample
 `fxlms_weighted_run` on the single-tone geometry of the unit tests (its
-final filter and error history).
+final filter and error history), and `sph_jn_all` and `sph_hn_all` with
+their derivatives at degrees 0-40 and 123 seeded arguments from 0 to 2000.
 
-For each column of each output, and for the values of each of those four
+For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
 largest |change - parent| over the largest |parent| of the column.  The exit
 status is 1 when a command fails or the outputs differ in their header or row
@@ -44,9 +45,9 @@ sys.path.insert(0, sys.argv[1])
 from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
-# Seeded translate_coeffs, rotate_coeffs, translation_matrix and
-# sph_harm_matrix calls and one FxLMS run; prints the repr of each real and
-# imaginary part of their outputs, by function.
+# Seeded translate_coeffs, rotate_coeffs, translation_matrix, sph_harm_matrix,
+# sph_jn_all and sph_hn_all calls and one FxLMS run; prints the repr of each
+# real and imaginary part of their outputs, by function.
 LAYER_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -80,6 +81,15 @@ d_taps = two_tap(wavefuncs.green(mics, np.array([3.0, 0.0, 0.0]), k))
 d = np.outer(x, d_taps[0]) + np.outer(np.concatenate([[0.0], x[:-1]]), d_taps[1])
 out["fxlms"] = np.concatenate([np.ravel(v) for v in apps.fxlms_weighted_run(
     two_tap(apps.transfer_matrix(src, mics, k)), A_taps, x, d, 5e-2, 2)])
+# Bessel tables, degrees 0-40, at 0, next to 0, in [0, 60] and up to 2000.  h_n
+# and h_n' are divided by their own modulus, so that each (n, x) is compared
+# at its own scale and not at that of y_40 next to 0.
+x = np.concatenate([[0.0, 1e-9, 1e-5], rng.uniform(0, 60, 60), 10.0 ** rng.uniform(0, 3.3, 60)])
+out["sph_jn_all"] = np.concatenate([specfun.sph_jn_all(0, x)[0], specfun.sph_jn_all(40, x).ravel(),
+                                    specfun.sph_jn_all(40, x, derivative=True).ravel()])
+with np.errstate(invalid="ignore"):
+    out["sph_hn_all"] = [h / np.abs(h) for h in (specfun.sph_hn_all(40, x),
+                                                 specfun.sph_hn_all(40, x, derivative=True))]
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """

@@ -51,35 +51,71 @@ def degrees_orders(order):
 # ---------------------------------------------------------------------------
 
 # Below this |x|, j_n(x) equals the leading power-series term x^n/(2n+1)!!
-# to double precision: the next term is smaller by x^2 / (4n + 6).
+# to double precision: the next term is smaller by x^2 / (4n + 6).  Likewise
+# sin x rounds to x and cos x to 1 there.
 _SERIES_X = 1e-8
 # Miller's recurrence rescales its values once they pass this magnitude
 # (~1e200; a power of two, so rescaling is exact and every column comes out
 # the same whatever else is in the batch).  A step grows them by at most
 # (2n+1)/|x| <= ~1e11, far inside the headroom.
 _RESCALE = 2.0**664
+# _sincos works in blocks of this many values, so its scratch is at most
+# 64 KB whatever the batch.
+_TRIG_BLOCK = 8192
+
+
+def _sincos(x, s, c=None):
+    """sin x into the row s and, if given, cos x into the row c, at a 1-D x.
+
+    Both come from numpy's tangent, which is vectorised where sin and cos
+    call libm once per value: with t = tan(x/2) (x/2 is exact),
+    ``sin x = 2t / (1 + t^2)`` and ``cos x = sin x / tan x``.  Below
+    _SERIES_X, sin x = x and cos x = 1, which also covers 0/0 at x = 0.
+    """
+    if x.size == 1:  # Python floats, as in _upward; numpy's tan gives the same bits
+        v = float(x[0])
+        t = float(np.tan(v * 0.5))
+        s[0] = sv = v if abs(v) < _SERIES_X else (t + t) / (t * t + 1.0)
+        if c is not None:
+            c[0] = 1.0 if abs(v) < _SERIES_X else sv / float(np.tan(v))
+        return
+    scratch = np.empty(min(x.size, _TRIG_BLOCK)) if c is None else None
+    for i in range(0, x.size, _TRIG_BLOCK):
+        xb, sb = x[i:i + _TRIG_BLOCK], s[i:i + _TRIG_BLOCK]
+        cb = scratch[:xb.size] if c is None else c[i:i + _TRIG_BLOCK]
+        np.tan(np.multiply(xb, 0.5, out=sb), out=sb)
+        np.multiply(sb, sb, out=cb)
+        cb += 1.0
+        sb += sb
+        sb /= cb
+        if c is not None:
+            np.divide(sb, np.tan(xb, out=cb), out=cb)
+        small = np.abs(xb) < _SERIES_X
+        if small.any():
+            np.copyto(sb, xb, where=small)
+            np.copyto(cb, 1.0, where=small)
 
 
 def _j0(x):
-    """j_0(x) = sin(x)/x, equal to 1 at x = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j0 = np.asarray(np.sin(x) / x)
+    """j_0(x) = sin(x)/x at a 1-D x, equal to 1 at x = 0."""
+    j0 = np.empty(x.size)
+    _sincos(x, j0)
+    j0 /= x
     j0[x == 0] = 1.0
     return j0
 
 
-def _upward(f0, f1, x, nmax):
-    """Rows f_0..f_nmax of ``f_{n+1} = (2n+1)/x f_n - f_{n-1}`` at a 1-D x."""
-    rows = np.empty((nmax + 1, x.size))
-    rows[0], rows[1] = f0, f1
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        prev, cur, inv = rows[0], rows[1], 1.0 / x
-        if x.size == 1:  # Python floats: ~10x faster than one-element arrays
-            prev, cur, inv = float(prev[0]), float(cur[0]), float(inv[0])
-        for n in range(1, nmax):
-            prev, cur = cur, (2 * n + 1) * inv * cur - prev
-            rows[n + 1] = cur
-    return rows
+def _upward(rows, x, nmax):
+    """Fill rows[2:nmax+1] by ``f_{n+1} = (2n+1)/x f_n - f_{n-1}`` from rows[0]
+    and rows[1] at a 1-D x."""
+    if nmax < 2:
+        return
+    prev, cur, inv = rows[0], rows[1], 1.0 / x
+    if x.size == 1:  # Python floats: ~10x faster than one-element arrays
+        prev, cur, inv = float(prev[0]), float(cur[0]), float(inv[0])
+    for n in range(1, nmax):
+        prev, cur = cur, (2 * n + 1) * inv * cur - prev
+        rows[n + 1] = cur
 
 
 def _jn_rows(nmax, x):
@@ -87,26 +123,30 @@ def _jn_rows(nmax, x):
 
     For |x| > nmax every order is in the oscillatory region, where the
     upward recurrence from j_0 = sin(x)/x and j_1 = (j_0 - cos x)/x is
-    stable; the columns with |x| <= nmax are redone by Miller's downward
-    recurrence.
+    stable; the columns with |x| <= nmax (and NaN) are redone by Miller's
+    downward recurrence.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        j0 = np.sin(x) / x
-        rows = _upward(j0, (j0 - np.cos(x)) / x, x, nmax)
-    low = np.flatnonzero(~(np.abs(x) > nmax))
+    rows = np.empty((nmax + 1, x.size))
+    j0, j1 = rows[0], rows[1]
+    low = np.flatnonzero(~(np.abs(x, out=j1) > nmax))  # j1 as scratch: no float temporary
+    _sincos(x, j0, j1)
+    j0 /= x
+    np.subtract(j0, j1, out=j1)
+    j1 /= x
+    _upward(rows, x, nmax)
     if low.size:
-        rows[:, low] = _jn_miller(nmax, x[low])
+        rows[:, low] = _jn_miller(nmax, x[low], rows[:2, low])
     return rows
 
 
-def _jn_miller(nmax, x):
+def _jn_miller(nmax, x, seeds):
     """j_0..j_nmax (nmax >= 1) at a 1-D array x with |x| <= nmax.
 
     Miller's downward recurrence (Gautschi 1967) from an order far enough
     above nmax that the start error has decayed below rounding, normalised
-    by whichever of j_0 = sin(x)/x and j_1 = (j_0 - cos x)/x is larger in
-    magnitude, so that neither a zero of j_0 nor the cancellation in j_1 at
-    small x costs accuracy.
+    by whichever of the `seeds` j_0 = sin(x)/x and j_1 = (j_0 - cos x)/x,
+    shape (2, x.size), is larger in magnitude, so that neither a zero of j_0
+    nor the cancellation in j_1 at small x costs accuracy.
     """
     series = np.abs(x) < _SERIES_X
     start = nmax + 20 + int(6.0 * nmax ** (1.0 / 3.0))
@@ -129,8 +169,7 @@ def _jn_miller(nmax, x):
             s = np.where(np.abs(f) > _RESCALE, 1.0 / _RESCALE, 1.0)
             f, f_next = f * s, f_next * s
             rows[n - 1:] *= s
-    j0 = np.sin(xm) * inv
-    j1 = (j0 - np.cos(xm)) * inv
+    j0, j1 = seeds
     by_j0 = np.abs(j0) >= np.abs(j1)
     rows *= np.where(by_j0, j0, j1) / np.where(by_j0, rows[0], rows[1])
     if series.any():
@@ -147,9 +186,14 @@ def _yn_rows(nmax, x):
     The recurrence is stable upward since y_n grows with n.  Where it
     overflows, and at x = 0, the value is -inf.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        y0 = -np.cos(x) / x
-        rows = _upward(y0, (y0 - np.sin(x)) / x, x, nmax)
+    rows = np.empty((nmax + 1, x.size))
+    y0, y1 = rows[0], rows[1]
+    _sincos(x, y1, y0)
+    np.negative(y0, out=y0)
+    y0 /= x
+    np.subtract(y0, y1, out=y1)
+    y1 /= x
+    _upward(rows, x, nmax)
     rows[np.isnan(rows) & ~np.isnan(x)] = -np.inf
     return rows
 
@@ -162,9 +206,8 @@ def _derivative_rows(rows, x, at_zero):
     """
     d = np.empty_like(rows)
     d[0] = -rows[1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        n1 = np.arange(2, len(rows) + 1)[:, None]
-        d[1:] = rows[:-1] - n1 / x * rows[1:]
+    n1 = np.arange(2, len(rows) + 1)[:, None]
+    d[1:] = rows[:-1] - n1 / x * rows[1:]
     zero = x == 0
     if zero.any():
         d[:, zero] = at_zero[:, None]
@@ -172,24 +215,26 @@ def _derivative_rows(rows, x, at_zero):
 
 
 def _bessel_all(kind, nmax, x, derivative=False):
-    """Shared body of :func:`sph_jn_all` and :func:`sph_hn_all`."""
+    """Shared body of :func:`sph_jn_all` and :func:`sph_hn_all`; the one
+    place whose errstate covers 1/0, 0/0 and overflow in the helpers above."""
     x = np.asarray(x, dtype=float)
-    if kind == "j" and nmax == 0 and not derivative:
-        return _j0(x)[None]
     flat = x.ravel()
-    m = max(nmax, 1)
-    j = _jn_rows(m, flat)
-    if derivative:
-        at_zero = np.zeros(m + 1)
-        at_zero[1] = 1.0 / 3.0
-        j = _derivative_rows(j, flat, at_zero)
-    out = j
-    if kind == "h":
-        y = _yn_rows(m, flat)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if kind == "j" and nmax == 0 and not derivative:
+            return _j0(flat).reshape((1,) + x.shape)
+        m = max(nmax, 1)
+        j = _jn_rows(m, flat)
         if derivative:
-            y = _derivative_rows(y, flat, np.full(m + 1, np.inf))
-        out = np.empty(j.shape, dtype=complex)
-        out.real, out.imag = j, y
+            at_zero = np.zeros(m + 1)
+            at_zero[1] = 1.0 / 3.0
+            j = _derivative_rows(j, flat, at_zero)
+        out = j
+        if kind == "h":
+            y = _yn_rows(m, flat)
+            if derivative:
+                y = _derivative_rows(y, flat, np.full(m + 1, np.inf))
+            out = np.empty(j.shape, dtype=complex)
+            out.real, out.imag = j, y
     return out[: nmax + 1].reshape((nmax + 1,) + x.shape)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -88,6 +89,99 @@ def test_hankel_closed_forms():
         e = np.exp(1j * x)
         assert sph_hn(0, x) == pytest.approx(-1j * e / x, rel=1e-13)
         assert sph_hn(1, x) == pytest.approx(-(1 + 1j / x) * e / x, rel=1e-13)
+
+
+def _sincos_samples():
+    """Seeded arguments for the sine and cosine seeds: tiny, [0, 60], up to
+    2000 (the largest k r the CLI accepts), multiples of pi and odd multiples
+    of pi/2 with their float neighbours, each also negated."""
+    rng = np.random.default_rng(2026)
+    k = np.arange(1, 200)
+    near = np.concatenate([[float(j * mpmath.pi) for j in k],
+                           [float((j - 0.5) * mpmath.pi) for j in k],
+                           [float(j * mpmath.pi) for j in (637, 638)]])  # j pi near 2000
+    x = np.concatenate([10.0 ** rng.uniform(-300, -8, 100), rng.uniform(0, 60, 500),
+                        rng.uniform(60, 2000, 300), near, np.nextafter(near, 0),
+                        np.nextafter(near, np.inf), [1e-8, np.nextafter(1e-8, 0), 5e-324]])
+    return np.concatenate([x, -x])
+
+
+def test_sincos_seeds_match_mpmath():
+    # sin x = 2t/(1 + t^2) with t = tan(x/2), cos x = sin x / tan x: within
+    # 4 ulp (relative to 2^-52) of 30-digit values, also next to their zeros
+    x = _sincos_samples()
+    s, c = np.empty_like(x), np.empty_like(x)
+    sf._sincos(x, s, c)
+    s_only = np.empty_like(x)
+    sf._sincos(x, s_only)
+    assert np.array_equal(s_only, s)
+    with mpmath.workdps(30):
+        for xi, si, ci in zip(x, s, c):
+            ref_s, ref_c = mpmath.sin(mpmath.mpf(xi)), mpmath.cos(mpmath.mpf(xi))
+            assert abs(si - ref_s) <= 4 * 2.0**-52 * abs(ref_s), xi
+            assert abs(ci - ref_c) <= 4 * 2.0**-52 * abs(ref_c), xi
+
+
+def test_bessel_at_zero_infinity_and_nan():
+    # x = 0: exact values, -inf for y (y_0 = -cos x / x: +inf at -0.0) and
+    # +inf for y'; x = +-inf: nan for j, -inf for y, nan for the derivatives
+    # but for y_0' = -y_1; nan: nan
+    x = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    nan, inf = np.nan, np.inf
+    j = np.array([[1.0, 1.0, nan, nan, nan]] + [[0.0, 0.0, nan, nan, nan]] * 3)
+    jd = np.array([[0.0, 0.0, nan, nan, nan], [1 / 3, 1 / 3, nan, nan, nan]]
+                  + [[0.0, 0.0, nan, nan, nan]] * 2)
+    y = np.array([[-inf, inf, -inf, -inf, nan]] + [[-inf, -inf, -inf, -inf, nan]] * 3)
+    yd = np.array([[inf, inf, inf, inf, nan]] + [[inf, inf, nan, nan, nan]] * 3)
+    assert np.array_equal(sf.sph_jn_all(0, x), j[:1], equal_nan=True)
+    assert np.array_equal(sf.sph_jn_all(3, x), j, equal_nan=True)
+    assert np.array_equal(sf.sph_jn_all(3, x, derivative=True), jd, equal_nan=True)
+    h = sf.sph_hn_all(3, x)
+    assert np.array_equal(h.real, j, equal_nan=True) and np.array_equal(h.imag, y, equal_nan=True)
+    h = sf.sph_hn_all(3, x, derivative=True)
+    assert np.array_equal(h.real, np.where(np.isnan(yd), nan, jd), equal_nan=True)
+    assert np.array_equal(h.imag, yd, equal_nan=True)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 7, 30])
+def test_bessel_columns_independent_of_the_batch(nmax):
+    # Each column equals the same call on that element alone, bit for bit,
+    # also across the seeds' block boundaries and next to 0 and tiny values
+    # (which switch on Miller's overflow check at high degree)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0, 60, 2 * sf._TRIG_BLOCK + 100)
+    x[rng.choice(x.size, 300, replace=False)] = rng.uniform(0, nmax + 1, 300)
+    edges = [sf._TRIG_BLOCK - 1, sf._TRIG_BLOCK, 2 * sf._TRIG_BLOCK - 1, 2 * sf._TRIG_BLOCK]
+    x[edges] = [0.0, 1e-9, 1e-7, -3.0]
+    x[[5, 6, 7]] = [0.0, 1e-300, 2e-8]
+    cols = edges + [5, 6, 7] + list(rng.choice(x.size, 40, replace=False))
+    for f in (sf.sph_jn_all, sf.sph_hn_all):
+        for derivative in (False, True):
+            batch = f(nmax, x, derivative=derivative)
+            for i in cols:
+                alone = f(nmax, x[i], derivative=derivative)
+                assert np.array_equal(batch[:, i], alone, equal_nan=True), (f, x[i])
+                assert np.array_equal(batch[:, i:i + 1], f(nmax, x[i:i + 1], derivative=derivative),
+                                      equal_nan=True)
+
+
+@pytest.mark.parametrize("nmax", [0, 1])
+def test_bessel_seeds_memory(nmax):
+    # DM-infinite evaluation takes j_0 and j_1 at k |r - r_m| on the default
+    # grid and the 64-mic t = 7 array (266,816 arguments at 400 Hz): the peak
+    # stays within 1.25 times the result, which holds nmax + 1 values a column
+    from soundfield.harness import ball_grid, load_t_design
+    k = 2 * np.pi * 400.0 / 340.65
+    x = k * np.linalg.norm(ball_grid(1.0, 0.1)[:, None] - load_t_design(7)[None], axis=-1)
+    assert x.size == 266816
+    tracemalloc.start()
+    try:
+        out = sf.sph_jn_all(nmax, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.nbytes == (nmax + 1) * 8 * x.size
+    assert peak <= 1.25 * out.nbytes, peak / out.nbytes
 
 
 # ---------------------------------------------------------------------------

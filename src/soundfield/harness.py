@@ -44,12 +44,17 @@ NMSE_FLOOR_DB = -300.0
 ESTIMATORS = ("BM-omni", "BM-first", "BM-rigid", "DM-finite", "DM-infinite")
 SOUND_SPEED = 340.65  # m/s, the default c of every config and of `forbidden --c`
 
-# Evaluation walks its points in blocks whose per-point arrays, about
-# max((order+1)^2, M, trials) complex values per point (see
-# Estimator.block_rows), take at most this many bytes; every array whose
-# size a config sets is held to it too (see _check_fit_sizes,
-# wpm_experiment and anc_experiment).
+# The memory budget: every array whose size a config sets is held to this
+# many bytes (see _check_fit_sizes, wpm_experiment and anc_experiment), and
+# an evaluation block's arrays, about max((order+1)^2, M, trials) complex
+# values per point, and an expansion's radial tables with their Bessel
+# evaluation are too (see Estimator.block_rows and Estimator.evaluate).
 BLOCK_BYTES = 32 * 2**20
+# Evaluation walks its points in blocks whose widest real per-point array,
+# the (order+1)^2 harmonic rows or the M mic distances, takes about this
+# many bytes, so that a block's arrays stay in a core's L2 cache across the
+# frequencies (512 points at order 7 or at 64 mics).
+_CACHE_BYTES = 256 * 2**10
 # Bytes of one complex value, the unit of the block budget.
 _VALUE_BYTES = 16
 # The largest mic signal power times the noise's 10^(-snr_db/10): 1e28 below
@@ -624,9 +629,8 @@ class Estimator:
     It keeps only what depends on neither frequency, trial nor point: for BM
     its `analysis` matrix; for BM and DM-finite the
     `order` and `origin` of the expansion (`order` is None for DM-infinite).
-    :func:`prepare_estimator` fits it at one frequency, :meth:`at` gives what
-    a block of points needs at every frequency and :meth:`evaluate` the
-    estimates there.
+    :func:`prepare_estimator` fits it at one frequency and :meth:`evaluate`
+    gives the estimates of the fits at a set of points, block by block.
     """
 
     def __init__(self, cfg):
@@ -643,49 +647,93 @@ class Estimator:
     def block_rows(self, trials):
         """Points per block for `trials` columns of estimates.
 
-        A point takes (order+1)^2 real harmonic rows and their scaled copy,
-        or for DM-infinite the real (Q, M) arrays of its Bessel evaluation:
-        about four, eight for directional mics, so 2 M or 4 M complex values.
+        A block holds _CACHE_BYTES of a point's widest real array: its
+        (order+1)^2 harmonic rows, or for DM-infinite its M mic distances.
+        Where it gives fewer points, the budget rule sets the block instead:
+        BLOCK_BYTES at max(w, M, trials) complex values per point, with w
+        (order+1)^2 (the rows and their scaled copy) or for DM-infinite 2 M,
+        4 M for directional mics (the real (Q, M) arrays of its Bessel
+        evaluation).  So 32768 trials at order 7 take blocks of 64 points.
         """
         mics = self.cfg.array.mics
         if self.order is None:
+            real = len(mics)
             width = len(mics) * (4 if mics.b.any() else 2)
         else:
-            width = num_coeffs(self.order)
-        return _block_rows(max(width, len(mics), trials))
+            real = width = num_coeffs(self.order)
+        return min(max(1, _CACHE_BYTES // (8 * real)),
+                   _block_rows(max(width, len(mics), trials)))
 
     def at(self, pts):
-        """What evaluation at the points `pts` (Q, 3) needs at every k.
-
-        For DM-infinite the mics' :class:`Representers` there; otherwise the
-        distinct radii of the points about `origin`, the index of each
-        point's radius among them, and the :func:`harmonic_rows` of their
-        directions (at the origin the zero vector's; j_nu(0) = 0 for nu > 0).
-        """
+        """What a block of points `pts` (Q, 3) needs at every k: for
+        DM-infinite the mics' :class:`Representers` there; otherwise the
+        :func:`harmonic_rows` of the points' directions about `origin` (at
+        the origin the zero vector's; j_nu(0) = 0 for nu > 0)."""
         if self.order is None:
             return Representers(self.cfg.array.mics, pts)
         rel = pts - self.origin
         rad = np.linalg.norm(rel, axis=1)
-        radii, inverse = np.unique(rad, return_inverse=True)
-        return radii, inverse, harmonic_rows(self.order, rel / np.where(rad > 0, rad, 1.0)[:, None])
+        return harmonic_rows(self.order, rel / np.where(rad > 0, rad, 1.0)[:, None])
 
-    def evaluate(self, at, k, weights):
-        """The estimates (T, Q) at the points of `at` from the weights
-        (., T) that :func:`prepare_estimator` fitted at k.
+    def evaluate(self, pts, ks, weights, rows):
+        """Yield the estimates at the points `pts` (Q, 3) from the weights
+        `weights[i]` (., T) that :func:`prepare_estimator` fitted at
+        `ks[i]`, in blocks of `rows` points and, within a block, k by k:
+        ``(block, i, out)`` with `block` the slice of `pts` and `out` the
+        real (2T, Q_b) estimates, rows :T the real and T: the imaginary
+        parts (see :func:`_complex`).
 
-        An expansion is summed in real arithmetic: the rows of each degree nu
-        times ``j_nu(k r)`` on the distinct radii, by :func:`_row_weights`.
+        Everything is real arithmetic, and a block's :meth:`at` is computed
+        once for all k.  An expansion's ``j_nu(k r)`` come from radial
+        tables of at most BLOCK_BYTES / 4: one :func:`sph_jn_all` call on
+        the distinct radii about `origin` of a span of blocks, at every k
+        and as many blocks as fit (all of `pts` on the grids of
+        `configs/`), or, where one block at every k does not fit, of one
+        block at as many k as fit.  At each k each degree nu's rows times its
+        ``j_nu(k r)``, gathered at the block's radii, go through one real
+        ``(2T, n) @ (n, Q_b)`` product with the stacked weights of
+        :func:`_row_weights`.  DM-infinite evaluates its representers by
+        :func:`_kernel_estimates`.
         """
         if self.order is None:
-            return _kernel_estimates(at, k, weights)
-        radii, inverse, rows = at
-        radial = sph_jn_all(self.order, k * radii)[:, inverse]
-        scaled = np.empty_like(rows)
-        for n in range(self.order + 1):
-            np.multiply(rows[n * n:(n + 1) ** 2], radial[n], out=scaled[n * n:(n + 1) ** 2])
-        w = _row_weights(self.order, weights)
-        out = np.concatenate([w.real.T, w.imag.T]) @ scaled
-        return out[:w.shape[1]] + 1j * out[w.shape[1]:]
+            stacked = [_kernel_weights(w) for w in weights]
+        else:
+            stacked = []
+            for w in weights:
+                w = _row_weights(self.order, w)
+                stacked.append(np.concatenate([w.real.T, w.imag.T]))
+            # A table and the working arrays of its sph_jn_all call, about
+            # three times its size, stay within BLOCK_BYTES.
+            table, per_k = BLOCK_BYTES // 4, 8 * (self.order + 1) * rows
+            chunk = min(len(ks), max(1, table // per_k))
+            span = rows * max(1, table // (per_k * len(ks)))  # rows if chunk < len(ks)
+        for start in range(0, len(pts), rows):
+            block = slice(start, start + rows)
+            at = self.at(pts[block])
+            for i, k in enumerate(ks):
+                if self.order is None:
+                    out = _kernel_estimates(at, k, stacked[i])
+                else:
+                    if start % span == 0 and i % chunk == 0:
+                        radii, inverse = np.unique(
+                            np.linalg.norm(pts[start:start + span] - self.origin, axis=1),
+                            return_inverse=True)
+                        radial = sph_jn_all(self.order, np.multiply.outer(ks[i:i + chunk], radii))
+                    offset = start % span
+                    out = _expansion_estimates(
+                        at, radial[:, i % chunk, inverse[offset:offset + rows]], stacked[i])
+                yield block, i, out
+            del at  # before the next block's is built
+
+
+def _expansion_estimates(rows, j, stacked):
+    """An expansion's real (2T, Q) of :meth:`Estimator.evaluate`: the
+    :func:`harmonic_rows` (n, Q) of each degree nu times its ``j_nu(k r)``,
+    the row j[nu] (Q,), by the stacked :func:`_row_weights` (2T, n)."""
+    scaled = np.empty_like(rows)
+    for n in range(len(j)):
+        np.multiply(rows[n * n:(n + 1) ** 2], j[n], out=scaled[n * n:(n + 1) ** 2])
+    return stacked @ scaled
 
 
 def _row_weights(order, weights):
@@ -699,23 +747,29 @@ def _row_weights(order, weights):
     return own[:, None] * w + mirror[:, None] * w[nu * nu + nu - mu]
 
 
-def _kernel_estimates(rep, k, alpha):
-    """``(V @ alpha).T`` for the representers ``V = rep.matrix(k)``, (T, Q).
+def _kernel_weights(alpha):
+    """The stacked real weights (2T, M) of the kernel weights alpha (M, T)
+    that multiply ``a j0`` and, for directional mics, ``j1 proj``."""
+    return (np.concatenate([alpha.real.T, alpha.imag.T]),
+            np.concatenate([alpha.imag.T, -alpha.real.T]))
+
+
+def _kernel_estimates(rep, k, stacked):
+    """``(V @ alpha).T`` for the representers ``V = rep.matrix(k)``, as the
+    real (2T, Q) of :meth:`Estimator.evaluate`, from the
+    :func:`_kernel_weights` of alpha.
 
     V is not formed: its real part ``a j0`` and, for directional mics, its
-    imaginary part ``-j1 proj`` each multiply the stacked real and imaginary
-    parts of alpha in a real matrix product.
+    imaginary part ``-j1 proj`` each multiply their stacked weights in a
+    real matrix product.
     """
     j = sph_jn_all(0 if rep.proj is None else 1, k * rep.rad)
     j[0] *= rep.a
-    trials = alpha.shape[1]
-    out = np.concatenate([alpha.real.T, alpha.imag.T]) @ j[0].T
+    out = stacked[0] @ j[0].T
     if rep.proj is not None:
         j[1] *= rep.proj
-        out += np.concatenate([alpha.imag.T, -alpha.real.T]) @ j[1].T
-    est = np.empty((trials, out.shape[1]), dtype=complex)
-    est.real, est.imag = out[:trials], out[trials:]
-    return est
+        out += stacked[1] @ j[1].T
+    return out
 
 
 def prepare_estimator(est, k):
@@ -757,7 +811,17 @@ def estimate_field(cfg, signals, k, pts):
     """The configured estimator's values at `pts` (Q, 3) from one signal vector."""
     est = Estimator(cfg)
     weights = prepare_estimator(est, k)(np.asarray(signals)[:, None])
-    return est.evaluate(est.at(pts), k, weights)[0]
+    return np.concatenate([_complex(out)[0] for _, _, out in
+                           est.evaluate(pts, [k], [weights], est.block_rows(1))])
+
+
+def _complex(out):
+    """The complex estimates (T, Q) of a real (2T, Q) block of
+    :meth:`Estimator.evaluate`."""
+    trials = len(out) // 2
+    vals = np.empty((trials, out.shape[1]), dtype=complex)
+    vals.real, vals.imag = out[:trials], out[trials:]
+    return vals
 
 
 # ---------------------------------------------------------------------------
@@ -830,11 +894,14 @@ def run_sweep(cfg):
 
     The unit noise of every trial (see :func:`_noise`) is drawn once, and
     every frequency is fitted first (see :func:`_fit`), all trials as one
-    block.  The grid is then walked in blocks of
-    :meth:`Estimator.block_rows` points: what a block needs at every
-    frequency (:meth:`Estimator.at`) is computed once, and its estimates and
-    truth at each frequency add to each (frequency, trial)'s NMSE numerator
-    and denominator.
+    block.  :meth:`Estimator.evaluate` then walks the grid in blocks of
+    :meth:`Estimator.block_rows` points, small enough to stay in cache
+    across the frequencies, and computes an expansion's radial functions
+    once per span of blocks (the whole grid when their table fits the
+    budget).  Each block's real estimates and truth at each frequency add
+    to each (frequency, trial)'s NMSE numerator and denominator, in real
+    arithmetic: the squares of the real and imaginary parts of the error
+    and of the truth.
     """
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
     ks = cfg.wavenumbers
@@ -844,18 +911,16 @@ def run_sweep(cfg):
     trials = range(cfg.trials)
     noise = _noise(cfg, trials)
     weights = [_fit(est, k, noise) for k in ks]
-    num = np.zeros((len(ks), cfg.trials))
+    T = cfg.trials
+    num = np.zeros((len(ks), T))
     den = np.zeros(len(ks))
-    rows = est.block_rows(cfg.trials)
-    for start in range(0, len(grid), rows):
-        pts = grid[start:start + rows]
-        at = est.at(pts)
-        for i, k in enumerate(ks):
-            truth_vals = _truth_eval(cfg.field_spec, pts, k)
-            err = est.evaluate(at, k, weights[i]) - truth_vals
-            num[i] += np.sum(np.abs(err) ** 2, axis=1)
-            den[i] += np.sum(np.abs(truth_vals) ** 2)
-        del at  # before the next block's are built
+    for block, i, out in est.evaluate(grid, ks, weights, est.block_rows(T)):
+        truth = _truth_eval(cfg.field_spec, grid[block], ks[i])
+        out[:T] -= truth.real
+        out[T:] -= truth.imag
+        out *= out
+        num[i] += np.sum(out[:T], axis=1) + np.sum(out[T:], axis=1)
+        den[i] += np.sum(truth.real * truth.real) + np.sum(truth.imag * truth.imag)
     records = []
     for i, f in enumerate(cfg.frequencies):
         A = _bm_response(cfg, ks[i])
@@ -946,6 +1011,7 @@ def dump_field(cfg, frequency, out, plane, extent, spacing, offset, include_esti
         est = Estimator(cfg)
         weights = _fit(est, k, _noise(cfg, [trial]))
         rows = min(rows, est.block_rows(1))
+        estimates = est.evaluate(pts, [k], [weights], rows)
     pad = [] if include_estimate else ["", "", ""]
     out.write("x,y,z,re_true,im_true,re_est,im_est,norm_err\n")
     for start in range(0, len(pts), rows):
@@ -953,8 +1019,8 @@ def dump_field(cfg, frequency, out, plane, extent, spacing, offset, include_esti
         p, truth = pts[block], truth_vals[block]
         cols = [p[:, 0], p[:, 1], p[:, 2], truth.real, truth.imag]
         if include_estimate:
-            est_vals = est.evaluate(est.at(p), k, weights)[0]
-            cols += [est_vals.real, est_vals.imag, np.abs(est_vals - truth) ** 2 / mean_pow]
+            vals = _complex(next(estimates)[2])[0]
+            cols += [vals.real, vals.imag, np.abs(vals - truth) ** 2 / mean_pow]
         out.write(_csv_rows([_fmt(x) for x in row] + pad
                             for row in zip(*(c.tolist() for c in cols))))
 

@@ -118,25 +118,28 @@ def _upward(rows, x, nmax):
         rows[n + 1] = cur
 
 
-def _jn_rows(nmax, x):
-    """j_0..j_nmax (nmax >= 1) at a 1-D array x; shape (nmax + 1, x.size).
+def _jn_rows(rows, x, y=None):
+    """j_0..j_nmax (nmax >= 1) at a 1-D array x into `rows`, shape
+    (nmax + 1, x.size), and y_0..y_nmax into `y` if given, from one sine
+    and cosine of x.
 
     For |x| > nmax every order is in the oscillatory region, where the
     upward recurrence from j_0 = sin(x)/x and j_1 = (j_0 - cos x)/x is
     stable; the columns with |x| <= nmax (and NaN) are redone by Miller's
     downward recurrence.
     """
-    rows = np.empty((nmax + 1, x.size))
+    nmax = len(rows) - 1
     j0, j1 = rows[0], rows[1]
     low = np.flatnonzero(~(np.abs(x, out=j1) > nmax))  # j1 as scratch: no float temporary
     _sincos(x, j0, j1)
+    if y is not None:  # while j0 still holds sin x
+        _yn_rows(y, x, j0, j1)
     j0 /= x
     np.subtract(j0, j1, out=j1)
     j1 /= x
     _upward(rows, x, nmax)
     if low.size:
         rows[:, low] = _jn_miller(nmax, x[low], rows[:2, low])
-    return rows
 
 
 def _jn_miller(nmax, x, seeds):
@@ -180,22 +183,21 @@ def _jn_miller(nmax, x, seeds):
     return rows
 
 
-def _yn_rows(nmax, x):
-    """y_0..y_nmax (nmax >= 1) at a 1-D array x by upward recurrence.
+def _yn_rows(rows, x, s, c):
+    """y_0..y_nmax (nmax >= 1) at a 1-D array x into `rows`, shape
+    (nmax + 1, x.size), by upward recurrence from sin x and cos x in the
+    rows s and c.
 
     The recurrence is stable upward since y_n grows with n.  Where it
     overflows, and at x = 0, the value is -inf.
     """
-    rows = np.empty((nmax + 1, x.size))
     y0, y1 = rows[0], rows[1]
-    _sincos(x, y1, y0)
-    np.negative(y0, out=y0)
+    np.negative(c, out=y0)
     y0 /= x
-    np.subtract(y0, y1, out=y1)
+    np.subtract(y0, s, out=y1)
     y1 /= x
-    _upward(rows, x, nmax)
+    _upward(rows, x, len(rows) - 1)
     rows[np.isnan(rows) & ~np.isnan(x)] = -np.inf
-    return rows
 
 
 def _derivative_rows(rows, x, at_zero):
@@ -216,21 +218,24 @@ def _derivative_rows(rows, x, at_zero):
 
 def _bessel_all(kind, nmax, x, derivative=False):
     """Shared body of :func:`sph_jn_all` and :func:`sph_hn_all`; the one
-    place whose errstate covers 1/0, 0/0 and overflow in the helpers above."""
+    place whose errstate covers 1/0, 0/0 and overflow in the helpers above.
+    It owns the rows of j_n and, for h_n, of y_n, which :func:`_jn_rows`
+    fills from one :func:`_sincos` call."""
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if kind == "j" and nmax == 0 and not derivative:
             return _j0(flat).reshape((1,) + x.shape)
         m = max(nmax, 1)
-        j = _jn_rows(m, flat)
+        j = np.empty((m + 1, flat.size))
+        y = np.empty_like(j) if kind == "h" else None
+        _jn_rows(j, flat, y)
         if derivative:
             at_zero = np.zeros(m + 1)
             at_zero[1] = 1.0 / 3.0
             j = _derivative_rows(j, flat, at_zero)
         out = j
         if kind == "h":
-            y = _yn_rows(m, flat)
             if derivative:
                 y = _derivative_rows(y, flat, np.full(m + 1, np.inf))
             out = np.empty(j.shape, dtype=complex)

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 import weakref
 from pathlib import Path
@@ -290,28 +291,19 @@ def test_sweep_matches_per_trial_reference(estimator, kind, field):
 
 
 def _grid_harmonics_count(monkeypatch, cfg):
-    """Calls of harmonic_rows on at least as many directions as the grid has points."""
-    grid_size = len(ball_grid(cfg.eval_radius, cfg.eval_spacing))
-    orig = specfun.harmonic_rows
-    calls = []
-
-    def counting(order, dirs):
-        if np.size(dirs) // 3 >= grid_size:
-            calls.append(order)
-        return orig(order, dirs)
-
-    for mod in [m for name, m in sys.modules.items() if name.startswith("soundfield")]:
-        if getattr(mod, "harmonic_rows", None) is orig:
-            monkeypatch.setattr(mod, "harmonic_rows", counting)
+    """The directions of the harmonic_rows calls on blocks of grid points,
+    summed over a sweep."""
+    sizes = _count_grid_harmonics(monkeypatch)
     run_sweep(cfg)
     monkeypatch.undo()
-    return len(calls)
+    return sum(sizes)
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_grid_harmonics_once_per_sweep(monkeypatch, estimator):
-    # The grid (about 500 points) outnumbers the mic pairs (12 x 12), so only
-    # harmonics of grid points are counted.  DM-infinite's closed-form
+    # The grid (515 points, two blocks at order 7) takes its harmonics block
+    # by block, each direction once whatever the number of frequencies; the
+    # mics' own harmonics are not counted.  DM-infinite's closed-form
     # representers need none at all.
     array = {"type": "spherical", "t": 5, "radius": 0.5}
     if estimator.startswith("DM-"):
@@ -323,9 +315,16 @@ def test_grid_harmonics_once_per_sweep(monkeypatch, estimator):
             eval_grid={"radius": 0.5, "spacing": 0.1},
         ))
 
+    grid_size = len(ball_grid(0.5, 0.1))
     once = _grid_harmonics_count(monkeypatch, cfg([200.0]))
-    assert once == 0 if estimator == "DM-infinite" else once > 0
+    assert once == (0 if estimator == "DM-infinite" else grid_size)
     assert _grid_harmonics_count(monkeypatch, cfg([100.0, 200.0, 300.0, 400.0])) == once
+
+
+def _estimates(est, pts, k, weights):
+    """The complex estimates (T, Q) that est.evaluate gives at one k."""
+    blocks = est.evaluate(pts, [k], [weights], est.block_rows(weights.shape[1]))
+    return np.concatenate([harness._complex(out) for _, _, out in blocks], axis=1)
 
 
 @pytest.mark.parametrize("order", [0, 1, 7, 12])
@@ -343,7 +342,7 @@ def test_evaluate_matches_regular_swf_matrix(rng, order, trials, estimator, orig
     n, k = (order + 1) ** 2, 3.7
     weights = rng.normal(size=(n, trials)) + 1j * rng.normal(size=(n, trials))
     ref = (regular_swf_matrix(order, pts - origin, k) @ weights).T
-    assert np.max(np.abs(est.evaluate(est.at(pts), k, weights) - ref)) <= 1e-13 * np.max(
+    assert np.max(np.abs(_estimates(est, pts, k, weights) - ref)) <= 1e-13 * np.max(
         np.abs(ref))
 
 
@@ -376,7 +375,7 @@ def test_estimator_freed_without_gc(estimator):
     try:
         est = Estimator(cfg)
         weights = prepare_estimator(est, 2.0)(np.ones((12, 1)))
-        est.evaluate(est.at(ball_grid(0.5, 0.25)), 2.0, weights)
+        _estimates(est, ball_grid(0.5, 0.25), 2.0, weights)
         ref = weakref.ref(est)
         del est
         assert ref() is None
@@ -384,20 +383,28 @@ def test_estimator_freed_without_gc(estimator):
         gc.enable()
 
 
-def _count_grid_harmonics(monkeypatch, mics):
-    """Record the number of directions of each harmonic_rows call on more
-    directions than there are mics: those on blocks of grid points."""
-    orig = specfun.harmonic_rows
-    sizes = []
+def _count_grid_harmonics(monkeypatch):
+    """Record the number of directions of each harmonic_rows call made by
+    Estimator.at: those on blocks of points, not on the mics."""
+    orig, orig_at = specfun.harmonic_rows, harness.Estimator.at
+    inside, sizes = [False], []
 
     def counting(order, dirs):
-        if np.size(dirs) // 3 > mics:
+        if inside[0]:
             sizes.append(np.size(dirs) // 3)
         return orig(order, dirs)
+
+    def at(self, pts):
+        inside[0] = True
+        try:
+            return orig_at(self, pts)
+        finally:
+            inside[0] = False
 
     for mod in [m for name, m in sys.modules.items() if name.startswith("soundfield")]:
         if getattr(mod, "harmonic_rows", None) is orig:
             monkeypatch.setattr(mod, "harmonic_rows", counting)
+    monkeypatch.setattr(harness.Estimator, "at", at)
     return sizes
 
 
@@ -414,40 +421,170 @@ def _count_blocks(monkeypatch):
     return sizes
 
 
+# A cache budget of 100 points per block at 12 mics (DM-infinite), 18 at
+# (7 + 1)^2 = 64 harmonic rows
+SMALL_CACHE = 8 * 12 * 100
 # 100 points per block at 64 complex values per point ((7 + 1)^2 harmonics)
 SMALL_BUDGET = 16 * 64 * 100
 
 
-def _blocked_config(estimator):
+def _blocked_config(estimator, frequencies=(150.0, 300.0, 420.0)):
     array = {"type": "spherical", "t": 5, "radius": 0.5}
     if estimator.startswith("DM-"):
         array["kind"] = "first_order"
     return ScenarioConfig.from_dict(_base_config(
-        estimator=estimator, frequencies=[150.0, 300.0, 420.0], trials=3, array=array,
+        estimator=estimator, frequencies=list(frequencies), trials=3, array=array,
         eval_grid={"radius": 0.5, "spacing": 0.1}, origin=[0.05, -0.02, 0.03],
         field=FIELDS["point_source"]))
 
 
-@pytest.mark.parametrize("estimator", ESTIMATORS)
-def test_sweep_in_blocks_matches_one_block(monkeypatch, estimator):
-    # splitting the grid changes only the summation order of the NMSE sums;
-    # each block's harmonics are computed once for all frequencies
-    cfg = _blocked_config(estimator)
-    one = run_sweep(cfg)
-    monkeypatch.setattr(harness, "BLOCK_BYTES", SMALL_BUDGET)
-    blocks = _count_blocks(monkeypatch)
-    harmonics = _count_grid_harmonics(monkeypatch, len(cfg.array.mics))
-    split = run_sweep(cfg)
-    grid_size = len(ball_grid(cfg.eval_radius, cfg.eval_spacing))
-    assert len(blocks) >= 3 and sum(blocks) == grid_size
-    assert harmonics == ([] if estimator == "DM-infinite" else blocks)
-    assert len(split) == len(one) == 9
+def _assert_same_records(one, split):
+    assert len(split) == len(one)
     for a, b in zip(one, split):
         assert (a.frequency, a.trial) == (b.frequency, b.trial)
         assert abs(a.nmse_db - b.nmse_db) <= 1e-12
         assert abs(a.nmse_mean_db - b.nmse_mean_db) <= 1e-12
         assert a.min_radial_response == b.min_radial_response or math.isnan(
             a.min_radial_response)
+
+
+def _check_sweep_in_blocks(monkeypatch, estimator, constant, small):
+    """Split the grid by setting the block constant `constant` to `small`:
+    that changes only the summation order of the NMSE sums, and each block's
+    harmonics are computed once for all frequencies."""
+    cfg = _blocked_config(estimator)
+    monkeypatch.setattr(harness, "_CACHE_BYTES", harness.BLOCK_BYTES)
+    one = run_sweep(cfg)
+    monkeypatch.undo()
+    monkeypatch.setattr(harness, constant, small)
+    blocks = _count_blocks(monkeypatch)
+    harmonics = _count_grid_harmonics(monkeypatch)
+    split = run_sweep(cfg)
+    grid_size = len(ball_grid(cfg.eval_radius, cfg.eval_spacing))
+    assert len(blocks) >= 3 and sum(blocks) == grid_size
+    assert harmonics == ([] if estimator == "DM-infinite" else blocks)
+    assert len(one) == 9
+    _assert_same_records(one, split)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_sweep_in_blocks_matches_one_block(monkeypatch, estimator):
+    _check_sweep_in_blocks(monkeypatch, estimator, "_CACHE_BYTES", SMALL_CACHE)
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_sweep_in_budget_blocks_matches_one_block(monkeypatch, estimator):
+    # the budget rule splits the grid with the cache rule at its default: the
+    # rule that keeps 32768-trial sweeps at 64-point blocks
+    _check_sweep_in_blocks(monkeypatch, estimator, "BLOCK_BYTES", SMALL_BUDGET)
+
+
+@pytest.mark.parametrize("estimator, array", [
+    ("BM-omni", {"type": "spherical", "t": 7, "radius": 1.0}),
+    ("DM-infinite", {"type": "spherical", "t": 7, "radius": 1.0, "kind": "first_order"}),
+])
+def test_sweep_memory_is_bounded_by_the_block(estimator, array):
+    # On the default grid (4169 points) a sweep's peak is a few of a block's
+    # per-point arrays and a few grid-sized coordinate arrays: less than
+    # one grid-wide array of the (7+1)^2 harmonic rows or the 64 mic distances
+    cfg = ScenarioConfig.from_dict(_base_config(
+        estimator=estimator, order=7, trials=10, array=array, frequencies=[200.0, 400.0],
+        eval_grid={"radius": 1.0, "spacing": 0.1}))
+    grid = ball_grid(1.0, 0.1)
+    bound = 6 * harness._CACHE_BYTES + 3 * grid.nbytes
+    assert len(cfg.array.mics) == 64 and bound < 8 * 64 * len(grid)
+    run_sweep(cfg)  # cached responses and tables
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak / bound
+
+
+def test_off_centre_sweep_memory_holds_radial_tables_to_the_budget(monkeypatch):
+    # About an off-centre origin nearly every point of the default grid has
+    # its own radius, so one radial table of the whole grid at 20 frequencies
+    # would outgrow the (here 1 MB) budget; the tables and their Bessel
+    # evaluation are held to it
+    monkeypatch.setattr(harness, "BLOCK_BYTES", 2**20)
+    origin = [0.0123, -0.0371, 0.0257]
+    cfg = ScenarioConfig.from_dict(_base_config(
+        estimator="DM-finite", order_n0=7, trials=10, origin=origin,
+        array={"type": "spherical", "t": 7, "radius": 1.0},
+        frequencies=list(np.linspace(100.0, 500.0, 20)),
+        eval_grid={"radius": 1.0, "spacing": 0.1}))
+    grid = ball_grid(1.0, 0.1)
+    whole = 8 * 8 * 20 * len(np.unique(np.linalg.norm(grid - origin, axis=1)))
+    bound = harness.BLOCK_BYTES + 6 * harness._CACHE_BYTES + 3 * grid.nbytes
+    assert bound < whole
+    run_sweep(cfg)  # cached responses and tables
+    tracemalloc.start()
+    try:
+        run_sweep(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak / bound
+
+
+def _count_radial_tables(monkeypatch):
+    """Record the degree and the arguments of each sph_jn_all call the
+    harness makes."""
+    orig, args = harness.sph_jn_all, []
+
+    def counting(nmax, x, *rest):
+        args.append((nmax, np.array(x)))
+        return orig(nmax, x, *rest)
+
+    monkeypatch.setattr(harness, "sph_jn_all", counting)
+    return args
+
+
+# A table of (7 + 1) degrees takes 8 * 8 bytes per radius and k.  With
+# blocks of 18 points (SMALL_CACHE) at 20 k, a quarter of the budget holds
+# the tables of 4 blocks; with blocks of 100 points (SMALL_BUDGET) it holds
+# one block's at 4 of the k.
+@pytest.mark.parametrize("cache, budget, k_per_table", [
+    (SMALL_CACHE, 4 * 4 * 64 * 20 * 18, {20}),
+    (None, SMALL_BUDGET, {4}),
+], ids=["spans", "chunks"])
+@pytest.mark.parametrize("estimator", ESTIMATORS[:4])
+def test_radial_tables_stay_within_the_budget(monkeypatch, estimator, cache, budget,
+                                              k_per_table):
+    cfg = _blocked_config(estimator, np.linspace(100.0, 420.0, 20))
+    one = run_sweep(cfg)
+    if cache:
+        monkeypatch.setattr(harness, "_CACHE_BYTES", cache)
+    monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+    args = _count_radial_tables(monkeypatch)
+    harmonics = _count_grid_harmonics(monkeypatch)
+    split = run_sweep(cfg)
+    assert len(args) >= 3
+    assert max(8 * (nmax + 1) * x.size for nmax, x in args) <= budget // 4
+    assert {len(x) for _, x in args} == k_per_table
+    assert sum(harmonics) == len(ball_grid(0.5, 0.1))
+    _assert_same_records(one, split)
+
+
+@pytest.mark.parametrize("frequencies", [[300.0], [100.0, 200.0, 300.0, 420.0]])
+@pytest.mark.parametrize("estimator", ESTIMATORS[:4])
+def test_expansion_sweep_takes_one_radial_bessel_call(monkeypatch, estimator, frequencies):
+    # j_nu(k r) on the grid's distinct radii about the origin, at every
+    # frequency in one call, however many blocks the grid takes, when that
+    # table fits the budget
+    cfg = _blocked_config(estimator, frequencies)
+    origin = np.zeros(3) if estimator.startswith("BM-") else cfg.origin
+    radii = np.unique(np.linalg.norm(ball_grid(0.5, 0.1) - origin, axis=1))
+    args = _count_radial_tables(monkeypatch)
+    monkeypatch.setattr(harness, "_CACHE_BYTES", SMALL_CACHE)
+    blocks = _count_blocks(monkeypatch)
+    run_sweep(cfg)
+    assert len(blocks) >= 3
+    (nmax, x), = args
+    assert nmax == (cfg.order if estimator.startswith("BM-") else cfg.order_n0)
+    assert np.array_equal(x, np.multiply.outer(cfg.wavenumbers, radii))
 
 
 # ---------------------------------------------------------------------------
@@ -490,11 +627,12 @@ def test_dump_field_truth_only_empty_est_columns():
 def test_dump_field_in_blocks_matches_one_block(monkeypatch, estimator):
     cfg = _blocked_config(estimator)
     kwargs = {"plane": "xz", "extent": 1.0, "spacing": 0.1, "offset": 0.05}
+    monkeypatch.setattr(harness, "_CACHE_BYTES", harness.BLOCK_BYTES)
     one = np.array([ln.split(",") for ln in _dump(cfg, 300.0, **kwargs).splitlines()[1:]],
                    dtype=float)
-    monkeypatch.setattr(harness, "BLOCK_BYTES", SMALL_BUDGET // 4)
+    monkeypatch.setattr(harness, "_CACHE_BYTES", SMALL_CACHE // 4)
     blocks = _count_blocks(monkeypatch)
-    harmonics = _count_grid_harmonics(monkeypatch, len(cfg.array.mics))
+    harmonics = _count_grid_harmonics(monkeypatch)
     text = _dump(cfg, 300.0, **kwargs)
     split = np.array([ln.split(",") for ln in text.splitlines()[1:]], dtype=float)
     assert len(blocks) >= 3 and sum(blocks) == len(one) == 121

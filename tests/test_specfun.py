@@ -165,6 +165,36 @@ def test_bessel_columns_independent_of_the_batch(nmax):
                                       equal_nan=True)
 
 
+@pytest.mark.parametrize("nmax", [0, 1, 7, 30])
+def test_hankel_seeds_from_one_sincos_call(monkeypatch, nmax):
+    # j_n and y_n share one sine and cosine of x, and h_n's real part is
+    # sph_jn_all's bit for bit: tiny, Miller and upward columns, zeros of the
+    # seeds, +-0, +-inf and nan, across the seeds' block boundary.  (Without
+    # derivatives, sph_jn_all(0, x) alone takes the closed form sin x / x,
+    # which can differ in the last bit from the degree-1 table's j_0 for
+    # |x| <= 1, so degree 0 is compared with derivatives only.)
+    rng = np.random.default_rng(11)
+    x = np.concatenate([_sincos_samples(), rng.uniform(0, 60, sf._TRIG_BLOCK),
+                        [0.0, -0.0, np.inf, -np.inf, np.nan]])
+    orig, calls = sf._sincos, []
+
+    def counting(x, s, c=None):
+        calls.append(c is not None)
+        return orig(x, s, c)
+
+    monkeypatch.setattr(sf, "_sincos", counting)
+    for derivative in (False, True):
+        calls.clear()
+        h = sf.sph_hn_all(nmax, x, derivative=derivative)
+        assert calls == [True]
+        if nmax > 0 or derivative:
+            assert np.array_equal(h.real, sf.sph_jn_all(nmax, x, derivative=derivative),
+                                  equal_nan=True)
+        calls.clear()
+        sf.sph_hn_all(nmax, 2.5, derivative=derivative)
+        assert calls == [True]
+
+
 @pytest.mark.parametrize("nmax", [0, 1])
 def test_bessel_seeds_memory(nmax):
     # DM-infinite evaluation takes j_0 and j_1 at k |r - r_m| on the default

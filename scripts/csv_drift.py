@@ -16,8 +16,10 @@ makes seeded library calls whose values no command writes: 4 order-12
 displacements at order 7 <- 1, `sph_harm_matrix` to degree 12 at 64
 directions, 3 of them next to a pole, a 4,000-sample
 `fxlms_weighted_run` on the single-tone geometry of the unit tests (its
-final filter and error history), and `sph_jn_all` and `sph_hn_all` with
-their derivatives at degrees 0-40 and 123 seeded arguments from 0 to 2000.
+final filter and error history), `region_weighting` on `synth`'s default
+geometry at the 5 frequencies of `configs/synth.json`, and `sph_jn_all` and
+`sph_hn_all` with their derivatives at degrees 0-40 and 123 seeded arguments
+from 0 to 2000.
 
 For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
@@ -46,13 +48,14 @@ from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
 # Seeded translate_coeffs, rotate_coeffs, translation_matrix, sph_harm_matrix,
-# sph_jn_all and sph_hn_all calls and one FxLMS run; prints the repr of each
-# real and imaginary part of their outputs, by function.
+# sph_jn_all and sph_hn_all calls, one FxLMS run and synth's region weightings;
+# prints the repr of each real and imaginary part of their outputs, by function.
 LAYER_CHILD = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 from soundfield import applications as apps, specfun, wavefuncs
+from soundfield.harness import SOUND_SPEED
 rng = np.random.default_rng(2025)
 n = specfun.num_coeffs(12)
 cset = wavefuncs.CoefficientSet(12, np.zeros(3), rng.normal(size=n) + 1j * rng.normal(size=n))
@@ -81,6 +84,12 @@ d_taps = two_tap(wavefuncs.green(mics, np.array([3.0, 0.0, 0.0]), k))
 d = np.outer(x, d_taps[0]) + np.outer(np.concatenate([[0.0], x[:-1]]), d_taps[1])
 out["fxlms"] = np.concatenate([np.ravel(v) for v in apps.fxlms_weighted_run(
     two_tap(apps.transfer_matrix(src, mics, k)), A_taps, x, d, 5e-2, 2)])
+# synth's weightings at its default spacings and reg, at the frequencies of
+# configs/synth.json; synth's CSV shows them only through two solves
+ctrl, _ = apps.square_grid(1.0, 0.2)
+quad, cell = apps.square_grid(1.0, 0.02, midpoint=True)
+out["region_weighting"] = [apps.region_weighting(ctrl, quad, cell, 2 * np.pi * f / SOUND_SPEED, 1e-3)
+                           for f in (100.0, 300.0, 500.0, 700.0, 900.0)]
 # Bessel tables, degrees 0-40, at 0, next to 0, in [0, 60] and up to 2000.  h_n
 # and h_n' are divided by their own modulus, so that each (n, x) is compared
 # at its own scale and not at that of y_40 next to 0.

@@ -96,25 +96,51 @@ def region_weighting(points, region_pts, cell_measure, k, reg):
     `region_pts` with cell measure `cell_measure`.  Used both for weighted
     pressure matching (points = control points) and spatial ANC (points =
     error microphones).  Returns a real symmetric (M, M) array.
+
+    `points` and `region_pts` must be real, finite (N, 3) arrays, and the
+    region must hold at least one point; a ValueError is raised otherwise.
+    This is the one-k case of :func:`_region_weightings`, which builds the
+    k-independent radii once for a run of wavenumbers.
     """
-    if not (math.isfinite(k) and 0 <= reg < math.inf and 0 < cell_measure < math.inf):
-        raise ValueError(f"k, reg and cell_measure must be finite with reg >= 0 and "
-                         f"cell_measure > 0, got {k!r}, {reg!r}, {cell_measure!r}")
+    return next(_region_weightings(points, region_pts, cell_measure, (k,), reg))
+
+
+def _region_weightings(points, region_pts, cell_measure, ks, reg):
+    """:func:`region_weighting` at each wavenumber of `ks`, in turn.
+
+    The inputs are checked, and the mics and the radii of the region points
+    built, once; each weighting then costs only its k-dependent part, with
+    the same bits as a :func:`region_weighting` call at that k.
+    """
+    for k in ks:
+        if not (math.isfinite(k) and 0 <= reg < math.inf and 0 < cell_measure < math.inf):
+            raise ValueError(f"k, reg and cell_measure must be finite with reg >= 0 and "
+                             f"cell_measure > 0, got {k!r}, {reg!r}, {cell_measure!r}")
+    for name, v in (("points", points), ("region_pts", region_pts)):
+        v = np.asarray(v)
+        if (np.iscomplexobj(v) or v.ndim != 2 or v.shape[1] != 3
+                or not np.isfinite(v).all()):
+            raise ValueError(f"{name} must be a real, finite (N, 3) array, got "
+                             f"{v.dtype} of shape {v.shape}")
     if np.size(region_pts) == 0:
         raise ValueError("region_pts must hold at least one point")
     mics = Mics(points)
-    K = kernel_matrix(mics, k).real
-    P = np.linalg.inv(K + reg * np.eye(len(mics)))
     rep = Representers(mics, region_pts)
-    kap = sph_jn_all(0, k * rep.rad)[0] * rep.a  # (Q, M)
-    # einsum's own loop rather than BLAS: on a shared 2-core x86-64 VM,
-    # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
-    # call in some processes (cause not established); einsum takes ~2 ms
-    inner = cell_measure * np.einsum("qm,qn->mn", kap, kap)
-    W = P.T @ inner @ P
-    # exactly symmetric: rounding leaves P^T inner P symmetric only to about
-    # cond(K + reg I) ulps, which at low k exceeds anc_lms_run's tolerance
-    return 0.5 * (W + W.T)
+    for k in ks:
+        K = kernel_matrix(mics, k).real
+        P = np.linalg.inv(K + reg * np.eye(len(mics)))
+        kap = sph_jn_all(0, k * rep.rad)[0] * rep.a  # (Q, M)
+        # einsum's own loop rather than BLAS: on a shared 2-core x86-64 VM,
+        # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
+        # call in some processes (cause not established); einsum takes ~2 ms
+        inner = cell_measure * np.einsum("qm,qn->mn", kap, kap)
+        # freed before the yield, so that it does not sit next to the
+        # caller's arrays or the next k's table
+        del kap
+        W = P.T @ inner @ P
+        # exactly symmetric: rounding leaves P^T inner P symmetric only to about
+        # cond(K + reg I) ulps, which at low k exceeds anc_lms_run's tolerance
+        yield 0.5 * (W + W.T)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +232,13 @@ def anc_lms_run(G, A, d, x, mu, iters):
     cost falls many decades below its start.
 
     Returns the final filter and the per-iteration cost (the cost is
-    evaluated after each update), built in O(iters) memory.
+    evaluated after each update), built in O(iters) memory.  `mu` must be
+    positive and finite and `iters` an int >= 1 (a ValueError otherwise).
     """
+    if not (isinstance(mu, (int, float, np.integer, np.floating)) and 0 < mu < math.inf):
+        raise ValueError(f"mu must be a positive finite number, got {mu!r}")
+    if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
+        raise ValueError(f"iters must be an int >= 1, got {iters!r}")
     G = np.asarray(G, dtype=complex)
     A = np.asarray(A, dtype=complex)
     e0 = np.asarray(d, dtype=complex)
@@ -245,14 +276,21 @@ def weighting_taps(A_of_freq, nfft, half_len):
     `A_of_freq` maps a frequency bin (in cycles/sample, 0..0.5) to an (M, M)
     weighting matrix; the inverse real-signal DFT over `nfft` bins is
     truncated to ``2*half_len + 1`` taps.  Returns an array of shape
-    (2K+1, M, M) indexed by k + K.
+    (2K+1, M, M) indexed by k + K.  `half_len` must be an int >= 0 and
+    `nfft` an int with ``2*half_len + 1 <= nfft``, so that no lag wraps
+    (a ValueError otherwise).
     """
+    K = half_len
+    if isinstance(K, bool) or not isinstance(K, (int, np.integer)) or K < 0:
+        raise ValueError(f"half_len must be an int >= 0, got {K!r}")
+    if isinstance(nfft, bool) or not isinstance(nfft, (int, np.integer)) or nfft < 2 * K + 1:
+        raise ValueError(f"nfft must be an int with 2 * half_len + 1 <= nfft, got {nfft!r} "
+                         f"with half_len = {K}")
     freqs = np.fft.rfftfreq(nfft)
     spec = np.stack([A_of_freq(f) for f in freqs])  # (nfft//2+1, M, M)
     taps = np.fft.irfft(spec, n=nfft, axis=0)
-    K = half_len
-    out = np.concatenate([taps[-K:], taps[: K + 1]], axis=0)
-    return out
+    # lags -K..-1 are the last K taps; taps[-K:] would be all of them at K = 0
+    return np.concatenate([taps[nfft - K:], taps[: K + 1]], axis=0)
 
 
 # Bytes of filtered references formed per batched product: a block of K+1
@@ -287,7 +325,9 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len):
     (adding the increments in the loop's order, with the loop's rounding),
     and two more the block's outputs and errors.  This is not block LMS,
     which holds W fixed over a block: every sample still sees its own W_n.
-    The time axis is padded with zero signals to whole blocks.
+    The time axis is padded with zero signals to whole blocks.  The views
+    of the filter stack are bound once per run, and each chunk of blocks is
+    walked by one zip over slices taken once, so a step indexes nothing.
     """
     if not (isinstance(mu, (int, float, np.integer, np.floating)) and 0 < mu < math.inf):
         raise ValueError(f"mu must be a positive finite number, got {mu!r}")
@@ -354,17 +394,21 @@ def fxlms_weighted_run(G_fir, A_taps, x, d, mu, filt_len):
     # steps[k] for k < B is the increment of the update at row qB+1+k, then
     # the filter after it; steps[B] is the filter before the block
     steps = np.zeros((B + 1, L, I * R))  # column (i, r) is W(i)[:, r]
-    incs = steps.reshape(B + 1, 1, L * I * R)
+    incs = steps.reshape(B + 1, 1, L * I * R)[:B]
+    before, newest, rev, filters = steps[B], steps[0], steps[::-1], steps[:B]
     for top in range(nb - 1, -1, -nc):
         lo = max(top + 1 - nc, 0)
         np.matmul(Hm, x_win[lo * B:(top + 1) * B], out=F[:(top + 1 - lo) * B])
-        for q in range(top, lo - 1, -1):
-            steps[B] = steps[0]
-            np.matmul(e_up[q + 1], F_blk[q - lo], out=incs[:B])
-            np.add.accumulate(steps[::-1], axis=0, out=steps[::-1])
+        # blocks q = top .. lo, each with the errors of block q+1
+        down = slice(top, lo - 1 if lo else None, -1)
+        for eu, Fq, xb, yb, ylb, eb in zip(e_up[top + 1:lo:-1], F_blk[top - lo::-1], x_blk[down],
+                                           y_blk[down], y_lag_blk[down], e_blk[down]):
+            before[...] = newest
+            np.matmul(eu, Fq, out=incs)
+            np.add.accumulate(rev, axis=0, out=rev)
             # sample row b uses the filter after the update at b+1
-            np.matmul(steps[:B], x_blk[q], out=y_blk[q])
-            np.add(e_blk[q], y_lag_blk[q] @ G_t, out=e_blk[q])
+            np.matmul(filters, xb, out=yb)
+            eb += ylb @ G_t
     # W_T follows the update at n = T-1, row T2-T of the last block
     W_t = steps[T2 - T - 1]
     return W_t.reshape(L, I, R).transpose(1, 0, 2).copy(), e_rev[T2 - T:T2][::-1]

@@ -1053,12 +1053,14 @@ def wpm_experiment(obj):
     quad, cell = apps.square_grid(1.0, v["quad_spacing"], midpoint=True)
     ctrl, _ = apps.square_grid(1.0, v["control_spacing"])
     rows = []
-    for f, k in zip(v["frequencies"], ks):
+    # one geometry for every frequency's weighting: the quadrature radii
+    # do not depend on k
+    weightings = apps._region_weightings(ctrl, quad, cell, ks, v["reg"])
+    for f, k, W in zip(v["frequencies"], ks, weightings):
         G = apps.transfer_matrix(src, ctrl, k)
         Ge = apps.transfer_matrix(src, region, k)
         u_ctrl = plane_wave(ctrl, v["direction"], k)
         u_eval = plane_wave(region, v["direction"], k)
-        W = apps.region_weighting(ctrl, quad, cell, k, v["reg"])
         W = W * (len(ctrl) / float(np.trace(W).real))
         d_pm = apps.pm_drive(G, u_ctrl, v["eta"])
         d_wpm = apps.wpm_drive(G, u_ctrl, v["eta"], W)

@@ -104,7 +104,12 @@ def test_region_weighting_equals_the_representer_formula(f):
     "change",
     [dict(k=math.nan), dict(k=math.inf), dict(reg=math.nan), dict(reg=-1e-3),
      dict(reg=math.inf), dict(cell_measure=-1.0), dict(cell_measure=0.0),
-     dict(cell_measure=math.nan), dict(region_pts=np.zeros((0, 3)))],
+     dict(cell_measure=math.nan), dict(region_pts=np.zeros((0, 3))),
+     dict(points=np.array([[0.0, 0.0, math.nan], [0.1, 0.0, 0.0]])),
+     dict(points=np.array([[0.0, math.inf, 0.0]])), dict(points=np.zeros((4, 2))),
+     dict(points=np.zeros(6)), dict(points=np.zeros((2, 3)) + 1j),
+     dict(region_pts=np.array([[math.nan, 0.0, 0.0]])), dict(region_pts=np.zeros((5, 2))),
+     dict(region_pts=np.zeros((2, 5, 3)))],
 )
 def test_region_weighting_rejects_malformed_inputs(change):
     k, ctrl, region, cell, reg = _weighting_setup(spacing=0.1)
@@ -262,6 +267,31 @@ def test_weighting_taps_reproduce_frequency_response():
             taps[j] * np.exp(-1j * w * (j - half)) for j in range(2 * half + 1)
         )
         assert np.max(np.abs(resp - A_of_freq(f))) <= 1e-10
+
+
+def test_weighting_taps_of_half_length_0_is_the_lag_0_tap():
+    # one tap: the mean of the spectrum over the nfft bins of the DFT
+    A = np.array([[2.0, 0.5], [0.5, 1.0]])
+    taps = apps.weighting_taps(lambda f: A * (1.0 + math.cos(2 * math.pi * f)), 16, 0)
+    assert taps.shape == (1, 2, 2)
+    assert np.allclose(taps[0], A)
+
+
+@pytest.mark.parametrize(
+    "nfft, half_len, name",
+    [
+        (64, 40, "nfft"),  # 81 taps of 64 bins: lags would wrap
+        (8, 4, "nfft"),  # 9 taps of 8 bins
+        (0, 4, "nfft"),
+        (64.0, 4, "nfft"),
+        (64, -1, "half_len"),
+        (64, 2.0, "half_len"),
+        (64, True, "half_len"),
+    ],
+)
+def test_weighting_taps_rejects_malformed_inputs(nfft, half_len, name):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        apps.weighting_taps(lambda f: np.eye(2), nfft, half_len)
 
 
 def test_fxlms_matches_frequency_domain_steady_state():
@@ -587,6 +617,27 @@ def test_anc_lms_cost_memory_is_o_iters():
     assert costs.nbytes == 8 * iters
     # an (iters, L) array of geometric sums alone would add 32 MB
     assert peak < costs.nbytes + 2**20
+
+
+@pytest.mark.parametrize(
+    "change, name",
+    [
+        (dict(mu=-1.0), "mu"),
+        (dict(mu=0.0), "mu"),
+        (dict(mu=math.nan), "mu"),
+        (dict(mu=math.inf), "mu"),
+        (dict(mu=1e-2 + 0j), "mu"),
+        (dict(iters=0), "iters"),
+        (dict(iters=-3), "iters"),
+        (dict(iters=2.5), "iters"),
+        (dict(iters=True), "iters"),
+    ],
+)
+def test_anc_lms_rejects_malformed_inputs(change, name):
+    G, A, d, x, mu, _ = _lms_problem(5, 6, 3, 1, 0.5, False)
+    args = dict(dict(G=G, A=A, d=d, x=x, mu=mu, iters=10), **change)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        apps.anc_lms_run(**args)
 
 
 def test_anc_lms_rejects_non_hermitian_weighting():

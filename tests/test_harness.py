@@ -1072,6 +1072,32 @@ def test_cli_anc_below_180_hz(tmp_path, frequency):
     assert cli_main(["anc", str(cfg), "-o", str(tmp_path / "anc.csv")]) == 0
 
 
+def test_synth_weightings_come_from_one_geometry(monkeypatch):
+    # synth builds the quadrature radii once for all its frequencies, and
+    # each weighting keeps the bits of a region_weighting call at its k
+    built, seen = [], []
+    real_rep, real_gen = apps.Representers, apps._region_weightings
+
+    def counting(*args):
+        built.append(args)
+        return real_rep(*args)
+
+    def recording(points, region_pts, cell, ks, reg):
+        for k, W in zip(ks, real_gen(points, region_pts, cell, ks, reg)):
+            seen.append((points, region_pts, cell, k, reg, W))
+            yield W
+
+    monkeypatch.setattr(apps, "Representers", counting)
+    monkeypatch.setattr(apps, "_region_weightings", recording)
+    cfg = json.loads((CONFIGS / "synth.json").read_text())
+    harness.wpm_experiment(cfg)
+    assert len(built) == 1
+    assert len(seen) == len(cfg["frequencies"]) == 5
+    monkeypatch.undo()
+    for points, region_pts, cell, k, reg, W in seen:
+        assert np.array_equal(W, apps.region_weighting(points, region_pts, cell, k, reg))
+
+
 def test_cli_anc_source_just_outside_region(tmp_path):
     cfg = tmp_path / "anc.json"
     cfg.write_text(json.dumps(dict(ANC_BASE, primary_source=[0.5, 0.6, 0.06])))

@@ -17,9 +17,10 @@ displacements at order 7 <- 1, `sph_harm_matrix` to degree 12 at 64
 directions, 3 of them next to a pole, a 4,000-sample
 `fxlms_weighted_run` on the single-tone geometry of the unit tests (its
 final filter and error history), `region_weighting` on `synth`'s default
-geometry at the 5 frequencies of `configs/synth.json`, and `sph_jn_all` and
+geometry at the 5 frequencies of `configs/synth.json`, `sph_jn_all` and
 `sph_hn_all` with their derivatives at degrees 0-40 and 123 seeded arguments
-from 0 to 2000.
+from 0 to 2000, and the estimates of a `field` dump of DM-infinite on
+first-order mics, which no file of `configs/` runs.
 
 For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
@@ -48,13 +49,14 @@ from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
 # Seeded translate_coeffs, rotate_coeffs, translation_matrix, sph_harm_matrix,
-# sph_jn_all and sph_hn_all calls, one FxLMS run and synth's region weightings;
-# prints the repr of each real and imaginary part of their outputs, by function.
+# sph_jn_all and sph_hn_all calls, one FxLMS run, synth's region weightings and
+# one directional DM-infinite field dump; prints the repr of each real and
+# imaginary part of their outputs, by function.
 LAYER_CHILD = """
-import json, sys
+import io, json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from soundfield import applications as apps, specfun, wavefuncs
+from soundfield import applications as apps, harness, specfun, wavefuncs
 from soundfield.harness import SOUND_SPEED
 rng = np.random.default_rng(2025)
 n = specfun.num_coeffs(12)
@@ -99,6 +101,16 @@ out["sph_jn_all"] = np.concatenate([specfun.sph_jn_all(0, x)[0], specfun.sph_jn_
 with np.errstate(invalid="ignore"):
     out["sph_hn_all"] = [h / np.abs(h) for h in (specfun.sph_hn_all(40, x),
                                                  specfun.sph_hn_all(40, x, derivative=True))]
+# re_est and im_est of a field dump of the kernel estimate on first-order
+# mics: its two real basis terms, a j0 and j1 proj
+cfg = harness.ScenarioConfig.from_dict({
+    "estimator": "DM-infinite", "frequencies": [300.0], "snr_db": 30, "trials": 1, "seed": 0,
+    "reg": 0.001, "array": {"type": "spherical", "t": 7, "radius": 1.0, "kind": "first_order"},
+    "field": {"type": "point_source", "position": [2.0, 1.0, 0.5]}})
+dump = io.StringIO()
+harness.dump_field(cfg, 300.0, dump, "xy", 2.0, 0.1, 0.0, True, 0)
+out["kernel_first_order_field"] = [complex(float(row[5]), float(row[6])) for row in
+                                   (line.split(",") for line in dump.getvalue().splitlines()[1:])]
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """

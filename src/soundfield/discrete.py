@@ -23,6 +23,12 @@ from .specfun import degrees_orders, flat_index, num_coeffs, sph_jn_all
 from .wavefuncs import CoefficientSet, regular_swf_matrix, translation_matrix
 
 
+def _check_nonnegative(name, value):
+    """Raise ValueError naming `name` unless `value` is finite and >= 0."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # Finite-dimensional route
 # ---------------------------------------------------------------------------
@@ -40,6 +46,9 @@ def build_observation_matrix(mics, origin, order, k):
     Duraiswami 2004, ch. 2), so the functions up to degree ``order + 1`` at
     the mic offsets give every row.
     """
+    if isinstance(order, bool) or not isinstance(order, (int, np.integer)) or order < 0:
+        raise ValueError(f"order must be an int >= 0, got {order!r}")
+    _check_nonnegative("k", k)
     b, directional = mics.b, bool(mics.b.any())
     phi = regular_swf_matrix(order + directional, mics.pos - np.asarray(origin, dtype=float), k)
     B = mics.a[:, None] * phi[:, :num_coeffs(order)]
@@ -69,6 +78,7 @@ def solve_tikhonov(B, s, reg):
     block of them (M, T), solved with one factorisation; `c` has the
     matching shape.
     """
+    _check_nonnegative("reg", reg)
     B = np.asarray(B, dtype=complex)
     s = np.asarray(s, dtype=complex)
     M, N = B.shape
@@ -94,6 +104,7 @@ def kernel_matrix(mics, k):
     at x = 0 too.  The Bessel functions go up to twice the largest mic
     degree: for omni mics K is ``j0(k |rho|)`` alone.
     """
+    _check_nonnegative("k", k)
     pos, a, b = mics.pos, mics.a, mics.b
     rho = pos[:, None, :] - pos[None, :, :]
     dist = np.linalg.norm(rho, axis=-1)
@@ -113,6 +124,7 @@ def solve_kernel(K, s, reg):
     `s` is one signal vector (M,) or a block of them (M, T), solved with one
     factorisation; `alpha` has the matching shape.
     """
+    _check_nonnegative("reg", reg)
     K = np.asarray(K, dtype=complex)
     return np.linalg.solve(K + reg * np.eye(len(K)), np.asarray(s, dtype=complex))
 
@@ -123,8 +135,7 @@ class Representers:
     ``v_m(r) = a_m j0(k rho) - i j1(k rho) b_m . u`` with ``rho = |r - r_m|``
     and ``u = (r - r_m) / rho``.  The radii and the projections ``b_m . u``
     (0 where rho = 0; None when no mic has a gradient part) do not depend on
-    k and are kept as (..., M) arrays; :meth:`matrix` evaluates the Bessel
-    functions.
+    k and are kept as (..., M) arrays for :meth:`terms`.
     """
 
     def __init__(self, mics, r):
@@ -138,12 +149,23 @@ class Representers:
             proj = r @ b.T - np.einsum("mi,mi->m", b, pos)
             self.proj = np.divide(proj, self.rad, out=np.zeros_like(proj), where=self.rad > 0)
 
+    def terms(self, k):
+        """Yield ``a j0`` and, when a mic has a gradient part, ``j1 proj`` at k
+        (``V = a j0 - i j1 proj``): rows of one :func:`sph_jn_all` table, each
+        scaled in place as it is reached, so that its user finds it in cache."""
+        j = sph_jn_all(0 if self.proj is None else 1, k * self.rad)
+        j[0] *= self.a
+        yield j[0]
+        if self.proj is not None:
+            j[1] *= self.proj
+            yield j[1]
+
     def matrix(self, k):
         """V with ``V[..., m] = v_m(r)`` at wavenumber k."""
-        j = sph_jn_all(0 if self.proj is None else 1, k * self.rad)
-        V = (self.a * j[0]).astype(complex)
+        j = list(self.terms(k))
+        V = j[0].astype(complex)
         if self.proj is not None:
-            V.imag = -j[1] * self.proj
+            V.imag = -j[1]
         return V
 
 

@@ -627,10 +627,11 @@ class Estimator:
     of points.
 
     It keeps only what depends on neither frequency, trial nor point: for BM
-    its `analysis` matrix; for BM and DM-finite the
-    `order` and `origin` of the expansion (`order` is None for DM-infinite).
+    its `analysis` matrix; for BM and DM-finite the `order` and `origin` of
+    the expansion (`order` is None for DM-infinite).
     :func:`prepare_estimator` fits it at one frequency and :meth:`evaluate`
-    gives the estimates of the fits at a set of points, block by block.
+    gives the estimates of the fits at a set of points, block by block, as
+    the fits' weights times real basis terms there.
     """
 
     def __init__(self, cfg):
@@ -656,11 +657,9 @@ class Estimator:
         evaluation).  So 32768 trials at order 7 take blocks of 64 points.
         """
         mics = self.cfg.array.mics
+        real = width = len(mics) if self.order is None else num_coeffs(self.order)
         if self.order is None:
-            real = len(mics)
-            width = len(mics) * (4 if mics.b.any() else 2)
-        else:
-            real = width = num_coeffs(self.order)
+            width *= 4 if mics.b.any() else 2
         return min(max(1, _CACHE_BYTES // (8 * real)),
                    _block_rows(max(width, len(mics), trials)))
 
@@ -683,93 +682,70 @@ class Estimator:
         real (2T, Q_b) estimates, rows :T the real and T: the imaginary
         parts (see :func:`_complex`).
 
-        Everything is real arithmetic, and a block's :meth:`at` is computed
-        once for all k.  An expansion's ``j_nu(k r)`` come from radial
-        tables of at most BLOCK_BYTES / 4: one :func:`sph_jn_all` call on
-        the distinct radii about `origin` of a span of blocks, at every k
-        and as many blocks as fit (all of `pts` on the grids of
-        `configs/`), or, where one block at every k does not fit, of one
-        block at as many k as fit.  At each k each degree nu's rows times its
-        ``j_nu(k r)``, gathered at the block's radii, go through one real
-        ``(2T, n) @ (n, Q_b)`` product with the stacked weights of
-        :func:`_row_weights`.  DM-infinite evaluates its representers by
-        :func:`_kernel_estimates`.
+        Every estimator takes this one path, in real arithmetic: a block's
+        :meth:`at` is computed once for all k, and at each k `out` sums in
+        place each basis term (W_d, Q_b) of the block (:meth:`_basis`) times
+        its weights (2T, W_d), stacked once per fit (:meth:`_stacked`).
         """
-        if self.order is None:
-            stacked = [_kernel_weights(w) for w in weights]
-        else:
-            stacked = []
-            for w in weights:
-                w = _row_weights(self.order, w)
-                stacked.append(np.concatenate([w.real.T, w.imag.T]))
-            # A table and the working arrays of its sph_jn_all call, about
-            # three times its size, stay within BLOCK_BYTES.
-            table, per_k = BLOCK_BYTES // 4, 8 * (self.order + 1) * rows
-            chunk = min(len(ks), max(1, table // per_k))
-            span = rows * max(1, table // (per_k * len(ks)))  # rows if chunk < len(ks)
+        stacked = [self._stacked(w) for w in weights]
+        radial = self._radial(pts, ks, rows)
         for start in range(0, len(pts), rows):
             block = slice(start, start + rows)
             at = self.at(pts[block])
             for i, k in enumerate(ks):
-                if self.order is None:
-                    out = _kernel_estimates(at, k, stacked[i])
-                else:
-                    if start % span == 0 and i % chunk == 0:
-                        radii, inverse = np.unique(
-                            np.linalg.norm(pts[start:start + span] - self.origin, axis=1),
-                            return_inverse=True)
-                        radial = sph_jn_all(self.order, np.multiply.outer(ks[i:i + chunk], radii))
-                    offset = start % span
-                    out = _expansion_estimates(
-                        at, radial[:, i % chunk, inverse[offset:offset + rows]], stacked[i])
-                yield block, i, out
+                yield block, i, functools.reduce(np.ndarray.__iadd__, (
+                    w @ b for w, b in zip(stacked[i], self._basis(at, k, next(radial, None)))))
             del at  # before the next block's is built
 
+    def _stacked(self, w):
+        """The real (2T, W_d) weights, real over imaginary parts, of the terms
+        of :meth:`_basis` from a fit's weights w (., T): DM-infinite's alpha
+        for ``a j0`` and ``-i alpha`` for ``j1 proj``; an expansion's w of
+        ``i^{-nu} Yhat_{nu,mu}``, times ``i^{-nu}``, give ``w_m + (-1)^m w_{-m}`` on
+        row (nu, m), ``i (w_m - (-1)^m w_{-m})`` on (nu, -m), m > 0, and w_0 on (nu, 0)."""
+        if self.order is None:
+            return [np.concatenate([w.real.T, w.imag.T]), np.concatenate([w.imag.T, -w.real.T])]
+        nu, mu = degrees_orders(self.order)
+        w = w * (1j ** -nu.astype(float))[:, None]
+        s = (-1.0) ** mu
+        own, mirror = np.where(mu < 0, -1j * s, 1.0), np.where(mu < 0, 1j, np.where(mu > 0, s, 0.0))
+        w = own[:, None] * w + mirror[:, None] * w[nu * nu + nu - mu]
+        return [np.concatenate([w.real.T, w.imag.T])]
 
-def _expansion_estimates(rows, j, stacked):
-    """An expansion's real (2T, Q) of :meth:`Estimator.evaluate`: the
-    :func:`harmonic_rows` (n, Q) of each degree nu times its ``j_nu(k r)``,
-    the row j[nu] (Q,), by the stacked :func:`_row_weights` (2T, n)."""
-    scaled = np.empty_like(rows)
-    for n in range(len(j)):
-        np.multiply(rows[n * n:(n + 1) ** 2], j[n], out=scaled[n * n:(n + 1) ** 2])
-    return stacked @ scaled
+    def _radial(self, pts, ks, rows):
+        """Yield, block by block and k by k as :meth:`evaluate` walks `pts`,
+        an expansion's ``j_nu(k r)`` (order+1, Q_b) at the block's radii
+        about `origin` (nothing for DM-infinite).  A table holds at most
+        BLOCK_BYTES / 4 (its :func:`sph_jn_all` call's working arrays take
+        about three times that): the distinct radii of a span of as many
+        blocks as fit at every k (all of `pts` on the grids of `configs/`),
+        or, where one block at every k does not fit, one block at as many k."""
+        if self.order is None:
+            return
+        table, per_k = BLOCK_BYTES // 4, 8 * (self.order + 1) * rows
+        chunk = min(len(ks), max(1, table // per_k))
+        span = rows * max(1, table // (per_k * len(ks)))  # rows if chunk < len(ks)
+        for start in range(0, len(pts), rows):
+            for i in range(len(ks)):
+                if start % span == 0 and i % chunk == 0:
+                    radii, inverse = np.unique(
+                        np.linalg.norm(pts[start:start + span] - self.origin, axis=1),
+                        return_inverse=True)
+                    radial = sph_jn_all(self.order, np.multiply.outer(ks[i:i + chunk], radii))
+                offset = start % span
+                yield radial[:, i % chunk, inverse[offset:offset + rows]]
 
-
-def _row_weights(order, weights):
-    """The weights of the :func:`harmonic_rows` that sum as the weights (n, T) of
-    ``i^{-nu} Yhat_{nu,mu}`` do: with w these times ``i^{-nu}``, ``w_m + (-1)^m w_{-m}``
-    on row (nu, m) and ``i (w_m - (-1)^m w_{-m})`` on row (nu, -m), m > 0; w_0 on (nu, 0)."""
-    nu, mu = degrees_orders(order)
-    w = weights * (1j ** -nu.astype(float))[:, None]
-    s = (-1.0) ** mu
-    own, mirror = np.where(mu < 0, -1j * s, 1.0), np.where(mu < 0, 1j, np.where(mu > 0, s, 0.0))
-    return own[:, None] * w + mirror[:, None] * w[nu * nu + nu - mu]
-
-
-def _kernel_weights(alpha):
-    """The stacked real weights (2T, M) of the kernel weights alpha (M, T)
-    that multiply ``a j0`` and, for directional mics, ``j1 proj``."""
-    return (np.concatenate([alpha.real.T, alpha.imag.T]),
-            np.concatenate([alpha.imag.T, -alpha.real.T]))
-
-
-def _kernel_estimates(rep, k, stacked):
-    """``(V @ alpha).T`` for the representers ``V = rep.matrix(k)``, as the
-    real (2T, Q) of :meth:`Estimator.evaluate`, from the
-    :func:`_kernel_weights` of alpha.
-
-    V is not formed: its real part ``a j0`` and, for directional mics, its
-    imaginary part ``-j1 proj`` each multiply their stacked weights in a
-    real matrix product.
-    """
-    j = sph_jn_all(0 if rep.proj is None else 1, k * rep.rad)
-    j[0] *= rep.a
-    out = stacked[0] @ j[0].T
-    if rep.proj is not None:
-        j[1] *= rep.proj
-        out += stacked[1] @ j[1].T
-    return out
+    def _basis(self, at, k, j):
+        """The real basis terms (W_d, Q_b) of a block at k from its :meth:`at`
+        and :meth:`_radial` j: an expansion's harmonic rows, each degree nu's
+        times j[nu]; or the transposes of DM-infinite's
+        :meth:`Representers.terms`, ``a j0`` and ``j1 proj``."""
+        if self.order is None:
+            return (row.T for row in at.terms(k))
+        scaled = np.empty_like(at)
+        for n in range(len(j)):
+            np.multiply(at[n * n:(n + 1) ** 2], j[n], out=scaled[n * n:(n + 1) ** 2])
+        return [scaled]
 
 
 def prepare_estimator(est, k):

@@ -218,9 +218,11 @@ def _derivative_rows(rows, x, at_zero):
 
 def _bessel_all(kind, nmax, x, derivative=False):
     """Shared body of :func:`sph_jn_all` and :func:`sph_hn_all`; the one
-    place whose errstate covers 1/0, 0/0 and overflow in the helpers above.
-    It owns the rows of j_n and, for h_n, of y_n, which :func:`_jn_rows`
-    fills from one :func:`_sincos` call."""
+    place whose errstate covers 1/0, 0/0 and overflow in the helpers above,
+    and which checks `nmax`.  It owns the rows of j_n and, for h_n, of y_n,
+    which :func:`_jn_rows` fills from one :func:`_sincos` call."""
+    if isinstance(nmax, bool) or not isinstance(nmax, (int, np.integer)) or nmax < 0:
+        raise ValueError(f"nmax must be an int >= 0, got {nmax!r}")
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -437,3 +437,31 @@ def test_solver_linearity(seed):
     lhs = solve_tikhonov(B, s1 + c * s2, 1e-2)
     rhs = solve_tikhonov(B, s1, 1e-2) + c * solve_tikhonov(B, s2, 1e-2)
     assert np.max(np.abs(lhs - rhs)) <= 1e-9 * max(1.0, np.max(np.abs(rhs)))
+
+
+# ---------------------------------------------------------------------------
+# Input checks
+# ---------------------------------------------------------------------------
+
+_MICS = Mics(np.array([[0.0, 0.0, 0.0], [0.1, 0.2, 0.0]]), "first_order", [0.0, 0.0, 1.0], 0.5)
+_B = np.array([[1.0, 0.5j], [0.2, 1.0]])
+_REJECTED = {"reg": (np.nan, np.inf, -1.0), "k": (np.nan, np.inf, -1.0), "order": (-1, 1.0, True)}
+
+
+@pytest.mark.parametrize("name, call, edge", [
+    ("reg", lambda reg: solve_kernel(_B, np.ones(2), reg), 0.0),
+    ("reg", lambda reg: solve_tikhonov(_B, np.ones(2), reg), 0.0),
+    ("k", lambda k: kernel_matrix(_MICS, k), 0.0),
+    ("k", lambda k: build_observation_matrix(_MICS, np.zeros(3), 2, k), 0.0),
+    ("order", lambda order: build_observation_matrix(_MICS, np.zeros(3), order, 2.0),
+     np.int64(0)),
+], ids=["solve_kernel", "solve_tikhonov", "kernel_matrix", "build_observation_matrix-k",
+        "build_observation_matrix-order"])
+def test_out_of_domain_input_raises_naming_it(name, call, edge):
+    # NaN gave NaN weights or matrices, -1 was accepted and order -1 raised
+    # IndexError; each now raises a ValueError that names its argument, and
+    # the edge of the domain is accepted
+    assert np.isfinite(call(edge)).all()
+    for value in _REJECTED[name]:
+        with pytest.raises(ValueError, match=rf"^{name} must be"):
+            call(value)

@@ -327,21 +327,43 @@ def _estimates(est, pts, k, weights):
     return np.concatenate([harness._complex(out) for _, _, out in blocks], axis=1)
 
 
-@pytest.mark.parametrize("order", [0, 1, 7, 12])
-@pytest.mark.parametrize("trials", [1, 3])
-@pytest.mark.parametrize("estimator, origin", [("BM-omni", [0.0, 0.0, 0.0]),
+# (estimator, mic kind, origin, trials, order): each expansion at four
+# orders, and the kernel estimate, which has no order, on omni and on
+# first-order mics
+EVALUATE_CASES = [
+    *(pytest.param(estimator, "omni", origin, trials, order,
+                   id=f"{estimator}-origin{i}-{trials}-{order}")
+      for i, (estimator, origin) in enumerate([("BM-omni", [0.0, 0.0, 0.0]),
                                                ("DM-finite", [0.1, -0.2, 0.05])])
-def test_evaluate_matches_regular_swf_matrix(rng, order, trials, estimator, origin):
-    # the real rows and folded weights give the complex expansion's values,
-    # at the origin and next to the axis through it too
-    over = {"order": order} if estimator == "BM-omni" else {"order_n0": order,
-                                                            "origin": origin}
-    est = Estimator(ScenarioConfig.from_dict(_base_config(estimator=estimator, **over)))
+      for trials in (1, 3) for order in (0, 1, 7, 12)),
+    *(pytest.param("DM-infinite", kind, [0.1, -0.2, 0.05], trials, None,
+                   id=f"DM-infinite-{kind}-{trials}")
+      for kind in ("omni", "first_order") for trials in (1, 3)),
+]
+
+
+@pytest.mark.parametrize("estimator, kind, origin, trials, order", EVALUATE_CASES)
+def test_evaluate_matches_regular_swf_matrix(rng, estimator, kind, origin, trials, order):
+    # the real basis terms and stacked weights give the complex estimate's
+    # values: an expansion's at its origin and next to the axis through it
+    # too, the kernel's at the mics too
+    over = {"BM-omni": {"order": order},
+            "DM-finite": {"order_n0": order, "origin": origin}}.get(estimator, {})
+    array = {"type": "spherical", "t": 5, "radius": 0.5, "kind": kind}
+    est = Estimator(ScenarioConfig.from_dict(_base_config(estimator=estimator, array=array,
+                                                          **over)))
+    mics = est.cfg.array.mics
     axis = [[1e-9, 0.0, 0.3], [0.0, -1e-12, -0.2], [0.0, 0.0, 0.4], [0.0, 0.0, -0.4]]
     pts = np.vstack([ball_grid(0.5, 0.25), axis, 0.4 * rng.normal(size=(20, 3))]) + origin
-    n, k = (order + 1) ** 2, 3.7
+    k = 3.7
+    if order is None:
+        pts = np.vstack([pts, mics.pos])
+        basis = representer_matrix(mics, pts, k)
+    else:
+        basis = regular_swf_matrix(order, pts - origin, k)
+    n = basis.shape[1]
     weights = rng.normal(size=(n, trials)) + 1j * rng.normal(size=(n, trials))
-    ref = (regular_swf_matrix(order, pts - origin, k) @ weights).T
+    ref = (basis @ weights).T
     assert np.max(np.abs(_estimates(est, pts, k, weights) - ref)) <= 1e-13 * np.max(
         np.abs(ref))
 

@@ -143,6 +143,16 @@ def test_bessel_at_zero_infinity_and_nan():
     assert np.array_equal(h.imag, yd, equal_nan=True)
 
 
+@pytest.mark.parametrize("nmax", [-1, 1.0, True, None])
+@pytest.mark.parametrize("func", [sf.sph_jn_all, sf.sph_hn_all])
+def test_bessel_tables_reject_a_degree_that_is_not_an_int(func, nmax):
+    # an int >= 0, numpy's too; -1 gave an empty table
+    x = np.linspace(0.0, 3.0, 4)
+    assert func(np.int64(2), x).shape == (3, 4)
+    with pytest.raises(ValueError, match="^nmax must be an int >= 0"):
+        func(nmax, x)
+
+
 @pytest.mark.parametrize("nmax", [0, 1, 7, 30])
 def test_bessel_columns_independent_of_the_batch(nmax):
     # Each column equals the same call on that element alone, bit for bit,

@@ -19,8 +19,10 @@ directions, 3 of them next to a pole, a 4,000-sample
 final filter and error history), `region_weighting` on `synth`'s default
 geometry at the 5 frequencies of `configs/synth.json`, `sph_jn_all` and
 `sph_hn_all` with their derivatives at degrees 0-40 and 123 seeded arguments
-from 0 to 2000, and the estimates of a `field` dump of DM-infinite on
-first-order mics, which no file of `configs/` runs.
+from 0 to 2000, the estimates of a `field` dump of DM-infinite on
+first-order mics, which no file of `configs/` runs, and `solve_tikhonov` on a
+seeded complex 12 x 5 system at reg 0 and 1e-3, its B^H B form, which no
+DM-finite config reaches (each has M <= (N0+1)^2).
 
 For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
@@ -49,14 +51,14 @@ from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
 # Seeded translate_coeffs, rotate_coeffs, translation_matrix, sph_harm_matrix,
-# sph_jn_all and sph_hn_all calls, one FxLMS run, synth's region weightings and
-# one directional DM-infinite field dump; prints the repr of each real and
-# imaginary part of their outputs, by function.
+# sph_jn_all and sph_hn_all calls, one FxLMS run, synth's region weightings,
+# one directional DM-infinite field dump and one overdetermined Tikhonov solve;
+# prints the repr of each real and imaginary part of their outputs, by function.
 LAYER_CHILD = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from soundfield import applications as apps, harness, specfun, wavefuncs
+from soundfield import applications as apps, discrete, harness, specfun, wavefuncs
 from soundfield.harness import SOUND_SPEED
 rng = np.random.default_rng(2025)
 n = specfun.num_coeffs(12)
@@ -111,6 +113,10 @@ dump = io.StringIO()
 harness.dump_field(cfg, 300.0, dump, "xy", 2.0, 0.1, 0.0, True, 0)
 out["kernel_first_order_field"] = [complex(float(row[5]), float(row[6])) for row in
                                    (line.split(",") for line in dump.getvalue().splitlines()[1:])]
+# M > N: the B^H B form of solve_tikhonov, at reg 0 and at the configs' reg
+B = rng.normal(size=(12, 5)) + 1j * rng.normal(size=(12, 5))
+s = rng.normal(size=12) + 1j * rng.normal(size=12)
+out["tikhonov_overdetermined"] = [discrete.solve_tikhonov(B, s, reg) for reg in (0.0, 1e-3)]
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """

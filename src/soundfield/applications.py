@@ -15,9 +15,8 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .discrete import Representers, kernel_matrix
+from .discrete import Representers, kernel_matrix, solve_kernel
 from .observation import Mics
-from .specfun import sph_jn_all
 from .wavefuncs import green
 
 
@@ -129,7 +128,7 @@ def _region_weightings(points, region_pts, cell_measure, ks, reg):
     for k in ks:
         K = kernel_matrix(mics, k).real
         P = np.linalg.inv(K + reg * np.eye(len(mics)))
-        kap = sph_jn_all(0, k * rep.rad)[0] * rep.a  # (Q, M)
+        kap = next(rep.terms(k))  # a j0, (Q, M)
         # einsum's own loop rather than BLAS: on a shared 2-core x86-64 VM,
         # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
         # call in some processes (cause not established); einsum takes ~2 ms
@@ -148,25 +147,19 @@ def _region_weightings(points, region_pts, cell_measure, ks, reg):
 # ---------------------------------------------------------------------------
 
 def pm_drive(G, u_des, eta):
-    """Pressure-matching driving signals (G^H G + eta I)^{-1} G^H u_des."""
+    """Pressure-matching driving signals ``(G^H G + eta I)^{-1} G^H u_des`` by
+    :func:`solve_kernel`, which raises its `reg` ValueError for eta."""
     G = np.asarray(G, dtype=complex)
-    u_des = np.asarray(u_des, dtype=complex).reshape(-1)
-    L = G.shape[1]
-    return np.linalg.solve(G.conj().T @ G + eta * np.eye(L), G.conj().T @ u_des)
+    GH = G.conj().T
+    return solve_kernel(GH @ G, GH @ np.asarray(u_des, dtype=complex).reshape(-1), eta)
 
 
 def wpm_drive(G, u_des, eta, W):
-    """Weighted pressure matching, (G^H W G + eta I)^{-1} G^H W u_des.
-
-    With W = I this reduces exactly to :func:`pm_drive`.
-    """
+    """Weighted pressure matching ``(G^H W G + eta I)^{-1} G^H W u_des`` as in
+    :func:`pm_drive`; with W = I it reduces exactly to :func:`pm_drive`."""
     G = np.asarray(G, dtype=complex)
-    W = np.asarray(W, dtype=complex)
-    u_des = np.asarray(u_des, dtype=complex).reshape(-1)
-    L = G.shape[1]
-    return np.linalg.solve(
-        G.conj().T @ W @ G + eta * np.eye(L), G.conj().T @ W @ u_des
-    )
+    GHW = G.conj().T @ np.asarray(W, dtype=complex)
+    return solve_kernel(GHW @ G, GHW @ np.asarray(u_des, dtype=complex).reshape(-1), eta)
 
 
 # ---------------------------------------------------------------------------

@@ -74,18 +74,15 @@ def solve_tikhonov(B, s, reg):
 
         c = (B^H B + reg I)^{-1} B^H s = B^H (B B^H + reg I)^{-1} s
 
-    involves the smaller linear solve.  `s` is one signal vector (M,) or a
-    block of them (M, T), solved with one factorisation; `c` has the
-    matching shape.
+    involves the smaller :func:`solve_kernel` of a Gram matrix; the second is
+    kernel ridge regression with the truncated kernel ``B B^H``, singular at
+    reg = 0 when M > N.  `s` is (M,) or (M, T); `c` has the matching shape.
     """
-    _check_nonnegative("reg", reg)
-    B = np.asarray(B, dtype=complex)
-    s = np.asarray(s, dtype=complex)
-    M, N = B.shape
+    B, s = np.asarray(B, dtype=complex), np.asarray(s, dtype=complex)
     BH = B.conj().T
-    if M <= N:
-        return BH @ np.linalg.solve(B @ BH + reg * np.eye(M), s)
-    return np.linalg.solve(BH @ B + reg * np.eye(N), BH @ s)
+    if B.shape[0] <= B.shape[1]:
+        return BH @ solve_kernel(B @ BH, s, reg)
+    return solve_kernel(BH @ B, BH @ s, reg)
 
 
 # ---------------------------------------------------------------------------
@@ -119,10 +116,10 @@ def kernel_matrix(mics, k):
 
 
 def solve_kernel(K, s, reg):
-    """Representer weights ``alpha = (K + reg I)^{-1} s``.
+    """``alpha = (K + reg I)^{-1} s`` for a Hermitian PSD K and a finite reg >= 0.
 
-    `s` is one signal vector (M,) or a block of them (M, T), solved with one
-    factorisation; `alpha` has the matching shape.
+    The package's one regularised solve (KRR, Tikhonov, PM and WPM).  `s` is
+    one signal vector (M,) or a block (M, T), solved with one factorisation.
     """
     _check_nonnegative("reg", reg)
     K = np.asarray(K, dtype=complex)

@@ -42,7 +42,8 @@ class Mics:
     (3,) or (M, 3), is required when a mic is directional, and `a`, a
     number or (M,), when one is first-order; a mic ignores what its kind
     does not take.  Each axis is divided by the square root of its own dot
-    product, which rounds as ``np.linalg.norm`` of that row does.
+    product, which rounds as ``np.linalg.norm`` of that row does.  A
+    non-finite position or omni weight raises a ValueError naming `pos` or `a`.
     """
 
     def __init__(self, pos, kind="omni", axes=None, a=None):
@@ -58,6 +59,9 @@ class Mics:
             raise ValueError("first_order microphone requires mixing weight a")
         self.a = np.where(directional, 0.0, 1.0)
         self.a[first] = np.broadcast_to(np.asarray(a, dtype=float), kind.shape)[first]
+        for name, v in (("pos", self.pos), ("a", self.a)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {float(v[~np.isfinite(v)][0])!r}")
         self.axes = np.zeros_like(self.pos)
         if directional.any():
             y = np.broadcast_to(np.asarray(axes, dtype=float), self.pos.shape)[directional]

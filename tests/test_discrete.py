@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from soundfield import discrete, observation
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
+from soundfield.applications import pm_drive, wpm_drive
 from soundfield.discrete import (
     Representers,
     build_observation_matrix,
@@ -125,6 +126,11 @@ def test_tikhonov_dual_forms_agree():
         x = solve_tikhonov(B, s, reg)
         assert np.linalg.norm(x - x1) <= 1e-10 * np.linalg.norm(x1)
         assert np.linalg.norm(x - x2) <= 1e-10 * np.linalg.norm(x2)
+        # each form is solve_kernel of a Gram matrix, to the bit
+        BH = B.conj().T
+        want = (BH @ solve_kernel(B @ BH, s, reg) if m <= n
+                else solve_kernel(BH @ B, BH @ s, reg))
+        assert np.array_equal(x, want)
 
 
 @pytest.mark.parametrize("shape", [(6, 9), (9, 6)])  # both closed forms
@@ -451,16 +457,18 @@ _REJECTED = {"reg": (np.nan, np.inf, -1.0), "k": (np.nan, np.inf, -1.0), "order"
 @pytest.mark.parametrize("name, call, edge", [
     ("reg", lambda reg: solve_kernel(_B, np.ones(2), reg), 0.0),
     ("reg", lambda reg: solve_tikhonov(_B, np.ones(2), reg), 0.0),
+    ("reg", lambda eta: pm_drive(_B, np.ones(2), eta), 0.0),
+    ("reg", lambda eta: wpm_drive(_B, np.ones(2), eta, np.eye(2)), 0.0),
     ("k", lambda k: kernel_matrix(_MICS, k), 0.0),
     ("k", lambda k: build_observation_matrix(_MICS, np.zeros(3), 2, k), 0.0),
     ("order", lambda order: build_observation_matrix(_MICS, np.zeros(3), order, 2.0),
      np.int64(0)),
-], ids=["solve_kernel", "solve_tikhonov", "kernel_matrix", "build_observation_matrix-k",
-        "build_observation_matrix-order"])
+], ids=["solve_kernel", "solve_tikhonov", "pm_drive", "wpm_drive", "kernel_matrix",
+        "build_observation_matrix-k", "build_observation_matrix-order"])
 def test_out_of_domain_input_raises_naming_it(name, call, edge):
-    # NaN gave NaN weights or matrices, -1 was accepted and order -1 raised
-    # IndexError; each now raises a ValueError that names its argument, and
-    # the edge of the domain is accepted
+    # NaN gave NaN weights, drives or matrices, -1 was accepted and order -1
+    # raised IndexError; each now raises a ValueError that names its argument,
+    # and the edge of the domain is accepted
     assert np.isfinite(call(edge)).all()
     for value in _REJECTED[name]:
         with pytest.raises(ValueError, match=rf"^{name} must be"):

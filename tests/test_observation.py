@@ -179,10 +179,16 @@ def test_mics_map_each_kind_to_its_weight_and_axis():
     ({"kind": "bidirectional", "axes": [[0, 0, 1], [0, 0, 0]]}, "squared norm"),
     ({"kind": "bidirectional", "axes": [1e-200, 0, 0]}, "squared norm"),
     ({"kind": "bidirectional", "axes": [1e300, 1e300, 0]}, "squared norm"),
+    # a NaN position gave kernel_matrix a silent NaN Gram matrix
+    ({"pos": [[0.1, 0.0, 0.0], [0.0, np.nan, 0.0]]}, "^pos must be finite"),
+    ({"pos": [[np.inf, 0.0, 0.0], [0.0, 0.1, 0.0]], "kind": "bidirectional", "axes": [0, 0, 1]},
+     "^pos must be finite"),
+    ({"kind": "first_order", "axes": [0, 0, 1], "a": [0.5, np.nan]}, "^a must be finite"),
+    ({"kind": ["omni", "first_order"], "axes": [0, 0, 1], "a": -np.inf}, "^a must be finite"),
 ])
 def test_mics_reject_a_missing_or_unusable_axis_or_weight(kwargs, message):
     with pytest.raises(ValueError, match=message):
-        Mics([[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]], **kwargs)
+        Mics(**{"pos": [[0.1, 0.0, 0.0], [0.0, 0.1, 0.0]], **kwargs})
 
 
 def test_mics_axes_round_as_per_mic_norm():

@@ -53,6 +53,7 @@ def test_csv_drift_of_the_repo_against_itself():
     assert {line.split(" ", 1)[0] for line in lines} == {
         "anc", "synth", "translate", "rotate", "translation_matrix", "harmonics", "fxlms",
         "region_weighting", "sph_jn_all", "sph_hn_all", "kernel_first_order_field",
+        "tikhonov_overdetermined",
         *(f"{name}-{cmd}" for name in
           ("sweep_explicit", "sweep_finite", "sweep_first_order",
            "sweep_kernel", "sweep_omni", "sweep_rigid")

@@ -129,10 +129,8 @@ def _region_weightings(points, region_pts, cell_measure, ks, reg):
         K = kernel_matrix(mics, k).real
         P = np.linalg.inv(K + reg * np.eye(len(mics)))
         kap = next(rep.terms(k))  # a j0, (Q, M)
-        # einsum's own loop rather than BLAS: on a shared 2-core x86-64 VM,
-        # threaded OpenBLAS products of this tall (Q, M) Gram stalled ~60 ms per
-        # call in some processes (cause not established); einsum takes ~2 ms
-        inner = cell_measure * np.einsum("qm,qn->mn", kap, kap)
+        # one BLAS syrk, whose computed triangle numpy mirrors: exactly symmetric
+        inner = cell_measure * (kap.T @ kap)
         # freed before the yield, so that it does not sit next to the
         # caller's arrays or the next k's table
         del kap

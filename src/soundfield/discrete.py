@@ -20,13 +20,7 @@ import numpy as np
 
 from .observation import directivity_matrix
 from .specfun import degrees_orders, flat_index, num_coeffs, sph_jn_all
-from .wavefuncs import CoefficientSet, regular_swf_matrix, translation_matrix
-
-
-def _check_nonnegative(name, value):
-    """Raise ValueError naming `name` unless `value` is finite and >= 0."""
-    if not 0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+from .wavefuncs import CoefficientSet, _check_nonnegative, regular_swf_matrix, translation_matrix
 
 
 # ---------------------------------------------------------------------------

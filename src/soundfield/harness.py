@@ -37,7 +37,7 @@ from .observation import (
     unit_noise,
 )
 from .specfun import degrees_orders, harmonic_rows, num_coeffs, sph_hn_all, sph_jn_all
-from .wavefuncs import green, plane_wave
+from .wavefuncs import _green_of_distance, green, plane_wave
 
 NMSE_FLOOR_DB = -300.0
 
@@ -835,22 +835,27 @@ def ball_grid(radius, spacing):
     """All grid points at `spacing` intervals inside a centered ball.
 
     The enclosing cube must hold at most 1e7 points; the ratio is tested for
-    ``inf`` before ``floor``.  The cube is scanned one x-slab at a time, so
-    only the grid itself is held.
+    ``inf`` before ``floor``.  As in :func:`plane_grid`, a ratio within 1e-9
+    (relative) of whole is that whole n, and a point is inside within 1e-9
+    relative of the larger of the radius and n spacings, so the outer shell
+    stays.  The cube is scanned one x-slab at a time, so only the grid
+    itself is held.
     """
     ratio = radius / spacing
-    if not (math.isfinite(ratio) and (2 * math.floor(ratio) + 1) ** 3 <= 10**7):
+    if math.isfinite(ratio):
+        n = round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else math.floor(ratio)
+    if not (math.isfinite(ratio) and (2 * n + 1) ** 3 <= 10**7):
         raise ConfigError("eval_grid.spacing: too fine; the grid would exceed 1e7 points "
                           "within eval_grid.radius")
     _check_length("eval_grid.radius", radius)
-    n = math.floor(ratio)
     ax = np.arange(-n, n + 1) * spacing
+    reach = max(radius, n * spacing) * (1.0 + 1e-9)
     slab = np.empty(((2 * n + 1) ** 2, 3))
     slab[:, 1:] = np.stack(np.meshgrid(ax, ax, indexing="ij"), axis=-1).reshape(-1, 2)
     inside = []
     for x in ax:
         slab[:, 0] = x
-        inside.append(slab[np.linalg.norm(slab, axis=1) <= radius + 1e-12])
+        inside.append(slab[np.linalg.norm(slab, axis=1) <= reach])
     return np.concatenate(inside)
 
 
@@ -1029,12 +1034,12 @@ def wpm_experiment(obj):
     quad, cell = apps.square_grid(1.0, v["quad_spacing"], midpoint=True)
     ctrl, _ = apps.square_grid(1.0, v["control_spacing"])
     rows = []
-    # one geometry for every frequency's weighting: the quadrature radii
-    # do not depend on k
+    # one geometry per run: neither the quadrature radii nor the source distances depend on k
     weightings = apps._region_weightings(ctrl, quad, cell, ks, v["reg"])
+    d_ctrl, d_eval = (np.linalg.norm(p[:, None, :] - src, axis=-1) for p in (ctrl, region))
     for f, k, W in zip(v["frequencies"], ks, weightings):
-        G = apps.transfer_matrix(src, ctrl, k)
-        Ge = apps.transfer_matrix(src, region, k)
+        G = _green_of_distance(d_ctrl, k)
+        Ge = _green_of_distance(d_eval, k)
         u_ctrl = plane_wave(ctrl, v["direction"], k)
         u_eval = plane_wave(region, v["direction"], k)
         W = W * (len(ctrl) / float(np.trace(W).real))

@@ -28,18 +28,32 @@ from .specfun import (degrees_orders, euler_zyz, gauss_legendre, harmonic_rows, 
 # Canonical solutions
 # ---------------------------------------------------------------------------
 
-def green(r, r_src, k):
-    """Free-field Green's function e^{ik|r-rs|} / (4 pi |r-rs|).
+def _check_nonnegative(name, value):
+    """Raise ValueError naming `name` unless `value` is finite and >= 0."""
+    if not 0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
-    `r` may have shape (..., 3); `r_src` is a single 3-vector.
-    """
-    r = np.asarray(r, dtype=float)
-    d = np.linalg.norm(r - np.asarray(r_src, dtype=float), axis=-1)
+
+def _green_of_distance(d, k):
+    """e^{ikd} / (4 pi d) at distances d, unchecked: :func:`green` once d is known."""
     return np.exp(1j * k * d) / (4.0 * np.pi * d)
 
 
+def green(r, r_src, k):
+    """Free-field Green's function e^{ik|r-rs|} / (4 pi |r-rs|).
+
+    `r` may have shape (..., 3); `r_src` is a single 3-vector.  `k` must be
+    finite and >= 0 (a ValueError otherwise).
+    """
+    _check_nonnegative("k", k)
+    r = np.asarray(r, dtype=float)
+    return _green_of_distance(np.linalg.norm(r - np.asarray(r_src, dtype=float), axis=-1), k)
+
+
 def plane_wave(r, x_inc, k):
-    """Unit-amplitude plane wave e^{-i k x_inc . r} arriving from direction x_inc."""
+    """Unit-amplitude plane wave e^{-i k x_inc . r} arriving from direction
+    x_inc; `k` is checked as in :func:`green`."""
+    _check_nonnegative("k", k)
     r = np.asarray(r, dtype=float)
     x_inc = np.asarray(x_inc, dtype=float)
     return np.exp(-1j * k * (r @ x_inc))
@@ -65,8 +79,10 @@ def swf_angular(order, r):
 def regular_swf_matrix(order, r, k):
     """All phi_{nu,mu}(r) for nu <= order; shape ``shape(r)[:-1] + ((order+1)**2,)``.
 
-    Each is ``i^{-nu} j_nu(k |r|)`` times the harmonic of :func:`swf_angular`.
+    Each is ``i^{-nu} j_nu(k |r|)`` times the harmonic of :func:`swf_angular`;
+    `k` is checked as in :func:`green`.
     """
+    _check_nonnegative("k", k)
     rad, Y = swf_angular(order, r)
     nu, _ = degrees_orders(order)
     radial = np.moveaxis(sph_jn_all(order, k * rad), 0, -1)[..., nu]

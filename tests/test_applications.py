@@ -94,10 +94,29 @@ def test_region_weighting_equals_the_representer_formula(f):
     mics = Mics(ctrl)
     P = np.linalg.inv(kernel_matrix(mics, k).real + 1e-3 * np.eye(len(ctrl)))
     kap = np.ascontiguousarray(Representers(mics, region).matrix(k).real)
-    W = P.conj().T @ (cell * np.einsum("qm,qn->mn", kap.conj(), kap)) @ P
+    W = P.conj().T @ (cell * (kap.T @ kap)) @ P
     out = apps.region_weighting(ctrl, region, cell, k, 1e-3)
     assert out.dtype == np.float64
     assert np.array_equal(out, 0.5 * (W + W.conj().T))
+
+
+@pytest.mark.parametrize("f, bound", [(300.0, 1.5e-8), (700.0, 3e-11)])
+def test_region_weighting_gram_is_accurate(f, bound):
+    # synth's default geometry against the same float64 P with the Gram and
+    # both products in long double: einsum's own loop summed the Gram to
+    # 4.3e-8 (300 Hz) and 9.4e-11 (700 Hz) of the weighting, BLAS to 4.0e-9
+    # and 1.0e-11
+    k = 2 * math.pi * f / 343.0
+    ctrl, _ = apps.square_grid(1.0, 0.2)
+    quad, cell = apps.square_grid(1.0, 0.02, midpoint=True)
+    mics = Mics(ctrl)
+    P = np.linalg.inv(kernel_matrix(mics, k).real + 1e-3 * np.eye(len(ctrl)))
+    P = P.astype(np.longdouble)
+    kap = next(Representers(mics, quad).terms(k)).astype(np.longdouble)
+    W = P.T @ (cell * (kap.T @ kap)) @ P
+    exact = 0.5 * (W + W.T)
+    out = apps.region_weighting(ctrl, quad, cell, k, 1e-3)
+    assert np.max(np.abs(out - exact)) <= bound * np.max(np.abs(exact))
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from soundfield import discrete, observation
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
-from soundfield.applications import pm_drive, wpm_drive
+from soundfield.applications import pm_drive, transfer_matrix, wpm_drive
 from soundfield.discrete import (
     Representers,
     build_observation_matrix,
@@ -463,8 +463,13 @@ _REJECTED = {"reg": (np.nan, np.inf, -1.0), "k": (np.nan, np.inf, -1.0), "order"
     ("k", lambda k: build_observation_matrix(_MICS, np.zeros(3), 2, k), 0.0),
     ("order", lambda order: build_observation_matrix(_MICS, np.zeros(3), order, 2.0),
      np.int64(0)),
+    ("k", lambda k: wf.green(_MICS.pos, np.ones(3), k), 0.0),
+    ("k", lambda k: wf.plane_wave(_MICS.pos, np.array([0.0, 0.0, 1.0]), k), 0.0),
+    ("k", lambda k: wf.regular_swf_matrix(2, _MICS.pos, k), 0.0),
+    ("k", lambda k: transfer_matrix(np.ones((2, 3)), _MICS.pos, k), 0.0),
 ], ids=["solve_kernel", "solve_tikhonov", "pm_drive", "wpm_drive", "kernel_matrix",
-        "build_observation_matrix-k", "build_observation_matrix-order"])
+        "build_observation_matrix-k", "build_observation_matrix-order", "green", "plane_wave",
+        "regular_swf_matrix", "transfer_matrix"])
 def test_out_of_domain_input_raises_naming_it(name, call, edge):
     # NaN gave NaN weights, drives or matrices, -1 was accepted and order -1
     # raised IndexError; each now raises a ValueError that names its argument,

@@ -99,6 +99,13 @@ def test_ball_grid_default_size():
     assert len(ball_grid(1.0, 0.1)) == 4169
 
 
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 0.7, 1.0, 3.0, 7.0, 1e3])
+def test_ball_grid_keeps_its_outer_shell_at_any_scale(scale):
+    # 0.7 / 0.07 and 3 / (0.1 * 3) are 9.999999999999998, whose floor
+    # dropped the 6 axis points of the outer shell
+    assert len(ball_grid(scale, 0.1 * scale)) == 4169
+
+
 def test_ball_grid_within_radius():
     pts = ball_grid(0.7, 0.2)
     assert np.all(np.linalg.norm(pts, axis=1) <= 0.7 + 1e-12)
@@ -1118,6 +1125,34 @@ def test_synth_weightings_come_from_one_geometry(monkeypatch):
     monkeypatch.undo()
     for points, region_pts, cell, k, reg, W in seen:
         assert np.array_equal(W, apps.region_weighting(points, region_pts, cell, k, reg))
+
+
+def test_synth_source_distances_come_once_per_run(monkeypatch):
+    # synth computes the source distances once and evaluates only
+    # exp(ikr) / (4 pi r) at each frequency, with the bits of transfer_matrix
+    seen = []
+    real = harness._green_of_distance
+
+    def recording(d, k):
+        G = real(d, k)
+        seen.append((d, k, G))
+        return G
+
+    def forbidden(*args):
+        raise AssertionError("transfer_matrix called")
+
+    monkeypatch.setattr(harness, "_green_of_distance", recording)
+    monkeypatch.setattr(apps, "transfer_matrix", forbidden)
+    cfg = json.loads((CONFIGS / "synth.json").read_text())
+    harness.wpm_experiment(cfg)
+    monkeypatch.undo()
+    assert len(seen) == 2 * len(cfg["frequencies"]) == 10
+    assert len({id(d) for d, _, _ in seen}) == 2
+    src = np.vstack([apps.square_boundary_points(2.0, 16, z=z) for z in (0.2, -0.2)])
+    ctrl, _ = apps.square_grid(1.0, 0.2)
+    region, _ = apps.square_grid(1.0, 0.05)
+    for i, (d, k, G) in enumerate(seen):
+        assert np.array_equal(G, apps.transfer_matrix(src, (ctrl, region)[i % 2], k))
 
 
 def test_cli_anc_source_just_outside_region(tmp_path):

@@ -19,10 +19,15 @@ directions, 3 of them next to a pole, a 4,000-sample
 final filter and error history), `region_weighting` on `synth`'s default
 geometry at the 5 frequencies of `configs/synth.json`, `sph_jn_all` and
 `sph_hn_all` with their derivatives at degrees 0-40 and 123 seeded arguments
-from 0 to 2000, the estimates of a `field` dump of DM-infinite on
-first-order mics, which no file of `configs/` runs, and `solve_tikhonov` on a
-seeded complex 12 x 5 system at reg 0 and 1e-3, its B^H B form, which no
-DM-finite config reaches (each has M <= (N0+1)^2).
+from 0 to 2000, in one call and again one argument per call (the
+one-element path), `radial_response` of each kind at order 7 on a vector
+of 64 kR from 0.05 to 2000 (a checkout whose `radial_response` takes one
+kR per call gives it column by column), the estimates of a `field` dump of
+DM-infinite on first-order mics, which no file of `configs/` runs, a
+100-frequency BM-first `sweep_csv(run_sweep(...))`, longer than any sweep
+of `configs/`, and `solve_tikhonov` on a seeded complex 12 x 5 system at
+reg 0 and 1e-3, its B^H B form, which no DM-finite config reaches (each has
+M <= (N0+1)^2).
 
 For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
@@ -51,14 +56,16 @@ from soundfield.cli import main
 print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 """
 # Seeded translate_coeffs, rotate_coeffs, translation_matrix, sph_harm_matrix,
-# sph_jn_all and sph_hn_all calls, one FxLMS run, synth's region weightings,
-# one directional DM-infinite field dump and one overdetermined Tikhonov solve;
+# sph_jn_all and sph_hn_all calls (batched and one argument per call), one
+# FxLMS run, synth's region weightings, radial responses on a kR vector, one
+# directional DM-infinite field dump, one 100-frequency BM-first sweep and one
+# overdetermined Tikhonov solve;
 # prints the repr of each real and imaginary part of their outputs, by function.
 LAYER_CHILD = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from soundfield import applications as apps, discrete, harness, specfun, wavefuncs
+from soundfield import applications as apps, boundary, discrete, harness, specfun, wavefuncs
 from soundfield.harness import SOUND_SPEED
 rng = np.random.default_rng(2025)
 n = specfun.num_coeffs(12)
@@ -103,6 +110,23 @@ out["sph_jn_all"] = np.concatenate([specfun.sph_jn_all(0, x)[0], specfun.sph_jn_
 with np.errstate(invalid="ignore"):
     out["sph_hn_all"] = [h / np.abs(h) for h in (specfun.sph_hn_all(40, x),
                                                  specfun.sph_hn_all(40, x, derivative=True))]
+# the same tables one argument per call
+out["sph_jn_all_one_by_one"] = np.concatenate([
+    np.ravel(v) for xi in x for v in (specfun.sph_jn_all(0, xi), specfun.sph_jn_all(40, xi),
+                                      specfun.sph_jn_all(40, xi, derivative=True))])
+with np.errstate(invalid="ignore"):
+    out["sph_hn_all_one_by_one"] = [
+        h / np.abs(h) for xi in x for h in (specfun.sph_hn_all(40, xi),
+                                            specfun.sph_hn_all(40, xi, derivative=True))]
+# radial responses of each kind on one kR vector; where radial_response takes
+# a single kR only (its i^-nu factor does not broadcast), column by column
+kR = np.concatenate([np.linspace(0.05, 60.0, 60), [250.0, 1000.0, 1500.0, 2000.0]])
+def response(kind):
+    try:
+        return boundary.radial_response(kind, 7, kR, a=0.37)
+    except ValueError:
+        return np.stack([boundary.radial_response(kind, 7, v, a=0.37) for v in kR], axis=-1)
+out["radial_response"] = [response(kind) for kind in ("omni", "first_order", "rigid")]
 # re_est and im_est of a field dump of the kernel estimate on first-order
 # mics: its two real basis terms, a j0 and j1 proj
 cfg = harness.ScenarioConfig.from_dict({
@@ -113,6 +137,14 @@ dump = io.StringIO()
 harness.dump_field(cfg, 300.0, dump, "xy", 2.0, 0.1, 0.0, True, 0)
 out["kernel_first_order_field"] = [complex(float(row[5]), float(row[6])) for row in
                                    (line.split(",") for line in dump.getvalue().splitlines()[1:])]
+# a BM-first sweep of 100 frequencies, every number of its CSV
+sweep = harness.sweep_csv(harness.run_sweep(harness.ScenarioConfig.from_dict({
+    "estimator": "BM-first", "frequencies": np.linspace(50.0, 1000.0, 100).tolist(),
+    "trials": 2, "seed": 3, "array": {"type": "spherical", "t": 7, "radius": 1.0},
+    "field": {"type": "point_source", "position": [2.0, 1.0, 0.5]},
+    "eval_grid": {"radius": 0.5, "spacing": 0.1}})))
+out["bm_first_100_frequencies"] = [float(c) for line in sweep.splitlines()[1:]
+                                   for c in line.split(",") if c != "BM-first"]
 # M > N: the B^H B form of solve_tikhonov, at reg 0 and at the configs' reg
 B = rng.normal(size=(12, 5)) + 1j * rng.normal(size=(12, 5))
 s = rng.normal(size=12) + 1j * rng.normal(size=12)

@@ -29,13 +29,21 @@ _XTOL = 1e-13
 
 
 def radial_response(kind, order, kR, a=None):
-    """Radial response A_nu for nu = 0..order of a spherical boundary array.
+    """Radial response A_nu for nu = 0..order of a spherical boundary array,
+    shape ``(order+1,) + shape(kR)``, each column that of its kR alone; a kR
+    that is not finite, or 0 for the rigid kind, raises ValueError.
 
     * omni (open):        ``i^{-nu} j_nu(kR)``
     * first_order (open): ``i^{-nu} (a j_nu(kR) + i (1-a) j_nu'(kR))``
-    * rigid (omni on rigid sphere): ``i^{-nu} * i / ((kR)^2 h_nu'(kR))``
+    * rigid (omni on rigid sphere): ``i^{-nu} * i / ((kR)^2 h_nu'(kR))``,
+      ``(kR)^2`` as ``kR * kR`` (a scalar's ``kR**2`` is libm's pow)
     """
-    ip = 1j ** (-np.arange(order + 1.0))
+    kR = np.asarray(kR, dtype=float)
+    bad = ~np.isfinite(kR) | ((kR == 0.0) & (kind == "rigid"))
+    if bad.any():
+        raise ValueError(f"kR must be finite{' and nonzero' if kind == 'rigid' else ''}, "
+                         f"not {float(kR[bad][0])!r}")
+    ip = (1j ** (-np.arange(order + 1.0))).reshape((-1,) + (1,) * kR.ndim)
     if kind == "omni":
         return ip * sph_jn_all(order, kR)
     if kind == "first_order":
@@ -44,7 +52,7 @@ def radial_response(kind, order, kR, a=None):
         return ip * (a * sph_jn_all(order, kR)
                      + 1j * (1.0 - a) * sph_jn_all(order, kR, derivative=True))
     if kind == "rigid":
-        return ip * (1j / (kR**2 * sph_hn_all(order, kR, derivative=True)))
+        return ip * (1j / (kR * kR * sph_hn_all(order, kR, derivative=True)))
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 

@@ -336,7 +336,8 @@ def _check_wavenumbers(cfg, freqs):
     ``((1 + 1/(k d)) / (4 pi d))^2``, times ``10^(-snr_db/10)`` passes
     _POWER_MAX; or at which a radial response the run divides by or sums is 0
     or not finite: a BM estimator's A_nu, nu <= order, on the mics' mean
-    radius, and on a rigid mount the rigid response up to the truth's order.
+    radius (one :func:`_bm_response` table for all ks, returned with them),
+    and on a rigid mount the rigid response up to the truth's order, k by k.
     """
     pos = cfg.array.mics.pos
     norms = np.linalg.norm(pos, axis=1)
@@ -351,8 +352,9 @@ def _check_wavenumbers(cfg, freqs):
     if cfg.estimator == "DM-finite":
         lengths.append(("origin", float(np.linalg.norm(cfg.origin))))
     ks = _wavenumbers(freqs, cfg.c, lengths)
+    bm = _bm_response(cfg, ks)
     noise_scale = max(1.0, 10.0 ** (-cfg.snr_db / 10.0))
-    for (path, _), k in zip(freqs, ks):
+    for (path, _), k, A_bm in zip(freqs, ks, bm):
         if not (k * near > 0.0 and 1.0 / (k * near) < math.inf):
             raise ConfigError(f"{path}: 1 / (k d) must be finite, not inf at k = {k:g}, for the "
                               f"distance d = {near:g} m of field.position from its nearest mic")
@@ -361,22 +363,21 @@ def _check_wavenumbers(cfg, freqs):
             raise ConfigError(f"{path}: directional mics' near-field factor (1 + 1/(k d)) / "
                               f"(4 pi d) = {near_field:.3g} at k = {k:g}, d = {near:g} m, squared "
                               f"and times max(1, 10^(-snr_db/10)), must be at most {_POWER_MAX:g}")
-        checks = []
-        with np.errstate(all="ignore"):  # an overflowed response is rejected below
-            if cfg.estimator in _BM_MODELS:
-                checks.append((_bm_response(cfg, k), float(np.mean(norms)),
-                               "array.mics" if explicit else "array.radius"))
-            if cfg.array.mount == "rigid":
-                radius = cfg.array.radius
-                checks.append((radial_response("rigid", _rigid_truth_order(cfg.array, k),
-                                               k * radius), radius, "array.radius"))
+        checks = [] if A_bm is None else [
+            (A_bm, float(np.mean(norms)), "array.mics" if explicit else "array.radius")]
+        if cfg.array.mount == "rigid":
+            radius = cfg.array.radius
+            with np.errstate(all="ignore"):  # NaN: A_0 at kR = 0, as in _bm_response
+                A = (radial_response("rigid", _rigid_truth_order(cfg.array, k), k * radius)
+                     if k * radius else [math.nan])
+            checks.append((A, radius, "array.radius"))
         for A, radius, radius_path in checks:
             bad = np.flatnonzero(~np.isfinite(A) | (A == 0))
             if bad.size:
                 raise ConfigError(
                     f"{path}: the radial response A_{bad[0]} at kR = {k * radius:g} "
                     f"({radius_path}, R = {radius:g} m) must be finite and nonzero")
-    return ks
+    return ks, bm
 
 
 @dataclass
@@ -400,6 +401,7 @@ class ScenarioConfig:
     eval_spacing: float
     explicit_array: bool  # the `array` object lists its mics
     wavenumbers: list = field(init=False)  # the k of each frequency, set by from_dict
+    responses: list = field(init=False)  # and its _bm_response column
 
     @classmethod
     def from_dict(cls, obj):
@@ -412,7 +414,7 @@ class ScenarioConfig:
         cfg = cls(array=array, field_spec=field_spec, eval_radius=grid["radius"],
                   eval_spacing=grid["spacing"], explicit_array="mics" in spec, **values)
         _check_fit_sizes(cfg)
-        cfg.wavenumbers = _check_wavenumbers(
+        cfg.wavenumbers, cfg.responses = _check_wavenumbers(
             cfg, [(f"frequencies[{i}]", f) for i, f in enumerate(cfg.frequencies)])
         return cfg
 
@@ -602,24 +604,21 @@ def _block_rows(width):
     return max(1, BLOCK_BYTES // (_VALUE_BYTES * width))
 
 
-def _bm_response(cfg, k):
-    """A BM estimator's radial response A_nu, nu = 0..order, at k, on the
-    mics' mean radius and with their own omni weight; None for the DM
-    estimators."""
+def _bm_response(cfg, ks):
+    """A BM estimator's radial response A_nu, nu <= order, on the mics' mean
+    radius with their own omni weight: a column per k of `ks`, from one call,
+    warnings off and NaN for the rigid A_0 = i / (0 inf) at kR = 0, which
+    radial_response rejects, for :func:`_check_wavenumbers` to reject; DM: None."""
     model = _BM_MODELS.get(cfg.estimator)
     if model is None:
-        return None
+        return [None] * len(ks)
     mics = cfg.array.mics
-    radius = float(np.mean(np.linalg.norm(mics.pos, axis=1)))
-    return _radial_response(model[2], cfg.order, k * radius, float(mics.a[0]))
-
-
-@functools.lru_cache(maxsize=64)
-def _radial_response(model, order, kr, a):
-    """:func:`radial_response`, read-only: one for a frequency's check, fit and records."""
-    A = radial_response(model, order, kr, a=a)
-    A.flags.writeable = False
-    return A
+    kR = np.multiply(ks, float(np.mean(np.linalg.norm(mics.pos, axis=1))))
+    A = np.full((cfg.order + 1, kR.size), np.nan, dtype=complex)
+    ok = (kR != 0.0) | (model[2] != "rigid")
+    with np.errstate(all="ignore"):
+        A[:, ok] = radial_response(model[2], cfg.order, kR[ok], a=float(mics.a[0]))
+    return list(A.T)
 
 
 class Estimator:
@@ -629,9 +628,9 @@ class Estimator:
     It keeps only what depends on neither frequency, trial nor point: for BM
     its `analysis` matrix; for BM and DM-finite the `order` and `origin` of
     the expansion (`order` is None for DM-infinite).
-    :func:`prepare_estimator` fits it at one frequency and :meth:`evaluate`
-    gives the estimates of the fits at a set of points, block by block, as
-    the fits' weights times real basis terms there.
+    :func:`prepare_estimator` fits it at one frequency, BM by its column of
+    the sweep's :func:`_bm_response` table, and :meth:`evaluate` gives the
+    fits' estimates at points, block by block: weights times real basis terms.
     """
 
     def __init__(self, cfg):
@@ -748,10 +747,11 @@ class Estimator:
         return [scaled]
 
 
-def prepare_estimator(est, k):
+def prepare_estimator(est, k, A):
     """The fit of the :class:`Estimator` `est` at wavenumber k.
 
-    Builds the k-dependent operator once (BM: the radial response A;
+    Builds the k-dependent operator once (BM: its :func:`_bm_response` column
+    `A` at k on the coefficient layout, None for DM;
     DM-finite: the observation matrix B; DM-infinite: the Gram matrix K) and
     returns the callable mapping a block of signals S (M, T), one column per
     trial, to the weights :meth:`Estimator.evaluate` takes: BM
@@ -760,7 +760,7 @@ def prepare_estimator(est, k):
     """
     cfg = est.cfg
     if est.model:
-        A = _bm_response(cfg, k)[degrees_orders(est.order)[0]][:, None]
+        A = A[degrees_orders(est.order)[0]][:, None]
         return lambda signals: (est.analysis @ signals) / A
     if est.order is not None:
         B = build_observation_matrix(cfg.array.mics, est.origin, est.order, k)
@@ -775,18 +775,19 @@ def _noise(cfg, trials):
     return np.stack([unit_noise(m, np.random.default_rng(cfg.seed + t)) for t in trials], axis=1)
 
 
-def _fit(est, k, noise):
-    """The weights (., T) that `est` fits at k to the truth's mic signals
-    plus the unit `noise` (M, T) at the configured SNR."""
+def _fit(est, k, A, noise):
+    """The weights (., T) that `est` fits at k (and BM response `A`) to the
+    truth's mic signals plus the unit `noise` (M, T) at the configured SNR."""
     cfg = est.cfg
     clean = observe_field(cfg.array, cfg.field_spec, k)
-    return prepare_estimator(est, k)(clean[:, None] + noise_std(clean, cfg.snr_db) * noise)
+    return prepare_estimator(est, k, A)(clean[:, None] + noise_std(clean, cfg.snr_db) * noise)
 
 
 def estimate_field(cfg, signals, k, pts):
     """The configured estimator's values at `pts` (Q, 3) from one signal vector."""
     est = Estimator(cfg)
-    weights = prepare_estimator(est, k)(np.asarray(signals)[:, None])
+    A, = _bm_response(cfg, [k])
+    weights = prepare_estimator(est, k, A)(np.asarray(signals)[:, None])
     return np.concatenate([_complex(out)[0] for _, _, out in
                            est.evaluate(pts, [k], [weights], est.block_rows(1))])
 
@@ -875,14 +876,14 @@ def run_sweep(cfg):
 
     The unit noise of every trial (see :func:`_noise`) is drawn once, and
     every frequency is fitted first (see :func:`_fit`), all trials as one
-    block.  :meth:`Estimator.evaluate` then walks the grid in blocks of
-    :meth:`Estimator.block_rows` points, small enough to stay in cache
-    across the frequencies, and computes an expansion's radial functions
-    once per span of blocks (the whole grid when their table fits the
-    budget).  Each block's real estimates and truth at each frequency add
-    to each (frequency, trial)'s NMSE numerator and denominator, in real
-    arithmetic: the squares of the real and imaginary parts of the error
-    and of the truth.
+    block, BM by the config's `responses`.  :meth:`Estimator.evaluate` then
+    walks the grid in blocks of :meth:`Estimator.block_rows` points, small
+    enough to stay in cache across the frequencies, and computes an
+    expansion's radial functions once per span of blocks (the whole grid
+    when their table fits the budget).  Each block's real estimates and
+    truth at each frequency add to each (frequency, trial)'s NMSE numerator
+    and denominator, in real arithmetic: the squares of the real and
+    imaginary parts of the error and of the truth.
     """
     grid = ball_grid(cfg.eval_radius, cfg.eval_spacing)
     ks = cfg.wavenumbers
@@ -891,7 +892,7 @@ def run_sweep(cfg):
     est = Estimator(cfg)
     trials = range(cfg.trials)
     noise = _noise(cfg, trials)
-    weights = [_fit(est, k, noise) for k in ks]
+    weights = [_fit(est, k, A, noise) for k, A in zip(ks, cfg.responses)]
     T = cfg.trials
     num = np.zeros((len(ks), T))
     den = np.zeros(len(ks))
@@ -903,8 +904,7 @@ def run_sweep(cfg):
         num[i] += np.sum(out[:T], axis=1) + np.sum(out[T:], axis=1)
         den[i] += np.sum(truth.real * truth.real) + np.sum(truth.imag * truth.imag)
     records = []
-    for i, f in enumerate(cfg.frequencies):
-        A = _bm_response(cfg, ks[i])
+    for i, (f, A) in enumerate(zip(cfg.frequencies, cfg.responses)):
         diag = float("nan") if A is None else float(np.min(np.abs(A)))
         vals = [_nmse_db(n, den[i]) for n in num[i]]
         mean_db = float(np.mean(vals))
@@ -978,7 +978,7 @@ def dump_field(cfg, frequency, out, plane, extent, spacing, offset, include_esti
     `trial`.  The rows are then evaluated and written block by block.
     Nothing is written before the frequency and grid are checked.
     """
-    k, = _check_wavenumbers(cfg, [("--freq", frequency)])
+    (k,), (A,) = _check_wavenumbers(cfg, [("--freq", frequency)])
     pts = plane_grid(plane, extent, spacing, offset)
     # No point lies farther than a corner of the square; the flag named sets
     # the larger part of its distance.
@@ -990,7 +990,7 @@ def dump_field(cfg, frequency, out, plane, extent, spacing, offset, include_esti
     rows = _block_rows(_CSV_ROW_WIDTH)
     if include_estimate:
         est = Estimator(cfg)
-        weights = _fit(est, k, _noise(cfg, [trial]))
+        weights = _fit(est, k, A, _noise(cfg, [trial]))
         rows = min(rows, est.block_rows(1))
         estimates = est.evaluate(pts, [k], [weights], rows)
     pad = [] if include_estimate else ["", "", ""]

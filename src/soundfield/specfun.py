@@ -71,14 +71,9 @@ def _sincos(x, s, c=None):
     call libm once per value: with t = tan(x/2) (x/2 is exact),
     ``sin x = 2t / (1 + t^2)`` and ``cos x = sin x / tan x``.  Below
     _SERIES_X, sin x = x and cos x = 1, which also covers 0/0 at x = 0.
+    Every size of x, one value included, takes this one path, element by
+    element, so a value's bits do not depend on the others in x.
     """
-    if x.size == 1:  # Python floats, as in _upward; numpy's tan gives the same bits
-        v = float(x[0])
-        t = float(np.tan(v * 0.5))
-        s[0] = sv = v if abs(v) < _SERIES_X else (t + t) / (t * t + 1.0)
-        if c is not None:
-            c[0] = 1.0 if abs(v) < _SERIES_X else sv / float(np.tan(v))
-        return
     scratch = np.empty(min(x.size, _TRIG_BLOCK)) if c is None else None
     for i in range(0, x.size, _TRIG_BLOCK):
         xb, sb = x[i:i + _TRIG_BLOCK], s[i:i + _TRIG_BLOCK]
@@ -111,8 +106,6 @@ def _upward(rows, x, nmax):
     if nmax < 2:
         return
     prev, cur, inv = rows[0], rows[1], 1.0 / x
-    if x.size == 1:  # Python floats: ~10x faster than one-element arrays
-        prev, cur, inv = float(prev[0]), float(cur[0]), float(inv[0])
     for n in range(1, nmax):
         prev, cur = cur, (2 * n + 1) * inv * cur - prev
         rows[n + 1] = cur
@@ -162,8 +155,6 @@ def _jn_miller(nmax, x, seeds):
     checked = growth > math.log(_RESCALE)
     rows = np.empty((nmax + 1, x.size))
     f_next, f, inv_f = np.zeros(x.size), np.ones(x.size), inv
-    if x.size == 1:  # Python floats, as in _upward
-        f_next, f, inv_f = 0.0, 1.0, float(inv[0])
     for n in range(start, 0, -1):
         f_next, f = f, (2 * n + 1) * inv_f * f - f_next  # f is now f_{n-1}
         if n <= nmax + 1:

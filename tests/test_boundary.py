@@ -54,6 +54,36 @@ def test_rigid_radial_response_dual_forms():
         assert A[nu] == pytest.approx(alt, rel=1e-10)
 
 
+@pytest.mark.parametrize("order", [1, 7, 30])
+@pytest.mark.parametrize("kind,a", [("omni", None), ("first_order", 0.37), ("rigid", None)])
+def test_radial_response_columns_equal_scalar_calls(kind, a, order):
+    # each column of one call on a kR vector is the call on its kR alone, bit
+    # for bit; at the two kR listed first libm's pow(kR, 2) is 1 ulp from
+    # kR * kR.  0 and a series-range kR (not for the rigid kind, which is 0 / 0
+    # or overflows there) share the call with the recurrence ranges.
+    kR = np.concatenate([[7.248326566138588, 12.784143710469667, 0.05],
+                         np.linspace(0.5, 60.0, 40), [250.0, 1999.0],
+                         [] if kind == "rigid" else [1e-9, 0.0]])
+    A = radial_response(kind, order, kR, a=a)
+    assert A.shape == (order + 1, kR.size)
+    for i, x in enumerate(kR.tolist()):
+        assert np.array_equal(A[:, i], radial_response(kind, order, x, a=a)), x
+    grid = radial_response(kind, order, kR[:42].reshape(6, 7), a=a)
+    assert np.array_equal(grid, A[:, :42].reshape(order + 1, 6, 7))
+
+
+@pytest.mark.parametrize("kind", ["omni", "first_order", "rigid"])
+def test_radial_response_rejects_nan_kr(kind):
+    with pytest.raises(ValueError, match="kR must be finite"):
+        radial_response(kind, 3, [1.0, math.nan], a=0.5)
+
+
+def test_rigid_radial_response_rejects_kr_zero():
+    # (kR)^2 h_0'(kR) is 0 times inf at 0: rejected before any arithmetic
+    with pytest.raises(ValueError, match="kR must be finite and nonzero, not 0.0"):
+        radial_response("rigid", 3, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Coefficient estimation from boundary samples
 # ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@ from soundfield.harness import (
     ScenarioConfig,
     ball_grid,
     dump_field,
+    estimate_field,
     nmse,
+    observe_field,
     plane_grid,
     prepare_estimator,
     run_sweep,
@@ -375,23 +377,53 @@ def test_evaluate_matches_regular_swf_matrix(rng, estimator, kind, origin, trial
         np.abs(ref))
 
 
-def test_bm_response_computed_once_per_frequency(monkeypatch):
-    # the config's check, the fit and the sweep's records share one A_nu per k
-    harness._radial_response.cache_clear()
+def test_bm_response_table_computed_once_per_sweep(monkeypatch):
+    # one radial_response call on the whole frequency list serves the
+    # config's check, the fits and the records, however many frequencies
+    # (here more than the 64 that a per-frequency cache held); a field dump
+    # makes one call for its one k
     calls = []
     orig = harness.radial_response
 
     def counting(*args, **kwargs):
-        calls.append(args[2])
+        calls.append(np.shape(args[2]))
         return orig(*args, **kwargs)
 
     monkeypatch.setattr(harness, "radial_response", counting)
-    cfg = ScenarioConfig.from_dict(_base_config(estimator="BM-omni", frequencies=[150.0, 300.0]))
+    freqs = np.linspace(100.0, 400.0, 100).tolist()
+    cfg = ScenarioConfig.from_dict(_base_config(
+        estimator="BM-first", frequencies=freqs, trials=1,
+        array={"type": "spherical", "t": 5, "radius": 0.5}))
     run_sweep(cfg)
+    assert 1 <= len(calls) <= 2 and all(shape == (100,) for shape in calls)
+    calls.clear()
     _dump(cfg, 300.0, extent=1.0, spacing=0.5)
-    assert len(calls) == 2
-    _dump(cfg, 250.0, extent=1.0, spacing=0.5)
-    assert len(calls) == 3
+    assert calls == [(1,)]
+
+
+@pytest.mark.parametrize("estimator", ["BM-rigid", "DM-finite"])
+def test_rigid_response_at_kr_zero_is_a_config_error(estimator):
+    # on a tiny rigid sphere k R underflows to 0, where radial_response
+    # rejects the rigid kind; the config check names it as a response that
+    # is not finite
+    array = {"type": "spherical", "t": 5, "radius": 1e-150, "mount": "rigid"}
+    with pytest.raises(ConfigError, match=r"^frequencies\[0\]: the radial response A_0 at "
+                                          r"kR = 0 \(array.radius, R = 1e-150 m\)"):
+        ScenarioConfig.from_dict(_base_config(estimator=estimator, frequencies=[1e-173],
+                                              array=array))
+
+
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_estimate_field_recovers_a_low_frequency_plane_wave(estimator):
+    # the library entry point fits one signal vector at its own k (BM with
+    # its one-column response table) and evaluates it at the points given
+    cfg = ScenarioConfig.from_dict(_base_config(
+        estimator=estimator, order=2, order_n0=2,
+        array={"type": "spherical", "t": 5, "radius": 0.5}))
+    k = cfg.wavenumbers[0]
+    pts = ball_grid(0.3, 0.1)
+    vals = estimate_field(cfg, observe_field(cfg.array, cfg.field_spec, k), k, pts)
+    assert nmse(vals, harness._truth_eval(cfg.field_spec, pts, k)) < -30.0
 
 
 @pytest.mark.parametrize("estimator", ESTIMATORS)
@@ -403,7 +435,8 @@ def test_estimator_freed_without_gc(estimator):
     gc.disable()
     try:
         est = Estimator(cfg)
-        weights = prepare_estimator(est, 2.0)(np.ones((12, 1)))
+        A, = harness._bm_response(cfg, [2.0])
+        weights = prepare_estimator(est, 2.0, A)(np.ones((12, 1)))
         _estimates(est, ball_grid(0.5, 0.25), 2.0, weights)
         ref = weakref.ref(est)
         del est
@@ -1301,8 +1334,8 @@ def test_field_fits_the_sweeps_signals_of_its_trial(monkeypatch, estimator):
     blocks = []
     fit = harness.prepare_estimator
 
-    def capture(est, k):
-        apply = fit(est, k)
+    def capture(est, k, A):
+        apply = fit(est, k, A)
 
         def record(signals):
             blocks.append((k, signals.copy()))

@@ -52,8 +52,9 @@ def test_csv_drift_of_the_repo_against_itself():
     lines = proc.stdout.splitlines()
     assert {line.split(" ", 1)[0] for line in lines} == {
         "anc", "synth", "translate", "rotate", "translation_matrix", "harmonics", "fxlms",
-        "region_weighting", "sph_jn_all", "sph_hn_all", "kernel_first_order_field",
-        "tikhonov_overdetermined",
+        "region_weighting", "sph_jn_all", "sph_hn_all", "sph_jn_all_one_by_one",
+        "sph_hn_all_one_by_one", "radial_response", "kernel_first_order_field",
+        "bm_first_100_frequencies", "tikhonov_overdetermined",
         *(f"{name}-{cmd}" for name in
           ("sweep_explicit", "sweep_finite", "sweep_first_order",
            "sweep_kernel", "sweep_omni", "sweep_rigid")

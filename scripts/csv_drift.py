@@ -27,7 +27,9 @@ DM-infinite on first-order mics, which no file of `configs/` runs, a
 100-frequency BM-first `sweep_csv(run_sweep(...))`, longer than any sweep
 of `configs/`, and `solve_tikhonov` on a seeded complex 12 x 5 system at
 reg 0 and 1e-3, its B^H B form, which no DM-finite config reaches (each has
-M <= (N0+1)^2).
+M <= (N0+1)^2), and `extract_expansion` of a seeded kernel weight vector on
+12 mixed omni, bidirectional and first-order mics at order 7 about an
+offset origin, which no command runs.
 
 For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
@@ -58,14 +60,15 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 # Seeded translate_coeffs, rotate_coeffs, translation_matrix, sph_harm_matrix,
 # sph_jn_all and sph_hn_all calls (batched and one argument per call), one
 # FxLMS run, synth's region weightings, radial responses on a kR vector, one
-# directional DM-infinite field dump, one 100-frequency BM-first sweep and one
-# overdetermined Tikhonov solve;
+# directional DM-infinite field dump, one 100-frequency BM-first sweep, one
+# overdetermined Tikhonov solve and one kernel estimate's expansion;
 # prints the repr of each real and imaginary part of their outputs, by function.
 LAYER_CHILD = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
-from soundfield import applications as apps, boundary, discrete, harness, specfun, wavefuncs
+from soundfield import (applications as apps, boundary, discrete, harness, observation,
+                        specfun, wavefuncs)
 from soundfield.harness import SOUND_SPEED
 rng = np.random.default_rng(2025)
 n = specfun.num_coeffs(12)
@@ -149,6 +152,13 @@ out["bm_first_100_frequencies"] = [float(c) for line in sweep.splitlines()[1:]
 B = rng.normal(size=(12, 5)) + 1j * rng.normal(size=(12, 5))
 s = rng.normal(size=12) + 1j * rng.normal(size=12)
 out["tikhonov_overdetermined"] = [discrete.solve_tikhonov(B, s, reg) for reg in (0.0, 1e-3)]
+# the kernel estimate's coefficients about an offset origin, on mixed mics
+mics = observation.Mics(0.4 * rng.normal(size=(12, 3)),
+                        ["omni", "bidirectional", "first_order"] * 4,
+                        rng.normal(size=(12, 3)), rng.uniform(size=12))
+alpha = rng.normal(size=12) + 1j * rng.normal(size=12)
+out["extract_expansion"] = discrete.extract_expansion(alpha, mics, [0.1, -0.05, 0.08], 7,
+                                                      6.0).coeffs
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """

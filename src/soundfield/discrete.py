@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .observation import directivity_matrix
 from .specfun import degrees_orders, flat_index, num_coeffs, sph_jn_all
-from .wavefuncs import CoefficientSet, _check_nonnegative, regular_swf_matrix, translation_matrix
+from .wavefuncs import CoefficientSet, _check_nonnegative, regular_swf_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -168,14 +167,14 @@ def representer_matrix(mics, r, k):
 def extract_expansion(alpha, mics, origin, order, k):
     """Expansion coefficients of the kernel estimate about `origin`.
 
-    Each representer, being a regular field, re-expands about the global
-    origin through the translation operator; the estimate's coefficients are
-    ``sum_m alpha_m T(origin - r_m) d_m`` truncated at the requested degree.
+    The reproducing kernel is ``sum_n phi_n(r - r0) phi_n(r' - r0)^*`` about
+    any r0, so representer m has the coefficients ``conj(B[m])``, B being
+    :func:`build_observation_matrix` about `origin`, and the estimate
+    ``sum_m alpha_m v_m`` has ``B^H alpha``, truncated at degree `order`.
     """
-    D, mic_order = directivity_matrix(mics)
-    T = translation_matrix(np.asarray(origin, float) - mics.pos, k, order, mic_order)
-    coeffs = np.einsum("m,mni,mi->n", np.asarray(alpha, dtype=complex), T, D)
-    return CoefficientSet(order=order, origin=origin, coeffs=coeffs)
+    B = build_observation_matrix(mics, origin, order, k)
+    return CoefficientSet(order=order, origin=origin,
+                          coeffs=B.conj().T @ np.asarray(alpha, dtype=complex))
 
 
 def finite_to_infinite_gap(mics, origin, order, k):

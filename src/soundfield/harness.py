@@ -79,6 +79,11 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
+def _whole(ratio):
+    """Whether `ratio` is within 1e-9 (relative) of a whole number."""
+    return abs(ratio - round(ratio)) <= 1e-9 * ratio
+
+
 def _rule(expect, ok, integer=False):
     """The reader of a finite number passing `ok`, returned as a float (an
     int if `integer`); anything else raises ConfigError "<path>: must be
@@ -119,8 +124,9 @@ _NUMBER = _rule("a number", lambda v: True)
 _COUNT = _rule("an integer >= 0", lambda v: v >= 0, integer=True)
 _AT_LEAST_1 = _rule("an integer >= 1", lambda v: v >= 1, integer=True)
 _UNIT_INTERVAL = _rule("a number in [0, 1]", lambda v: 0 <= v <= 1)
-_SPACING = _rule("a number in (0, 1] (metres, on the 1 m square region)",
-                 lambda v: 0 < v <= 1)
+# A grid of the 1 m square has whole cells: 1 / spacing lines or cells per side.
+_SPACING = _rule("a number in (0, 1] that divides 1 (metres, on the 1 m square region)",
+                 lambda v: 0 < v <= 1 and _whole(1 / v))
 # Twice a radius or a position must square to a finite number (below about
 # 6.7e153), so that the squared distance of any two configured points is too.
 _RADIUS = _rule("a positive number below about 6.7e153",
@@ -844,7 +850,7 @@ def ball_grid(radius, spacing):
     """
     ratio = radius / spacing
     if math.isfinite(ratio):
-        n = round(ratio) if abs(ratio - round(ratio)) <= 1e-9 * ratio else math.floor(ratio)
+        n = round(ratio) if _whole(ratio) else math.floor(ratio)
     if not (math.isfinite(ratio) and (2 * n + 1) ** 3 <= 10**7):
         raise ConfigError("eval_grid.spacing: too fine; the grid would exceed 1e7 points "
                           "within eval_grid.radius")
@@ -957,7 +963,7 @@ def plane_grid(plane, extent, spacing, offset):
     half = extent / 2.0
     _check_length("--extent", math.hypot(half, half))
     _check_length("--offset", math.hypot(half, half, offset))
-    whole = abs(ratio - round(ratio)) <= 1e-9 * ratio
+    whole = _whole(ratio)
     n = round(ratio) if whole else math.floor(ratio)
     ax = spacing * np.arange(n + 1) - (half if whole else spacing * n / 2.0)
     U, V = np.meshgrid(ax, ax, indexing="ij")

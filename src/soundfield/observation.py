@@ -9,10 +9,7 @@ A microphone is a linear functional of the sound field.  Supported kinds:
 
 Every kind is ``F u = a u(r0) + (i/k) b . grad u(r0)`` with ``b = (1-a) y``
 (an array's ``(pos, a, b)`` are the arrays of :class:`Mics`), which gives
-free-field observations in closed form, or
-``F u = sum d_{nu,mu}^* u_{nu,mu}(r0)`` with directivity coefficients
-of degree <= 1 (:func:`directivity_matrix`), ``u_{nu,mu}(r0)`` being the
-field's regular-expansion coefficients about the microphone position.
+free-field observations in closed form.
 """
 
 from __future__ import annotations
@@ -24,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary import radial_response
-from .specfun import legendre_all, num_coeffs, sph_harm_matrix
+from .specfun import legendre_all
 from .wavefuncs import green
 
 MIC_KINDS = ("omni", "bidirectional", "first_order")
@@ -75,24 +72,6 @@ class Mics:
 
     def __len__(self):
         return len(self.pos)
-
-
-def directivity_matrix(mics):
-    """Directivity coefficients of all mics, zero-padded to a common degree.
-
-    Returns ``(D, order)`` with ``D[m]`` the flat coefficients of mic m up to
-    the largest microphone degree ``order`` (0 when every mic is omni, else
-    1): ``d_{0,0} = a`` and, for a directional mic with axis y,
-    ``d_{1,mu} = (1 - a) Yhat_{1,mu}(y)^* / 3``.
-    """
-    directional = mics.axes.any(axis=1)
-    order = int(directional.any())
-    D = np.zeros((len(mics), num_coeffs(order)), dtype=complex)
-    D[:, 0] = mics.a
-    if order:
-        y1 = sph_harm_matrix(1, mics.axes[directional]).conj()[:, 1:4]
-        D[directional, 1:4] = (1.0 - mics.a[directional, None]) * y1 / 3.0
-    return D, order
 
 
 def plane_wave_observations(mics, x_inc, k):

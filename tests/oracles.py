@@ -2,9 +2,12 @@
 and the mic lists they are checked on.
 
 Each reference evaluates a quantity through the spherical-harmonic route:
-directivity coefficients, regular/singular wave functions, the translation
-operator (also as the Gaunt sum of the translation theorem) and the rigid
-sphere's response degree by degree.  The spherical
+regular/singular wave functions, the translation operator (also as the Gaunt
+sum of the translation theorem) and the rigid sphere's response degree by
+degree.  A mic there is its directivity coefficients of degree <= 1
+(:func:`directivity_matrix`), ``F u = sum d_{nu,mu}^* u_{nu,mu}(r_m)`` with
+``u_{nu,mu}(r_m)`` the field's regular coefficients about the mic, where the
+library has the one model ``F u = a u + (i/k) b . grad u``.  The spherical
 Hankel function at given degrees and the ANC cost are here too, since only
 tests evaluate them one at a time, and the spherical array the tests build
 without a config.
@@ -14,7 +17,7 @@ import numpy as np
 
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
-from soundfield.observation import ArrayConfig, Mics, directivity_matrix, load_t_design
+from soundfield.observation import ArrayConfig, Mics, load_t_design
 
 
 def sph_hn(n, x, derivative=False):
@@ -89,6 +92,24 @@ def green_partial_wave(r, r_src, k, order):
 def evaluate(cset, r, k):
     """A coefficient set's expansion at points `r` (shape (..., 3))."""
     return wf.regular_swf_matrix(cset.order, np.asarray(r) - cset.origin, k) @ cset.coeffs
+
+
+def directivity_matrix(mics):
+    """Directivity coefficients of all mics, zero-padded to a common degree.
+
+    Returns ``(D, order)`` with ``D[m]`` the flat coefficients of mic m up to
+    the largest microphone degree ``order`` (0 when every mic is omni, else
+    1): ``d_{0,0} = a`` and, for a directional mic with axis y,
+    ``d_{1,mu} = (1 - a) Yhat_{1,mu}(y)^* / 3``.
+    """
+    directional = mics.axes.any(axis=1)
+    order = int(directional.any())
+    D = np.zeros((len(mics), sf.num_coeffs(order)), dtype=complex)
+    D[:, 0] = mics.a
+    if order:
+        y1 = sf.sph_harm_matrix(1, mics.axes[directional]).conj()[:, 1:4]
+        D[directional, 1:4] = (1.0 - mics.a[directional, None]) * y1 / 3.0
+    return D, order
 
 
 def observe_coeffs(mics, cset, k):

@@ -23,12 +23,12 @@ from soundfield.discrete import (
 from soundfield.harness import ScenarioConfig, run_sweep
 from soundfield.observation import (
     Mics,
-    directivity_matrix,
     plane_wave_observations,
     point_source_observations,
 )
 
 from oracles import (
+    directivity_matrix,
     evaluate,
     harmonic_representers,
     mixed_mic_spec,
@@ -94,10 +94,13 @@ def test_observation_matrix_makes_no_translation(rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("translation operator built")
 
-    for module in (wf, discrete):
-        monkeypatch.setattr(module, "translation_matrix", refuse)
+    # the operator and its primitive, so that no import of the name gets round the refusal
+    for name in ("translation_matrix", "_translate"):
+        monkeypatch.setattr(wf, name, refuse)
     mics = Mics(*_random_spec(rng, 8, kinds=("first_order",)))
     assert build_observation_matrix(mics, [0.1, 0.0, 0.0], 7, 3.0).shape == (8, 64)
+    # the kernel estimate's expansion is B^H alpha, with no translation either
+    assert extract_expansion(np.ones(8), mics, [0.1, 0.0, 0.0], 7, 3.0).coeffs.shape == (64,)
     cfg = ScenarioConfig.from_dict(
         json.loads((CONFIGS / "sweep_finite.json").read_text(encoding="utf-8")))
     assert all(np.isfinite(r.nmse_db) for r in run_sweep(cfg))
@@ -376,6 +379,7 @@ def test_extract_expansion_sums_translated_representers(rng):
     origin = np.array([0.05, -0.1, 0.0])
     order = 5
     cset = extract_expansion(alpha, Mics(*spec), origin, order, k)
+    # B^H alpha against each mic's directivity coefficients translated to the origin
     expected = np.zeros(sf.num_coeffs(order), dtype=complex)
     for a, mic in zip(alpha, _each_mic(spec)):
         D, mic_order = directivity_matrix(mic)

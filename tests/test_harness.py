@@ -1001,6 +1001,11 @@ SYNTH_BASE = {"frequencies": [100, 300], "eta": 0.001, "reg": 0.001}
           for estimator in ("DM-infinite", "DM-finite")
           for kind in ("first_order", "bidirectional")
           for frequency, snr_db in ((1e-160, 30), (1e-150, -300))),
+        # spacings that leave a part cell on the 1 m square
+        ("synth", dict(SYNTH_BASE, quad_spacing=0.3), "quad_spacing: must be a number in (0, 1] that divides 1"),
+        ("synth", dict(SYNTH_BASE, quad_spacing=0.15), "quad_spacing: must be a number in (0, 1] that divides 1"),
+        ("synth", dict(SYNTH_BASE, control_spacing=0.3), "control_spacing: must be a number in (0, 1] that divides 1"),
+        ("anc", dict(ANC_BASE, eval_spacing=0.3), "eval_spacing: must be a number in (0, 1] that divides 1"),
     ],
 )
 def test_cli_experiment_configs_exit_2(tmp_path, capsys, command, config, field):

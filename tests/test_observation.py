@@ -9,7 +9,6 @@ from soundfield.harness import ConfigError, ScenarioConfig
 from soundfield.observation import (
     Mics,
     add_noise,
-    directivity_matrix,
     load_t_design,
     observe_plane_wave,
     observe_point_source,
@@ -19,6 +18,7 @@ from soundfield.observation import (
 )
 
 from oracles import (
+    directivity_matrix,
     harmonic_plane_wave_observations,
     harmonic_point_source_observations,
     harmonic_rigid_sphere_observation,

@@ -30,9 +30,12 @@ SRC = ROOT / "src" / "soundfield"
 CALLERS = sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
 # Paper features verified by tests: rotation, the Dirichlet Green's function
 # of a sphere, the ANC gradient, FxLMS and the gap between the finite and
-# infinite models (criterion 3).
+# infinite models (criterion 3).  translation_matrix is the paper's addition
+# theorem as a matrix: no library code calls it since extract_expansion is
+# B^H alpha, and the benchmark's tracer wraps it.
 PAPER_FEATURES = {
-    "wavefuncs.rotate_coeffs", "boundary.dirichlet_green_sphere", "applications.anc_gradient",
+    "wavefuncs.rotate_coeffs", "wavefuncs.translation_matrix",
+    "boundary.dirichlet_green_sphere", "applications.anc_gradient",
     "applications.fxlms_weighted_run", "applications.weighting_taps",
     "discrete.finite_to_infinite_gap",
 }

@@ -54,7 +54,7 @@ def test_csv_drift_of_the_repo_against_itself():
         "anc", "synth", "translate", "rotate", "translation_matrix", "harmonics", "fxlms",
         "region_weighting", "sph_jn_all", "sph_hn_all", "sph_jn_all_one_by_one",
         "sph_hn_all_one_by_one", "radial_response", "kernel_first_order_field",
-        "bm_first_100_frequencies", "tikhonov_overdetermined",
+        "bm_first_100_frequencies", "tikhonov_overdetermined", "extract_expansion",
         *(f"{name}-{cmd}" for name in
           ("sweep_explicit", "sweep_finite", "sweep_first_order",
            "sweep_kernel", "sweep_omni", "sweep_rigid")

@@ -27,9 +27,12 @@ DM-infinite on first-order mics, which no file of `configs/` runs, a
 100-frequency BM-first `sweep_csv(run_sweep(...))`, longer than any sweep
 of `configs/`, and `solve_tikhonov` on a seeded complex 12 x 5 system at
 reg 0 and 1e-3, its B^H B form, which no DM-finite config reaches (each has
-M <= (N0+1)^2), and `extract_expansion` of a seeded kernel weight vector on
+M <= (N0+1)^2), `extract_expansion` of a seeded kernel weight vector on
 12 mixed omni, bidirectional and first-order mics at order 7 about an
-offset origin, which no command runs.
+offset origin, which no command runs, and an 8-frequency DM-finite sweep
+about an off-centre origin at a 64 KB `harness.BLOCK_BYTES`, where each
+radial table holds one 64-point block at 4 of the frequencies, which no
+sweep of `configs/` reaches (each fits its whole grid in one table).
 
 For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
@@ -61,7 +64,8 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 # sph_jn_all and sph_hn_all calls (batched and one argument per call), one
 # FxLMS run, synth's region weightings, radial responses on a kR vector, one
 # directional DM-infinite field dump, one 100-frequency BM-first sweep, one
-# overdetermined Tikhonov solve and one kernel estimate's expansion;
+# overdetermined Tikhonov solve, one kernel estimate's expansion and one
+# DM-finite sweep whose radial tables each hold a block at a chunk of k;
 # prints the repr of each real and imaginary part of their outputs, by function.
 LAYER_CHILD = """
 import io, json, sys
@@ -159,6 +163,19 @@ mics = observation.Mics(0.4 * rng.normal(size=(12, 3)),
 alpha = rng.normal(size=12) + 1j * rng.normal(size=12)
 out["extract_expansion"] = discrete.extract_expansion(alpha, mics, [0.1, -0.05, 0.08], 7,
                                                       6.0).coeffs
+# a DM-finite sweep about an off-centre origin at a 64 KB budget: blocks of
+# 64 points, and radial tables of one block at 4 of the 8 frequencies
+budget, harness.BLOCK_BYTES = harness.BLOCK_BYTES, 2**16
+sweep = harness.sweep_csv(harness.run_sweep(harness.ScenarioConfig.from_dict({
+    "estimator": "DM-finite", "frequencies": np.linspace(100.0, 450.0, 8).tolist(),
+    "trials": 3, "seed": 5, "order_n0": 7, "origin": [0.07, -0.03, 0.02],
+    "directivity_a": 0.5, "array": {"type": "spherical", "t": 7, "radius": 1.0,
+                                    "kind": "first_order"},
+    "field": {"type": "plane_wave", "direction": [0.4, -0.3, 0.6]},
+    "eval_grid": {"radius": 0.5, "spacing": 0.1}})))
+harness.BLOCK_BYTES = budget
+out["dm_finite_radial_chunks"] = [float(c) for line in sweep.splitlines()[1:]
+                                  for c in line.split(",") if c != "DM-finite"]
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """

@@ -48,10 +48,17 @@ def square_boundary_points(side, count, z=0.0, outward_shift=0.0):
     return pts
 
 
+def _whole(ratio):
+    """Whether `ratio` is within 1e-9 (relative) of a whole number."""
+    return abs(ratio - round(ratio)) <= 1e-9 * ratio
+
+
 def square_grid_side(side, spacing, midpoint=False):
     """Points per side of :func:`square_grid`; inf where side / spacing
-    overflows."""
+    overflows.  A ratio that is not whole (see :func:`_whole`) raises ValueError."""
     ratio = side / spacing
+    if ratio != math.inf and not _whole(ratio):
+        raise ValueError(f"spacing must divide side ({side!r}), got {spacing!r}")
     return math.inf if ratio == math.inf else round(ratio) + (0 if midpoint else 1)
 
 
@@ -239,7 +246,7 @@ def anc_lms_run(G, A, d, x, mu, iters):
     GH = G.conj().T
     Ae0 = A @ e0
     H = GH @ A @ G
-    # region_weighting's output is Hermitian only up to rounding
+    # G^H A G (two BLAS products) and an A within 1e-10 are Hermitian only to rounding
     lam, V = np.linalg.eigh(0.5 * (H + H.conj().T))
     g = V.conj().T @ (GH @ Ae0)
     mu_s = mu * float(np.vdot(x, x).real)

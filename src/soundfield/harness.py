@@ -79,11 +79,6 @@ class ConfigError(ValueError):
 _REQUIRED = object()
 
 
-def _whole(ratio):
-    """Whether `ratio` is within 1e-9 (relative) of a whole number."""
-    return abs(ratio - round(ratio)) <= 1e-9 * ratio
-
-
 def _rule(expect, ok, integer=False):
     """The reader of a finite number passing `ok`, returned as a float (an
     int if `integer`); anything else raises ConfigError "<path>: must be
@@ -126,7 +121,7 @@ _AT_LEAST_1 = _rule("an integer >= 1", lambda v: v >= 1, integer=True)
 _UNIT_INTERVAL = _rule("a number in [0, 1]", lambda v: 0 <= v <= 1)
 # A grid of the 1 m square has whole cells: 1 / spacing lines or cells per side.
 _SPACING = _rule("a number in (0, 1] that divides 1 (metres, on the 1 m square region)",
-                 lambda v: 0 < v <= 1 and _whole(1 / v))
+                 lambda v: 0 < v <= 1 and apps._whole(1 / v))
 # Twice a radius or a position must square to a finite number (below about
 # 6.7e153), so that the squared distance of any two configured points is too.
 _RADIUS = _rule("a positive number below about 6.7e153",
@@ -689,23 +684,47 @@ class Estimator:
 
         Every estimator takes this one path, in real arithmetic: a block's
         :meth:`at` is computed once for all k, and at each k `out` sums in
-        place each basis term (W_d, Q_b) of the block (:meth:`_basis`) times
-        its weights (2T, W_d), stacked once per fit (:meth:`_stacked`).
-        """
+        place each real basis term (W_d, Q_b) times its weights (2T, W_d),
+        stacked once per fit (:meth:`_stacked`).  The terms are DM-infinite's
+        :meth:`Representers.terms` ``a j0`` and ``j1 proj``, transposed, or
+        an expansion's harmonic rows, degree nu's times ``j_nu(k r)`` at the
+        radii about `origin`, from a table of at most BLOCK_BYTES / 4 (its
+        :func:`sph_jn_all` call's working arrays take about three times
+        that): the distinct radii of a span of as many blocks as fit at
+        every k (all of `pts` on the grids of `configs/`), or, where one
+        block at every k does not fit, one block at as many k."""
         stacked = [self._stacked(w) for w in weights]
-        radial = self._radial(pts, ks, rows)
+        if self.order is not None:
+            table, per_k = BLOCK_BYTES // 4, 8 * (self.order + 1) * rows
+            chunk = min(len(ks), max(1, table // per_k))
+            span = rows * max(1, table // (per_k * len(ks)))  # rows if chunk < len(ks)
         for start in range(0, len(pts), rows):
             block = slice(start, start + rows)
             at = self.at(pts[block])
             for i, k in enumerate(ks):
-                yield block, i, functools.reduce(np.ndarray.__iadd__, (
-                    w @ b for w, b in zip(stacked[i], self._basis(at, k, next(radial, None)))))
+                if self.order is None:
+                    terms = (row.T for row in at.terms(k))
+                else:
+                    if start % span == 0 and i % chunk == 0:
+                        radii, inverse = np.unique(
+                            np.linalg.norm(pts[start:start + span] - self.origin, axis=1),
+                            return_inverse=True)
+                        radial = sph_jn_all(self.order, np.multiply.outer(ks[i:i + chunk], radii))
+                    cols = inverse[start % span:][:rows]  # the block's radii in the table
+                    terms = [np.empty_like(at)]
+                    for n in range(self.order + 1):
+                        np.multiply(at[n * n:(n + 1) ** 2], radial[n, i % chunk, cols],
+                                    out=terms[0][n * n:(n + 1) ** 2])
+                out = functools.reduce(np.ndarray.__iadd__,
+                                       (w @ b for w, b in zip(stacked[i], terms)))
+                del terms  # with DM-infinite's Bessel table, before out is yielded
+                yield block, i, out
             del at  # before the next block's is built
 
     def _stacked(self, w):
-        """The real (2T, W_d) weights, real over imaginary parts, of the terms
-        of :meth:`_basis` from a fit's weights w (., T): DM-infinite's alpha
-        for ``a j0`` and ``-i alpha`` for ``j1 proj``; an expansion's w of
+        """The real (2T, W_d) weights, real over imaginary parts, of the basis
+        terms of :meth:`evaluate` from a fit's weights w (., T): DM-infinite's
+        alpha for ``a j0`` and ``-i alpha`` for ``j1 proj``; an expansion's w of
         ``i^{-nu} Yhat_{nu,mu}``, times ``i^{-nu}``, give ``w_m + (-1)^m w_{-m}`` on
         row (nu, m), ``i (w_m - (-1)^m w_{-m})`` on (nu, -m), m > 0, and w_0 on (nu, 0)."""
         if self.order is None:
@@ -716,41 +735,6 @@ class Estimator:
         own, mirror = np.where(mu < 0, -1j * s, 1.0), np.where(mu < 0, 1j, np.where(mu > 0, s, 0.0))
         w = own[:, None] * w + mirror[:, None] * w[nu * nu + nu - mu]
         return [np.concatenate([w.real.T, w.imag.T])]
-
-    def _radial(self, pts, ks, rows):
-        """Yield, block by block and k by k as :meth:`evaluate` walks `pts`,
-        an expansion's ``j_nu(k r)`` (order+1, Q_b) at the block's radii
-        about `origin` (nothing for DM-infinite).  A table holds at most
-        BLOCK_BYTES / 4 (its :func:`sph_jn_all` call's working arrays take
-        about three times that): the distinct radii of a span of as many
-        blocks as fit at every k (all of `pts` on the grids of `configs/`),
-        or, where one block at every k does not fit, one block at as many k."""
-        if self.order is None:
-            return
-        table, per_k = BLOCK_BYTES // 4, 8 * (self.order + 1) * rows
-        chunk = min(len(ks), max(1, table // per_k))
-        span = rows * max(1, table // (per_k * len(ks)))  # rows if chunk < len(ks)
-        for start in range(0, len(pts), rows):
-            for i in range(len(ks)):
-                if start % span == 0 and i % chunk == 0:
-                    radii, inverse = np.unique(
-                        np.linalg.norm(pts[start:start + span] - self.origin, axis=1),
-                        return_inverse=True)
-                    radial = sph_jn_all(self.order, np.multiply.outer(ks[i:i + chunk], radii))
-                offset = start % span
-                yield radial[:, i % chunk, inverse[offset:offset + rows]]
-
-    def _basis(self, at, k, j):
-        """The real basis terms (W_d, Q_b) of a block at k from its :meth:`at`
-        and :meth:`_radial` j: an expansion's harmonic rows, each degree nu's
-        times j[nu]; or the transposes of DM-infinite's
-        :meth:`Representers.terms`, ``a j0`` and ``j1 proj``."""
-        if self.order is None:
-            return (row.T for row in at.terms(k))
-        scaled = np.empty_like(at)
-        for n in range(len(j)):
-            np.multiply(at[n * n:(n + 1) ** 2], j[n], out=scaled[n * n:(n + 1) ** 2])
-        return [scaled]
 
 
 def prepare_estimator(est, k, A):
@@ -850,7 +834,7 @@ def ball_grid(radius, spacing):
     """
     ratio = radius / spacing
     if math.isfinite(ratio):
-        n = round(ratio) if _whole(ratio) else math.floor(ratio)
+        n = round(ratio) if apps._whole(ratio) else math.floor(ratio)
     if not (math.isfinite(ratio) and (2 * n + 1) ** 3 <= 10**7):
         raise ConfigError("eval_grid.spacing: too fine; the grid would exceed 1e7 points "
                           "within eval_grid.radius")
@@ -963,7 +947,7 @@ def plane_grid(plane, extent, spacing, offset):
     half = extent / 2.0
     _check_length("--extent", math.hypot(half, half))
     _check_length("--offset", math.hypot(half, half, offset))
-    whole = _whole(ratio)
+    whole = apps._whole(ratio)
     n = round(ratio) if whole else math.floor(ratio)
     ax = spacing * np.arange(n + 1) - (half if whole else spacing * n / 2.0)
     U, V = np.meshgrid(ax, ax, indexing="ij")

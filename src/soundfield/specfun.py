@@ -290,6 +290,7 @@ def _legendre_step(n):
     a = np.sqrt((2 * n - 1) * (2 * n + 1) / ((n - m) * (n + m)))
     b = np.sqrt((2 * n + 1) * (n + m - 1) * (n - m - 1)
                 / ((n - m) * (n + m) * max(2 * n - 3, 1)))
+    a.flags.writeable = b.flags.writeable = False
     return a, b
 
 

@@ -47,6 +47,18 @@ def test_square_grid_cell_measure():
     assert np.max(np.abs(pts[:, :2])) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("spacing", [0.3, 0.15])
+@pytest.mark.parametrize("midpoint", [False, True])
+def test_square_grid_rejects_a_spacing_that_does_not_divide_the_side(spacing, midpoint):
+    # 0.3 gave 9 midpoints from -0.35 to 0.25 (0.81 of the square, off centre)
+    # or nodes 1/3 apart, each with the cell 0.09
+    with pytest.raises(ValueError, match="spacing"):
+        apps.square_grid(1.0, spacing, midpoint=midpoint)
+    with pytest.raises(ValueError, match="spacing"):
+        apps.square_grid_side(1.0, spacing, midpoint)
+    assert apps.square_grid_side(1.0, 1e-320, midpoint) == math.inf
+
+
 def test_transfer_matrix_is_green(rng):
     k = 4.0
     src = rng.normal(size=(3, 3)) + np.array([3.0, 0, 0])

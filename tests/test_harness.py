@@ -649,6 +649,42 @@ def test_expansion_sweep_takes_one_radial_bessel_call(monkeypatch, estimator, fr
     assert np.array_equal(x, np.multiply.outer(cfg.wavenumbers, radii))
 
 
+# 64-point blocks of the (7 + 1) degrees of _blocked_config at 8 k: 8 * 8 * 64
+# bytes per block and k, so a quarter of these budgets holds the table (and
+# the test counts the tables) of the whole grid, of a span of 4 of its 9
+# blocks, of one block at 4 of the k and of one block at one k
+TABLE_REGIMES = [(harness.BLOCK_BYTES, 1, {8}), (2**19, 3, {8}), (2**16, 18, {4}),
+                 (2**13, 72, {1})]
+
+
+@pytest.mark.parametrize("estimator", ["BM-first", "BM-omni", "DM-finite", "DM-infinite"])
+def test_evaluate_is_bitwise_the_same_in_every_table_regime(monkeypatch, estimator):
+    # the block size is fixed, so only the radial tables change: each
+    # j_nu(k r) is the same sph_jn_all value in any table, and every
+    # product and sum the same operation on the same numbers
+    cfg = _blocked_config(estimator, np.linspace(100.0, 420.0, 8))
+    est = Estimator(cfg)
+    noise = harness._noise(cfg, range(cfg.trials))
+    weights = [harness._fit(est, k, A, noise) for k, A in zip(cfg.wavenumbers, cfg.responses)]
+    grid = ball_grid(0.5, 0.1)
+    assert len(grid) // 64 == 8
+    estimates = []
+    for budget, tables, k_per_table in TABLE_REGIMES:
+        monkeypatch.setattr(harness, "BLOCK_BYTES", budget)
+        args = _count_radial_tables(monkeypatch)
+        estimates.append(list(est.evaluate(grid, cfg.wavenumbers, weights, 64)))
+        if estimator == "DM-infinite":
+            assert args == []
+        else:
+            assert len(args) == tables and {len(x) for _, x in args} == k_per_table
+        monkeypatch.undo()
+    first = estimates[0]
+    assert len(first) == 9 * 8
+    for other in estimates[1:]:
+        assert [(b, i) for b, i, _ in other] == [(b, i) for b, i, _ in first]
+        assert all(np.array_equal(a, b) for (_, _, a), (_, _, b) in zip(first, other))
+
+
 # ---------------------------------------------------------------------------
 # Field dumps
 # ---------------------------------------------------------------------------

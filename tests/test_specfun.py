@@ -475,7 +475,7 @@ def test_euler_zyz_recomposes(beta, rng):
 
 def test_cached_tables_are_read_only():
     # lru_cache hands the same arrays to every caller
-    for table in (*sf.degrees_orders(4), sf._jy_eigenvectors(3)):
+    for table in (*sf.degrees_orders(4), sf._jy_eigenvectors(3), *sf._legendre_step(3)):
         with pytest.raises(ValueError):
             table[0] = 0
 

@@ -9,7 +9,9 @@ command that takes it: a sweep config through `sweep`, through `field` at
 its first frequency (at the default flags, at a value off its default for
 every flag, and with `--truth-only`) and through `forbidden` for its array
 radius, its `order` and its highest frequency; `synth.json` through `synth`
-and `anc.json` through `anc`.  Each checkout runs all its commands in one child
+and `anc.json` through `anc`.  One more `forbidden` run, at radius 1.3,
+`--numax 12` and `--fmax 1500`, has 107 roots, where those of the configs
+have 4 to 25.  Each checkout runs all its commands in one child
 process, with its own `src` first on the path.  A second child per checkout
 makes seeded library calls whose values no command writes: 4 order-12
 `translate_coeffs`, 4 `rotate_coeffs`, one `translation_matrix` over 64
@@ -198,6 +200,8 @@ def jobs(config_dir):
                     ["forbidden", "--radius", repr(float(cfg["array"].get("radius", 1.0))),
                      "--numax", str(cfg.get("order", 7)),
                      "--fmax", repr(float(max(cfg["frequencies"])))]))
+    out.append(("forbidden-many-roots",
+                ["forbidden", "--radius", "1.3", "--numax", "12", "--fmax", "1500"]))
     return out
 
 

@@ -55,7 +55,10 @@ def _whole(ratio):
 
 def square_grid_side(side, spacing, midpoint=False):
     """Points per side of :func:`square_grid`; inf where side / spacing
-    overflows.  A ratio that is not whole (see :func:`_whole`) raises ValueError."""
+    overflows.  A spacing that is not a positive finite number, or a ratio
+    that is not whole (see :func:`_whole`), raises ValueError."""
+    if not 0.0 < spacing < math.inf:
+        raise ValueError(f"spacing must be a positive finite number, got {spacing!r}")
     ratio = side / spacing
     if ratio != math.inf and not _whole(ratio):
         raise ValueError(f"spacing must divide side ({side!r}), got {spacing!r}")

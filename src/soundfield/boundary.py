@@ -19,13 +19,9 @@ from .specfun import (
     legendre_all,
     sph_harm_matrix,
     sph_hn_all,
-    sph_jn,
     sph_jn_all,
 )
 from .wavefuncs import CoefficientSet, green
-
-# Width to which forbidden_frequencies bisects each root bracket (in kR).
-_XTOL = 1e-13
 
 
 def radial_response(kind, order, kR, a=None):
@@ -96,22 +92,29 @@ def forbidden_frequencies(radius, c, numax, fmax):
     interior field is not recoverable from boundary pressure alone.  Returns
     a sorted list of (frequency_hz, nu) pairs with f in (0, fmax].
     """
-    # scan a fine grid for sign changes, then bisect every bracket at once
-    # down to a width of _XTOL
+    # scan a fine grid for sign changes, then take at most 6 Newton steps in
+    # every bracket at once from its midpoint, f' = (nu/x) j_nu - j_{nu+1}
+    # (DLMF 10.51.2); a step that leaves the closed bracket goes to its
+    # midpoint (closed, since a root converged to the last bit is a bound)
     kmax, points = scan_grid(radius, c, fmax)
     xs = np.linspace(1e-6, kmax, points)
     vals = sph_jn_all(numax, xs)
     nu, i = np.nonzero((vals[:, :-1] != 0.0) & (vals[:, :-1] * vals[:, 1:] < 0.0))
     if nu.size == 0:
         return []
-    lo, hi, flo = xs[i], xs[i + 1], vals[nu, i]
-    for _ in range(math.ceil(math.log2((xs[1] - xs[0]) / _XTOL))):
-        mid = 0.5 * (lo + hi)
-        fmid = sph_jn(nu, mid)
-        above = (fmid > 0.0) == (flo > 0.0)  # the root lies above mid
-        lo, flo = np.where(above, mid, lo), np.where(above, fmid, flo)
-        hi = np.where(above, hi, mid)
-    f = 0.5 * (lo + hi) * c / (2.0 * math.pi * radius)
+    lo, hi, positive_lo = xs[i], xs[i + 1], vals[nu, i] > 0.0
+    x, roots = 0.5 * (lo + hi), np.arange(nu.size)
+    for _ in range(6):
+        j = sph_jn_all(numax + 1, x)
+        fx = j[nu, roots]
+        above = (fx > 0.0) == positive_lo  # the root lies above x
+        lo, hi = np.where(above, x, lo), np.where(above, hi, x)
+        xn = x - fx / ((nu / x) * fx - j[nu + 1, roots])
+        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
+        if np.array_equal(xn, x):
+            break
+        x = xn
+    f = x * c / (2.0 * math.pi * radius)
     keep = f <= fmax
     return sorted(zip(f[keep].tolist(), nu[keep].tolist()))
 

@@ -698,6 +698,7 @@ class Estimator:
             table, per_k = BLOCK_BYTES // 4, 8 * (self.order + 1) * rows
             chunk = min(len(ks), max(1, table // per_k))
             span = rows * max(1, table // (per_k * len(ks)))  # rows if chunk < len(ks)
+            nu, _ = degrees_orders(self.order)
         for start in range(0, len(pts), rows):
             block = slice(start, start + rows)
             at = self.at(pts[block])
@@ -711,10 +712,8 @@ class Estimator:
                             return_inverse=True)
                         radial = sph_jn_all(self.order, np.multiply.outer(ks[i:i + chunk], radii))
                     cols = inverse[start % span:][:rows]  # the block's radii in the table
-                    terms = [np.empty_like(at)]
-                    for n in range(self.order + 1):
-                        np.multiply(at[n * n:(n + 1) ** 2], radial[n, i % chunk, cols],
-                                    out=terms[0][n * n:(n + 1) ** 2])
+                    terms = [radial[:, i % chunk].take(cols, axis=1).take(nu, axis=0)]
+                    terms[0] *= at
                 out = functools.reduce(np.ndarray.__iadd__,
                                        (w @ b for w, b in zip(stacked[i], terms)))
                 del terms  # with DM-infinite's Bessel table, before out is yielded

@@ -174,8 +174,10 @@ def noise_std(signals, snr_db):
     """Standard deviation per real component of the noise at the given SNR.
 
     The common noise variance is ``10**(-snr_db/10)`` times the mean squared
-    magnitude of the clean signals.
+    magnitude of the clean signals.  A snr_db that is not finite raises ValueError.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db!r}")
     power = float(np.mean(np.abs(signals) ** 2))
     var = 10.0 ** (-snr_db / 10.0) * power
     return math.sqrt(var / 2.0)

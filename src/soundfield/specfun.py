@@ -236,13 +236,6 @@ def _bessel_all(kind, nmax, x, derivative=False):
     return out[: nmax + 1].reshape((nmax + 1,) + x.shape)
 
 
-def sph_jn(n, x):
-    """Spherical Bessel function of the first kind j_n(x), for degrees `n`
-    broadcast against `x`."""
-    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
-    return np.take_along_axis(sph_jn_all(int(n.max()), x), n[None], axis=0)[0]
-
-
 def sph_jn_all(nmax, x, derivative=False):
     """j_n(x) for all n = 0..nmax; result has shape (nmax+1,) + shape(x)."""
     return _bessel_all("j", nmax, x, derivative)

@@ -8,9 +8,9 @@ degree.  A mic there is its directivity coefficients of degree <= 1
 (:func:`directivity_matrix`), ``F u = sum d_{nu,mu}^* u_{nu,mu}(r_m)`` with
 ``u_{nu,mu}(r_m)`` the field's regular coefficients about the mic, where the
 library has the one model ``F u = a u + (i/k) b . grad u``.  The spherical
-Hankel function at given degrees and the ANC cost are here too, since only
-tests evaluate them one at a time, and the spherical array the tests build
-without a config.
+Bessel and Hankel functions at given degrees and the ANC cost are here too,
+since only tests evaluate them one at a time, and the spherical array the
+tests build without a config.
 """
 
 import numpy as np
@@ -18,6 +18,13 @@ import numpy as np
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 from soundfield.observation import ArrayConfig, Mics, load_t_design
+
+
+def sph_jn(n, x):
+    """Spherical Bessel function of the first kind j_n(x), for degrees `n`
+    broadcast against `x`."""
+    n, x = np.broadcast_arrays(np.asarray(n), np.asarray(x, dtype=float))
+    return np.take_along_axis(sf.sph_jn_all(int(n.max()), x), n[None], axis=0)[0]
 
 
 def sph_hn(n, x, derivative=False):

@@ -59,6 +59,17 @@ def test_square_grid_rejects_a_spacing_that_does_not_divide_the_side(spacing, mi
     assert apps.square_grid_side(1.0, 1e-320, midpoint) == math.inf
 
 
+@pytest.mark.parametrize("spacing", [0.0, math.nan, -0.5, math.inf])
+def test_square_grid_rejects_a_spacing_that_is_not_positive_and_finite(spacing):
+    # 0.0 raised ZeroDivisionError, nan a float conversion error, -0.5 said
+    # that it does not divide the side, and inf gave one point with an
+    # infinite cell
+    with pytest.raises(ValueError, match="spacing must be a positive finite number"):
+        apps.square_grid(1.0, spacing)
+    with pytest.raises(ValueError, match="spacing must be a positive finite number"):
+        apps.square_grid_side(1.0, spacing)
+
+
 def test_transfer_matrix_is_green(rng):
     k = 4.0
     src = rng.normal(size=(3, 3)) + np.array([3.0, 0, 0])

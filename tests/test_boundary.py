@@ -1,8 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
+from soundfield import boundary
 from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 from soundfield.boundary import (
@@ -13,7 +15,8 @@ from soundfield.boundary import (
 )
 from soundfield.observation import load_t_design
 
-from oracles import harmonic_rigid_sphere_observation, legendre, observe_coeffs, sph_hn
+from oracles import (harmonic_rigid_sphere_observation, legendre, observe_coeffs, sph_hn,
+                     sph_jn)
 
 
 def _unit(v):
@@ -29,7 +32,7 @@ def test_omni_radial_response():
     kR = 1.7
     A = radial_response("omni", 5, kR)
     for nu in range(6):
-        assert A[nu] == pytest.approx((1j ** (-nu)) * sf.sph_jn(nu, kR), rel=1e-13)
+        assert A[nu] == pytest.approx((1j ** (-nu)) * sph_jn(nu, kR), rel=1e-13)
 
 
 def test_first_order_radial_response():
@@ -37,7 +40,7 @@ def test_first_order_radial_response():
     A = radial_response("first_order", 5, kR, a=a)
     for nu in range(6):
         expected = (1j ** (-nu)) * (
-            a * sf.sph_jn(nu, kR) + 1j * (1 - a) * sf.sph_jn_all(nu, kR, derivative=True)[nu]
+            a * sph_jn(nu, kR) + 1j * (1 - a) * sf.sph_jn_all(nu, kR, derivative=True)[nu]
         )
         assert A[nu] == pytest.approx(expected, rel=1e-13)
 
@@ -49,7 +52,7 @@ def test_rigid_radial_response_dual_forms():
         hp = sph_hn(nu, kR, derivative=True)
         assert A[nu] == pytest.approx((1j ** (-nu)) * 1j / (kR**2 * hp), rel=1e-12)
         alt = (1j ** (-nu)) * (
-            sf.sph_jn(nu, kR) - sf.sph_jn_all(nu, kR, derivative=True)[nu] / hp * sph_hn(nu, kR)
+            sph_jn(nu, kR) - sf.sph_jn_all(nu, kR, derivative=True)[nu] / hp * sph_hn(nu, kR)
         )
         assert A[nu] == pytest.approx(alt, rel=1e-10)
 
@@ -148,7 +151,7 @@ def test_forbidden_frequencies_values():
     # each returned frequency satisfies j_nu(kR) = 0
     for f, nu in pairs:
         kR = 2 * math.pi * f / 340.65
-        assert abs(sf.sph_jn(nu, kR)) <= 1e-9
+        assert abs(sph_jn(nu, kR)) <= 1e-9
 
 
 def test_forbidden_frequencies_sorted_and_bounded():
@@ -156,6 +159,34 @@ def test_forbidden_frequencies_sorted_and_bounded():
     freqs = [f for f, _ in pairs]
     assert freqs == sorted(freqs)
     assert all(0 < f <= 2000.0 for f in freqs)
+
+
+@pytest.mark.parametrize("radius, c, numax, fmax, every", [
+    (1.0, 340.65, 7, 350.0, 1), (0.5, 343.0, 5, 2000.0, 1), (1.3, 340.65, 12, 1500.0, 4)])
+def test_forbidden_frequencies_match_mpmath_to_the_last_bits(radius, c, numax, fmax, every):
+    # j_nu's zeros are those of J_{nu+1/2}; each root to 40 digits from the
+    # returned one, then its frequency, against 4 units of 2^-52 relative
+    # (the bisection to a kR width of 1e-13 was 6e-15 to 1.2e-14 off)
+    with mpmath.workdps(40):
+        for f, nu in forbidden_frequencies(radius, c, numax, fmax)[::every]:
+            scale = 2 * mpmath.pi * radius / c
+            root = mpmath.findroot(lambda x: mpmath.besselj(nu + 0.5, x), mpmath.mpf(f) * scale)
+            assert abs(f - root / scale) <= 4 * 2.0**-52 * root / scale, (f, nu)
+
+
+def test_forbidden_frequencies_take_one_scan_and_at_most_6_steps(monkeypatch):
+    calls = []
+
+    def counted(nmax, x, *args, **kwargs):
+        calls.append((nmax, np.shape(x)))
+        return sf.sph_jn_all(nmax, x, *args, **kwargs)
+
+    monkeypatch.setattr(boundary, "sph_jn_all", counted)
+    roots = forbidden_frequencies(1.3, 340.65, 12, 1500.0)
+    assert len(roots) == 107
+    assert calls[0] == (12, (boundary.scan_grid(1.3, 340.65, 1500.0)[1],))
+    assert 1 <= len(calls) - 1 <= 6
+    assert set(calls[1:]) == {(13, (107,))}
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +242,11 @@ def test_dirichlet_green_matches_per_degree_loop(k, R, order, rng):
                      -1.0, 1.0)
     v = np.zeros(len(r), dtype=complex)
     for nu in range(order + 1):
-        jR = sf.sph_jn(nu, kR)
+        jR = sph_jn(nu, kR)
         if jR == 0.0:
             break
-        v += ((2 * nu + 1) * (sf.sph_jn(nu, k * rs) / jR)
-              * (sph_hn(nu, kR) * sf.sph_jn(nu, k * rad)) * legendre(nu, cosang))
+        v += ((2 * nu + 1) * (sph_jn(nu, k * rs) / jR)
+              * (sph_hn(nu, kR) * sph_jn(nu, k * rad)) * legendre(nu, cosang))
     ref = wf.green(r, src, k) - (1j * k / (4.0 * np.pi)) * v
     out = dirichlet_green_sphere(r, src, k, R, order=order)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))

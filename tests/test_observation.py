@@ -10,6 +10,7 @@ from soundfield.observation import (
     Mics,
     add_noise,
     load_t_design,
+    noise_std,
     observe_plane_wave,
     observe_point_source,
     plane_wave_observations,
@@ -26,6 +27,7 @@ from oracles import (
     observe_coeffs,
     singular_swf_matrix,
     sph_hn,
+    sph_jn,
 )
 
 
@@ -210,7 +212,7 @@ def test_rigid_sphere_radial_velocity_vanishes():
     kR = 2.3
     order = 6
     A = radial_response("rigid", order, kR)
-    jn = np.array([sf.sph_jn(nu, kR) for nu in range(order + 1)])
+    jn = np.array([sph_jn(nu, kR) for nu in range(order + 1)])
     jp = np.array([sf.sph_jn_all(nu, kR, derivative=True)[nu] for nu in range(order + 1)])
     hn = np.array([sph_hn(nu, kR) for nu in range(order + 1)])
     hp = np.array([sph_hn(nu, kR, derivative=True) for nu in range(order + 1)])
@@ -240,7 +242,7 @@ def test_rigid_sphere_observation_consistency():
         [
             (1j ** (-int(nu)))
             * (
-                sf.sph_jn(int(nu), kR)
+                sph_jn(int(nu), kR)
                 - sf.sph_jn_all(int(nu), kR, derivative=True)[int(nu)]
                 / sph_hn(int(nu), kR, derivative=True)
                 * sph_hn(int(nu), kR)
@@ -337,3 +339,10 @@ def test_add_noise_deterministic(seed):
     a = add_noise(s, 30.0, np.random.default_rng(seed))
     b = add_noise(s, 30.0, np.random.default_rng(seed))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+def test_noise_std_rejects_a_snr_that_is_not_finite(snr_db):
+    # nan gave nan, inf 0.0 and -inf inf, without a word
+    with pytest.raises(ValueError, match="snr_db"):
+        noise_std(np.ones(4, dtype=complex), snr_db)

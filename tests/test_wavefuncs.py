@@ -9,7 +9,7 @@ from soundfield import specfun as sf
 from soundfield import wavefuncs as wf
 
 from oracles import (evaluate, gaunt_sum, gaunt_tensor, green_partial_wave, legendre,
-                     singular_swf_matrix, sph_hn)
+                     singular_swf_matrix, sph_hn, sph_jn)
 
 
 def _unit(v):
@@ -95,7 +95,7 @@ def test_green_partial_wave_matches_per_degree_loop(rng):
     dirs = np.where(rad[:, None] > 0, r / np.where(rad > 0, rad, 1.0)[:, None], [0, 0, 1.0])
     rs = np.linalg.norm(src)
     cosang = np.clip(dirs @ (src / rs), -1.0, 1.0)
-    ref = sum((2 * nu + 1) * sf.sph_jn(nu, k * rad) * sph_hn(nu, k * rs)
+    ref = sum((2 * nu + 1) * sph_jn(nu, k * rad) * sph_hn(nu, k * rs)
               * legendre(nu, cosang) for nu in range(order + 1))
     ref = (1j * k / (4.0 * np.pi)) * ref
     out = green_partial_wave(r, src, k, order)

@@ -34,7 +34,10 @@ M <= (N0+1)^2), `extract_expansion` of a seeded kernel weight vector on
 offset origin, which no command runs, and an 8-frequency DM-finite sweep
 about an off-centre origin at a 64 KB `harness.BLOCK_BYTES`, where each
 radial table holds one 64-point block at 4 of the frequencies, which no
-sweep of `configs/` reaches (each fits its whole grid in one table).
+sweep of `configs/` reaches (each fits its whole grid in one table), and
+the final costs and regional powers of `anc_experiment` at `mu_scale` 1.9
+(an oscillating fast mode), at 1 iteration and at the 2,097,152 the config
+accepts at most, none of which `configs/anc.json` sets.
 
 For each column of each output, and for the values of each of those
 functions, one line says `identical` when the text is equal, or else the
@@ -66,9 +69,10 @@ print(json.dumps([main(argv) for argv in json.loads(sys.argv[2])]))
 # sph_jn_all and sph_hn_all calls (batched and one argument per call), one
 # FxLMS run, synth's region weightings, radial responses on a kR vector, one
 # directional DM-infinite field dump, one 100-frequency BM-first sweep, one
-# overdetermined Tikhonov solve, one kernel estimate's expansion and one
-# DM-finite sweep whose radial tables each hold a block at a chunk of k;
-# prints the repr of each real and imaginary part of their outputs, by function.
+# overdetermined Tikhonov solve, one kernel estimate's expansion, one
+# DM-finite sweep whose radial tables each hold a block at a chunk of k and
+# three ANC experiments; prints the repr of each real and imaginary part of
+# their outputs, by function.
 LAYER_CHILD = """
 import io, json, sys
 sys.path.insert(0, sys.argv[1])
@@ -178,6 +182,12 @@ sweep = harness.sweep_csv(harness.run_sweep(harness.ScenarioConfig.from_dict({
 harness.BLOCK_BYTES = budget
 out["dm_finite_radial_chunks"] = [float(c) for line in sweep.splitlines()[1:]
                                   for c in line.split(",") if c != "DM-finite"]
+# the ANC experiment off configs/anc.json: an oscillating fast mode, one
+# update, and the largest iteration count a config may set
+anc = [harness.anc_experiment(run)[0]
+       for run in ({"mu_scale": 1.9}, {"iterations": 1}, {"iterations": 2097152})]
+for key in ("final_cost", "regional_power_db"):
+    out[f"anc_{key}"] = [run[w][key] for run in anc for w in ("multipoint", "kernel")]
 print(json.dumps({name: [repr(float(x)) for z in np.ravel(v) for x in (z.real, z.imag)]
                   for name, v in out.items()}))
 """

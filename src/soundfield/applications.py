@@ -188,10 +188,8 @@ def anc_gradient(W, G, A, d, x):
     return np.outer(G.conj().T @ (np.asarray(A, complex) @ e), x.conj())
 
 
-# Updates per block of the cost trajectory: the sums S_t are built for one
-# block of t at a time, so no (iters, L) array is formed.  A small block
-# keeps the peak memory near that of a per-update loop; with the 12 sources
-# of `anc`, one block is 48 KB.
+# Update counts per block of costs: S_t is built for one block of t at a time, 4 KB
+# per source, so the peak memory stays near that of a per-update loop.
 _COST_CHUNK = 512
 
 
@@ -214,7 +212,7 @@ def _geometric_sums(a, t):
     return S
 
 
-def anc_lms_run(G, A, d, x, mu, iters):
+def anc_lms_run(G, A, d, x, mu, iters, cost_at):
     """Frequency-domain LMS from W = 0: W <- W - mu G^H A e x^H, e = d + G W x.
 
     The update is an affine recurrence with fixed coefficients, so every
@@ -232,14 +230,18 @@ def anc_lms_run(G, A, d, x, mu, iters):
     few ulps of c_0, not of c_t: relative to c_t the error grows where the
     cost falls many decades below its start.
 
-    Returns the final filter and the per-iteration cost (the cost is
-    evaluated after each update), built in O(iters) memory.  `mu` must be
-    positive and finite and `iters` an int >= 1 (a ValueError otherwise).
+    Returns W_iters and c_t at each t of `cost_at`, each in O(L) whatever t
+    is.  `mu` must be positive and finite, `iters` an int >= 1 and `cost_at`
+    1-D strictly increasing ints >= 1 ending at `iters` (a ValueError otherwise).
     """
     if not (isinstance(mu, (int, float, np.integer, np.floating)) and 0 < mu < math.inf):
         raise ValueError(f"mu must be a positive finite number, got {mu!r}")
     if isinstance(iters, bool) or not isinstance(iters, (int, np.integer)) or iters < 1:
         raise ValueError(f"iters must be an int >= 1, got {iters!r}")
+    t = np.asarray(cost_at)
+    if not (t.ndim == 1 and t.size and t.dtype.kind in "iu" and 1 <= t[0] and t[-1] == iters
+            and np.all(t[1:] > t[:-1])):
+        raise ValueError(f"cost_at must be 1-D increasing ints >= 1 ending at iters, got {t!r}")
     G = np.asarray(G, dtype=complex)
     A = np.asarray(A, dtype=complex)
     e0 = np.asarray(d, dtype=complex)
@@ -254,17 +256,15 @@ def anc_lms_run(G, A, d, x, mu, iters):
     g = V.conj().T @ (GH @ Ae0)
     mu_s = mu * float(np.vdot(x, x).real)
     a = mu_s * lam
-    W = -mu * np.outer(V @ (_geometric_sums(a, [iters])[0] * g), x.conj())
     g2 = np.abs(g) ** 2
     c0 = np.vdot(e0, Ae0).real
     w1 = 2.0 * mu_s * g2
     w2 = mu_s ** 2 * lam * g2
-    costs = np.empty(iters)
-    for start in range(0, iters, _COST_CHUNK):
-        t = np.arange(start + 1, min(start + _COST_CHUNK, iters) + 1)
-        S = _geometric_sums(a, t)
-        costs[start:start + len(t)] = c0 - S @ w1 + (S * S) @ w2
-    return W, costs
+    costs = np.empty(t.size)
+    for start in range(0, t.size, _COST_CHUNK):
+        S = _geometric_sums(a, t[start:start + _COST_CHUNK])
+        costs[start:start + len(S)] = c0 - S @ w1 + (S * S) @ w2
+    return -mu * np.outer(V @ (S[-1] * g), x.conj()), costs
 
 
 # ---------------------------------------------------------------------------

@@ -281,9 +281,9 @@ _ANC = (
     ("c", SOUND_SPEED, _POSITIVE),
     ("frequency", 700.0, _POSITIVE),
     ("reg", 1e-3, _KERNEL_REG),
-    # the costs of both weightings: 16 bytes, one complex value, an iteration
-    ("iterations", 20000, _rule(f"an integer in [1, {_BUDGET}], so that the costs stay "
-                                f"within {_BUDGET_NAME}", lambda v: 1 <= v <= _BUDGET,
+    # a run's work does not grow with it; the cap keeps its 1..iterations costs in budget
+    ("iterations", 20000, _rule(f"an integer in [1, {_BUDGET}], so that the cost trajectory "
+                                f"fits {_BUDGET_NAME}", lambda v: 1 <= v <= _BUDGET,
                                 integer=True)),
     ("primary_source", [3.0, 0.0, 0.0], _vector),
     ("num_error_mics", 24, _SQUARE_COUNT),
@@ -1084,12 +1084,12 @@ def anc_experiment(obj):
         ("kernel", apps.region_weighting(mics, region, cell, k, v["reg"])),
     ]:
         eig = float(np.linalg.eigvalsh(G.conj().T @ A @ G).max())
-        W, costs = apps.anc_lms_run(G, A, d, x, v["mu_scale"] / eig, v["iterations"])
+        n = v["iterations"]
+        W, (cost,) = apps.anc_lms_run(G, A, d, x, v["mu_scale"] / eig, n, [n])
         u = up + Gr @ (W @ x)
         out[name] = {
             "regional_power_db": 10 * math.log10(float(np.sum(np.abs(u) ** 2) * cell) / p0),
-            "final_cost": float(costs[-1]),
-            "costs": costs,
+            "final_cost": float(cost),
         }
     return out, _csv("weighting,regional_power_db,final_cost",
                      ([name, _fmt(out[name]["regional_power_db"]), _fmt(out[name]["final_cost"])]

@@ -266,7 +266,8 @@ def test_anc_gradient_matches_finite_differences(rng):
 def test_anc_lms_cost_non_increasing():
     _, G, d, A, x = _anc_setup()
     eig = float(np.linalg.eigvalsh(G.conj().T @ A @ G).max())
-    _, costs = apps.anc_lms_run(G, A, d, x, mu=0.5 / eig, iters=2000)
+    _, costs = apps.anc_lms_run(G, A, d, x, mu=0.5 / eig, iters=2000,
+                                cost_at=np.arange(1, 2001))
     assert all(a >= b - 1e-12 * abs(a) for a, b in zip(costs, costs[1:]))
 
 
@@ -274,7 +275,7 @@ def test_anc_lms_converges_to_normal_equations():
     _, G, d, A, x = _anc_setup()
     H = G.conj().T @ A @ G
     eig = float(np.linalg.eigvalsh(H).max())
-    W, _ = apps.anc_lms_run(G, A, d, x, mu=1.0 / eig, iters=30000)
+    W, _ = apps.anc_lms_run(G, A, d, x, mu=1.0 / eig, iters=30000, cost_at=[30000])
     # fixed point: G^H A (G W x + d) x^H = 0
     resid = G.conj().T @ A @ (G @ (W @ x) + d)
     scale = np.max(np.abs(G.conj().T @ A @ d))
@@ -586,7 +587,7 @@ def test_anc_lms_matches_reference_trajectory(with_W0):
     mu = 0.5 / (eig * float(np.vdot(x, x).real))
     iters = 300
     traj = _lms_reference_trajectory(G, A, d, x, mu, iters, W0)
-    W, costs = apps.anc_lms_run(G, A, d + G @ (W0 @ x), x, mu, iters)
+    W, costs = apps.anc_lms_run(G, A, d + G @ (W0 @ x), x, mu, iters, np.arange(1, iters + 1))
     expected = [anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
     assert costs.shape == (iters,)
     assert np.allclose(costs, expected, rtol=1e-12, atol=0)
@@ -627,7 +628,7 @@ def test_anc_lms_closed_form_matches_loop(M, L, R, step, iters, with_W0):
     G, A, d, x, mu, W0 = _lms_problem(11, M, L, R, step, with_W0)
     traj = _lms_reference_trajectory(G, A, d, x, mu, iters, W0)
     expected = [anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj]
-    W, costs = apps.anc_lms_run(G, A, d + G @ (W0 @ x), x, mu, iters)
+    W, costs = apps.anc_lms_run(G, A, d + G @ (W0 @ x), x, mu, iters, np.arange(1, iters + 1))
     assert costs.shape == (iters,)
     np.testing.assert_allclose(costs, expected, rtol=1e-12, atol=0)
     assert np.max(np.abs(W + W0 - traj[-1])) <= 1e-12 * np.max(np.abs(traj[-1]))
@@ -642,7 +643,7 @@ def test_anc_lms_cost_error_is_absolute_near_a_zero_optimum():
     traj = _lms_reference_trajectory(G, A, d, x, mu, iters, W0)
     expected = np.array([anc_cost(apps.anc_error(Wt, G, d, x), A) for Wt in traj])
     c0 = anc_cost(d, A)
-    _, costs = apps.anc_lms_run(G, A, d, x, mu, iters)
+    _, costs = apps.anc_lms_run(G, A, d, x, mu, iters, np.arange(1, iters + 1))
     assert expected[-1] < 1e-8 * c0
     assert np.max(np.abs(costs - expected)) <= 1e-13 * c0
 
@@ -650,15 +651,48 @@ def test_anc_lms_cost_error_is_absolute_near_a_zero_optimum():
 def test_anc_lms_cost_memory_is_o_iters():
     G, A, d, x, mu, _ = _lms_problem(3, 6, 4, 1, 0.5, False)
     iters = 10**6
+    cost_at = np.arange(1, iters + 1)
     tracemalloc.start()
     try:
-        _, costs = apps.anc_lms_run(G, A, d, x, mu, iters)
+        _, costs = apps.anc_lms_run(G, A, d, x, mu, iters, cost_at)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert costs.nbytes == 8 * iters
     # an (iters, L) array of geometric sums alone would add 32 MB
     assert peak < costs.nbytes + 2**20
+
+
+def test_anc_lms_final_cost_memory_is_o_1():
+    # the cost after 10^6 updates alone: one row of sums, not 10^6 rows
+    G, A, d, x, mu, _ = _lms_problem(3, 6, 4, 1, 0.5, False)
+    tracemalloc.start()
+    try:
+        _, costs = apps.anc_lms_run(G, A, d, x, mu, 10**6, [10**6])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert costs.shape == (1,)
+    assert peak < 64 * 2**10
+
+
+@pytest.mark.parametrize(
+    "M, L, step",
+    [(6, 3, 0.5), (6, 3, 1.9), (6, 3, 1e-6), (24, 12, 1.0)],
+)
+def test_anc_lms_costs_at_sparse_counts_match_the_trajectory(M, L, step):
+    # A count's cost does not depend on the counts asked with it, except
+    # that a 1-row product can round differently from a 512-row block.
+    G, A, d, x, mu, _ = _lms_problem(13, M, L, 1, step, False)
+    iters = 5000
+    counts = np.array([1, 2, 7, 511, 512, 513, 1024, 3333, iters])
+    W_full, full = apps.anc_lms_run(G, A, d, x, mu, iters, np.arange(1, iters + 1))
+    W, costs = apps.anc_lms_run(G, A, d, x, mu, iters, counts)
+    c0 = anc_cost(d, A)
+    assert np.max(np.abs(costs - full[counts - 1])) <= 4 * np.spacing(c0)
+    W_last, (last,) = apps.anc_lms_run(G, A, d, x, mu, iters, [iters])
+    assert abs(last - full[-1]) <= 4 * np.spacing(c0)
+    assert np.array_equal(W, W_full) and np.array_equal(W_last, W_full)
 
 
 @pytest.mark.parametrize(
@@ -673,11 +707,22 @@ def test_anc_lms_cost_memory_is_o_iters():
         (dict(iters=-3), "iters"),
         (dict(iters=2.5), "iters"),
         (dict(iters=True), "iters"),
+        (dict(cost_at=[]), "cost_at"),
+        (dict(cost_at=[0, 10]), "cost_at"),
+        (dict(cost_at=[5, 3, 10]), "cost_at"),
+        (dict(cost_at=[3, 3, 10]), "cost_at"),
+        (dict(cost_at=[1.0, 10.0]), "cost_at"),
+        (dict(cost_at=True), "cost_at"),
+        (dict(cost_at=[True]), "cost_at"),
+        (dict(cost_at=[[1, 10]]), "cost_at"),
+        (dict(cost_at=[1, 9]), "cost_at"),
+        (dict(cost_at=[1, 11]), "cost_at"),
+        (dict(cost_at=np.array([5, 3, 10], dtype=np.uint64)), "cost_at"),
     ],
 )
 def test_anc_lms_rejects_malformed_inputs(change, name):
     G, A, d, x, mu, _ = _lms_problem(5, 6, 3, 1, 0.5, False)
-    args = dict(dict(G=G, A=A, d=d, x=x, mu=mu, iters=10), **change)
+    args = dict(dict(G=G, A=A, d=d, x=x, mu=mu, iters=10, cost_at=[10]), **change)
     with pytest.raises(ValueError, match=f"^{name} must"):
         apps.anc_lms_run(**args)
 
@@ -686,4 +731,4 @@ def test_anc_lms_rejects_non_hermitian_weighting():
     G, A, d, x, mu, _ = _lms_problem(5, 6, 3, 1, 0.5, False)
     A = A + 1e-8 * np.max(np.abs(A)) * np.triu(np.ones_like(A), 1)
     with pytest.raises(ValueError, match="Hermitian"):
-        apps.anc_lms_run(G, A, d, x, mu, 10)
+        apps.anc_lms_run(G, A, d, x, mu, 10, [10])

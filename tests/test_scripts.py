@@ -55,7 +55,8 @@ def test_csv_drift_of_the_repo_against_itself():
         "region_weighting", "sph_jn_all", "sph_hn_all", "sph_jn_all_one_by_one",
         "sph_hn_all_one_by_one", "radial_response", "kernel_first_order_field",
         "bm_first_100_frequencies", "tikhonov_overdetermined", "extract_expansion",
-        "dm_finite_radial_chunks", "forbidden-many-roots",
+        "dm_finite_radial_chunks", "anc_final_cost", "anc_regional_power_db",
+        "forbidden-many-roots",
         *(f"{name}-{cmd}" for name in
           ("sweep_explicit", "sweep_finite", "sweep_first_order",
            "sweep_kernel", "sweep_omni", "sweep_rigid")
